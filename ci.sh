@@ -26,8 +26,8 @@ cargo test -q --offline --test solver_equivalence
 echo "==> intra-solve determinism (2 intra-solve workers forced)"
 CTG_INTRA_SOLVE=2 cargo test -q --offline --test solver_equivalence
 
-echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm p99 must"
-echo "    stay within 2x of the committed BASELINE_solver.json snapshot)"
+echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm and portfolio"
+echo "    race p99 must stay within 2x of the committed BASELINE_solver.json snapshot)"
 cargo build -q --release --offline -p ctg-bench --bin solver
 ./target/release/solver --smoke --check-baseline BASELINE_solver.json
 test -s target/BENCH_solver_smoke.json
@@ -82,5 +82,9 @@ echo "    no-regression gate vs DLS-only + reshard determinism, asserted in-bin;
 echo "    table1 asserts portfolio <= online on every row)"
 cargo build -q --release --offline -p ctg-bench --bin table1
 ./target/release/table1 > /dev/null
+
+echo "==> benchmark self-test (perfbench builds against the library and its"
+echo "    workloads stay deterministic at a tiny size)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> CI OK"

@@ -27,7 +27,8 @@
 //! Pass `--smoke` for a seconds-scale run (CI) — numbers then land in
 //! `target/BENCH_solver_smoke.json` instead of `BENCH_solver.json`. Pass
 //! `--check-baseline <path>` to compare against a committed artifact: the
-//! run fails if its warm p99 regresses more than 2x over the baseline's.
+//! run fails if its warm p99 or its portfolio-race p99 regresses more than
+//! 2x over the baseline's.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -101,11 +102,12 @@ fn assert_bit_identical(
     );
 }
 
-/// Pulls `"p99_us"` out of the `"warm"` object of a bench artifact without
-/// a JSON parser (the artifact is hand-rolled; the layout is ours).
-fn baseline_warm_p99(json: &str) -> Option<f64> {
-    let warm = json.split("\"warm\"").nth(1)?;
-    let after = warm.split("\"p99_us\":").nth(1)?;
+/// Pulls `"p99_us"` out of the `row` object (`"warm"`, `"portfolio"`) of a
+/// bench artifact without a JSON parser (the artifact is hand-rolled; the
+/// layout is ours).
+fn baseline_p99(json: &str, row: &str) -> Option<f64> {
+    let obj = json.split(&format!("\"{row}\"")).nth(1)?;
+    let after = obj.split("\"p99_us\":").nth(1)?;
     let num: String = after
         .trim_start()
         .chars()
@@ -420,19 +422,25 @@ fn main() {
     if let Some(path) = baseline_path {
         let baseline =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let base_p99 = baseline_warm_p99(&baseline)
-            .unwrap_or_else(|| panic!("baseline {path} has no warm p99"));
-        println!(
-            "baseline gate: warm p99 {:.1} us vs baseline {:.1} us (limit {:.1} us)",
-            warm.p99_us,
-            base_p99,
-            2.0 * base_p99
-        );
-        if warm.p99_us > 2.0 * base_p99 {
-            eprintln!(
-                "FAIL: warm p99 {:.1} us regressed more than 2x over baseline {:.1} us",
-                warm.p99_us, base_p99
+        let mut failed = false;
+        for (row, lat) in [("warm", &warm), ("portfolio", &race)] {
+            let base_p99 = baseline_p99(&baseline, row)
+                .unwrap_or_else(|| panic!("baseline {path} has no {row} p99"));
+            println!(
+                "baseline gate: {row} p99 {:.1} us vs baseline {:.1} us (limit {:.1} us)",
+                lat.p99_us,
+                base_p99,
+                2.0 * base_p99
             );
+            if lat.p99_us > 2.0 * base_p99 {
+                eprintln!(
+                    "FAIL: {row} p99 {:.1} us regressed more than 2x over baseline {:.1} us",
+                    lat.p99_us, base_p99
+                );
+                failed = true;
+            }
+        }
+        if failed {
             std::process::exit(1);
         }
         println!("baseline gate: PASS");

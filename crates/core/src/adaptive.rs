@@ -599,9 +599,12 @@ impl AdaptiveScheduler {
     /// resilient solves (`deadline_guard < 1.0`) intentionally stay
     /// DLS-only — the degradation ladder's contract predates the portfolio
     /// — and a budgeted workspace only constrains the DLS entry (the other
-    /// entries run cold, outside the metered pipeline). The construction
-    /// solve already happened, so the incumbent plan is unchanged until the
-    /// next drift event.
+    /// entries ignore their workspaces, so no meter sees their work). A
+    /// race costs about the sum of its entries' solves: a cold HEFT or
+    /// lookahead entry costs about what a DLS solve that rebuilds its
+    /// scheduled graph does, and pricing the candidates is cheap (see the
+    /// `scheduler` module). The construction solve already happened, so
+    /// the incumbent plan is unchanged until the next drift event.
     ///
     /// # Errors
     ///

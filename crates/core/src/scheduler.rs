@@ -36,9 +36,16 @@
 //! Determinism: every implementor is a pure function of
 //! `(ctx, probs, configuration)`. The DLS entry reuses the workspace's
 //! warm-start layers (whose warm == cold contract is pinned in
-//! `tests/solver_equivalence.rs`); the other implementors run cold each
-//! call — their list passes are linear-ish and need no amortisation — and
-//! simply ignore the workspace.
+//! `tests/solver_equivalence.rs`); the other implementors ignore the
+//! workspace and solve cold each call.
+//!
+//! Cost: a race costs about the sum of its entries' solves. On the MPEG
+//! drift tables a cold HEFT or lookahead solve takes about as long as a
+//! DLS entry that rebuilds its scheduled graph. The verdict adds one
+//! worst-case-makespan check per entry and prices each schedulable
+//! candidate once with [`crate::expected_energy`], which reads the
+//! context's scenario masks and costs tens of microseconds. DESIGN.md
+//! §18.3 has the measured breakdown.
 
 use crate::context::SchedContext;
 use crate::dls::{dls_schedule, earliest_start};
@@ -693,16 +700,20 @@ pub fn race_portfolio(
             fallback = Some((i, wcm));
         }
     }
-    let winner = best.or(fallback);
+    // A schedulable winner was priced by the fold; only the degraded
+    // fallback (ranked by makespan) still needs its energy.
+    let winner = best
+        .map(|(i, e)| (i, Some(e)))
+        .or(fallback.map(|(i, _)| (i, None)));
     match winner {
-        Some((i, _)) => {
+        Some((i, energy)) => {
             span.end(i as i64);
             let solution = results
                 .into_iter()
                 .nth(i)
                 .expect("winner index in range")
                 .expect("winner solved");
-            let energy = solution.expected_energy(ctx, probs);
+            let energy = energy.unwrap_or_else(|| solution.expected_energy(ctx, probs));
             Ok(RaceOutcome {
                 winner: i,
                 solution,

@@ -1,6 +1,6 @@
 //! Per-task speed assignments and energy evaluation.
 
-use crate::context::SchedContext;
+use crate::context::{ScenarioMask, SchedContext};
 use crate::schedule::Schedule;
 use ctg_model::{BranchProbs, TaskId};
 
@@ -66,6 +66,15 @@ impl SpeedAssignment {
 /// `Σ_τ prob(τ) · E(τ, pe(τ)) · s_τ²  +  Σ_(i,j) prob(τi ∧ τj) · E_tr(comm)`
 ///
 /// Communication is never voltage-scaled; intra-PE transfers are free.
+///
+/// Priced from the context's compiled scenario masks: the scenario
+/// probabilities are computed once, `prob(τ)` is the mask sum over
+/// `X(τ)`'s scenarios and `prob(τi ∧ τj)` the sum over the intersection of
+/// both endpoint masks (exactly `1.0` when both endpoints are always
+/// active). Each sum adds the same values in the same ascending scenario
+/// order as [`SchedContext::task_prob`] and [`SchedContext::edge_prob`], so
+/// the result is bit-identical to pricing through them
+/// (`tests/energy_equivalence.rs` pins it).
 pub fn expected_energy(
     ctx: &SchedContext,
     probs: &BranchProbs,
@@ -73,11 +82,14 @@ pub fn expected_energy(
     speeds: &SpeedAssignment,
 ) -> f64 {
     let platform = ctx.platform();
+    let act = ctx.activation();
+    let scenario_probs = ctx.scenario_probs(probs);
     let mut total = 0.0;
     for t in ctx.ctg().tasks() {
-        let p = ctx.task_prob(t, probs);
+        let p = ctx.mask_prob(ctx.task_mask(t), &scenario_probs);
         total += p * platform.exec_energy(t.index(), schedule.pe_of(t), speeds.speed(t));
     }
+    let mut both = ScenarioMask::empty(scenario_probs.len());
     for (_, e) in ctx.ctg().edges() {
         let (src, dst) = (e.src(), e.dst());
         let energy =
@@ -85,7 +97,13 @@ pub fn expected_energy(
                 .comm()
                 .energy(schedule.pe_of(src), schedule.pe_of(dst), e.comm_kbytes());
         if energy > 0.0 {
-            total += ctx.edge_prob(src, dst, probs) * energy;
+            let p = if act.always_active(src) && act.always_active(dst) {
+                1.0
+            } else {
+                both.assign_and(ctx.task_mask(src), ctx.task_mask(dst));
+                ctx.mask_prob(&both, &scenario_probs)
+            };
+            total += p * energy;
         }
     }
     total
