@@ -23,8 +23,10 @@ CTG_WORKERS=2 ./target/release/throughput --smoke
 echo "==> warm-start solver equivalence"
 cargo test -q --offline --test solver_equivalence
 
-echo "==> intra-solve determinism (2 intra-solve workers forced)"
+echo "==> intra-solve determinism (2 intra-solve workers forced; the stretch"
+echo "    reference's warm solves merge per-chunk path stores)"
 CTG_INTRA_SOLVE=2 cargo test -q --offline --test solver_equivalence
+CTG_INTRA_SOLVE=2 cargo test -q --offline --test stretch_reference
 
 echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm and portfolio"
 echo "    race p99 must stay within 2x of the committed BASELINE_solver.json snapshot)"

@@ -93,9 +93,9 @@ pub fn nlp_stretch(
     // Fixed (communication) part of each path's delay.
     let base_delay: Vec<f64> = graph
         .paths()
-        .iter()
-        .map(|p| p.delay - p.tasks.iter().map(|&t| wcet[t.index()]).sum::<f64>())
+        .map(|p| p.delay() - p.tasks().iter().map(|&t| wcet[t.index()]).sum::<f64>())
         .collect();
+    let path_tasks: Vec<&[TaskId]> = graph.paths().map(|p| p.tasks()).collect();
 
     let mut x = vec![0.0_f64; n];
     let x_max: Vec<f64> = wcet
@@ -105,8 +105,7 @@ pub fn nlp_stretch(
 
     let path_delay = |x: &[f64], pi: usize| -> f64 {
         base_delay[pi]
-            + graph.paths()[pi]
-                .tasks
+            + path_tasks[pi]
                 .iter()
                 .map(|&t| wcet[t.index()] + x[t.index()])
                 .sum::<f64>()
@@ -124,18 +123,17 @@ pub fn nlp_stretch(
         // Feasibility repair: shrink the extensions on violated paths.
         for _ in 0..50 {
             let mut violated = false;
-            for pi in 0..graph.paths().len() {
+            for (pi, tasks) in path_tasks.iter().enumerate() {
                 let d = path_delay(&x, pi);
                 if d > deadline + 1e-9 {
                     violated = true;
-                    let stretchable: f64 =
-                        graph.paths()[pi].tasks.iter().map(|&t| x[t.index()]).sum();
+                    let stretchable: f64 = tasks.iter().map(|&t| x[t.index()]).sum();
                     if stretchable <= 0.0 {
                         continue;
                     }
                     let excess = d - deadline;
                     let scale = ((stretchable - excess) / stretchable).max(0.0);
-                    for &t in &graph.paths()[pi].tasks {
+                    for &t in tasks.iter() {
                         x[t.index()] *= scale;
                     }
                 }
@@ -175,8 +173,8 @@ mod tests {
         let graph = ScheduledGraph::build(&ctx, &sched, &probs, 100_000).unwrap();
         let profile = ctx.platform().profile();
         for p in graph.paths() {
-            let d: f64 = p.delay
-                + p.tasks
+            let d: f64 = p.delay()
+                + p.tasks()
                     .iter()
                     .map(|&t| {
                         let w = profile.wcet(t.index(), sched.pe_of(t));

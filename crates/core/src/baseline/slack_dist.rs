@@ -46,8 +46,8 @@ mod tests {
             crate::sgraph::ScheduledGraph::build(&ctx, &sol.schedule, &probs, 100_000).unwrap();
         let profile = ctx.platform().profile();
         for p in graph.paths() {
-            let d: f64 = p.delay
-                + p.tasks
+            let d: f64 = p.delay()
+                + p.tasks()
                     .iter()
                     .map(|&t| {
                         let w = profile.wcet(t.index(), sol.schedule.pe_of(t));

@@ -39,6 +39,20 @@ impl ScenarioMask {
         }
     }
 
+    /// A mask of a set of size `len` from its words, as
+    /// [`ScenarioMask::words`] returns them.
+    pub(crate) fn from_words(words: &[u64], len: usize) -> Self {
+        ScenarioMask {
+            bits: words.to_vec(),
+            len,
+        }
+    }
+
+    /// The mask's words, scenario `i` at bit `i % 64` of word `i / 64`.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Sets scenario `i`.
     ///
     /// # Panics
@@ -420,22 +434,11 @@ impl SchedContext {
 
     /// Per-scenario probabilities under `probs`, in enumeration order.
     pub fn scenario_probs(&self, probs: &BranchProbs) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.scenario_probs_into(probs, &mut out);
-        out
-    }
-
-    /// [`SchedContext::scenario_probs`] into a caller-owned buffer (cleared
-    /// first) — the same values in the same order, allocation-free after
-    /// warm-up.
-    pub fn scenario_probs_into(&self, probs: &BranchProbs, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            self.scenarios
-                .scenarios()
-                .iter()
-                .map(|s| s.probability(probs)),
-        );
+        self.scenarios
+            .scenarios()
+            .iter()
+            .map(|s| s.probability(probs))
+            .collect()
     }
 
     /// Total probability of a scenario mask given per-scenario

@@ -105,12 +105,12 @@ pub fn criticality_report(
         if slack <= SATURATION_EPS {
             saturated += 1;
         }
-        for &t in &p.tasks {
+        for &t in p.tasks() {
             if slack < float[t.index()] - 1e-12 {
                 float[t.index()] = slack;
-                critical_prob[t.index()] = p.prob;
+                critical_prob[t.index()] = p.prob();
             } else if (slack - float[t.index()]).abs() <= 1e-12 {
-                critical_prob[t.index()] = critical_prob[t.index()].max(p.prob);
+                critical_prob[t.index()] = critical_prob[t.index()].max(p.prob());
             }
         }
     }

@@ -19,9 +19,9 @@ use crate::speed::SpeedAssignment;
 use ctg_model::{BranchProbs, Literal, TaskId};
 
 /// FNV-1a for the build-time mask dedup. The map is rebuilt per solve from
-/// non-adversarial keys (a few thousand scenario masks), so the cheap
-/// multiply-xor beats SipHash's per-key setup; `write_u64`/`write_usize`
-/// are overridden because mask words arrive through them.
+/// non-adversarial keys (a few thousand scenario-mask word slices), so the
+/// cheap multiply-xor beats SipHash's per-key setup; a slice's length
+/// prefix arrives through `write_usize`, its words through `write`.
 #[derive(Default)]
 struct Fnv(u64);
 
@@ -100,62 +100,76 @@ pub struct SEdge {
     pub kind: SEdgeKind,
 }
 
-/// A source→sink path of the scheduled graph, as used by the stretching
-/// heuristic.
-#[derive(Debug, Clone)]
-pub struct SPath {
-    /// Tasks along the path, in order.
-    pub tasks: Vec<TaskId>,
-    /// The set of scenarios in which the path exists — the paper's minterm
-    /// of the path, represented over the scenario enumeration.
-    pub cond: ScenarioMask,
-    /// Current path delay: execution times (updated as tasks are stretched)
-    /// plus fixed edge delays.
-    pub delay: f64,
-    /// Branch guards on the path, with the path position of the deciding
-    /// fork node.
-    pub guards: Vec<(usize, Literal)>,
-    /// Probability of `cond` under the probability table used at
-    /// construction time.
-    pub prob: f64,
+/// One path of the flat store: where its tasks and guards sit in the
+/// graph's shared buffers, its minterm group and its nominal delay.
+#[derive(Debug, Clone, Copy)]
+struct PathRec {
+    tasks: (u32, u32),
+    guards: (u32, u32),
+    group: u32,
+    delay: f64,
 }
 
-impl SPath {
+/// A source→sink path of the scheduled graph, as used by the stretching
+/// heuristic: a borrowed view into the graph's flat path store.
+#[derive(Clone, Copy)]
+pub struct SPath<'a> {
+    graph: &'a ScheduledGraph,
+    rec: &'a PathRec,
+}
+
+impl<'a> SPath<'a> {
+    /// Tasks along the path, in order.
+    pub fn tasks(&self) -> &'a [TaskId] {
+        &self.graph.tasks[self.rec.tasks.0 as usize..self.rec.tasks.1 as usize]
+    }
+
+    /// The set of scenarios in which the path exists — the paper's minterm
+    /// of the path, represented over the scenario enumeration.
+    pub fn cond(&self) -> &'a ScenarioMask {
+        &self.graph.group_masks[self.rec.group as usize]
+    }
+
+    /// Path delay at nominal speeds: execution times plus fixed edge
+    /// delays.
+    pub fn delay(&self) -> f64 {
+        self.rec.delay
+    }
+
+    /// Branch guards on the path, with the path position of the deciding
+    /// fork node.
+    pub fn guards(&self) -> &'a [(u32, Literal)] {
+        &self.graph.guards[self.rec.guards.0 as usize..self.rec.guards.1 as usize]
+    }
+
+    /// Probability of [`SPath::cond`] under the probability table the
+    /// graph was built (or last re-weighted) with.
+    pub fn prob(&self) -> f64 {
+        self.graph.group_prob[self.rec.group as usize]
+    }
+
     /// Whether `task` lies on this path.
     pub fn spans(&self, task: TaskId) -> bool {
-        self.tasks.contains(&task)
+        self.tasks().contains(&task)
     }
 
     /// The path's end-to-end delay when its tasks run at the given speeds
     /// (communication delays are fixed).
-    ///
-    /// Note: `self.delay` reflects *nominal* execution times only when the
-    /// path comes fresh out of [`ScheduledGraph::build`]; this method always
-    /// recomputes from the nominal WCETs.
     pub fn stretched_delay(
         &self,
         ctx: &SchedContext,
         schedule: &Schedule,
-        speeds: &crate::speed::SpeedAssignment,
+        speeds: &SpeedAssignment,
     ) -> f64 {
         let profile = ctx.platform().profile();
-        let comm_part: f64 = self.delay
-            - self
-                .tasks
-                .iter()
-                .map(|&t| profile.wcet(t.index(), schedule.pe_of(t)))
-                .sum::<f64>();
+        let wcet = |t: TaskId| profile.wcet(t.index(), schedule.pe_of(t));
+        let comm_part: f64 = self.delay() - self.tasks().iter().map(|&t| wcet(t)).sum::<f64>();
         comm_part
             + self
-                .tasks
+                .tasks()
                 .iter()
-                .map(|&t| profile.wcet(t.index(), schedule.pe_of(t)) / speeds.speed(t))
+                .map(|&t| wcet(t) / speeds.speed(t))
                 .sum::<f64>()
-    }
-
-    /// Slack of the path against `deadline`.
-    pub fn slack(&self, deadline: f64) -> f64 {
-        deadline - self.delay
     }
 
     /// The paper's `prob(p, τ)`: joint probability of the branch guards
@@ -166,19 +180,11 @@ impl SPath {
     /// Panics if `task` is not on the path.
     pub fn prob_after(&self, task: TaskId, probs: &BranchProbs) -> f64 {
         let pos = self
-            .tasks
+            .tasks()
             .iter()
             .position(|&t| t == task)
-            .expect("task must lie on the path");
-        self.prob_after_at(pos, probs)
-    }
-
-    /// [`SPath::prob_after`] with the task's position on the path already
-    /// known (see [`ScheduledGraph::spanning_at`]) — the stretching loop's
-    /// hot variant, skipping the linear position scan. Identical guard
-    /// iteration order, so identical bits.
-    pub(crate) fn prob_after_at(&self, pos: usize, probs: &BranchProbs) -> f64 {
-        self.guards
+            .expect("task must lie on the path") as u32;
+        self.guards()
             .iter()
             .filter(|(fork_pos, _)| *fork_pos >= pos)
             .map(|(_, lit)| probs.prob(lit.branch(), lit.alt()))
@@ -186,23 +192,43 @@ impl SPath {
     }
 }
 
-/// The scheduled graph plus its enumerated paths.
+impl std::fmt::Debug for SPath<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SPath")
+            .field("tasks", &self.tasks())
+            .field("cond", self.cond())
+            .field("delay", &self.delay())
+            .field("guards", &self.guards())
+            .field("prob", &self.prob())
+            .finish()
+    }
+}
+
+/// The scheduled graph plus its enumerated paths, stored flat: every
+/// path's tasks and guards live in two shared buffers addressed by the
+/// per-path records, and paths with content-equal condition masks share
+/// one minterm group holding the mask and its probability.
 #[derive(Debug, Clone)]
 pub struct ScheduledGraph {
     edges: Vec<SEdge>,
-    paths: Vec<SPath>,
-    /// For each task, the indices of the paths spanning it.
-    spanning: Vec<Vec<usize>>,
-    /// For each task, the task's position on each spanning path (parallel
-    /// to `spanning`), precomputed so per-sweep probability lookups need no
-    /// position scan.
-    span_at: Vec<Vec<u32>>,
-    /// For each path, the id of its minterm group (paths with content-equal
-    /// condition masks share one), ids in first-occurrence order over the
-    /// canonical path order. Computed once at build so downstream
-    /// group-level consumers need not re-hash the masks.
-    group_of: Vec<u32>,
-    num_groups: u32,
+    /// The paths in canonical order.
+    paths: Vec<PathRec>,
+    tasks: Vec<TaskId>,
+    guards: Vec<(u32, Literal)>,
+    /// Per minterm group (ids in first-occurrence order over the canonical
+    /// path order): its condition mask and that mask's probability.
+    group_masks: Vec<ScenarioMask>,
+    group_prob: Vec<f64>,
+    /// The stretcher's per-task layout: for every task, the `(path index,
+    /// task position)` members of each minterm group spanning it, stored
+    /// contiguously — groups in first-occurrence order over the ascending
+    /// spanning paths, members ascending by path index within a group.
+    /// `span_off` delimits each task's members, `runs` each (task, group)
+    /// pair's members and `run_off` each task's runs.
+    members: Vec<(u32, u32)>,
+    span_off: Vec<u32>,
+    runs: Vec<(u32, u32)>,
+    run_off: Vec<u32>,
 }
 
 /// Upper bound on enumerated paths before falling back to the caller's
@@ -250,15 +276,15 @@ impl ScheduledGraph {
     /// out over `workers` intra-solve threads.
     ///
     /// The source frontier (indegree-0 tasks) is split into contiguous
-    /// chunks; each worker enumerates its chunk's sub-forest independently
-    /// and the per-chunk path lists are concatenated in chunk order before
-    /// the canonical sort, so the result is **bit-identical to the
-    /// sequential build at any worker count** (the sort key — the task
-    /// sequence — is unique per path, and equal-key prefix paths keep their
-    /// within-root DFS order under the stable sort). Work charges are
-    /// accounted pre-partition: the total step count of a complete
-    /// enumeration is a pure function of the problem, so the meter sees the
-    /// exact sequential total regardless of the partition.
+    /// chunks; each worker enumerates its chunk's sub-forest into a store
+    /// of its own and the stores are appended in chunk order before the
+    /// canonical sort, so the result is **bit-identical to the sequential
+    /// build at any worker count** (the sort key — the task sequence — is
+    /// unique per path, and equal-key prefix paths keep their within-root
+    /// DFS order under the stable sort). Work charges are accounted
+    /// pre-partition: the total step count of a complete enumeration is a
+    /// pure function of the problem, so the meter sees the exact
+    /// sequential total regardless of the partition.
     ///
     /// Parallelism is only engaged for unlimited meters; a *budgeted* build
     /// runs sequentially so an abort reproduces the sequential traversal's
@@ -312,32 +338,27 @@ impl ScheduledGraph {
             *c += 1;
         }
         let roots: Vec<TaskId> = (0..n).filter(|&t| indeg[t] == 0).map(TaskId::new).collect();
+        let enumerate = |roots: &[TaskId], meter: &mut WorkMeter| {
+            enumerate_from(ctx, schedule, &adj_start, &adj, roots, cap, meter)
+        };
 
-        let mut paths = if workers > 1 && meter.is_unlimited() && roots.len() > 1 {
+        let store = if workers > 1 && meter.is_unlimited() && roots.len() > 1 {
             let chunks = crate::par::chunk_ranges(roots.len(), workers);
             let results = crate::par::map_ordered(&chunks, workers, |_, range| {
                 let mut local = WorkMeter::unlimited();
-                let sub = enumerate_from(
-                    ctx,
-                    schedule,
-                    &adj_start,
-                    &adj,
-                    &roots[range.clone()],
-                    cap,
-                    &mut local,
-                )
-                .expect("an unlimited meter cannot exceed its budget");
+                let sub = enumerate(&roots[range.clone()], &mut local)
+                    .expect("an unlimited meter cannot exceed its budget");
                 (sub, local.spent())
             });
-            let mut merged: Vec<SPath> = Vec::new();
+            let mut merged = PathStore::new(ctx.scenarios().len());
             let mut units_total: u64 = 0;
             let mut complete = true;
             for (sub, units) in results {
                 units_total = units_total.saturating_add(units);
                 match sub {
-                    Some(mut p) if complete => {
-                        merged.append(&mut p);
-                        if merged.len() > cap {
+                    Some(chunk) if complete => {
+                        merged.append(chunk);
+                        if merged.paths.len() > cap {
                             complete = false;
                         }
                     }
@@ -357,107 +378,134 @@ impl ScheduledGraph {
                 // sequential traversal on the untouched meter so the
                 // verdict and the charge sequence match the sequential
                 // build exactly.
-                match enumerate_from(ctx, schedule, &adj_start, &adj, &roots, cap, meter)? {
-                    Some(p) => p,
+                match enumerate(&roots, meter)? {
+                    Some(s) => s,
                     None => return Ok(None),
                 }
             }
         } else {
-            match enumerate_from(ctx, schedule, &adj_start, &adj, &roots, cap, meter)? {
-                Some(p) => p,
+            match enumerate(&roots, meter)? {
+                Some(s) => s,
                 None => return Ok(None),
             }
         };
 
         // Deterministic canonical order: ascending task sequence, with the
-        // DFS emission index as the final tiebreak so fully-equal sequences
-        // keep their emission order (what the previous stable sort
-        // guaranteed). The comparator front-loads a packed 60-bit key of the
-        // first ten tasks so almost every comparison is one integer compare.
-        if n <= PACK_MAX_TASK {
-            let mut order: Vec<(u128, u32)> = paths
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (packed_prefix(&p.tasks), i as u32))
+        // emission index as the final tiebreak so fully-equal sequences
+        // keep their emission order (what a stable sort guarantees). Up to
+        // PACK_MAX_TASK tasks the comparator front-loads a packed key of
+        // the first twenty tasks, so almost every comparison is one
+        // integer compare; above it a stable sort on the task sequence.
+        let seq = |i: u32| {
+            let (s, e) = store.paths[i as usize].tasks;
+            &store.tasks[s as usize..e as usize]
+        };
+        let order: Vec<u32> = if n <= PACK_MAX_TASK {
+            let mut keyed: Vec<(u128, u32)> = (0..store.paths.len() as u32)
+                .map(|i| (packed_prefix(seq(i)), i))
                 .collect();
-            let rest = |i: u32| paths[i as usize].tasks.get(PACK_SLOTS..).unwrap_or(&[]);
-            order.sort_unstable_by(|a, b| {
+            let rest = |i: u32| seq(i).get(PACK_SLOTS..).unwrap_or(&[]);
+            keyed.sort_unstable_by(|a, b| {
                 a.0.cmp(&b.0)
                     // Equal keys ⇒ the first PACK_SLOTS tasks are equal;
                     // compare only the remainder, then keep emission order.
                     .then_with(|| rest(a.1).cmp(rest(b.1)))
                     .then(a.1.cmp(&b.1))
             });
-            // Apply the permutation in place by cycle-following swaps:
-            // `inv[old] = new` position, and swapping `paths[i]` with
-            // `paths[inv[i]]` until `inv[i] == i` realizes `paths[new] =
-            // old_paths[order[new].1]` without a second allocation.
-            let mut inv: Vec<u32> = vec![0; order.len()];
-            for (newpos, &(_, old)) in order.iter().enumerate() {
-                inv[old as usize] = newpos as u32;
-            }
-            for i in 0..inv.len() {
-                while inv[i] as usize != i {
-                    let j = inv[i] as usize;
-                    paths.swap(i, j);
-                    inv.swap(i, j);
-                }
-            }
+            keyed.into_iter().map(|(_, i)| i).collect()
         } else {
-            paths.sort_by(|a, b| a.tasks.cmp(&b.tasks));
-        }
+            let mut order: Vec<u32> = (0..store.paths.len() as u32).collect();
+            order.sort_by(|&a, &b| seq(a).cmp(seq(b)));
+            order
+        };
 
-        // Minterm groups and path probabilities, evaluated once per
-        // *distinct* condition mask: `mask_prob` is a pure function of
-        // (mask content, table) — the same ascending-bit sum for equal
-        // masks — so the representative's value is bit-identical to what
-        // every member would compute. Group ids are kept on the graph so
-        // downstream group-level consumers never re-hash the masks.
+        // Canonical records, with minterm groups and their probabilities
+        // evaluated once per *distinct* condition mask: `mask_prob` is a
+        // pure function of (mask content, table) — the same ascending-bit
+        // sum for equal masks — so the group's value is bit-identical to
+        // what every member would compute. The tasks and guards stay where
+        // the enumeration wrote them; only the records move.
+        let words = store.mask_words;
         let scenario_probs = ctx.scenario_probs(probs);
-        let mut group_of: Vec<u32> = Vec::with_capacity(paths.len());
-        let mut num_groups: u32 = 0;
+        let mut group_masks: Vec<ScenarioMask> = Vec::new();
+        let mut group_prob: Vec<f64> = Vec::new();
+        let mut paths: Vec<PathRec> = Vec::with_capacity(order.len());
         {
-            let mut by_cond: HashMap<&ScenarioMask, (u32, f64), BuildFnv> =
+            let mut by_cond: HashMap<&[u64], u32, BuildFnv> =
                 HashMap::with_hasher(BuildFnv::default());
-            let probs_of: Vec<f64> = paths
-                .iter()
-                .map(|p| {
-                    let (g, v) = *by_cond.entry(&p.cond).or_insert_with(|| {
-                        let g = num_groups;
-                        num_groups += 1;
-                        (g, ctx.mask_prob(&p.cond, &scenario_probs))
-                    });
-                    group_of.push(g);
-                    v
-                })
-                .collect();
-            drop(by_cond);
-            for (p, v) in paths.iter_mut().zip(probs_of) {
-                p.prob = v;
+            for &i in &order {
+                let i = i as usize;
+                let cond = &store.cond_words[i * words..(i + 1) * words];
+                let group = *by_cond.entry(cond).or_insert_with(|| {
+                    let mask = ScenarioMask::from_words(cond, ctx.scenarios().len());
+                    group_prob.push(ctx.mask_prob(&mask, &scenario_probs));
+                    group_masks.push(mask);
+                    group_masks.len() as u32 - 1
+                });
+                paths.push(PathRec {
+                    group,
+                    ..store.paths[i]
+                });
             }
+        }
+        let PathStore { tasks, guards, .. } = store;
+
+        // The stretcher's per-task layout. Spanning lists first (CSR over
+        // the canonical path order, so each ascends by path index), then
+        // each task's list bucketed by group in first-occurrence order.
+        let mut span_off = vec![0u32; n + 1];
+        for t in &tasks {
+            span_off[t.index() + 1] += 1;
+        }
+        for i in 0..n {
+            span_off[i + 1] += span_off[i];
+        }
+        let mut spanning = vec![(0u32, 0u32); tasks.len()];
+        let mut cursor: Vec<u32> = span_off[..n].to_vec();
+        for (i, p) in paths.iter().enumerate() {
+            for (pos, t) in tasks[p.tasks.0 as usize..p.tasks.1 as usize]
+                .iter()
+                .enumerate()
+            {
+                let c = &mut cursor[t.index()];
+                spanning[*c as usize] = (i as u32, pos as u32);
+                *c += 1;
+            }
+        }
+        let mut members: Vec<(u32, u32)> = Vec::with_capacity(spanning.len());
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        let mut run_off: Vec<u32> = Vec::with_capacity(n + 1);
+        run_off.push(0);
+        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); group_masks.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        for t in 0..n {
+            for &(i, pos) in &spanning[span_off[t] as usize..span_off[t + 1] as usize] {
+                let g = paths[i as usize].group;
+                if buckets[g as usize].is_empty() {
+                    touched.push(g);
+                }
+                buckets[g as usize].push((i, pos));
+            }
+            for &g in &touched {
+                let start = members.len() as u32;
+                members.append(&mut buckets[g as usize]);
+                runs.push((start, members.len() as u32));
+            }
+            touched.clear();
+            run_off.push(runs.len() as u32);
         }
 
-        let mut counts = vec![0usize; n];
-        for p in &paths {
-            for &t in &p.tasks {
-                counts[t.index()] += 1;
-            }
-        }
-        let mut spanning: Vec<Vec<usize>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        let mut span_at: Vec<Vec<u32>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (i, p) in paths.iter().enumerate() {
-            for (pos, &t) in p.tasks.iter().enumerate() {
-                spanning[t.index()].push(i);
-                span_at[t.index()].push(pos as u32);
-            }
-        }
         Ok(Some(ScheduledGraph {
             edges,
             paths,
-            spanning,
-            span_at,
-            group_of,
-            num_groups,
+            tasks,
+            guards,
+            group_masks,
+            group_prob,
+            members,
+            span_off,
+            runs,
+            run_off,
         }))
     }
 
@@ -466,52 +514,41 @@ impl ScheduledGraph {
         &self.edges
     }
 
-    /// The enumerated valid paths.
-    pub fn paths(&self) -> &[SPath] {
-        &self.paths
+    /// The enumerated valid paths, in canonical order.
+    pub fn paths(&self) -> impl ExactSizeIterator<Item = SPath<'_>> + Clone {
+        self.paths.iter().map(move |rec| SPath { graph: self, rec })
     }
 
-    /// Mutable access to the paths (the stretching loop updates delays).
-    pub fn paths_mut(&mut self) -> &mut [SPath] {
-        &mut self.paths
-    }
-
-    /// Indices of the paths spanning `task`.
-    pub fn spanning(&self, task: TaskId) -> &[usize] {
-        &self.spanning[task.index()]
-    }
-
-    /// Number of tasks the graph was built over (the width of the spanning
-    /// tables).
-    pub(crate) fn num_tasks(&self) -> usize {
-        self.spanning.len()
-    }
-
-    /// For each path, its minterm-group id — paths with content-equal
-    /// condition masks share a group (ids in first-occurrence order over
-    /// the canonical path order).
-    pub(crate) fn group_of(&self) -> &[u32] {
-        &self.group_of
-    }
-
-    /// Number of distinct minterm groups among the paths.
-    pub(crate) fn num_groups(&self) -> usize {
-        self.num_groups as usize
-    }
-
-    /// `task`'s position on each of its spanning paths, parallel to
-    /// [`ScheduledGraph::spanning`].
-    pub(crate) fn spanning_at(&self, task: TaskId) -> &[u32] {
-        &self.span_at[task.index()]
-    }
-
-    /// Adds `extra` to the delay of every path spanning `task` — the
-    /// stretching loop's propagation step, without cloning the spanning
-    /// list to appease the borrow checker.
-    pub fn add_delay_to_spanning(&mut self, task: TaskId, extra: f64) {
-        for &idx in &self.spanning[task.index()] {
-            self.paths[idx].delay += extra;
+    /// The `i`-th path in canonical order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn path(&self, i: usize) -> SPath<'_> {
+        SPath {
+            graph: self,
+            rec: &self.paths[i],
         }
+    }
+
+    /// The flat `(path index, task position)` member store of the
+    /// stretcher's per-task layout.
+    pub(crate) fn members(&self) -> &[(u32, u32)] {
+        &self.members
+    }
+
+    /// `task`'s members: one per path spanning it, grouped as
+    /// [`ScheduledGraph::group_runs`] describes.
+    pub(crate) fn span(&self, task: TaskId) -> &[(u32, u32)] {
+        let t = task.index();
+        &self.members[self.span_off[t] as usize..self.span_off[t + 1] as usize]
+    }
+
+    /// The `(start, end)` runs into [`ScheduledGraph::members`] of
+    /// `task`'s minterm groups, in first-occurrence order.
+    pub(crate) fn group_runs(&self, task: TaskId) -> &[(u32, u32)] {
+        let t = task.index();
+        &self.runs[self.run_off[t] as usize..self.run_off[t + 1] as usize]
     }
 
     /// The worst-case end-to-end delay: the maximum path delay.
@@ -519,19 +556,18 @@ impl ScheduledGraph {
         self.paths.iter().map(|p| p.delay).fold(0.0, f64::max)
     }
 
-    /// Recomputes every path's probability under a new probability table,
+    /// Recomputes the path probabilities under a new probability table,
     /// leaving topology, delays, conditions and guards untouched — the
-    /// O(paths) replacement for a full rebuild when only the estimates
-    /// moved (the mapping, order and communication delays do not depend on
-    /// `probs`).
+    /// replacement for a full rebuild when only the estimates moved (the
+    /// mapping, order and communication delays do not depend on `probs`).
     ///
-    /// Produces bit-identical probabilities to a fresh
-    /// [`ScheduledGraph::build`] under the same table: the same
-    /// `mask_prob` evaluated on the same stored scenario masks.
+    /// Evaluated once per minterm group, and bit-identical to a fresh
+    /// [`ScheduledGraph::build`] under the same table: the same `mask_prob`
+    /// on the same stored scenario masks.
     pub fn reweight(&mut self, ctx: &SchedContext, probs: &BranchProbs) {
         let scenario_probs = ctx.scenario_probs(probs);
-        for p in &mut self.paths {
-            p.prob = ctx.mask_prob(&p.cond, &scenario_probs);
+        for (p, mask) in self.group_prob.iter_mut().zip(&self.group_masks) {
+            *p = ctx.mask_prob(mask, &scenario_probs);
         }
     }
 }
@@ -756,6 +792,63 @@ struct OutEdge {
     guard: Option<Literal>,
 }
 
+/// Paths as one enumeration emits them, in emission order: records into
+/// the store's own task and guard buffers, plus each path's condition mask
+/// as `mask_words` words of `cond_words`.
+struct PathStore {
+    paths: Vec<PathRec>,
+    tasks: Vec<TaskId>,
+    guards: Vec<(u32, Literal)>,
+    cond_words: Vec<u64>,
+    mask_words: usize,
+}
+
+impl PathStore {
+    fn new(n_scen: usize) -> Self {
+        PathStore {
+            paths: Vec::new(),
+            tasks: Vec::new(),
+            guards: Vec::new(),
+            cond_words: Vec::new(),
+            mask_words: n_scen.div_ceil(64),
+        }
+    }
+
+    /// Emits one path; its group is assigned after the canonical sort.
+    fn push(
+        &mut self,
+        tasks: &[TaskId],
+        guards: &[(u32, Literal)],
+        cond: &ScenarioMask,
+        delay: f64,
+    ) {
+        let (t0, g0) = (self.tasks.len() as u32, self.guards.len() as u32);
+        self.tasks.extend_from_slice(tasks);
+        self.guards.extend_from_slice(guards);
+        self.cond_words.extend_from_slice(cond.words());
+        self.paths.push(PathRec {
+            tasks: (t0, self.tasks.len() as u32),
+            guards: (g0, self.guards.len() as u32),
+            group: u32::MAX,
+            delay,
+        });
+    }
+
+    /// Appends another chunk's paths after this store's, rebasing their
+    /// buffer offsets.
+    fn append(&mut self, other: PathStore) {
+        let (t0, g0) = (self.tasks.len() as u32, self.guards.len() as u32);
+        self.paths.extend(other.paths.iter().map(|p| PathRec {
+            tasks: (p.tasks.0 + t0, p.tasks.1 + t0),
+            guards: (p.guards.0 + g0, p.guards.1 + g0),
+            ..*p
+        }));
+        self.tasks.extend_from_slice(&other.tasks);
+        self.guards.extend_from_slice(&other.guards);
+        self.cond_words.extend_from_slice(&other.cond_words);
+    }
+}
+
 /// Depth-first path enumeration over `roots`, LIFO over a shared stack —
 /// exactly the historical traversal (roots pushed in ascending task order,
 /// each subtree fully explored before the next root) so the per-step meter
@@ -766,9 +859,9 @@ struct OutEdge {
 /// The rewrite versus the original frame-cloning formulation is purely
 /// structural: the current prefix's tasks and guards live in shared buffers
 /// maintained by truncate-and-push across pops, scenario masks come from a
-/// free list and are combined in place, and emission copies the contiguous
-/// buffers instead of walking a parent chain. Identical arithmetic,
-/// identical order.
+/// free list and are combined in place, and emission appends the contiguous
+/// buffers to the flat store instead of walking a parent chain. Identical
+/// arithmetic, identical order.
 fn enumerate_from(
     ctx: &SchedContext,
     schedule: &Schedule,
@@ -777,7 +870,7 @@ fn enumerate_from(
     roots: &[TaskId],
     cap: usize,
     meter: &mut WorkMeter,
-) -> Result<Option<Vec<SPath>>, SchedError> {
+) -> Result<Option<PathStore>, SchedError> {
     let profile = ctx.platform().profile();
     let exec = |t: TaskId| profile.wcet(t.index(), schedule.pe_of(t));
     let n_scen = ctx.scenarios().len();
@@ -824,12 +917,12 @@ fn enumerate_from(
     // iteration they hold exactly the popped frame's full path, so emission
     // is a pair of contiguous copies.
     let mut prefix: Vec<TaskId> = Vec::new();
-    let mut guard_trail: Vec<(usize, Literal)> = Vec::new();
+    let mut guard_trail: Vec<(u32, Literal)> = Vec::new();
 
     let mut free: Vec<ScenarioMask> = Vec::new();
     let mut covered = ScenarioMask::empty(n_scen);
     let mut cand = ScenarioMask::empty(n_scen);
-    let mut paths: Vec<SPath> = Vec::new();
+    let mut store = PathStore::new(n_scen);
     while let Some(f) = stack.pop() {
         if unlimited {
             units += 1;
@@ -840,8 +933,8 @@ fn enumerate_from(
         prefix.truncate(fdepth as usize);
         prefix.push(f.task);
         guard_trail.truncate(f.guard_len as usize);
-        if let Some((pos, lit)) = f.guard {
-            guard_trail.push((pos as usize, lit));
+        if let Some(guard) = f.guard {
+            guard_trail.push(guard);
         }
         let child_guard_len = guard_trail.len() as u32;
         // Extend through every consistent out-edge, tracking which of the
@@ -904,25 +997,16 @@ fn enumerate_from(
         let mut residual = f.cond;
         residual.subtract_assign(&covered);
         if !residual.is_empty() {
-            // `prob` is filled in by the caller once per *distinct*
-            // condition mask (see `build_metered_par`), not per path.
-            paths.push(SPath {
-                tasks: prefix.clone(),
-                cond: residual,
-                delay: f.delay,
-                guards: guard_trail.clone(),
-                prob: f64::NAN,
-            });
-            if paths.len() > cap {
+            store.push(&prefix, &guard_trail, &residual, f.delay);
+            if store.paths.len() > cap {
                 meter.charge(units)?;
                 return Ok(None);
             }
-        } else {
-            free.push(residual);
         }
+        free.push(residual);
     }
     meter.charge(units)?;
-    Ok(Some(paths))
+    Ok(Some(store))
 }
 
 #[cfg(test)]
@@ -937,11 +1021,11 @@ mod tests {
         let s = dls_schedule(&ctx, &probs).unwrap();
         let g = ScheduledGraph::build(&ctx, &s, &probs, 1000).unwrap();
         assert_eq!(g.paths().len(), 1);
-        let p = &g.paths()[0];
-        assert_eq!(p.tasks, vec![a, c, d]);
-        assert!((p.delay - 6.0).abs() < 1e-9); // 3 tasks × wcet 2, same PE
-        assert!((p.prob - 1.0).abs() < 1e-12);
-        assert!(p.cond.is_full());
+        let p = g.path(0);
+        assert_eq!(p.tasks(), [a, c, d]);
+        assert!((p.delay() - 6.0).abs() < 1e-9); // 3 tasks × wcet 2, same PE
+        assert!((p.prob() - 1.0).abs() < 1e-12);
+        assert!(p.cond().is_full());
         assert!((g.critical_delay() - s.makespan()).abs() < 1e-9);
     }
 
@@ -955,11 +1039,11 @@ mod tests {
         for p in g.paths() {
             assert!(!(p.spans(t4) && p.spans(t6)));
             assert!(!(p.spans(t6) && p.spans(t7)));
-            assert!(p.prob > 0.0);
+            assert!(p.prob() > 0.0);
         }
         // Some path through t6 exists with probability 0.25.
-        let p6 = g.paths().iter().find(|p| p.spans(t6)).unwrap();
-        assert!((p6.prob - 0.25).abs() < 1e-12);
+        let p6 = g.paths().find(|p| p.spans(t6)).unwrap();
+        assert!((p6.prob() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -971,7 +1055,6 @@ mod tests {
         // Find a pure CTG path t1→t3→t5→t6 style (may include pseudo hops).
         let p = g
             .paths()
-            .iter()
             .find(|p| p.spans(t6) && p.spans(t5) && p.spans(t3) && p.spans(t1))
             .expect("a path through the a2·b1 arm exists");
         // After t6 every fork on the path is decided.
@@ -1009,10 +1092,10 @@ mod tests {
         g.reweight(&ctx, &skew);
         let fresh = ScheduledGraph::build(&ctx, &s, &skew, 10_000).unwrap();
         assert_eq!(g.paths().len(), fresh.paths().len());
-        for (a, b) in g.paths().iter().zip(fresh.paths()) {
-            assert_eq!(a.tasks, b.tasks);
-            assert_eq!(a.delay.to_bits(), b.delay.to_bits());
-            assert_eq!(a.prob.to_bits(), b.prob.to_bits(), "path prob diverged");
+        for (a, b) in g.paths().zip(fresh.paths()) {
+            assert_eq!(a.tasks(), b.tasks());
+            assert_eq!(a.delay().to_bits(), b.delay().to_bits());
+            assert_eq!(a.prob().to_bits(), b.prob().to_bits(), "path prob diverged");
         }
     }
 
@@ -1025,7 +1108,6 @@ mod tests {
         let g = ScheduledGraph::build(&ctx, &s, &probs, 10_000).unwrap();
         let by_paths = g
             .paths()
-            .iter()
             .map(|p| p.stretched_delay(&ctx, &s, &speeds))
             .fold(0.0, f64::max);
         let by_dp = worst_case_makespan_dp(&ctx, &s, &speeds);
@@ -1076,26 +1158,18 @@ mod prefix_path_tests {
         // Some emitted path must end at `mid` (alt-1 scenarios where `gated`
         // is inactive).
         assert!(
-            graph
-                .paths()
-                .iter()
-                .any(|p| *p.tasks.last().unwrap() == mid),
+            graph.paths().any(|p| p.tasks().last() == Some(&mid)),
             "prefix path ending at mid missing: {:?}",
-            graph
-                .paths()
-                .iter()
-                .map(|p| p.tasks.iter().map(|t| t.index()).collect::<Vec<_>>())
-                .collect::<Vec<_>>()
+            graph.paths().collect::<Vec<_>>()
         );
         // And its scenario mask excludes the alt-0 scenarios (where the
         // continuation through `gated` exists).
         let prefix = graph
             .paths()
-            .iter()
-            .find(|p| *p.tasks.last().unwrap() == mid)
+            .find(|p| p.tasks().last() == Some(&mid))
             .unwrap();
         let gated_mask = ctx.task_mask(gated);
-        assert!(prefix.cond.and(gated_mask).is_empty());
+        assert!(prefix.cond().and(gated_mask).is_empty());
     }
 
     /// Path scenario masks partition correctly: for every scenario, the
@@ -1107,7 +1181,7 @@ mod prefix_path_tests {
         let graph = ScheduledGraph::build(&ctx, &schedule, &probs, 10_000).unwrap();
         for si in 0..ctx.scenarios().len() {
             assert!(
-                graph.paths().iter().any(|p| p.cond.contains(si)),
+                graph.paths().any(|p| p.cond().contains(si)),
                 "scenario {si} not covered by any path"
             );
         }

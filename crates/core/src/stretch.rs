@@ -118,23 +118,7 @@ pub fn stretch_schedule(
     cfg: &StretchConfig,
 ) -> Result<SpeedAssignment, SchedError> {
     validate_config(cfg)?;
-    match ScheduledGraph::build(ctx, schedule, probs, cfg.path_cap) {
-        Some(graph) => {
-            let groups = PathGroups::of(&graph);
-            let mut scratch = StretchScratch::default();
-            Ok(stretch_on_graph(
-                ctx,
-                probs,
-                schedule,
-                cfg,
-                &graph,
-                &groups,
-                None,
-                &mut scratch,
-            ))
-        }
-        None => Ok(critical_path_fallback(ctx, probs, schedule, cfg)),
-    }
+    Ok(stretch_with_seed(ctx, probs, schedule, cfg, None))
 }
 
 /// [`stretch_schedule`] warm-started from a previous speed assignment.
@@ -158,22 +142,24 @@ pub fn stretch_schedule_seeded(
     seed: &SpeedAssignment,
 ) -> Result<SpeedAssignment, SchedError> {
     validate_config(cfg)?;
+    Ok(stretch_with_seed(ctx, probs, schedule, cfg, Some(seed)))
+}
+
+/// Builds the scheduled graph and stretches on it, or falls back to
+/// critical-path stretching over the path cap.
+fn stretch_with_seed(
+    ctx: &SchedContext,
+    probs: &BranchProbs,
+    schedule: &Schedule,
+    cfg: &StretchConfig,
+    seed: Option<&SpeedAssignment>,
+) -> SpeedAssignment {
     match ScheduledGraph::build(ctx, schedule, probs, cfg.path_cap) {
         Some(graph) => {
-            let groups = PathGroups::of(&graph);
             let mut scratch = StretchScratch::default();
-            Ok(stretch_on_graph(
-                ctx,
-                probs,
-                schedule,
-                cfg,
-                &graph,
-                &groups,
-                Some(seed),
-                &mut scratch,
-            ))
+            stretch_on_graph(ctx, probs, schedule, cfg, &graph, seed, &mut scratch)
         }
-        None => Ok(critical_path_fallback(ctx, probs, schedule, cfg)),
+        None => critical_path_fallback(ctx, probs, schedule, cfg),
     }
 }
 
@@ -195,126 +181,6 @@ pub(crate) fn validate_config(cfg: &StretchConfig) -> Result<(), SchedError> {
 /// [`StretchConfig::exhaustive`]).
 pub(crate) const MAX_SWEEPS: usize = 64;
 
-/// Global minterm-group ids over a graph's path list, assigned by first
-/// occurrence: `calculate_slack` groups a task's spanning paths into
-/// reusable scratch buffers instead of building a fresh HashMap per task.
-/// Spanning lists are ascending, so first-occurrence order within a
-/// spanning list equals the old sort-by-smallest-member group order.
-///
-/// Depends only on the path *conditions*, so a reused graph keeps its
-/// groups across probability changes.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PathGroups {
-    group_of: Vec<usize>,
-    num_groups: usize,
-    /// Flattened per-task group-member layout: for every task, the members
-    /// `(path index, task position)` of each minterm group spanning it,
-    /// stored contiguously — groups in first-occurrence order of their
-    /// smallest member, members ascending by path index. Precomputing this
-    /// once per graph replaces the per-task-per-sweep bucket rebuild the
-    /// slack routine used to do; the iteration order is identical, so the
-    /// sweeps' arithmetic is too.
-    members_flat: Vec<(u32, u32)>,
-    /// One `(start, end)` run into `members_flat` per (task, group) pair.
-    runs: Vec<(u32, u32)>,
-    /// Per task, the `(start, end)` slice of `runs` describing its groups.
-    task_runs: Vec<(u32, u32)>,
-}
-
-impl PathGroups {
-    pub(crate) fn of(graph: &ScheduledGraph) -> Self {
-        // Group ids come precomputed from the build's mask dedup — the same
-        // first-occurrence assignment over the same canonical path order
-        // this type used to hash out itself.
-        let group_of: Vec<usize> = graph.group_of().iter().map(|&g| g as usize).collect();
-        let num_groups = graph.num_groups();
-
-        // Per-task layout: bucket each spanning list by group exactly the
-        // way `calculate_slack` historically did per sweep (first-occurrence
-        // group order over the ascending spanning list), then flatten.
-        let n_tasks = graph.num_tasks();
-        let total: usize = (0..n_tasks)
-            .map(|t| graph.spanning(TaskId::new(t)).len())
-            .sum();
-        let mut members_flat: Vec<(u32, u32)> = Vec::with_capacity(total);
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut task_runs: Vec<(u32, u32)> = Vec::with_capacity(n_tasks);
-        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_groups];
-        let mut touched: Vec<usize> = Vec::new();
-        for t in 0..n_tasks {
-            let task = TaskId::new(t);
-            for (&idx, &pos) in graph.spanning(task).iter().zip(graph.spanning_at(task)) {
-                let g = group_of[idx];
-                if buckets[g].is_empty() {
-                    touched.push(g);
-                }
-                buckets[g].push((idx as u32, pos));
-            }
-            let runs_start = runs.len() as u32;
-            for &g in &touched {
-                let start = members_flat.len() as u32;
-                members_flat.append(&mut buckets[g]);
-                runs.push((start, members_flat.len() as u32));
-            }
-            touched.clear();
-            task_runs.push((runs_start, runs.len() as u32));
-        }
-
-        PathGroups {
-            group_of,
-            num_groups,
-            members_flat,
-            runs,
-            task_runs,
-        }
-    }
-
-    /// The `(start, end)` runs into [`PathGroups::members`] for `task`'s
-    /// minterm groups, in first-occurrence order.
-    fn task_group_runs(&self, task: TaskId) -> &[(u32, u32)] {
-        let (s, e) = self.task_runs[task.index()];
-        &self.runs[s as usize..e as usize]
-    }
-
-    /// The flattened `(path index, task position)` member store.
-    fn members(&self) -> &[(u32, u32)] {
-        &self.members_flat
-    }
-
-    /// [`ScheduledGraph::reweight`] evaluated once per minterm group
-    /// instead of once per path: members of a group share their condition
-    /// mask, and `mask_prob` is a pure function of (mask, table), so the
-    /// group representative's probability is bit-identical to what every
-    /// member would compute — typically a ~30× cheaper re-weight. The
-    /// caller owns the scratch buffers, so a warm workspace re-weights its
-    /// pooled graphs without allocating.
-    pub(crate) fn reweight_with(
-        &self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-        graph: &mut ScheduledGraph,
-        scratch: &mut ReweightScratch,
-    ) {
-        ctx.scenario_probs_into(probs, &mut scratch.scenario_probs);
-        scratch.group_prob.clear();
-        scratch.group_prob.resize(self.num_groups, f64::NAN);
-        for (i, p) in graph.paths_mut().iter_mut().enumerate() {
-            let g = self.group_of[i];
-            if scratch.group_prob[g].is_nan() {
-                scratch.group_prob[g] = ctx.mask_prob(&p.cond, &scratch.scenario_probs);
-            }
-            p.prob = scratch.group_prob[g];
-        }
-    }
-}
-
-/// Reusable buffers for [`PathGroups::reweight_with`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ReweightScratch {
-    group_prob: Vec<f64>,
-    scenario_probs: Vec<f64>,
-}
-
 /// Reusable buffers for [`stretch_on_graph`]: every field is cleared and
 /// refilled per call, so a long-lived scratch makes repeated stretching
 /// allocation-free after warm-up.
@@ -329,7 +195,7 @@ pub(crate) struct StretchScratch {
     ratios: Vec<f64>,
     task_probs: Vec<f64>,
     /// `prob(p, τ)` per (task, spanning-path) slot, parallel to
-    /// [`PathGroups::members`]. The products depend only on the path
+    /// [`ScheduledGraph::members`]. The products depend only on the path
     /// guards and the probability table — not on the sweeps' state — so
     /// each slot is written once per call (on the task's first sweep) and
     /// re-read by later sweeps.
@@ -368,14 +234,12 @@ fn lit_prob(lit_base: &[usize], lit_flat: &[f64], lit: &Literal) -> f64 {
 /// scratch buffer instead of the paths. A seed pre-applies a previous
 /// assignment's stretch before the sweeps run (see
 /// [`stretch_schedule_seeded`]).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn stretch_on_graph(
     ctx: &SchedContext,
     probs: &BranchProbs,
     schedule: &Schedule,
     cfg: &StretchConfig,
     graph: &ScheduledGraph,
-    groups: &PathGroups,
     seed: Option<&SpeedAssignment>,
     scratch: &mut StretchScratch,
 ) -> SpeedAssignment {
@@ -389,7 +253,8 @@ pub(crate) fn stretch_on_graph(
     // probabilities derived through it: every product and sum below walks
     // the same values in the same order as the `BranchProbs`/`ScenarioSet`
     // originals, so the results are bit-identical — only the B-tree lookups
-    // are gone.
+    // are gone. `prob(τ)` sums the task mask's scenarios in ascending order,
+    // as `ScenarioSet::task_prob` does over the active ones.
     scratch.lit_base.clear();
     scratch.lit_base.resize(n, usize::MAX);
     scratch.lit_flat.clear();
@@ -410,21 +275,15 @@ pub(crate) fn stretch_on_graph(
         scratch.scenario_probs.push(p);
     }
     scratch.task_probs.clear();
-    for t in ctx.ctg().tasks() {
-        let p: f64 = ctx
-            .scenarios()
-            .scenarios()
-            .iter()
-            .zip(&scratch.scenario_probs)
-            .filter(|(s, _)| s.is_active(t))
-            .map(|(_, &sp)| sp)
-            .sum();
-        scratch.task_probs.push(p);
-    }
+    scratch.task_probs.extend(
+        ctx.ctg()
+            .tasks()
+            .map(|t| ctx.mask_prob(ctx.task_mask(t), &scratch.scenario_probs)),
+    );
     scratch.delays.clear();
-    scratch.delays.extend(graph.paths().iter().map(|p| p.delay));
+    scratch.delays.extend(graph.paths().map(|p| p.delay()));
     scratch.prob_after.clear();
-    scratch.prob_after.resize(groups.members().len(), 0.0);
+    scratch.prob_after.resize(graph.members().len(), 0.0);
     scratch.pa_filled.clear();
     scratch.pa_filled.resize(n, false);
 
@@ -435,8 +294,8 @@ pub(crate) fn stretch_on_graph(
                 let wcet = profile.wcet(t.index(), schedule.pe_of(t));
                 let extra = wcet * (1.0 / s - 1.0);
                 scratch.extra[t.index()] = extra;
-                for &idx in graph.spanning(t) {
-                    scratch.delays[idx] += extra;
+                for &(i, _) in graph.span(t) {
+                    scratch.delays[i as usize] += extra;
                 }
             }
         }
@@ -458,7 +317,7 @@ pub(crate) fn stretch_on_graph(
         let mut granted_total = 0.0;
         for &t in schedule.task_order() {
             let wcet = profile.wcet(t.index(), schedule.pe_of(t));
-            if wcet <= 0.0 || graph.spanning(t).is_empty() {
+            if wcet <= 0.0 || graph.span(t).is_empty() {
                 continue;
             }
             let task_prob = scratch.task_probs[t.index()];
@@ -475,7 +334,6 @@ pub(crate) fn stretch_on_graph(
                 wcet,
                 task_prob,
                 deadline,
-                groups,
                 &scratch.delays,
                 &scratch.ratios,
                 &mut scratch.prob_after,
@@ -493,9 +351,10 @@ pub(crate) fn stretch_on_graph(
             granted_total += slack;
             // Lock and propagate: every spanning path now takes `slack`
             // longer (ratios follow their delays).
-            for &idx in graph.spanning(t) {
-                scratch.delays[idx] += slack;
-                scratch.ratios[idx] = path_ratio(scratch.delays[idx]);
+            for &(i, _) in graph.span(t) {
+                let i = i as usize;
+                scratch.delays[i] += slack;
+                scratch.ratios[i] = path_ratio(scratch.delays[i]);
             }
         }
         if granted_total <= 1e-9 * deadline {
@@ -515,14 +374,19 @@ pub(crate) fn stretch_on_graph(
 
 /// The paper's `CalculateSlack(τ)` routine.
 ///
-/// The task's minterm groups come precomputed from [`PathGroups`] (same
-/// first-occurrence group order and ascending members the per-call
-/// bucketing historically produced); `delays`/`ratios` hold the current
-/// (stretched-so-far) delay and slack ratio of every path; `prob_after` is
-/// the caller's per-(task, member) product cache, filled on the task's
-/// first visit (`fill_pa`) and re-read afterwards — the same product, so
-/// the same bits at every use. Minimum scans replace on `<=` to reproduce
-/// `Iterator::min_by`'s last-of-equal-minima choice bit-for-bit.
+/// The task's minterm groups come from the graph's per-task layout (groups
+/// in first-occurrence order, members ascending by path index: `slk1` sums
+/// over groups in that order); `delays`/`ratios` hold
+/// the current (stretched-so-far) delay and slack ratio of every path;
+/// `prob_after` is the caller's per-(task, member) product cache, filled
+/// on the task's first visit (`fill_pa`) and re-read afterwards — the same
+/// product, so the same bits at every use. Minimum scans replace on `<=`,
+/// so the last of equal minima wins.
+///
+/// The member order and that tie rule only matter between paths of one
+/// group with bit-equal slack ratios, which none of the reference inputs of
+/// `tests/stretch_reference.rs` produce; they are kept by construction, not
+/// pinned by that test.
 #[allow(clippy::too_many_arguments)]
 fn calculate_slack(
     graph: &ScheduledGraph,
@@ -530,7 +394,6 @@ fn calculate_slack(
     wcet: f64,
     task_prob: f64,
     deadline: f64,
-    groups: &PathGroups,
     delays: &[f64],
     ratios: &[f64],
     prob_after: &mut [f64],
@@ -538,7 +401,7 @@ fn calculate_slack(
     lit_base: &[usize],
     lit_flat: &[f64],
 ) -> f64 {
-    let members = groups.members();
+    let members = graph.members();
     let mut slk1 = 0.0;
     let mut any1 = false;
     let mut slk2 = f64::INFINITY;
@@ -547,15 +410,15 @@ fn calculate_slack(
     // The runs partition exactly the spanning set, and a fold of `f64::min`
     // over finite values is order-invariant, so accumulating the cap here
     // is bit-identical to the historical separate pass over
-    // `graph.spanning(task)`.
+    // the spanning paths.
     let mut deadline_cap = f64::INFINITY;
-    for &(run_start, run_end) in groups.task_group_runs(task) {
+    for &(run_start, run_end) in graph.group_runs(task) {
         let (run_start, run_end) = (run_start as usize, run_end as usize);
         let idxs = &members[run_start..run_end];
         for &(i, _) in idxs {
             deadline_cap = deadline_cap.min(deadline - delays[i as usize]);
         }
-        let group_prob = graph.paths()[idxs[0].0 as usize].prob;
+        let group_prob = graph.path(idxs[0].0 as usize).prob();
         if group_prob <= PROB_ONE_EPS {
             // A minterm the current estimates consider impossible: it must
             // not throttle the slack of live tasks. (It still participates
@@ -580,10 +443,11 @@ fn calculate_slack(
             // when every spanning path is already decided at τ.
             if fill_pa {
                 for (slot, &(i, pos)) in idxs.iter().enumerate() {
-                    prob_after[run_start + slot] = graph.paths()[i as usize]
-                        .guards
+                    prob_after[run_start + slot] = graph
+                        .path(i as usize)
+                        .guards()
                         .iter()
-                        .filter(|(fork_pos, _)| *fork_pos >= pos as usize)
+                        .filter(|(fork_pos, _)| *fork_pos >= pos)
                         .map(|(_, lit)| lit_prob(lit_base, lit_flat, lit))
                         .product();
                 }
@@ -620,14 +484,21 @@ fn calculate_slack(
 
 /// Fallback when path enumeration exceeds the cap: distribute slack along
 /// per-task worst-case critical paths computed by dynamic programming
-/// (condition-blind, therefore conservative).
+/// (condition-blind, therefore conservative), weighted by `prob(τ)` —
+/// priced once from the task masks, bit-identical to `ctx.task_prob`.
 pub(crate) fn critical_path_fallback(
     ctx: &SchedContext,
     probs: &BranchProbs,
     schedule: &Schedule,
     cfg: &StretchConfig,
 ) -> SpeedAssignment {
-    proportional_stretch(ctx, schedule, cfg, &|t| ctx.task_prob(t, probs), true)
+    let scenario_probs = ctx.scenario_probs(probs);
+    let task_probs: Vec<f64> = ctx
+        .ctg()
+        .tasks()
+        .map(|t| ctx.mask_prob(ctx.task_mask(t), &scenario_probs))
+        .collect();
+    proportional_stretch(ctx, schedule, cfg, &|t| task_probs[t.index()], true)
 }
 
 /// Critical-path proportional slack distribution.
@@ -811,8 +682,8 @@ mod tests {
         let graph = ScheduledGraph::build(&ctx, &sched, &probs, 100_000).unwrap();
         let profile = ctx.platform().profile();
         for p in graph.paths() {
-            let stretched_delay: f64 = p.delay
-                + p.tasks
+            let stretched_delay: f64 = p.delay()
+                + p.tasks()
                     .iter()
                     .map(|&t| {
                         let w = profile.wcet(t.index(), sched.pe_of(t));
@@ -892,8 +763,8 @@ mod tests {
         let graph = ScheduledGraph::build(&ctx, &sched, &probs, 100_000).unwrap();
         let profile = ctx.platform().profile();
         for p in graph.paths() {
-            let stretched_delay: f64 = p.delay
-                + p.tasks
+            let stretched_delay: f64 = p.delay()
+                + p.tasks()
                     .iter()
                     .map(|&t| {
                         let w = profile.wcet(t.index(), sched.pe_of(t));

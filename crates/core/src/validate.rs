@@ -7,7 +7,7 @@
 
 use crate::context::SchedContext;
 use crate::schedule::Schedule;
-use crate::sgraph::ScheduledGraph;
+use crate::sgraph::{worst_case_makespan_dp, ScheduledGraph};
 use crate::speed::SpeedAssignment;
 use ctg_model::TaskId;
 use std::error::Error;
@@ -171,7 +171,9 @@ pub fn validate_schedule(ctx: &SchedContext, schedule: &Schedule) -> Result<(), 
 }
 
 /// Validates a full solution: schedule invariants plus worst-case deadline
-/// feasibility of every scheduled-graph path at the assigned speeds.
+/// feasibility of every scheduled-graph path at the assigned speeds. Over
+/// the path cap, where the paths are not enumerated, the exact
+/// per-scenario worst-case makespan stands in for them.
 ///
 /// # Errors
 ///
@@ -183,16 +185,19 @@ pub fn validate_solution(
 ) -> Result<(), ScheduleViolation> {
     validate_schedule(ctx, schedule)?;
     let probs = ctg_model::BranchProbs::uniform(ctx.ctg());
-    if let Some(graph) = ScheduledGraph::build(ctx, schedule, &probs, crate::DEFAULT_PATH_CAP) {
-        let deadline = ctx.ctg().deadline();
-        for p in graph.paths() {
-            let delay = p.stretched_delay(ctx, schedule, speeds);
-            if delay > deadline + 1e-6 {
-                return Err(ScheduleViolation::DeadlineExceeded { delay, deadline });
-            }
-        }
+    let deadline = ctx.ctg().deadline();
+    let exceeded = |delay: &f64| *delay > deadline + 1e-6;
+    let violation = match ScheduledGraph::build(ctx, schedule, &probs, crate::DEFAULT_PATH_CAP) {
+        Some(graph) => graph
+            .paths()
+            .map(|p| p.stretched_delay(ctx, schedule, speeds))
+            .find(exceeded),
+        None => Some(worst_case_makespan_dp(ctx, schedule, speeds)).filter(exceeded),
+    };
+    match violation {
+        Some(delay) => Err(ScheduleViolation::DeadlineExceeded { delay, deadline }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -241,6 +246,54 @@ mod tests {
             validate_schedule(&ctx, &s),
             Err(ScheduleViolation::Placement(_))
         ));
+    }
+
+    /// Regression: over the path cap the paths are not enumerated, and the
+    /// check used to pass any speeds. A source, nine fully connected layers
+    /// of four tasks and a sink have 4^9 paths.
+    #[test]
+    fn overstretched_solution_over_the_path_cap_is_caught() {
+        let mut b = ctg_model::CtgBuilder::new("layers");
+        let source = b.add_task("source");
+        let mut prev = vec![source];
+        for layer in 0..9 {
+            let cur: Vec<TaskId> = (0..4)
+                .map(|i| b.add_task(format!("l{layer}t{i}")))
+                .collect();
+            for &u in &prev {
+                for &v in &cur {
+                    b.add_edge(u, v, 0.0).unwrap();
+                }
+            }
+            prev = cur;
+        }
+        let sink = b.add_task("sink");
+        for &u in &prev {
+            b.add_edge(u, sink, 0.0).unwrap();
+        }
+        let ctg = b.deadline(1000.0).build().unwrap();
+        let n = ctg.num_tasks();
+        assert_eq!(n, 38);
+        let ctx =
+            SchedContext::new(ctg, crate::test_util::uniform_platform(n, 2, 1.0, 1.0)).unwrap();
+        let probs = ctg_model::BranchProbs::uniform(ctx.ctg());
+        let s = dls_schedule(&ctx, &probs).unwrap();
+        assert!(ScheduledGraph::build(&ctx, &s, &probs, crate::DEFAULT_PATH_CAP).is_none());
+
+        let mut slow = SpeedAssignment::nominal(n);
+        for t in ctx.ctg().tasks() {
+            slow.set(t, 0.01);
+        }
+        let wcm = worst_case_makespan_dp(&ctx, &s, &slow);
+        assert_eq!(
+            validate_solution(&ctx, &s, &slow),
+            Err(ScheduleViolation::DeadlineExceeded {
+                delay: wcm,
+                deadline: 1000.0
+            })
+        );
+        let nominal = SpeedAssignment::nominal(n);
+        assert_eq!(validate_solution(&ctx, &s, &nominal), Ok(()));
     }
 
     #[test]

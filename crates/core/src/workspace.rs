@@ -20,9 +20,9 @@
 //!    mapping/order already in the pool (drift typically oscillates among a
 //!    handful of distinct mappings), the stored graph — whose topology,
 //!    delays and path conditions do not depend on the probabilities — is
-//!    reused and only the path probabilities are re-weighted in O(paths),
-//!    skipping the transitive reduction and the worst-case-exponential path
-//!    enumeration.
+//!    reused and only its minterm-group probabilities are re-weighted,
+//!    skipping the transitive reduction, the worst-case-exponential path
+//!    enumeration and the stretcher's per-task layout.
 //! 4. **Memoisation**: a solve for the exact probability table and stretch
 //!    configuration of the previous solve returns its solution — the
 //!    solver is deterministic, so re-running it cannot produce anything
@@ -57,8 +57,7 @@ use crate::sgraph::ScheduledGraph;
 use crate::speed::SpeedAssignment;
 use crate::static_level::{static_levels_into, update_static_levels};
 use crate::stretch::{
-    critical_path_fallback, stretch_on_graph, validate_config, PathGroups, ReweightScratch,
-    StretchConfig, StretchScratch,
+    critical_path_fallback, stretch_on_graph, validate_config, StretchConfig, StretchScratch,
 };
 use ctg_model::{BranchProbs, Ctg};
 use ctg_obs::{Counter, Hist, Obs, Stage};
@@ -176,7 +175,6 @@ struct GraphEntry {
     /// `None` when the path enumeration exceeded the cap — a property of
     /// (schedule, cap) alone, so it is reusable knowledge too.
     graph: Option<ScheduledGraph>,
-    groups: PathGroups,
     /// The probability table the stored graph's path probabilities
     /// currently reflect.
     probs: BranchProbs,
@@ -230,7 +228,6 @@ pub struct SolverWorkspace {
     /// minimum-stamp eviction victim is unambiguous).
     graph_clock: u64,
     scratch: StretchScratch,
-    reweight_scratch: ReweightScratch,
     stats: WorkspaceStats,
     /// Telemetry handle (disabled by default — recording is then free).
     obs: Obs,
@@ -564,31 +561,15 @@ impl SolverWorkspace {
                 obs.instant(track, Stage::PoolHit, 1);
                 self.graph_clock += 1;
                 let stretch_span = obs.span(track, Stage::Stretch);
-                let Self {
-                    graphs,
-                    scratch,
-                    reweight_scratch,
-                    graph_clock,
-                    ..
-                } = self;
-                let entry = &mut graphs[i];
-                entry.stamp = *graph_clock;
+                let entry = &mut self.graphs[i];
+                entry.stamp = self.graph_clock;
                 let speeds = match entry.graph.as_mut() {
                     Some(g) => {
                         if entry.probs != *probs {
-                            entry.groups.reweight_with(ctx, probs, g, reweight_scratch);
+                            g.reweight(ctx, probs);
                             entry.probs = probs.clone();
                         }
-                        stretch_on_graph(
-                            ctx,
-                            probs,
-                            &schedule,
-                            cfg,
-                            g,
-                            &entry.groups,
-                            None,
-                            scratch,
-                        )
+                        stretch_on_graph(ctx, probs, &schedule, cfg, g, None, &mut self.scratch)
                     }
                     None => critical_path_fallback(ctx, probs, &schedule, cfg),
                 };
@@ -614,28 +595,14 @@ impl SolverWorkspace {
                     Err(e) => return Err(self.note_budget_abort(&obs, track, e)),
                 };
                 let enum_units = meter.spent() - enum_start;
-                let (graph, groups) = match built {
-                    Some(g) => {
-                        let groups = PathGroups::of(&g);
-                        (Some(g), groups)
-                    }
-                    None => (None, PathGroups::default()),
-                };
                 // arg: 1 when the enumeration fit the cap, 0 when it
                 // overflowed (and the critical-path fallback runs).
-                enum_span.end(i64::from(graph.is_some()));
+                enum_span.end(i64::from(built.is_some()));
                 let stretch_span = obs.span(track, Stage::Stretch);
-                let speeds = match &graph {
-                    Some(g) => stretch_on_graph(
-                        ctx,
-                        probs,
-                        &schedule,
-                        cfg,
-                        g,
-                        &groups,
-                        None,
-                        &mut self.scratch,
-                    ),
+                let speeds = match &built {
+                    Some(g) => {
+                        stretch_on_graph(ctx, probs, &schedule, cfg, g, None, &mut self.scratch)
+                    }
                     None => critical_path_fallback(ctx, probs, &schedule, cfg),
                 };
                 stretch_span.end(0);
@@ -655,8 +622,7 @@ impl SolverWorkspace {
                     stamp: self.graph_clock,
                     schedule: schedule.clone(),
                     path_cap: cfg.path_cap,
-                    graph,
-                    groups,
+                    graph: built,
                     probs: probs.clone(),
                     enum_units,
                 });
