@@ -10,6 +10,14 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> the solver crates read no environment variable (only ctg-sim's run"
+echo "    layer does)"
+if grep -rn 'std::env::var' crates/core/src crates/ctg/src crates/obs/src \
+    crates/platform/src crates/rng/src crates/tgff/src crates/workloads/src; then
+    echo "environment read found in a solver crate" >&2
+    exit 1
+fi
+
 echo "==> cargo test (offline)"
 cargo test -q --workspace --offline
 
@@ -22,11 +30,6 @@ CTG_WORKERS=2 ./target/release/throughput --smoke
 
 echo "==> warm-start solver equivalence"
 cargo test -q --offline --test solver_equivalence
-
-echo "==> intra-solve determinism (2 intra-solve workers forced; the stretch"
-echo "    reference's warm solves merge per-chunk path stores)"
-CTG_INTRA_SOLVE=2 cargo test -q --offline --test solver_equivalence
-CTG_INTRA_SOLVE=2 cargo test -q --offline --test stretch_reference
 
 echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm and portfolio"
 echo "    race p99 must stay within 2x of the committed BASELINE_solver.json snapshot)"
@@ -75,9 +78,9 @@ test -s target/campaign_cells_smoke.jsonl
 test -s target/BENCH_campaign_smoke.json
 
 echo "==> scheduler portfolio matrix (trait pin bit-for-bit, dormant knob, race"
-echo "    determinism across CTG_WORKERS x CTG_INTRA_SOLVE)"
+echo "    verdict, serve determinism with 2 workers forced)"
 cargo test -q --offline --test scheduler_portfolio
-CTG_WORKERS=2 CTG_INTRA_SOLVE=2 cargo test -q --offline --test scheduler_portfolio
+CTG_WORKERS=2 cargo test -q --offline --test scheduler_portfolio
 
 echo "==> portfolio bench smoke (serve bench portfolio row: expected-energy"
 echo "    no-regression gate vs DLS-only + reshard determinism, asserted in-bin;"

@@ -107,7 +107,6 @@ fn serve_cfg(workers: usize, shards: usize, cache: CacheMode) -> ServeConfig {
         coalesce: true,
         quantum: THRESHOLD,
         solve_budget: None,
-        intra_solve_workers: 1,
         admission: None,
         quarantine: None,
         ..ServeConfig::default()

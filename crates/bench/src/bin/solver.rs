@@ -223,7 +223,6 @@ fn main() {
                 &ctx,
                 probs,
                 &mut wss,
-                1,
                 &Obs::disabled(),
                 0,
             )
@@ -236,7 +235,6 @@ fn main() {
                 &ctx,
                 probs,
                 &mut wss,
-                1,
                 &Obs::disabled(),
                 0,
             )

@@ -74,7 +74,6 @@ fn run_case(cfg: &tgff_gen::TgffConfig, pes: usize) -> CaseResult {
         ctx,
         probs,
         &mut wss,
-        1,
         &Obs::disabled(),
         0,
     )

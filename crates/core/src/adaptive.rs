@@ -222,25 +222,20 @@ const NEAR_MEMO_CAP: usize = 128;
 
 /// Returns the workspace in `slot`, creating it on first use with the
 /// manager's replayed settings (near memo at the drift threshold,
-/// telemetry, budget, intra-solve workers). A free function rather than a
-/// method so callers can borrow `slot` mutably while other fields of the
-/// manager stay readable.
+/// telemetry, budget). A free function rather than a method so callers can
+/// borrow `slot` mutably while other fields of the manager stay readable.
 fn ensure_workspace<'a>(
     slot: &'a mut Option<Box<SolverWorkspace>>,
     threshold: f64,
     obs: &Obs,
     obs_track: u32,
     budget: Option<u64>,
-    intra: Option<usize>,
 ) -> &'a mut SolverWorkspace {
     slot.get_or_insert_with(|| {
         let mut ws = SolverWorkspace::new();
         ws.set_near_memo(threshold, NEAR_MEMO_CAP);
         ws.set_obs(obs.clone(), obs_track);
         ws.set_budget(budget);
-        if let Some(workers) = intra {
-            ws.set_intra_workers(workers);
-        }
         Box::new(ws)
     })
 }
@@ -339,10 +334,6 @@ pub struct AdaptiveScheduler {
     /// Replayed onto lazily created workspaces: the per-solve work budget
     /// in force (`None` = unbudgeted).
     ws_budget: Option<u64>,
-    /// Replayed onto lazily created workspaces: explicitly configured
-    /// intra-solve worker count (`None` = inherit the process default at
-    /// creation, exactly like an eagerly built workspace would have).
-    ws_intra: Option<usize>,
     /// Scheduler-portfolio racing state; `None` (the default) keeps the
     /// manager solving through the paper's DLS pipeline alone, bit-for-bit
     /// as before the portfolio existed.
@@ -518,7 +509,6 @@ impl AdaptiveScheduler {
             workspace,
             guard_workspace: None,
             ws_budget: None,
-            ws_intra: None,
             portfolio: None,
             obs: Obs::disabled(),
             obs_track: 0,
@@ -571,30 +561,14 @@ impl AdaptiveScheduler {
         self.ws_budget
     }
 
-    /// Sets the intra-solve worker count, forwarded to both solver
-    /// workspaces. Results are bit-identical at any count (see
-    /// [`SolverWorkspace::set_intra_workers`]); `1` (the default) keeps the
-    /// inner loops sequential.
-    pub fn set_intra_solve_workers(&mut self, workers: usize) {
-        self.ws_intra = Some(workers);
-        if let Some(ws) = self.workspace.as_deref_mut() {
-            ws.set_intra_workers(workers);
-        }
-        if let Some(ws) = self.guard_workspace.as_deref_mut() {
-            ws.set_intra_workers(workers);
-        }
-        if let Some(p) = self.portfolio.as_mut() {
-            for ws in &mut p.workspaces {
-                ws.set_intra_workers(workers);
-            }
-        }
-    }
+    /// Does nothing: every solve runs on the calling thread. Kept so
+    /// existing callers compile.
+    pub fn set_intra_solve_workers(&mut self, _workers: usize) {}
 
     /// Switches the manager into portfolio mode: every subsequent
-    /// unguarded re-solve races `kinds` on the intra-solve worker pool and
-    /// adopts the lowest expected-energy schedulable plan (see
-    /// [`race_portfolio`] for the full verdict, which is bit-identical at
-    /// any worker count). List the paper's DLS first so a race can never
+    /// unguarded re-solve races `kinds` and adopts the lowest
+    /// expected-energy schedulable plan (see [`race_portfolio`] for the
+    /// full verdict). List the paper's DLS first so a race can never
     /// adopt a plan with higher expected energy than DLS alone. Guard-banded
     /// resilient solves (`deadline_guard < 1.0`) intentionally stay
     /// DLS-only — the degradation ladder's contract predates the portfolio
@@ -622,9 +596,6 @@ impl AdaptiveScheduler {
                 ws.set_near_memo(self.threshold, NEAR_MEMO_CAP);
                 ws.set_obs(self.obs.clone(), self.obs_track);
                 ws.set_budget(self.ws_budget);
-                if let Some(w) = self.ws_intra {
-                    ws.set_intra_workers(w);
-                }
                 ws
             })
             .collect();
@@ -849,7 +820,6 @@ impl AdaptiveScheduler {
             &self.obs,
             self.obs_track,
             self.ws_budget,
-            self.ws_intra,
         );
         ws.solve(self.scheduler.config(), ctx, probs)
     }
@@ -948,7 +918,6 @@ impl AdaptiveScheduler {
                 &self.obs,
                 self.obs_track,
                 self.ws_budget,
-                self.ws_intra,
             );
             ws.solve(self.scheduler.config(), &guarded, probs)
         } else if self.portfolio.is_some() {
@@ -960,36 +929,23 @@ impl AdaptiveScheduler {
                 &self.obs,
                 self.obs_track,
                 self.ws_budget,
-                self.ws_intra,
             );
             ws.solve(self.scheduler.config(), ctx, probs)
         }
     }
 
     /// One portfolio race: every configured entry solves `probs` against
-    /// its own workspace, fanned out on the intra-solve pool, and the
-    /// verdict fold adopts the lowest expected-energy schedulable plan
-    /// (bit-identical at any worker count — see [`race_portfolio`]).
+    /// its own workspace, and the verdict fold adopts the lowest
+    /// expected-energy schedulable plan (see [`race_portfolio`]).
     fn portfolio_solve(
         &mut self,
         ctx: &SchedContext,
         probs: &BranchProbs,
     ) -> Result<Solution, SchedError> {
-        let workers = self
-            .ws_intra
-            .unwrap_or_else(crate::par::intra_solve_workers);
         let obs = self.obs.clone();
         let track = self.obs_track;
         let p = self.portfolio.as_mut().expect("portfolio mode enabled");
-        let raced = race_portfolio(
-            &p.kinds,
-            ctx,
-            probs,
-            &mut p.workspaces,
-            workers,
-            &obs,
-            track,
-        );
+        let raced = race_portfolio(&p.kinds, ctx, probs, &mut p.workspaces, &obs, track);
         p.stats.races += 1;
         let outcome = raced?;
         p.stats.wins[p.kinds[outcome.winner].index()] += 1;

@@ -77,10 +77,10 @@ impl WorkMeter {
     /// Whether this meter can never fail a charge
     /// (see [`WorkMeter::unlimited`]).
     ///
-    /// Parallel solver stages consult this: intra-solve parallelism is only
-    /// engaged on unlimited meters, because a *budgeted* abort's charge
-    /// count depends on traversal order and must replay the sequential
-    /// traversal exactly.
+    /// Path enumeration consults this: on an unlimited meter it counts its
+    /// steps locally and charges the total once, while a *budgeted* meter
+    /// is charged step by step so an abort lands on the exact crossing
+    /// step.
     #[must_use]
     pub fn is_unlimited(&self) -> bool {
         self.budget == u64::MAX

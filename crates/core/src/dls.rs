@@ -74,6 +74,22 @@ pub fn dls_with_levels(
     dls_with_levels_metered(ctx, sl, exploit_mutex, &mut WorkMeter::unlimited())
 }
 
+/// Whether `(dl, at, t, pe)` beats the current `best`: higher dynamic
+/// level, then earlier start, then the total (task, PE) order — each level
+/// with the historical `1e-12` epsilon. The epsilon makes the relation
+/// non-transitive, so the winner depends on the scan order too.
+#[inline]
+fn beats(best: Option<(f64, f64, TaskId, PeId)>, dl: f64, at: f64, t: TaskId, pe: PeId) -> bool {
+    match best {
+        None => true,
+        Some((bdl, bat, bt, bpe)) => {
+            dl > bdl + 1e-12
+                || ((dl - bdl).abs() <= 1e-12
+                    && (at < bat - 1e-12 || ((at - bat).abs() <= 1e-12 && (t, pe) < (bt, bpe))))
+        }
+    }
+}
+
 /// [`dls_with_levels`] with a work budget: every runnable (ready task, PE)
 /// candidate evaluated charges one unit to `meter`.
 ///
@@ -93,58 +109,10 @@ pub fn dls_with_levels_metered(
     exploit_mutex: bool,
     meter: &mut WorkMeter,
 ) -> Result<Schedule, SchedError> {
-    dls_with_levels_par(ctx, sl, exploit_mutex, 1, meter)
-}
-
-/// Whether `(dl, at, t, pe)` beats the current `best` under the sequential
-/// scan's comparison: higher dynamic level, then earlier start, then the
-/// total (task, PE) order — each level with the historical `1e-12` epsilon.
-/// The epsilon makes the relation non-transitive, so any evaluation that
-/// runs out of scan order must still *fold* in scan order with exactly this
-/// predicate to crown the same winner.
-#[inline]
-fn beats(best: Option<(f64, f64, TaskId, PeId)>, dl: f64, at: f64, t: TaskId, pe: PeId) -> bool {
-    match best {
-        None => true,
-        Some((bdl, bat, bt, bpe)) => {
-            dl > bdl + 1e-12
-                || ((dl - bdl).abs() <= 1e-12
-                    && (at < bat - 1e-12 || ((at - bat).abs() <= 1e-12 && (t, pe) < (bt, bpe))))
-        }
-    }
-}
-
-/// [`dls_with_levels_metered`] with the candidate-evaluation inner loop
-/// fanned out over `workers` intra-solve threads.
-///
-/// Each selection round materializes the runnable (ready task, PE)
-/// candidates in the sequential scan order, evaluates the pure
-/// `(dynamic level, earliest start)` pair for contiguous candidate chunks
-/// in parallel ([`crate::par::map_ordered`]), then folds the results
-/// **sequentially in scan order** with the exact comparison the sequential
-/// loop uses — the epsilon tie-break is non-transitive, so the fold order
-/// is part of the algorithm, not an implementation detail. The committed
-/// schedule is bit-identical to the sequential run at any worker count.
-///
-/// Parallelism is only engaged on unlimited meters: a budgeted abort must
-/// reproduce the sequential per-candidate charge sequence, so budgeted
-/// runs keep the per-candidate interleaving (with `workers` ignored).
-///
-/// # Errors
-///
-/// Same as [`dls_with_levels_metered`].
-pub fn dls_with_levels_par(
-    ctx: &SchedContext,
-    sl: &[f64],
-    exploit_mutex: bool,
-    workers: usize,
-    meter: &mut WorkMeter,
-) -> Result<Schedule, SchedError> {
     let ctg = ctx.ctg();
     let platform = ctx.platform();
     let profile = platform.profile();
     let n = ctg.num_tasks();
-    let parallel = workers > 1 && meter.is_unlimited();
 
     // Combined precedence (CTG edges plus implied or-node dependencies),
     // compiled once per context.
@@ -161,87 +129,32 @@ pub fn dls_with_levels_par(
     let mut finish = vec![0.0_f64; n];
     let mut pe_order: Vec<Vec<TaskId>> = vec![Vec::new(); platform.num_pes()];
     let mut task_order = Vec::with_capacity(n);
-    let mut cands: Vec<(TaskId, PeId)> = Vec::new();
 
     while !ready.is_empty() {
         let mut best: Option<(f64, f64, TaskId, PeId)> = None; // (dl, at, task, pe)
-        if parallel {
-            cands.clear();
-            for &t in &ready {
-                for pe in platform.pes() {
-                    if profile.can_run(t.index(), pe) {
-                        cands.push((t, pe));
-                    }
+        for &t in &ready {
+            for pe in platform.pes() {
+                if !profile.can_run(t.index(), pe) {
+                    continue;
                 }
-            }
-            // One unit per runnable candidate, exactly like the sequential
-            // scan — bulk-charged up front (the meter is unlimited here, so
-            // only the total is observable).
-            meter.charge(cands.len() as u64)?;
-            let chunks = crate::par::chunk_ranges(cands.len(), workers);
-            let cands_ref = &cands;
-            let scheduled_ref = &scheduled;
-            let assignment_ref = &assignment;
-            let finish_ref = &finish;
-            let pe_order_ref = &pe_order;
-            let evals: Vec<Vec<(f64, f64)>> =
-                crate::par::map_ordered(&chunks, workers, |_, range| {
-                    cands_ref[range.clone()]
-                        .iter()
-                        .map(|&(t, pe)| {
-                            let at = earliest_start(
-                                ctx,
-                                cg.preds(t),
-                                t,
-                                pe,
-                                scheduled_ref,
-                                assignment_ref,
-                                finish_ref,
-                                pe_order_ref,
-                                exploit_mutex,
-                            );
-                            let dl = if at.is_finite() {
-                                sl[t.index()] - at + delta(ctx, t, pe)
-                            } else {
-                                0.0
-                            };
-                            (dl, at)
-                        })
-                        .collect()
-                });
-            for (&(t, pe), &(dl, at)) in cands.iter().zip(evals.iter().flatten()) {
+                meter.charge(1)?;
+                let at = earliest_start(
+                    ctx,
+                    cg.preds(t),
+                    t,
+                    pe,
+                    &scheduled,
+                    &assignment,
+                    &finish,
+                    &pe_order,
+                    exploit_mutex,
+                );
                 if !at.is_finite() {
                     continue; // missing link to a predecessor's PE
                 }
+                let dl = sl[t.index()] - at + delta(ctx, t, pe);
                 if beats(best, dl, at, t, pe) {
                     best = Some((dl, at, t, pe));
-                }
-            }
-        } else {
-            for &t in &ready {
-                for pe in platform.pes() {
-                    if !profile.can_run(t.index(), pe) {
-                        continue;
-                    }
-                    meter.charge(1)?;
-                    let at = earliest_start(
-                        ctx,
-                        cg.preds(t),
-                        t,
-                        pe,
-                        &scheduled,
-                        &assignment,
-                        &finish,
-                        &pe_order,
-                        exploit_mutex,
-                    );
-                    if !at.is_finite() {
-                        continue; // missing link to a predecessor's PE
-                    }
-                    let dl = sl[t.index()] - at + delta(ctx, t, pe);
-                    if beats(best, dl, at, t, pe) {
-                        best = Some((dl, at, t, pe));
-                    }
                 }
             }
         }
@@ -522,42 +435,6 @@ mod tests {
         // No links at all.
         let ctx = SchedContext::new(ctg, pb.build().unwrap()).unwrap();
         assert_eq!(dls_schedule(&ctx, &probs), Err(SchedError::NoFeasiblePe(c)));
-    }
-
-    #[test]
-    fn parallel_candidate_evaluation_is_bit_identical() {
-        let (ctx, probs, _) = example1_context();
-        let sl = crate::static_level::static_levels(&ctx, &probs);
-        for exploit in [false, true] {
-            let seq = dls_with_levels(&ctx, &sl, exploit).unwrap();
-            let mut seq_meter = WorkMeter::unlimited();
-            dls_with_levels_metered(&ctx, &sl, exploit, &mut seq_meter).unwrap();
-            for workers in [2, 4] {
-                let mut meter = WorkMeter::unlimited();
-                let par = dls_with_levels_par(&ctx, &sl, exploit, workers, &mut meter).unwrap();
-                assert_eq!(par, seq, "workers={workers} exploit={exploit}");
-                assert_eq!(meter.spent(), seq_meter.spent(), "workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_dls_keeps_budget_verdicts() {
-        // A budgeted meter must reproduce the sequential charge sequence
-        // even when a worker count is requested (parallelism disengages).
-        let (ctx, probs, _) = example1_context();
-        let sl = crate::static_level::static_levels(&ctx, &probs);
-        let mut full = WorkMeter::unlimited();
-        dls_with_levels_metered(&ctx, &sl, true, &mut full).unwrap();
-        let total = full.spent();
-        for budget in [0, 1, total / 2, total] {
-            let mut seq = WorkMeter::with_budget(budget);
-            let r_seq = dls_with_levels_metered(&ctx, &sl, true, &mut seq);
-            let mut par = WorkMeter::with_budget(budget);
-            let r_par = dls_with_levels_par(&ctx, &sl, true, 4, &mut par);
-            assert_eq!(r_par, r_seq, "budget={budget}");
-            assert_eq!(par.spent(), seq.spent(), "budget={budget}");
-        }
     }
 
     #[test]

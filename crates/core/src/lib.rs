@@ -64,7 +64,6 @@ pub mod critical;
 mod dls;
 mod error;
 mod online;
-pub mod par;
 mod schedule;
 mod scheduler;
 mod sgraph;
@@ -83,13 +82,9 @@ pub use budget::WorkMeter;
 pub use cache::{LruCache, ScheduleKey};
 pub use context::CompiledGraph;
 pub use context::{ScenarioMask, SchedContext};
-pub use dls::{
-    dls_schedule, dls_with_levels, dls_with_levels_metered, dls_with_levels_par,
-    list_schedule_fixed,
-};
+pub use dls::{dls_schedule, dls_with_levels, dls_with_levels_metered, list_schedule_fixed};
 pub use error::SchedError;
 pub use online::{OnlineScheduler, Solution};
-pub use par::{intra_solve_workers, INTRA_SOLVE_ENV};
 pub use schedule::Schedule;
 pub use scheduler::{
     parse_scheduler_selection, race_portfolio, CtgScheduler, DlsScheduler, FrameDvfsScheduler,

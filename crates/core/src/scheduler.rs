@@ -24,14 +24,12 @@
 //!   meets the deadline) instead of per-task stretching.
 //!
 //! [`race_portfolio`] runs a configured set of schedulers over one table,
-//! optionally fanning the entries out on the intra-solve worker pool
-//! ([`crate::par::map_ordered`], ordered merge), and crowns the winner
-//! with a **sequential fold in entry order**: schedulable candidates
-//! (worst-case makespan within the deadline, the adaptive manager's
-//! existing judge) are ranked by expected energy with strict `<` — ties
-//! keep the earliest entry — so the outcome is bit-identical at any worker
-//! count, and a portfolio listing DLS first can never adopt a plan with
-//! higher expected energy than DLS alone would.
+//! in entry order, and crowns the winner as each entry solves: schedulable
+//! candidates (worst-case makespan within the deadline, the adaptive
+//! manager's existing judge) are ranked by expected energy with strict
+//! `<` — ties keep the earliest entry — so a portfolio listing DLS first
+//! can never adopt a plan with higher expected energy than DLS alone
+//! would.
 //!
 //! Determinism: every implementor is a pure function of
 //! `(ctx, probs, configuration)`. The DLS entry reuses the workspace's
@@ -65,12 +63,11 @@ use mpsoc_platform::PeId;
 ///
 /// The trait is the seam the portfolio races over. Implementations must be
 /// **deterministic pure functions** of `(ctx, probs)` and their own
-/// configuration — the race evaluates entries in parallel and replays
-/// winners through exact-probability-guarded caches, both of which are
-/// only sound when re-solving the same inputs cannot produce different
-/// bits. The workspace parameter carries warm-start state for implementors
-/// that use it (the DLS pipeline); implementors without warm layers ignore
-/// it.
+/// configuration — the race replays winners through
+/// exact-probability-guarded caches, which is only sound when re-solving
+/// the same inputs cannot produce different bits. The workspace parameter
+/// carries warm-start state for implementors that use it (the DLS
+/// pipeline); implementors without warm layers ignore it.
 pub trait CtgScheduler {
     /// Short stable identifier ("dls", "heft", …) used in bench columns
     /// and win counters.
@@ -619,12 +616,10 @@ pub struct RaceOutcome {
 
 /// Races `kinds` over one probability table and crowns the winner.
 ///
-/// Entries are evaluated against their own workspace (`workspaces[i]`
-/// belongs to `kinds[i]`; per-entry state never mixes across schedulers,
-/// so the DLS entry's memo keys stay sound). With `workers > 1` the
-/// evaluations fan out on the intra-solve pool
-/// ([`crate::par::map_ordered`]) and merge in submission order; the
-/// verdict is then a **sequential fold in entry order**:
+/// Entries solve in entry order, each against its own workspace
+/// (`workspaces[i]` belongs to `kinds[i]`; per-entry state never mixes
+/// across schedulers, so the DLS entry's memo keys stay sound), and each
+/// verdict folds in as soon as its entry solves:
 ///
 /// 1. among candidates whose worst-case makespan is within the deadline
 ///    (`wcm <= deadline + 1e-6`, the adaptive manager's judge), the
@@ -634,30 +629,30 @@ pub struct RaceOutcome {
 ///    the least-bad plan);
 /// 3. if every entry failed, the first error in entry order propagates.
 ///
-/// The fold never consults timing, so the winner is bit-identical at any
-/// `workers`. A `portfolio_race` span records the winner index (`-1` when
-/// every entry failed).
+/// A `portfolio_race` span records the winner index (`-1` when every
+/// entry failed).
 ///
 /// # Errors
 ///
-/// The first entry's error, in entry order, when all entries fail.
+/// [`SchedError::InvalidParameter`] when `kinds` is empty; otherwise the
+/// first entry's error, in entry order, when all entries fail.
 ///
 /// # Panics
 ///
-/// Panics if `kinds` is empty or `workspaces` has a different length.
+/// Panics if `workspaces` and `kinds` differ in length.
 pub fn race_portfolio(
     kinds: &[SchedulerKind],
     ctx: &SchedContext,
     probs: &BranchProbs,
     workspaces: &mut [SolverWorkspace],
-    workers: usize,
     obs: &Obs,
     track: u32,
 ) -> Result<RaceOutcome, SchedError> {
-    assert!(
-        !kinds.is_empty(),
-        "a portfolio race needs at least one entry"
-    );
+    if kinds.is_empty() {
+        return Err(SchedError::InvalidParameter(
+            "portfolio needs at least one scheduler",
+        ));
+    }
     assert_eq!(
         kinds.len(),
         workspaces.len(),
@@ -666,68 +661,49 @@ pub fn race_portfolio(
     let span = obs.span(track, Stage::PortfolioRace);
     obs.count(Counter::PortfolioRaces, 1);
 
-    let results: Vec<Result<Solution, SchedError>> = if workers > 1 && kinds.len() > 1 {
-        // Each entry solves against its own (mutex-wrapped) workspace;
-        // every index is claimed exactly once, so the locks never contend
-        // — they only let `&mut` state cross the scoped-thread boundary.
-        let slots: Vec<std::sync::Mutex<&mut SolverWorkspace>> =
-            workspaces.iter_mut().map(std::sync::Mutex::new).collect();
-        let idx: Vec<usize> = (0..kinds.len()).collect();
-        crate::par::map_ordered(&idx, workers, |_, &i| {
-            let mut ws = slots[i].lock().expect("race workspace lock");
-            kinds[i].solve_with_workspace(ctx, probs, &mut ws)
-        })
-    } else {
-        kinds
-            .iter()
-            .zip(workspaces.iter_mut())
-            .map(|(k, ws)| k.solve_with_workspace(ctx, probs, ws))
-            .collect()
-    };
-
     let deadline = ctx.ctg().deadline();
-    let mut best: Option<(usize, f64)> = None; // schedulable: (entry, energy)
-    let mut fallback: Option<(usize, f64)> = None; // none schedulable: (entry, wcm)
-    for (i, r) in results.iter().enumerate() {
-        let Ok(sol) = r else { continue };
+    // (entry, plan, energy) of the best schedulable plan, and (entry, plan,
+    // wcm) of the least-bad one while none is schedulable.
+    let mut best: Option<(usize, Solution, f64)> = None;
+    let mut fallback: Option<(usize, Solution, f64)> = None;
+    let mut first_err: Option<SchedError> = None;
+    for (i, (kind, ws)) in kinds.iter().zip(workspaces.iter_mut()).enumerate() {
+        let sol = match kind.solve_with_workspace(ctx, probs, ws) {
+            Ok(sol) => sol,
+            Err(e) => {
+                first_err.get_or_insert(e);
+                continue;
+            }
+        };
         let wcm = sol.worst_case_makespan(ctx);
         if wcm <= deadline + 1e-6 {
             let e = sol.expected_energy(ctx, probs);
-            if best.is_none_or(|(_, be)| e < be) {
-                best = Some((i, e));
+            if best.as_ref().is_none_or(|(_, _, be)| e < *be) {
+                best = Some((i, sol, e));
             }
-        } else if best.is_none() && fallback.is_none_or(|(_, bw)| wcm < bw) {
-            fallback = Some((i, wcm));
+        } else if best.is_none() && fallback.as_ref().is_none_or(|(_, _, bw)| wcm < *bw) {
+            fallback = Some((i, sol, wcm));
         }
     }
     // A schedulable winner was priced by the fold; only the degraded
     // fallback (ranked by makespan) still needs its energy.
-    let winner = best
-        .map(|(i, e)| (i, Some(e)))
-        .or(fallback.map(|(i, _)| (i, None)));
-    match winner {
-        Some((i, energy)) => {
-            span.end(i as i64);
-            let solution = results
-                .into_iter()
-                .nth(i)
-                .expect("winner index in range")
-                .expect("winner solved");
-            let energy = energy.unwrap_or_else(|| solution.expected_energy(ctx, probs));
-            Ok(RaceOutcome {
-                winner: i,
-                solution,
-                energy,
-            })
+    let (winner, solution, energy) = match (best, fallback) {
+        (Some(b), _) => b,
+        (None, Some((i, sol, _))) => {
+            let e = sol.expected_energy(ctx, probs);
+            (i, sol, e)
         }
-        None => {
+        (None, None) => {
             span.end(-1);
-            Err(results
-                .into_iter()
-                .find_map(Result::err)
-                .expect("no winner means every entry errored"))
+            return Err(first_err.expect("no winner means every entry errored"));
         }
-    }
+    };
+    span.end(winner as i64);
+    Ok(RaceOutcome {
+        winner,
+        solution,
+        energy,
+    })
 }
 
 #[cfg(test)]
@@ -792,7 +768,7 @@ mod tests {
         let kinds = DEFAULT_PORTFOLIO;
         let mut wss: Vec<SolverWorkspace> = kinds.iter().map(|_| SolverWorkspace::new()).collect();
         let obs = Obs::disabled();
-        let out = race_portfolio(&kinds, &ctx, &probs, &mut wss, 1, &obs, 0).unwrap();
+        let out = race_portfolio(&kinds, &ctx, &probs, &mut wss, &obs, 0).unwrap();
         // The winner can never be worse than the DLS entry (entry 0).
         let dls = DlsScheduler::new().solve(&ctx, &probs).unwrap();
         assert!(out.energy <= dls.expected_energy(&ctx, &probs) + 1e-9);
@@ -804,45 +780,21 @@ mod tests {
     }
 
     #[test]
-    fn race_is_bit_identical_across_worker_counts() {
-        let (ctx, probs, ids) = example1_context();
-        let [_, _, t3, ..] = ids;
-        let kinds = [
-            SchedulerKind::Dls,
-            SchedulerKind::Heft,
-            SchedulerKind::Lookahead,
-            SchedulerKind::FrameDvfs,
-        ];
-        let obs = Obs::disabled();
-        for dist in [vec![0.5, 0.5], vec![0.85, 0.15]] {
-            let mut p = probs.clone();
-            p.set(t3, dist).unwrap();
-            let mut base: Option<RaceOutcome> = None;
-            for workers in [1usize, 2, 4] {
-                let mut wss: Vec<SolverWorkspace> =
-                    kinds.iter().map(|_| SolverWorkspace::new()).collect();
-                let out = race_portfolio(&kinds, &ctx, &p, &mut wss, workers, &obs, 0).unwrap();
-                match &base {
-                    None => base = Some(out),
-                    Some(b) => {
-                        assert_eq!(b.winner, out.winner, "workers={workers}");
-                        assert_eq!(b.solution, out.solution, "workers={workers}");
-                        assert_eq!(b.energy.to_bits(), out.energy.to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn race_ties_keep_the_earliest_entry() {
         // Racing DLS against itself: equal energies, entry 0 must win.
         let (ctx, probs, _) = example1_context();
         let kinds = [SchedulerKind::Dls, SchedulerKind::Dls];
         let mut wss: Vec<SolverWorkspace> = kinds.iter().map(|_| SolverWorkspace::new()).collect();
         let obs = Obs::disabled();
-        let out = race_portfolio(&kinds, &ctx, &probs, &mut wss, 2, &obs, 0).unwrap();
+        let out = race_portfolio(&kinds, &ctx, &probs, &mut wss, &obs, 0).unwrap();
         assert_eq!(out.winner, 0);
+    }
+
+    #[test]
+    fn race_rejects_an_empty_portfolio() {
+        let (ctx, probs, _) = example1_context();
+        let err = race_portfolio(&[], &ctx, &probs, &mut [], &Obs::disabled(), 0).unwrap_err();
+        assert!(matches!(err, SchedError::InvalidParameter(_)));
     }
 
     #[test]
@@ -855,7 +807,7 @@ mod tests {
         let kinds = DEFAULT_PORTFOLIO;
         let mut wss: Vec<SolverWorkspace> = kinds.iter().map(|_| SolverWorkspace::new()).collect();
         let obs = Obs::disabled();
-        let err = race_portfolio(&kinds, &tight, &probs, &mut wss, 1, &obs, 0).unwrap_err();
+        let err = race_portfolio(&kinds, &tight, &probs, &mut wss, &obs, 0).unwrap_err();
         let dls_err = DlsScheduler::new().solve(&tight, &probs).unwrap_err();
         assert_eq!(err, dls_err, "first entry's error propagates");
     }

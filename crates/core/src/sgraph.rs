@@ -269,40 +269,6 @@ impl ScheduledGraph {
         cap: usize,
         meter: &mut WorkMeter,
     ) -> Result<Option<Self>, SchedError> {
-        Self::build_metered_par(ctx, schedule, probs, cap, 1, meter)
-    }
-
-    /// [`ScheduledGraph::build_metered`] with the path enumeration fanned
-    /// out over `workers` intra-solve threads.
-    ///
-    /// The source frontier (indegree-0 tasks) is split into contiguous
-    /// chunks; each worker enumerates its chunk's sub-forest into a store
-    /// of its own and the stores are appended in chunk order before the
-    /// canonical sort, so the result is **bit-identical to the sequential
-    /// build at any worker count** (the sort key — the task sequence — is
-    /// unique per path, and equal-key prefix paths keep their within-root
-    /// DFS order under the stable sort). Work charges are accounted
-    /// pre-partition: the total step count of a complete enumeration is a
-    /// pure function of the problem, so the meter sees the exact
-    /// sequential total regardless of the partition.
-    ///
-    /// Parallelism is only engaged for unlimited meters; a *budgeted* build
-    /// runs sequentially so an abort reproduces the sequential traversal's
-    /// exact charge sequence (a cap- or budget-crossing step count depends
-    /// on traversal order). Likewise, if any chunk overflows the path cap
-    /// the build re-runs sequentially to reproduce the sequential verdict.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::SolveBudgetExceeded`] when the budget is crossed.
-    pub fn build_metered_par(
-        ctx: &SchedContext,
-        schedule: &Schedule,
-        probs: &BranchProbs,
-        cap: usize,
-        workers: usize,
-        meter: &mut WorkMeter,
-    ) -> Result<Option<Self>, SchedError> {
         let n = ctx.ctg().num_tasks();
         let edges = reduced_edges(ctx, schedule);
 
@@ -338,56 +304,9 @@ impl ScheduledGraph {
             *c += 1;
         }
         let roots: Vec<TaskId> = (0..n).filter(|&t| indeg[t] == 0).map(TaskId::new).collect();
-        let enumerate = |roots: &[TaskId], meter: &mut WorkMeter| {
-            enumerate_from(ctx, schedule, &adj_start, &adj, roots, cap, meter)
-        };
-
-        let store = if workers > 1 && meter.is_unlimited() && roots.len() > 1 {
-            let chunks = crate::par::chunk_ranges(roots.len(), workers);
-            let results = crate::par::map_ordered(&chunks, workers, |_, range| {
-                let mut local = WorkMeter::unlimited();
-                let sub = enumerate(&roots[range.clone()], &mut local)
-                    .expect("an unlimited meter cannot exceed its budget");
-                (sub, local.spent())
-            });
-            let mut merged = PathStore::new(ctx.scenarios().len());
-            let mut units_total: u64 = 0;
-            let mut complete = true;
-            for (sub, units) in results {
-                units_total = units_total.saturating_add(units);
-                match sub {
-                    Some(chunk) if complete => {
-                        merged.append(chunk);
-                        if merged.paths.len() > cap {
-                            complete = false;
-                        }
-                    }
-                    _ => complete = false,
-                }
-            }
-            if complete {
-                // Pre-partition accounting: a complete enumeration's step
-                // count is partition-invariant, so the summed chunk charges
-                // equal the sequential total. Charged only on completion —
-                // the meter carries earlier pipeline stages' charges and
-                // must never see a partial parallel attempt.
-                meter.charge(units_total)?;
-                merged
-            } else {
-                // A chunk (or the union) overflowed the cap: replay the
-                // sequential traversal on the untouched meter so the
-                // verdict and the charge sequence match the sequential
-                // build exactly.
-                match enumerate(&roots, meter)? {
-                    Some(s) => s,
-                    None => return Ok(None),
-                }
-            }
-        } else {
-            match enumerate(&roots, meter)? {
-                Some(s) => s,
-                None => return Ok(None),
-            }
+        let Some(store) = enumerate_from(ctx, schedule, &adj_start, &adj, &roots, cap, meter)?
+        else {
+            return Ok(None);
         };
 
         // Deterministic canonical order: ascending task sequence, with the
@@ -833,20 +752,6 @@ impl PathStore {
             delay,
         });
     }
-
-    /// Appends another chunk's paths after this store's, rebasing their
-    /// buffer offsets.
-    fn append(&mut self, other: PathStore) {
-        let (t0, g0) = (self.tasks.len() as u32, self.guards.len() as u32);
-        self.paths.extend(other.paths.iter().map(|p| PathRec {
-            tasks: (p.tasks.0 + t0, p.tasks.1 + t0),
-            guards: (p.guards.0 + g0, p.guards.1 + g0),
-            ..*p
-        }));
-        self.tasks.extend_from_slice(&other.tasks);
-        self.guards.extend_from_slice(&other.guards);
-        self.cond_words.extend_from_slice(&other.cond_words);
-    }
 }
 
 /// Depth-first path enumeration over `roots`, LIFO over a shared stack —
@@ -904,11 +809,11 @@ fn enumerate_from(
         });
     }
 
-    // Unlimited meters (the common case: unbudgeted solves, and the
-    // parallel workers' local meters) accumulate the step count locally and
-    // charge once at the end — the same total as per-step charging, without
-    // a fallible call in the hot loop. Budgeted meters keep the per-step
-    // charge so an abort reproduces the exact crossing step.
+    // Unlimited meters (the common case: unbudgeted solves) accumulate the
+    // step count locally and charge once at the end — the same total as
+    // per-step charging, without a fallible call in the hot loop. Budgeted
+    // meters keep the per-step charge so an abort reproduces the exact
+    // crossing step.
     let unlimited = meter.is_unlimited();
     let mut units: u64 = 0;
 

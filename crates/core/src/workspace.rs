@@ -49,7 +49,7 @@
 use crate::budget::WorkMeter;
 use crate::cache::{LruCache, ScheduleKey};
 use crate::context::SchedContext;
-use crate::dls::dls_with_levels_par;
+use crate::dls::dls_with_levels_metered;
 use crate::error::SchedError;
 use crate::online::Solution;
 use crate::schedule::Schedule;
@@ -238,26 +238,12 @@ pub struct SolverWorkspace {
     budget: Option<u64>,
     /// Quantised near-miss memo (`None` = disabled, the default).
     near: Option<NearMemo>,
-    /// Intra-solve worker count for the parallel-eligible stages (path
-    /// enumeration, DLS candidate evaluation). `0`/`1` = sequential.
-    intra_workers: usize,
 }
 
 impl SolverWorkspace {
     /// Creates an empty (cold) workspace.
-    ///
-    /// The intra-solve worker count starts from the `CTG_INTRA_SOLVE`
-    /// environment variable (unset = sequential; see
-    /// [`crate::intra_solve_workers`]). Since any count produces
-    /// bit-identical results, the env-sensitive default is safe — it is
-    /// how the CI determinism matrix drives every workspace in the suite
-    /// through the parallel stages. [`SolverWorkspace::set_intra_workers`]
-    /// overrides it.
     pub fn new() -> Self {
-        SolverWorkspace {
-            intra_workers: crate::par::intra_solve_workers(),
-            ..SolverWorkspace::default()
-        }
+        SolverWorkspace::default()
     }
 
     /// Work counters accumulated since creation (rebinds do not reset
@@ -353,21 +339,6 @@ impl SolverWorkspace {
         let near = self.near.as_ref()?;
         let key = NearKey::new(ctx, probs, near.quantum, cfg);
         near.cache.peek(&key).map(|e| &e.speeds)
-    }
-
-    /// Sets the intra-solve worker count for the parallel-eligible solver
-    /// stages (path enumeration and DLS candidate evaluation); `0` or `1`
-    /// means sequential. Any count produces bit-identical solutions — the
-    /// parallel stages merge in submission order and fold with the
-    /// sequential comparator — and budgeted solves always run sequentially
-    /// so abort verdicts replay exactly.
-    pub fn set_intra_workers(&mut self, workers: usize) {
-        self.intra_workers = workers;
-    }
-
-    /// The configured intra-solve worker count (normalized; ≥ 1).
-    pub fn intra_workers(&self) -> usize {
-        self.intra_workers.max(1)
     }
 
     /// Work units the last successful solve cost, if any — the cost is a
@@ -513,13 +484,9 @@ impl SolverWorkspace {
         self.sl_probs = Some(probs.clone());
 
         // Same pipeline — and the same error order — as the cold solver:
-        // DLS, deadline check, config validation, stretch. The intra-solve
-        // worker count only fans the inner loops out; results and charges
-        // are bit-identical at any count (and budgeted solves run
-        // sequentially regardless — see `dls_with_levels_par`).
-        let workers = self.intra_workers.max(1);
+        // DLS, deadline check, config validation, stretch.
         let dls_span = obs.span(track, Stage::DlsMap);
-        let schedule = match dls_with_levels_par(ctx, &self.sl, true, workers, &mut meter) {
+        let schedule = match dls_with_levels_metered(ctx, &self.sl, true, &mut meter) {
             Ok(s) => s,
             Err(e) => return Err(self.note_budget_abort(&obs, track, e)),
         };
@@ -579,16 +546,12 @@ impl SolverWorkspace {
             None => {
                 self.stats.graph_rebuilds += 1;
                 let enum_span = obs.span(track, Stage::PathEnum);
-                if workers > 1 && meter.is_unlimited() {
-                    obs.instant(track, Stage::PathEnumPar, workers as i64);
-                }
                 let enum_start = meter.spent();
-                let built = match ScheduledGraph::build_metered_par(
+                let built = match ScheduledGraph::build_metered(
                     ctx,
                     &schedule,
                     probs,
                     cfg.path_cap,
-                    workers,
                     &mut meter,
                 ) {
                     Ok(b) => b,

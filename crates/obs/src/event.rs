@@ -31,9 +31,6 @@ pub enum Stage {
     /// A solve answered from the workspace's quantised near-miss memo
     /// (exact replay of a cached table in the same quantisation bucket).
     NearMissHit,
-    /// The path enumeration ran fanned out over intra-solve workers
-    /// (`arg` = worker count).
-    PathEnumPar,
     /// The manager's windowed estimate crossed its drift threshold
     /// (`arg` = instances observed so far).
     DriftDetect,
@@ -100,7 +97,6 @@ impl Stage {
             Stage::Stretch => "stretch",
             Stage::MemoHit => "memo_hit",
             Stage::NearMissHit => "near_miss_hit",
-            Stage::PathEnumPar => "path_enum_par",
             Stage::DriftDetect => "drift_detect",
             Stage::Adopt => "adopt",
             Stage::CacheHit => "cache_hit",
@@ -127,11 +123,7 @@ impl Stage {
     /// Coarse category for trace viewers (Perfetto groups by `cat`).
     pub fn category(self) -> &'static str {
         match self {
-            Stage::Solve
-            | Stage::DlsMap
-            | Stage::PathEnum
-            | Stage::PathEnumPar
-            | Stage::Stretch => "solver",
+            Stage::Solve | Stage::DlsMap | Stage::PathEnum | Stage::Stretch => "solver",
             Stage::PoolHit
             | Stage::MemoHit
             | Stage::NearMissHit
@@ -199,7 +191,6 @@ mod tests {
             Stage::Stretch,
             Stage::MemoHit,
             Stage::NearMissHit,
-            Stage::PathEnumPar,
             Stage::DriftDetect,
             Stage::Adopt,
             Stage::CacheHit,

@@ -959,7 +959,6 @@ fn run_cell(
         coalesce: true,
         quantum: 0.1,
         solve_budget: None,
-        intra_solve_workers: 1,
         admission: None,
         quarantine: None,
         arrival: spec.arrivals[cell.coord.arrival]

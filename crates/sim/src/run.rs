@@ -123,12 +123,6 @@ pub struct RunConfig {
     /// [`Runner::serve`] workers and [`Runner::run_adaptive`] managers.
     /// `None` (the default) never aborts a solve.
     pub solve_budget: Option<u64>,
-    /// Intra-solve worker threads for the solver's inner loops (path
-    /// enumeration, DLS candidate evaluation), applied to
-    /// [`Runner::serve`] workers and [`Runner::run_adaptive`] managers.
-    /// Results are bit-identical at any count; `1` (the default) keeps
-    /// every solve sequential.
-    pub intra_solve_workers: usize,
     /// Arrival process, latency SLO and replay traces for
     /// [`Runner::serve`]'s discrete-event engine (closed loop by default).
     pub arrival: ArrivalConfig,
@@ -172,7 +166,6 @@ impl RunConfig {
             fault_plan: None,
             degrade: None,
             solve_budget: None,
-            intra_solve_workers: 1,
             arrival: ArrivalConfig::default(),
             engine: EngineKind::Auto,
             admission: None,
@@ -191,8 +184,6 @@ impl RunConfig {
     ///   [`pool::DEFAULT_MIN_BATCH`] ([`pool::min_batch`]);
     /// * `shards` ← `CTG_SERVE_SHARDS`, else the worker count
     ///   ([`serve::default_shards`]);
-    /// * `intra_solve_workers` ← `CTG_INTRA_SOLVE`, else `1`
-    ///   ([`ctg_sched::intra_solve_workers`]);
     /// * `arrival.kind` ← `CTG_SERVE_ARRIVAL`, else closed loop
     ///   ([`serve::default_arrival`]);
     /// * `portfolio` ← `CTG_SCHEDULER` ([`SCHEDULER_ENV`]), else DLS only.
@@ -201,7 +192,6 @@ impl RunConfig {
             workers: pool::worker_count(),
             min_batch: pool::min_batch(),
             shards: serve::default_shards(),
-            intra_solve_workers: ctg_sched::intra_solve_workers(),
             arrival: ArrivalConfig {
                 kind: serve::default_arrival(),
                 ..ArrivalConfig::default()
@@ -275,10 +265,10 @@ impl RunConfig {
         self
     }
 
-    /// Sets the intra-solve worker count (`1` = sequential inner loops).
+    /// Returns the configuration unchanged: every solve runs on the
+    /// calling thread. Kept so existing callers compile.
     #[must_use]
-    pub fn intra_solve_workers(mut self, workers: usize) -> Self {
-        self.intra_solve_workers = workers;
+    pub fn intra_solve_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -349,7 +339,6 @@ impl RunConfig {
             coalesce: self.coalesce,
             quantum: self.quantum,
             solve_budget: self.solve_budget,
-            intra_solve_workers: self.intra_solve_workers,
             arrival: self.arrival.clone(),
             engine: self.engine,
             admission: self.admission,
@@ -459,7 +448,6 @@ impl Runner {
         let obs = &self.cfg.obs;
         let mut manager = manager;
         manager.set_solve_budget(self.cfg.solve_budget);
-        manager.set_intra_solve_workers(self.cfg.intra_solve_workers);
         if let Some(kinds) = &self.cfg.portfolio {
             manager.enable_portfolio(kinds)?;
         }
@@ -547,7 +535,6 @@ mod tests {
             .fault_plan(FaultPlan::none(3))
             .degrade(DegradeConfig::default())
             .solve_budget(5000)
-            .intra_solve_workers(2)
             .arrival(arrival.clone())
             .engine(EngineKind::Events)
             .admission(AdmissionConfig { high_water: 3 })
@@ -561,14 +548,12 @@ mod tests {
         assert!(cfg.fault_plan.is_some());
         assert!(cfg.degrade.is_some());
         assert_eq!(cfg.solve_budget, Some(5000));
-        assert_eq!(cfg.intra_solve_workers, 2);
         assert_eq!(cfg.arrival, arrival);
         assert_eq!(cfg.engine, EngineKind::Events);
         let sc = cfg.serve_config();
         assert_eq!(sc.workers, 4);
         assert_eq!(sc.shards, 7);
         assert_eq!(sc.solve_budget, Some(5000));
-        assert_eq!(sc.intra_solve_workers, 2);
         assert_eq!(sc.arrival, arrival);
         assert_eq!(sc.engine, EngineKind::Events);
         assert_eq!(sc.admission, Some(AdmissionConfig { high_water: 3 }));
@@ -610,7 +595,6 @@ mod tests {
         assert_eq!(cfg.workers, pool::worker_count());
         assert_eq!(cfg.min_batch, pool::min_batch());
         assert_eq!(cfg.shards, serve::default_shards());
-        assert_eq!(cfg.intra_solve_workers, ctg_sched::intra_solve_workers());
         assert_eq!(cfg.arrival.kind, serve::default_arrival());
         assert_eq!(cfg.engine, EngineKind::Auto);
         assert_eq!(cfg.portfolio, scheduler_from_env());

@@ -447,11 +447,6 @@ pub struct ServeConfig {
     /// solve. `None` disables budgeting; tick-0 setup solves are always
     /// exempt (there is no plan to fall back on yet).
     pub solve_budget: Option<u64>,
-    /// Intra-solve worker threads for each solve's inner loops (path
-    /// enumeration, DLS candidate evaluation) — orthogonal to `workers`,
-    /// which parallelises *across* streams. Results are bit-identical at
-    /// any count; `1` (the default) keeps every solve sequential.
-    pub intra_solve_workers: usize,
     /// Admission control; `None` admits every request (baseline
     /// behaviour, bit-exact with pre-overload engines). The lockstep
     /// engine caps each tick's cross-stream request set; the event engine
@@ -490,7 +485,6 @@ impl Default for ServeConfig {
             coalesce: true,
             quantum: 0.1,
             solve_budget: None,
-            intra_solve_workers: 1,
             admission: None,
             quarantine: None,
             arrival: ArrivalConfig::default(),
@@ -1051,8 +1045,7 @@ pub fn run_serve(
 /// executing many runs over the same context (the campaign engine runs one
 /// per cell) keeps the setup solver warm across runs. By the workspace's
 /// warm==cold contract the report is bit-identical to [`run_serve`]'s; the
-/// workspace's telemetry handle and intra-solve worker count are
-/// overwritten with this run's configuration.
+/// workspace's telemetry handle is overwritten with this run's.
 ///
 /// # Errors
 ///
@@ -1146,7 +1139,6 @@ fn setup_streams<'a>(
         }
     };
     setup_ws.set_obs(obs.clone(), 0);
-    setup_ws.set_intra_workers(cfg.intra_solve_workers);
     let mut initial: HashMap<Vec<u64>, Solution> = HashMap::new();
     for spec in specs {
         if let Entry::Vacant(e) = initial.entry(probs_bits(ctx, &spec.initial_probs)) {
@@ -1255,7 +1247,6 @@ fn lockstep_engine<'a>(
                 let mut ws = SolverWorkspace::new();
                 ws.set_obs(obs.clone(), track);
                 ws.set_budget(cfg.solve_budget);
-                ws.set_intra_workers(cfg.intra_solve_workers);
                 let mut race = cfg
                     .portfolio
                     .as_deref()
@@ -1669,7 +1660,6 @@ fn events_engine<'a>(
                 let mut ws = SolverWorkspace::new();
                 ws.set_obs(obs.clone(), track);
                 ws.set_budget(cfg.solve_budget);
-                ws.set_intra_workers(cfg.intra_solve_workers);
                 // The §15 near-miss memo, worker-wide: every stream's
                 // regime revisits (and any cross-stream table collisions)
                 // replay as sub-ms exact-guarded hits with the stored work
@@ -2123,7 +2113,7 @@ fn post_instance(
         obs.count(Counter::CacheMisses, 1);
     }
     counters.solver_calls += 1;
-    match serve_solve(ctx, cfg, online, ws, race, &estimated, counters, obs, track) {
+    match serve_solve(ctx, online, ws, race, &estimated, counters, obs, track) {
         Ok(solution) => {
             if let (Some(cache), Some(key)) = (shared, key) {
                 cache.insert(key, estimated.clone(), solution.clone());
@@ -2328,10 +2318,10 @@ fn group_requests(
 #[allow(clippy::too_many_arguments)]
 /// Per-worker portfolio racing state: the configured entries and one
 /// private workspace per entry, built exactly like the worker's own DLS
-/// workspace (same obs track, budget, intra-solve workers; the near-miss
-/// memo mirrors the owning engine's choice). Entry workspaces never mix
-/// across schedulers — warm-layer keys carry no scheduler identity, so
-/// sharing one would replay another entry's plans.
+/// workspace (same obs track and budget; the near-miss memo mirrors the
+/// owning engine's choice). Entry workspaces never mix across schedulers —
+/// warm-layer keys carry no scheduler identity, so sharing one would
+/// replay another entry's plans.
 struct RaceState {
     kinds: Vec<SchedulerKind>,
     wss: Vec<SolverWorkspace>,
@@ -2351,7 +2341,6 @@ impl RaceState {
                 let mut ws = SolverWorkspace::new();
                 ws.set_obs(obs.clone(), track);
                 ws.set_budget(cfg.solve_budget);
-                ws.set_intra_workers(cfg.intra_solve_workers);
                 if near_memo && cfg.quantum.is_finite() && cfg.quantum > 0.0 {
                     ws.set_near_memo(cfg.quantum, NEAR_MEMO_WORKER_CAP);
                 }
@@ -2367,14 +2356,13 @@ impl RaceState {
 
 /// The one solver entry point of both engines: the DLS pipeline through
 /// the worker's warm workspace, or — with [`ServeConfig::portfolio`] set —
-/// a portfolio race whose verdict is bit-identical at any worker count
-/// (see [`race_portfolio`]). Shared/per-stream caches store whatever comes
+/// a portfolio race (see [`race_portfolio`]). Shared/per-stream caches
+/// store whatever comes
 /// back; their exact-probability guards make replaying a raced winner just
 /// as sound as replaying a DLS plan.
 #[allow(clippy::too_many_arguments)]
 fn serve_solve(
     ctx: &SchedContext,
-    cfg: &ServeConfig,
     online: &OnlineScheduler,
     ws: &mut SolverWorkspace,
     race: &mut Option<RaceState>,
@@ -2386,15 +2374,7 @@ fn serve_solve(
     match race.as_mut() {
         None => online.solve_with_workspace(ctx, probs, ws),
         Some(r) => {
-            let raced = race_portfolio(
-                &r.kinds,
-                ctx,
-                probs,
-                &mut r.wss,
-                cfg.intra_solve_workers,
-                obs,
-                track,
-            );
+            let raced = race_portfolio(&r.kinds, ctx, probs, &mut r.wss, obs, track);
             counters.portfolio_races += 1;
             let outcome = raced?;
             counters.portfolio_wins[r.kinds[outcome.winner].index()] += 1;
@@ -2434,7 +2414,7 @@ fn resolve_group(
     // The stripe lock is NOT held during the solve: two same-cell groups
     // may solve concurrently and insert in either order — harmless, the
     // exact guard keeps every future hit bit-correct.
-    let result = serve_solve(ctx, cfg, online, ws, race, &g.probs, counters, obs, track);
+    let result = serve_solve(ctx, online, ws, race, &g.probs, counters, obs, track);
     if let (Ok(solution), Some(cache), Some(key)) = (&result, shared, key) {
         cache.insert(key, g.probs.clone(), solution.clone());
     }
@@ -3055,7 +3035,6 @@ mod tests {
             coalesce: true,
             quantum: 0.1,
             solve_budget: Some(0),
-            intra_solve_workers: 1,
             arrival: ArrivalConfig::default(),
             engine: EngineKind::Auto,
             admission: None,
@@ -3114,7 +3093,6 @@ mod tests {
             coalesce: true,
             quantum: 0.1,
             solve_budget: None,
-            intra_solve_workers: 1,
             arrival: ArrivalConfig::default(),
             engine: EngineKind::Auto,
             admission: Some(AdmissionConfig { high_water: 1 }),

@@ -4,10 +4,9 @@
 //! * **Trait-equivalence pin** — [`DlsScheduler`] (and
 //!   [`SchedulerKind::Dls`]) must be bit-for-bit identical to the seed
 //!   [`OnlineScheduler`] pipeline on both TGFF families, warm and cold.
-//! * **Determinism matrix** — a portfolio race crowns the same winner
-//!   with a bit-identical plan at any intra-solve worker count, and the
-//!   serve engine's stream summaries and win counters survive any
-//!   (workers × intra-solve × shards) split.
+//! * **Race verdict** — a portfolio race adopts exactly its winner's own
+//!   plan and never loses to the DLS entry, and the serve engine's stream
+//!   summaries and win counters survive any (workers × shards) split.
 //! * **Dormant knob** — a `RunConfig` without a portfolio (or with the
 //!   explicit DLS-only selection, which normalizes to the same thing)
 //!   reproduces the historic pipeline bit-for-bit.
@@ -155,44 +154,34 @@ fn every_scheduler_kind_solves_both_families() {
     }
 }
 
-/// The race verdict is a pure fold in entry order: any intra-solve worker
-/// count crowns the same winner with a bit-identical plan, and the winner
-/// never loses to the DLS entry on expected energy.
+/// The race verdict folds in entry order as each entry solves: the adopted
+/// plan is bit for bit the winner's own solve, priced at that plan's
+/// expected energy, and the winner never loses to the DLS entry.
 #[test]
-fn portfolio_race_is_bit_identical_across_worker_counts() {
+fn portfolio_race_adopts_the_winners_own_plan() {
     let obs = adaptive_dvfs::obs::Obs::disabled();
     for &(seed, a, c, cat, pes) in &CASES[..2] {
         let (ctx, _) = build_context(seed, a, c, cat, pes);
         for step in 0..8 {
             let probs = drift_table(ctx.ctg(), step);
-            let mut reference = None;
-            for workers in [1usize, 2, 4] {
-                let mut wss: Vec<SolverWorkspace> = DEFAULT_PORTFOLIO
-                    .iter()
-                    .map(|_| SolverWorkspace::new())
-                    .collect();
-                let out =
-                    race_portfolio(&DEFAULT_PORTFOLIO, &ctx, &probs, &mut wss, workers, &obs, 0)
-                        .unwrap();
-                let dls = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
-                assert!(
-                    out.energy <= dls.expected_energy(&ctx, &probs) + 1e-9,
-                    "race lost to DLS at workers={workers}"
-                );
-                match &reference {
-                    None => reference = Some(out),
-                    Some(r) => {
-                        assert_eq!(r.winner, out.winner, "winner diverged at workers={workers}");
-                        assert_bit_identical(
-                            &ctx,
-                            &probs,
-                            &r.solution,
-                            &out.solution,
-                            &format!("race case {seed} step {step} workers {workers}"),
-                        );
-                    }
-                }
-            }
+            let mut wss: Vec<SolverWorkspace> = DEFAULT_PORTFOLIO
+                .iter()
+                .map(|_| SolverWorkspace::new())
+                .collect();
+            let out = race_portfolio(&DEFAULT_PORTFOLIO, &ctx, &probs, &mut wss, &obs, 0).unwrap();
+            let label = format!("race case {seed} step {step}");
+            let dls = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
+            assert!(
+                out.energy <= dls.expected_energy(&ctx, &probs) + 1e-9,
+                "{label}: race lost to DLS"
+            );
+            let own = DEFAULT_PORTFOLIO[out.winner].solve(&ctx, &probs).unwrap();
+            assert_bit_identical(&ctx, &probs, &own, &out.solution, &label);
+            assert_eq!(
+                out.energy.to_bits(),
+                own.expected_energy(&ctx, &probs).to_bits(),
+                "{label}: adopted energy is not the winner's"
+            );
         }
     }
 }
@@ -225,36 +214,35 @@ fn drifty_streams(ctx: &SchedContext, n: usize, len: usize) -> Vec<StreamSpec> {
 
 /// The serve engine's portfolio matrix: stream summaries, race counts and
 /// per-scheduler win counters are bit-identical across every
-/// (workers × intra-solve-workers × shards) split.
+/// (workers × shards) split.
 #[test]
 fn serve_portfolio_matrix_is_bit_identical() {
     let (ctx, _) = build_context(31, 24, 3, Category::ForkJoin, 3);
     let specs = drifty_streams(&ctx, 6, 48);
-    let cfg = |workers: usize, intra: usize, shards: usize| ServeConfig {
+    let cfg = |workers: usize, shards: usize| ServeConfig {
         workers,
         shards,
         cache: CacheMode::Off,
-        intra_solve_workers: intra,
         portfolio: Some(DEFAULT_PORTFOLIO.to_vec()),
         ..ServeConfig::default()
     };
-    let reference = run_serve(&ctx, &specs, &cfg(1, 1, 1)).unwrap();
+    let reference = run_serve(&ctx, &specs, &cfg(1, 1)).unwrap();
     assert!(
         reference.stats.portfolio_races > 0,
         "the matrix must actually race: {:?}",
         reference.stats
     );
-    for (workers, intra, shards) in [(1, 2, 1), (2, 1, 3), (2, 2, 6), (4, 4, 6)] {
-        let report = run_serve(&ctx, &specs, &cfg(workers, intra, shards)).unwrap();
+    for (workers, shards) in [(2, 3), (2, 6), (4, 6)] {
+        let report = run_serve(&ctx, &specs, &cfg(workers, shards)).unwrap();
         assert_eq!(
             report.streams, reference.streams,
-            "streams diverged at workers={workers} intra={intra} shards={shards}"
+            "streams diverged at workers={workers} shards={shards}"
         );
         for (a, b) in report.streams.iter().zip(&reference.streams) {
             assert_eq!(
                 a.exec.total_energy.to_bits(),
                 b.exec.total_energy.to_bits(),
-                "energy bits diverged at workers={workers} intra={intra}"
+                "energy bits diverged at workers={workers} shards={shards}"
             );
         }
         assert_eq!(
@@ -266,8 +254,8 @@ fn serve_portfolio_matrix_is_bit_identical() {
 }
 
 /// The adaptive manager's portfolio mode never regresses the DLS-only
-/// manager on a drifting trace, and its outputs are bit-identical across
-/// intra-solve worker counts.
+/// manager on a drifting trace, races on every adoption, and reproduces
+/// its outputs bit for bit on a second, fresh manager.
 #[test]
 fn adaptive_portfolio_never_regresses_and_is_deterministic() {
     let (ctx, _) = build_context(41, 20, 2, Category::Layered, 3);
@@ -280,15 +268,11 @@ fn adaptive_portfolio_never_regresses_and_is_deterministic() {
         .unwrap();
 
     let mut summaries = Vec::new();
-    for intra in [1usize, 2, 4] {
+    for _ in 0..2 {
         let mgr = AdaptiveScheduler::new(&ctx, initial.clone(), 6, 0.25).unwrap();
-        let (summary, mgr) = Runner::new(
-            RunConfig::new()
-                .portfolio(&DEFAULT_PORTFOLIO)
-                .intra_solve_workers(intra),
-        )
-        .run_adaptive(&ctx, mgr, &trace)
-        .unwrap();
+        let (summary, mgr) = Runner::new(RunConfig::new().portfolio(&DEFAULT_PORTFOLIO))
+            .run_adaptive(&ctx, mgr, &trace)
+            .unwrap();
         assert!(mgr.portfolio_enabled());
         let stats = mgr.portfolio_stats();
         assert_eq!(stats.races, summary.reschedules, "every adoption raced");
@@ -298,7 +282,7 @@ fn adaptive_portfolio_never_regresses_and_is_deterministic() {
         assert_eq!(
             s.exec.total_energy.to_bits(),
             summaries[0].exec.total_energy.to_bits(),
-            "portfolio energy must be intra-solve invariant"
+            "portfolio energy must reproduce across managers"
         );
         assert_eq!(s.reschedules, summaries[0].reschedules);
     }

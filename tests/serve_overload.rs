@@ -51,7 +51,6 @@ fn base_cfg(workers: usize, shards: usize, cache: CacheMode) -> ServeConfig {
         coalesce: true,
         quantum: 0.1,
         solve_budget: None,
-        intra_solve_workers: 1,
         admission: None,
         quarantine: None,
         ..ServeConfig::default()

@@ -244,57 +244,6 @@ fn rebinding_contexts_stays_equivalent() {
     assert_eq!(stats.full_level_rebuilds, 3, "each switch starts cold");
 }
 
-/// Intra-solve determinism matrix: across both TGFF families and the
-/// drifting table sequence, solving with 2 or 4 intra-solve workers is
-/// **bit-exact** with the sequential engine — same plans, same workspace
-/// stats, and the same per-solve meter charge ([`last_solve_cost`] is the
-/// replayed budget, so equal charges pin equal budget verdicts at every
-/// possible budget).
-#[test]
-fn intra_solve_workers_are_bit_exact_at_any_count() {
-    let online = OnlineScheduler::new();
-    for (seed, a, c, cat, pes) in CASES {
-        let ctx = build_context(seed, a, c, cat, pes);
-
-        // Sequential reference pass.
-        let mut seq_ws = SolverWorkspace::new();
-        let mut seq_solutions = Vec::new();
-        let mut seq_costs = Vec::new();
-        for step in 0..DRIFT_STEPS {
-            let table = drift_table(ctx.ctg(), step);
-            seq_solutions.push(online.solve_with_workspace(&ctx, &table, &mut seq_ws));
-            seq_costs.push(seq_ws.last_solve_cost());
-        }
-        let seq_stats = seq_ws.stats();
-
-        for workers in [2usize, 4] {
-            let mut ws = SolverWorkspace::new();
-            ws.set_intra_workers(workers);
-            for step in 0..DRIFT_STEPS {
-                let table = drift_table(ctx.ctg(), step);
-                let par = online.solve_with_workspace(&ctx, &table, &mut ws);
-                assert_solutions_identical(
-                    &ctx,
-                    &table,
-                    &seq_solutions[step],
-                    &par,
-                    &format!("seed {seed} step {step} workers {workers}"),
-                );
-                assert_eq!(
-                    ws.last_solve_cost(),
-                    seq_costs[step],
-                    "seed {seed} step {step} workers {workers}: meter charge diverged"
-                );
-            }
-            assert_eq!(
-                ws.stats(),
-                seq_stats,
-                "seed {seed} workers {workers}: workspace stats diverged"
-            );
-        }
-    }
-}
-
 /// With the near-miss memo enabled, a second pass over a drift sequence is
 /// answered entirely by exact replays (non-consecutive revisits the depth-1
 /// memo cannot serve) — and every replay stays bit-identical to a cold

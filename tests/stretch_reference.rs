@@ -10,8 +10,7 @@
 //! `(D − d) / d` and the last of equal minima — and every speed must match
 //! bit for bit: cold and seeded, under the default, single-pass and
 //! exhaustive configurations, on DLS, HEFT and lookahead plans, and
-//! through a warm [`SolverWorkspace`] (whose path enumeration fans out
-//! over `CTG_INTRA_SOLVE` workers).
+//! through a warm [`SolverWorkspace`].
 
 use adaptive_dvfs::ctg::{BranchProbs, Ctg, CtgBuilder, TaskId};
 use adaptive_dvfs::platform::Platform;
@@ -200,8 +199,8 @@ fn tgff_context((cfg, pes): (TgffConfig, usize)) -> SchedContext {
 }
 
 /// Three independent sources, one of them a fork, joined at a sink: its
-/// scheduled graph has more than one root, so the chunked parallel
-/// enumeration has more than one chunk to merge.
+/// scheduled graph has more than one root, so the enumeration walks
+/// several depth-first trees into one path store.
 fn multi_root_context() -> SchedContext {
     let mut b = CtgBuilder::new("multi_root");
     let sources: Vec<TaskId> = (0..3).map(|i| b.add_task(format!("src{i}"))).collect();
