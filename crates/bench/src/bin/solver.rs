@@ -30,6 +30,7 @@
 //! run fails if its warm p99 or its portfolio-race p99 regresses more than
 //! 2x over the baseline's.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,8 +38,8 @@ use ctg_bench::setup::{prepare_mpeg, profile_trace};
 use ctg_model::BranchProbs;
 use ctg_obs::{BufferedSink, EventKind, Obs, Stage};
 use ctg_sched::{
-    race_portfolio, AdaptiveScheduler, OnlineScheduler, SchedulerKind, Solution, SolverWorkspace,
-    DEFAULT_PORTFOLIO,
+    race_portfolio, AdaptiveScheduler, OnlineScheduler, SchedContext, Schedule, SchedulerKind,
+    Solution, SolverWorkspace, DEFAULT_PORTFOLIO,
 };
 use ctg_workloads::traces;
 
@@ -102,6 +103,28 @@ fn assert_bit_identical(
     );
 }
 
+/// The number of distinct schedules among `solutions`, and of distinct
+/// (assignment, per-PE order) pairs — the warm graph pool's key. Without
+/// evictions a warm workspace rebuilds its graph once per distinct pair.
+fn distinct_counts(ctx: &SchedContext, solutions: &[Solution]) -> (usize, usize) {
+    let mut schedules: Vec<&Schedule> = Vec::new();
+    let mut mappings = HashSet::new();
+    for sol in solutions {
+        let s = &sol.schedule;
+        if !schedules.contains(&s) {
+            schedules.push(s);
+        }
+        mappings.insert((
+            ctx.ctg().tasks().map(|t| s.pe_of(t)).collect::<Vec<_>>(),
+            ctx.platform()
+                .pes()
+                .map(|pe| s.pe_order(pe).to_vec())
+                .collect::<Vec<_>>(),
+        ));
+    }
+    (schedules.len(), mappings.len())
+}
+
 /// Pulls `"p99_us"` out of the `row` object (`"warm"`, `"portfolio"`) of a
 /// bench artifact without a JSON parser (the artifact is hand-rolled; the
 /// layout is ours).
@@ -154,6 +177,7 @@ fn main() {
     let mut race_samples = Vec::with_capacity(tables.len() * reps);
     let mut warm_stats = None;
     let mut near_stats = None;
+    let mut distinct = (0, 0);
     let mut race_wins = [0usize; SchedulerKind::COUNT];
     let mut race_energy_ratio_sum = 0.0;
     let mut race_energy_ratio_n = 0usize;
@@ -166,6 +190,7 @@ fn main() {
             cold_samples.push(t0.elapsed().as_secs_f64());
             cold_solutions.push(sol);
         }
+        distinct = distinct_counts(&ctx, &cold_solutions);
 
         // Warm: one plain workspace, primed with an untimed pass so the
         // timed pass measures the steady state (graph pool populated,
@@ -324,14 +349,17 @@ fn main() {
     );
     println!(
         "warm workspace: {} solves, {} memo hits, {} full level builds, {} dirty updates \
-         ({} levels recomputed), {} graph reuses / {} rebuilds",
+         ({} levels recomputed), {} graph reuses / {} rebuilds (the cold solutions hold {} \
+         distinct schedules over {} distinct (assignment, per-PE order) pairs)",
         warm_stats.solves,
         warm_stats.memo_hits,
         warm_stats.full_level_rebuilds,
         warm_stats.dirty_level_updates,
         warm_stats.levels_recomputed,
         warm_stats.graph_reuses,
-        warm_stats.graph_rebuilds
+        warm_stats.graph_rebuilds,
+        distinct.0,
+        distinct.1
     );
     println!(
         "near workspace: {} near-memo replays of {} solves ({} graph reuses / {} rebuilds)",
@@ -387,7 +415,8 @@ fn main() {
     json.push_str(&format!(
         "  \"workspace\": {{\"solves\": {}, \"memo_hits\": {}, \"full_level_rebuilds\": {}, \
          \"dirty_level_updates\": {}, \"levels_recomputed\": {}, \"graph_reuses\": {}, \
-         \"graph_rebuilds\": {}, \"rebinds\": {}}},\n",
+         \"graph_rebuilds\": {}, \"rebinds\": {}, \"distinct_schedules\": {}, \
+         \"distinct_mappings\": {}}},\n",
         warm_stats.solves,
         warm_stats.memo_hits,
         warm_stats.full_level_rebuilds,
@@ -395,7 +424,9 @@ fn main() {
         warm_stats.levels_recomputed,
         warm_stats.graph_reuses,
         warm_stats.graph_rebuilds,
-        warm_stats.rebinds
+        warm_stats.rebinds,
+        distinct.0,
+        distinct.1
     ));
     json.push_str(&format!(
         "  \"near_workspace\": {{\"solves\": {}, \"near_hits\": {}, \"memo_hits\": {}, \

@@ -220,11 +220,14 @@ pub struct ScheduledGraph {
     group_masks: Vec<ScenarioMask>,
     group_prob: Vec<f64>,
     /// The stretcher's per-task layout: for every task, the `(path index,
-    /// task position)` members of each minterm group spanning it, stored
+    /// suffix slot)` members of each minterm group spanning it, stored
     /// contiguously — groups in first-occurrence order over the ascending
     /// spanning paths, members ascending by path index within a group.
     /// `span_off` delimits each task's members, `runs` each (task, group)
-    /// pair's members and `run_off` each task's runs.
+    /// pair's members and `run_off` each task's runs. A member's slot
+    /// names the guards decided at or after the task's position on the
+    /// path, `guards[k..]`, as the path's first task-buffer index plus `k`
+    /// (see [`ScheduledGraph::guard_suffixes`]).
     members: Vec<(u32, u32)>,
     span_off: Vec<u32>,
     runs: Vec<(u32, u32)>,
@@ -257,6 +260,13 @@ impl ScheduledGraph {
     /// masks and the path cap — not on probability values — so the charge
     /// is a pure function of the problem and budget verdicts reproduce
     /// bit-for-bit. With an unlimited meter this is exactly `build`.
+    ///
+    /// Apart from the probabilities the graph's groups are weighted with,
+    /// the result — the `None` verdict and the charge included — depends
+    /// on the schedule's mapping alone: the assignment and each PE's order.
+    /// The start times only prune the reduction's reachability search,
+    /// which cannot change its outcome (see `reduced_edges`), and the
+    /// global commit order is never read.
     ///
     /// # Errors
     ///
@@ -382,12 +392,23 @@ impl ScheduledGraph {
         let mut spanning = vec![(0u32, 0u32); tasks.len()];
         let mut cursor: Vec<u32> = span_off[..n].to_vec();
         for (i, p) in paths.iter().enumerate() {
+            // Every guard names the source of its CTG edge, so fork
+            // positions rise strictly along the path and the guards decided
+            // at or after a position are a suffix `guards[k..]`, with
+            // `k <= guards.len() < path length`: slot `tasks.0 + k` stays
+            // inside the path's own task range.
+            let guards = &guards[p.guards.0 as usize..p.guards.1 as usize];
+            debug_assert!(guards.windows(2).all(|w| w[0].0 < w[1].0));
+            let mut k = 0;
             for (pos, t) in tasks[p.tasks.0 as usize..p.tasks.1 as usize]
                 .iter()
                 .enumerate()
             {
+                while k < guards.len() && (guards[k].0 as usize) < pos {
+                    k += 1;
+                }
                 let c = &mut cursor[t.index()];
-                spanning[*c as usize] = (i as u32, pos as u32);
+                spanning[*c as usize] = (i as u32, p.tasks.0 + k as u32);
                 *c += 1;
             }
         }
@@ -450,10 +471,27 @@ impl ScheduledGraph {
         }
     }
 
-    /// The flat `(path index, task position)` member store of the
+    /// The flat `(path index, suffix slot)` member store of the
     /// stretcher's per-task layout.
     pub(crate) fn members(&self) -> &[(u32, u32)] {
         &self.members
+    }
+
+    /// Number of suffix slots a member may name: one per task-buffer entry.
+    pub(crate) fn suffix_slots(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// Per path, in canonical order: its first suffix slot and its guards.
+    /// Slot `first + k` stands for the suffix `guards[k..]`, for every `k`
+    /// in `0..=guards.len()`.
+    pub(crate) fn guard_suffixes(&self) -> impl Iterator<Item = (usize, &[(u32, Literal)])> {
+        self.paths.iter().map(move |p| {
+            (
+                p.tasks.0 as usize,
+                &self.guards[p.guards.0 as usize..p.guards.1 as usize],
+            )
+        })
     }
 
     /// `task`'s members: one per path spanning it, grouped as
@@ -1001,6 +1039,91 @@ mod tests {
             assert_eq!(a.tasks(), b.tasks());
             assert_eq!(a.delay().to_bits(), b.delay().to_bits());
             assert_eq!(a.prob().to_bits(), b.prob().to_bits(), "path prob diverged");
+        }
+    }
+
+    /// Asserts that two builds hold the same graph, bit for bit.
+    fn assert_same_graph(a: &ScheduledGraph, b: &ScheduledGraph, label: &str) {
+        assert_eq!(a.edges.len(), b.edges.len(), "{label}: edge count");
+        for (x, y) in a.edges.iter().zip(&b.edges) {
+            assert_eq!(
+                (x.src, x.dst, x.guard, x.kind),
+                (y.src, y.dst, y.guard, y.kind),
+                "{label}: edge"
+            );
+            assert_eq!(x.delay.to_bits(), y.delay.to_bits(), "{label}: edge delay");
+        }
+        assert_eq!(a.paths().len(), b.paths().len(), "{label}: path count");
+        for (p, q) in a.paths().zip(b.paths()) {
+            assert_eq!(p.tasks(), q.tasks(), "{label}: path tasks");
+            assert_eq!(p.guards(), q.guards(), "{label}: path guards");
+            assert_eq!(p.delay().to_bits(), q.delay().to_bits(), "{label}: delay");
+            assert_eq!(p.prob().to_bits(), q.prob().to_bits(), "{label}: prob");
+        }
+        assert_eq!(a.group_masks, b.group_masks, "{label}: group masks");
+        assert_eq!(a.members, b.members, "{label}: members");
+        assert_eq!(a.span_off, b.span_off, "{label}: member ranges");
+        assert_eq!(a.runs, b.runs, "{label}: runs");
+        assert_eq!(a.run_off, b.run_off, "{label}: run ranges");
+    }
+
+    /// Whether start times rise along every pre-reduction edge, which is
+    /// when the reduction prunes its search by them.
+    fn starts_rise_along_edges(ctx: &SchedContext, s: &Schedule) -> bool {
+        collect_edges(ctx, s)
+            .iter()
+            .all(|e| s.start(e.src) <= s.start(e.dst))
+    }
+
+    /// The premise of the workspace's graph pool key: a graph depends on
+    /// the schedule's assignment and per-PE order, not on its start times
+    /// or its commit order. A schedule is built against two copies that
+    /// keep the mapping — one with the commit order reversed and the
+    /// starts shifted, one with the starts negated so the reduction's
+    /// prune switches off — and all three must agree on everything the
+    /// graph holds, the enumeration charge and the over-the-cap verdict.
+    #[test]
+    fn graph_depends_on_the_mapping_only() {
+        let (ex_ctx, ex_probs, _) = example1_context();
+        let (mpeg_ctx, mpeg_probs) = crate::test_util::mpeg_context();
+        for (name, ctx, probs) in [
+            ("example1", &ex_ctx, &ex_probs),
+            ("mpeg", &mpeg_ctx, &mpeg_probs),
+        ] {
+            let s = dls_schedule(ctx, probs).unwrap();
+            let mut shifted = s.clone();
+            shifted.task_order.reverse();
+            for x in shifted.start.iter_mut().chain(shifted.finish.iter_mut()) {
+                *x += 17.25;
+            }
+            let mut unordered = s.clone();
+            for x in unordered.start.iter_mut() {
+                *x = -*x;
+            }
+            assert_ne!(shifted.task_order, s.task_order, "{name}");
+            assert!(starts_rise_along_edges(ctx, &s), "{name}");
+            assert!(starts_rise_along_edges(ctx, &shifted), "{name}");
+            assert!(!starts_rise_along_edges(ctx, &unordered), "{name}");
+
+            let build = |s: &Schedule, cap: usize| {
+                let mut meter = WorkMeter::unlimited();
+                let g = ScheduledGraph::build_metered(ctx, s, probs, cap, &mut meter).unwrap();
+                (g, meter.spent())
+            };
+            let (base, base_units) = build(&s, DEFAULT_PATH_CAP);
+            let base = base.expect("under the default cap");
+            let small_cap = base.paths().len() / 2;
+            let (over, over_units) = build(&s, small_cap);
+            assert!(over.is_none(), "{name}: half the paths must overflow");
+            for (variant, copy) in [("shifted", &shifted), ("unordered", &unordered)] {
+                let label = format!("{name} {variant}");
+                let (g, units) = build(copy, DEFAULT_PATH_CAP);
+                assert_same_graph(&base, &g.expect("under the default cap"), &label);
+                assert_eq!(units, base_units, "{label}: enumeration charge");
+                let (g, units) = build(copy, small_cap);
+                assert!(g.is_none(), "{label}: over-the-cap verdict");
+                assert_eq!(units, over_units, "{label}: charge over the cap");
+            }
         }
     }
 

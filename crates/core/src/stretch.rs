@@ -194,14 +194,14 @@ pub(crate) struct StretchScratch {
     /// — the same operands, so the same bits.
     ratios: Vec<f64>,
     task_probs: Vec<f64>,
-    /// `prob(p, τ)` per (task, spanning-path) slot, parallel to
-    /// [`ScheduledGraph::members`]. The products depend only on the path
-    /// guards and the probability table — not on the sweeps' state — so
-    /// each slot is written once per call (on the task's first sweep) and
-    /// re-read by later sweeps.
+    /// `prob(p, τ)` per guard suffix, indexed by the suffix slots that
+    /// [`ScheduledGraph::members`] name. The guards decided at or after
+    /// `τ`'s position form a suffix of the path's guards, and many members
+    /// share one, so each suffix is priced once per call, before the
+    /// sweeps: the same left-to-right product from 1.0 that
+    /// [`SPath::prob_after`](crate::SPath::prob_after) takes, so the same
+    /// bits.
     prob_after: Vec<f64>,
-    /// Whether a task's `prob_after` slots have been filled this call.
-    pa_filled: Vec<bool>,
     /// Flat `(branch, alternative) → probability` lookup mirroring the
     /// current table (`lit_flat[lit_base[branch] + alt]`): the exact f64s
     /// `BranchProbs::prob` returns, read from an array instead of a B-tree.
@@ -283,9 +283,15 @@ pub(crate) fn stretch_on_graph(
     scratch.delays.clear();
     scratch.delays.extend(graph.paths().map(|p| p.delay()));
     scratch.prob_after.clear();
-    scratch.prob_after.resize(graph.members().len(), 0.0);
-    scratch.pa_filled.clear();
-    scratch.pa_filled.resize(n, false);
+    scratch.prob_after.resize(graph.suffix_slots(), 0.0);
+    for (first, guards) in graph.guard_suffixes() {
+        for k in 0..=guards.len() {
+            scratch.prob_after[first + k] = guards[k..]
+                .iter()
+                .map(|(_, lit)| lit_prob(&scratch.lit_base, &scratch.lit_flat, lit))
+                .product();
+        }
+    }
 
     if let Some(seed) = seed {
         for t in ctx.ctg().tasks() {
@@ -326,8 +332,6 @@ pub(crate) fn stretch_on_graph(
                 // either way; leave it at nominal speed.
                 continue;
             }
-            let fill_pa = !scratch.pa_filled[t.index()];
-            scratch.pa_filled[t.index()] = true;
             let slack = calculate_slack(
                 graph,
                 t,
@@ -336,10 +340,7 @@ pub(crate) fn stretch_on_graph(
                 deadline,
                 &scratch.delays,
                 &scratch.ratios,
-                &mut scratch.prob_after,
-                fill_pa,
-                &scratch.lit_base,
-                &scratch.lit_flat,
+                &scratch.prob_after,
             );
             // Respect the speed floor over the *accumulated* extension.
             let max_total = wcet * (1.0 / cfg.min_speed - 1.0);
@@ -378,10 +379,13 @@ pub(crate) fn stretch_on_graph(
 /// in first-occurrence order, members ascending by path index: `slk1` sums
 /// over groups in that order); `delays`/`ratios` hold
 /// the current (stretched-so-far) delay and slack ratio of every path;
-/// `prob_after` is the caller's per-(task, member) product cache, filled
-/// on the task's first visit (`fill_pa`) and re-read afterwards — the same
-/// product, so the same bits at every use. Minimum scans replace on `<=`,
-/// so the last of equal minima wins.
+/// `prob_after` holds `prob(p, τ)` per suffix slot, priced once per call.
+///
+/// Each group run is scanned once. The scan folds the deadline cap and
+/// keeps two candidates: the critical member overall and the critical
+/// member still undecided at `τ`. Both replace on `<=` in member order, so
+/// the last of equal minima wins, exactly as a scan over only the eligible
+/// members would pick.
 ///
 /// The member order and that tie rule only matter between paths of one
 /// group with bit-equal slack ratios, which none of the reference inputs of
@@ -396,10 +400,7 @@ fn calculate_slack(
     deadline: f64,
     delays: &[f64],
     ratios: &[f64],
-    prob_after: &mut [f64],
-    fill_pa: bool,
-    lit_base: &[usize],
-    lit_flat: &[f64],
+    prob_after: &[f64],
 ) -> f64 {
     let members = graph.members();
     let mut slk1 = 0.0;
@@ -413,12 +414,24 @@ fn calculate_slack(
     // the spanning paths.
     let mut deadline_cap = f64::INFINITY;
     for &(run_start, run_end) in graph.group_runs(task) {
-        let (run_start, run_end) = (run_start as usize, run_end as usize);
-        let idxs = &members[run_start..run_end];
-        for &(i, _) in idxs {
-            deadline_cap = deadline_cap.min(deadline - delays[i as usize]);
+        let run = &members[run_start as usize..run_end as usize];
+        // `(slack ratio, prob(p, τ))` of the critical member overall and of
+        // the critical member with prob(p, τ) ≠ 1.
+        let mut critical = (f64::INFINITY, 1.0);
+        let mut critical_undecided: Option<(f64, f64)> = None;
+        for (m, &(i, slot)) in run.iter().enumerate() {
+            let i = i as usize;
+            deadline_cap = deadline_cap.min(deadline - delays[i]);
+            let r = ratios[i];
+            let pa = prob_after[slot as usize];
+            if m == 0 || r <= critical.0 {
+                critical = (r, pa);
+            }
+            if pa < 1.0 - PROB_ONE_EPS && critical_undecided.is_none_or(|(best, _)| r <= best) {
+                critical_undecided = Some((r, pa));
+            }
         }
-        let group_prob = graph.path(idxs[0].0 as usize).prob();
+        let group_prob = graph.path(run[0].0 as usize).prob();
         if group_prob <= PROB_ONE_EPS {
             // A minterm the current estimates consider impossible: it must
             // not throttle the slack of live tasks. (It still participates
@@ -428,46 +441,13 @@ fn calculate_slack(
         }
         if group_prob + PROB_ONE_EPS >= 1.0 {
             // Step 5–7: minterms with probability 1 contribute via slk2.
-            let mut worst_ratio = ratios[idxs[0].0 as usize];
-            for &(i, _) in &idxs[1..] {
-                let r = ratios[i as usize];
-                if r <= worst_ratio {
-                    worst_ratio = r;
-                }
-            }
-            slk2 = slk2.min(wcet * worst_ratio * task_prob);
+            slk2 = slk2.min(wcet * critical.0 * task_prob);
             any2 = true;
         } else {
             // Step 3–4: pick the critical path with prob(p, τ) ≠ 1 and the
             // lowest distributable slack ratio; fall back to the whole group
             // when every spanning path is already decided at τ.
-            if fill_pa {
-                for (slot, &(i, pos)) in idxs.iter().enumerate() {
-                    prob_after[run_start + slot] = graph
-                        .path(i as usize)
-                        .guards()
-                        .iter()
-                        .filter(|(fork_pos, _)| *fork_pos >= pos)
-                        .map(|(_, lit)| lit_prob(lit_base, lit_flat, lit))
-                        .product();
-                }
-            }
-            let pa = &prob_after[run_start..run_end];
-            let undecided = |slot: usize| pa[slot] < 1.0 - PROB_ONE_EPS;
-            let any_undecided = (0..idxs.len()).any(undecided);
-            let mut worst = usize::MAX;
-            let mut worst_ratio = f64::INFINITY;
-            for (slot, &(i, _)) in idxs.iter().enumerate() {
-                if any_undecided && !undecided(slot) {
-                    continue;
-                }
-                let r = ratios[i as usize];
-                if worst == usize::MAX || r <= worst_ratio {
-                    worst_ratio = r;
-                    worst = slot;
-                }
-            }
-            let p_after = pa[worst];
+            let (worst_ratio, p_after) = critical_undecided.unwrap_or(critical);
             slk1 += p_after * wcet * worst_ratio * task_prob;
             any1 = true;
         }
@@ -748,6 +728,60 @@ mod tests {
             ..Default::default()
         };
         assert!(stretch_schedule(&ctx, &probs, &sched, &bad).is_err());
+    }
+
+    /// A table favouring a different alternative at each branch, so the
+    /// guard products are not all powers of one half.
+    fn skewed_probs(ctg: &ctg_model::Ctg) -> BranchProbs {
+        let mut probs = BranchProbs::new();
+        for (bi, &b) in ctg.branch_nodes().iter().enumerate() {
+            let k = ctg.node(b).alternatives() as usize;
+            let weights: Vec<f64> = (0..k).map(|j| (1 + (j + bi) % k) as f64).collect();
+            let total: f64 = weights.iter().sum();
+            probs
+                .set(b, weights.iter().map(|w| w / total).collect())
+                .unwrap();
+        }
+        probs
+    }
+
+    /// Every member's priced suffix is the `prob(p, τ)` the public path
+    /// view computes, bit for bit — the reference stretcher only sees
+    /// these values through the final speeds.
+    #[test]
+    fn priced_suffixes_match_prob_after() {
+        let (ex_ctx, _, _) = example1_context();
+        let (mpeg_ctx, _) = crate::test_util::mpeg_context();
+        let tgff = tgff_gen::TgffConfig::new(11, 24, 3, tgff_gen::Category::ForkJoin);
+        let generated = tgff.generate();
+        let platform = tgff.generate_platform(&generated.ctg, 3);
+        let tgff_ctx = SchedContext::new(generated.ctg, platform).unwrap();
+        for (name, ctx) in [
+            ("example1", &ex_ctx),
+            ("mpeg", &mpeg_ctx),
+            ("tgff", &tgff_ctx),
+        ] {
+            let probs = skewed_probs(ctx.ctg());
+            let sched = dls_schedule(ctx, &probs).unwrap();
+            let graph = ScheduledGraph::build(ctx, &sched, &probs, DEFAULT_PATH_CAP).unwrap();
+            let mut scratch = StretchScratch::default();
+            let cfg = StretchConfig::default();
+            stretch_on_graph(ctx, &probs, &sched, &cfg, &graph, None, &mut scratch);
+            let mut pending = 0;
+            for t in ctx.ctg().tasks() {
+                for &(i, slot) in graph.span(t) {
+                    let want = graph.path(i as usize).prob_after(t, &probs);
+                    let got = scratch.prob_after[slot as usize];
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{name}: prob(p, τ) of path {i} at {t}: {got} vs {want}"
+                    );
+                    pending += usize::from(want < 1.0);
+                }
+            }
+            assert!(pending > 0, "{name}: some member must have pending guards");
+        }
     }
 
     #[test]

@@ -69,3 +69,21 @@ pub fn chain_context(deadline: f64) -> (SchedContext, BranchProbs, [TaskId; 3]) 
     let ctx = SchedContext::new(ctg, platform).unwrap();
     (ctx, probs, [a, c, d])
 }
+
+/// The MPEG decoder on its 3-PE platform with uniform branch
+/// probabilities, its deadline twice the DLS makespan.
+#[cfg(test)]
+pub(crate) fn mpeg_context() -> (SchedContext, BranchProbs) {
+    use ctg_workloads::mpeg;
+    let ctg = mpeg::mpeg_ctg();
+    let platform = mpeg::mpeg_platform(&ctg);
+    let probs = BranchProbs::uniform(&ctg);
+    let ctx = SchedContext::new(ctg, platform).unwrap();
+    let makespan = crate::dls::dls_schedule(&ctx, &probs).unwrap().makespan();
+    let ctx = SchedContext::new(
+        ctx.ctg().with_deadline(2.0 * makespan),
+        ctx.platform().clone(),
+    )
+    .unwrap();
+    (ctx, probs)
+}

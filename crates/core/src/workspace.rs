@@ -16,13 +16,20 @@
 //!    recompute on the first call. Untouched levels have bit-identical
 //!    inputs, so the updated array equals a full recompute bit for bit.
 //! 3. **Scheduled-graph reuse**: a bounded pool keeps the
-//!    [`ScheduledGraph`] of recently seen schedules. When DLS returns a
-//!    mapping/order already in the pool (drift typically oscillates among a
-//!    handful of distinct mappings), the stored graph — whose topology,
-//!    delays and path conditions do not depend on the probabilities — is
-//!    reused and only its minterm-group probabilities are re-weighted,
-//!    skipping the transitive reduction, the worst-case-exponential path
-//!    enumeration and the stretcher's per-task layout.
+//!    [`ScheduledGraph`] of recently seen PE mappings, keyed on what the
+//!    graph is built from: the task assignment, each PE's execution order
+//!    and the path cap. Start times and the global commit order are not
+//!    part of the key — the build reads starts only to prune a
+//!    reachability search whose outcome they cannot change, and never
+//!    reads the commit order — so schedules that differ only there share
+//!    one graph. When DLS returns a mapping already in the pool (drift
+//!    typically oscillates among a handful of distinct mappings), the
+//!    stored graph — whose topology, delays and path conditions do not
+//!    depend on the probabilities — is reused and only its minterm-group
+//!    probabilities are re-weighted, skipping the transitive reduction,
+//!    the worst-case-exponential path enumeration and the stretcher's
+//!    per-task layout. The stretch itself still reads the commit order,
+//!    the PEs and the starts from the schedule being solved.
 //! 4. **Memoisation**: a solve for the exact probability table and stretch
 //!    configuration of the previous solve returns its solution — the
 //!    solver is deterministic, so re-running it cannot produce anything
@@ -59,9 +66,9 @@ use crate::static_level::{static_levels_into, update_static_levels};
 use crate::stretch::{
     critical_path_fallback, stretch_on_graph, validate_config, StretchConfig, StretchScratch,
 };
-use ctg_model::{BranchProbs, Ctg};
+use ctg_model::{BranchProbs, Ctg, TaskId};
 use ctg_obs::{Counter, Hist, Obs, Stage};
-use mpsoc_platform::Platform;
+use mpsoc_platform::{PeId, Platform};
 
 /// Counters describing how much work repeated solves actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,33 +165,37 @@ struct NearMemo {
     cache: LruCache<NearKey, NearEntry>,
 }
 
-/// One pooled scheduled graph, keyed by the (schedule, path cap) it was
-/// built for.
+/// One pooled scheduled graph, keyed by the (assignment, per-PE order, path
+/// cap) it was built from — everything
+/// [`ScheduledGraph::build_metered`] reads from a schedule apart from the
+/// start times, which cannot change its result.
 #[derive(Debug, Clone)]
 struct GraphEntry {
-    /// Fingerprint of (schedule mapping/order, path cap): a u64 prefilter
-    /// so pool scans compare one word per entry instead of five vectors.
-    /// Equality is still decided by the full `schedule` compare below.
+    /// Fingerprint of the key: a u64 prefilter so pool scans compare one
+    /// word per entry instead of the key's vectors. Equality is still
+    /// decided by comparing `assignment`, `pe_order` and `path_cap`.
     fp: u64,
     /// Recency stamp (higher = more recently used); the eviction victim is
     /// the minimum. Stamps replace a move-to-back `Vec` discipline whose
     /// `remove`/`push` shuffled these fat entries on every hit.
     stamp: u64,
-    schedule: Schedule,
+    assignment: Vec<PeId>,
+    pe_order: Vec<Vec<TaskId>>,
     path_cap: usize,
     /// `None` when the path enumeration exceeded the cap — a property of
-    /// (schedule, cap) alone, so it is reusable knowledge too.
+    /// the key alone, so it is reusable knowledge too.
     graph: Option<ScheduledGraph>,
     /// The probability table the stored graph's path probabilities
     /// currently reflect.
     probs: BranchProbs,
     /// Work units the path enumeration cost when the entry was built — a
-    /// pure function of (schedule, cap), re-charged on pool hits so warm
-    /// and cold solves reach the same budget verdict.
+    /// pure function of the key (the enumeration repeats step for step),
+    /// re-charged on pool hits so warm and cold solves reach the same
+    /// budget verdict.
     enum_units: u64,
 }
 
-/// Bounded size of the schedule→graph pool. Under drifting estimates DLS
+/// Bounded size of the mapping→graph pool. Under drifting estimates DLS
 /// oscillates among a small set of distinct mappings (revisiting earlier
 /// ones as scenes recur), so keeping the recent graphs — not just the last
 /// one — multiplies reuse; each entry holds one enumerated path set, so the
@@ -193,16 +204,16 @@ struct GraphEntry {
 /// just over its capacity thrashes to ~0 hits.
 const GRAPH_POOL_CAP: usize = 64;
 
-/// Pool-scan prefilter: hashes the schedule's mapping and order (plus the
-/// path cap). Start/finish times are a pure function of mapping + order
-/// within one bound context, so they add nothing to the fingerprint; the
-/// full equality compare still has the final say on a fingerprint match.
+/// Pool-scan prefilter: hashes the pool key — the path cap, the assignment
+/// and each PE's order. Neither the start times nor the global commit
+/// order enter it: schedules that differ only there build the same graph.
+/// The full key compare still has the final say on a fingerprint match.
 fn graph_fp(schedule: &Schedule, path_cap: usize) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     path_cap.hash(&mut h);
     schedule.assignment.hash(&mut h);
-    schedule.task_order.hash(&mut h);
+    schedule.pe_order.hash(&mut h);
     h.finish()
 }
 
@@ -499,17 +510,20 @@ impl SolverWorkspace {
         validate_config(cfg)?;
 
         // Layer 3: reuse a pooled scheduled graph when DLS returned a
-        // mapping/order the pool has seen. Topology, delays, conditions and
-        // guards are probability-independent; only the path probabilities
-        // need re-weighting. A `None` graph is equally reusable: whether
-        // the enumeration exceeds the cap depends on (schedule, cap) alone.
-        // Entries are unique per (schedule, cap); a hit moves its entry to
-        // the most-recently-used end.
+        // mapping (assignment and per-PE order) the pool has seen, whatever
+        // its start times and commit order. Topology, delays, conditions
+        // and guards are probability-independent; only the path
+        // probabilities need re-weighting. A `None` graph is equally
+        // reusable: whether the enumeration exceeds the cap depends on
+        // (mapping, cap) alone. Entries are unique per (mapping, cap); a
+        // hit restamps its entry as the most recently used.
         let fp = graph_fp(&schedule, cfg.path_cap);
-        let hit = self
-            .graphs
-            .iter()
-            .position(|e| e.fp == fp && e.path_cap == cfg.path_cap && e.schedule == schedule);
+        let hit = self.graphs.iter().position(|e| {
+            e.fp == fp
+                && e.path_cap == cfg.path_cap
+                && e.assignment == schedule.assignment
+                && e.pe_order == schedule.pe_order
+        });
         let via = if hit.is_some() {
             SOLVE_VIA_POOL
         } else {
@@ -520,7 +534,7 @@ impl SolverWorkspace {
                 // Re-charge the stored enumeration cost *before* touching
                 // the entry: a budget abort must leave the pool intact and
                 // land on the same verdict a cold enumeration would (the
-                // cost is a pure function of (schedule, cap)).
+                // cost is a pure function of (mapping, cap)).
                 if let Err(e) = meter.charge(self.graphs[i].enum_units) {
                     return Err(self.note_budget_abort(&obs, track, e));
                 }
@@ -583,7 +597,8 @@ impl SolverWorkspace {
                 self.graphs.push(GraphEntry {
                     fp,
                     stamp: self.graph_clock,
-                    schedule: schedule.clone(),
+                    assignment: schedule.assignment.clone(),
+                    pe_order: schedule.pe_order.clone(),
                     path_cap: cfg.path_cap,
                     graph: built,
                     probs: probs.clone(),

@@ -225,6 +225,84 @@ fn alternating_tables_reuse_pooled_graphs() {
     );
 }
 
+/// The graph pool is keyed on the PE mapping, not on the whole schedule.
+/// Over the tables an adaptive manager adopts on a drifting MPEG movie, a
+/// warm workspace rebuilds its scheduled graph exactly once per distinct
+/// (assignment, per-PE order) pair among the cold schedules — fewer than
+/// there are distinct schedules, so schedules differing only in start
+/// times or commit order share a graph — and every warm solution stays
+/// bit-identical to its cold counterpart.
+#[test]
+fn warm_pool_builds_once_per_distinct_mapping() {
+    use adaptive_dvfs::sched::{AdaptiveScheduler, Schedule};
+    use adaptive_dvfs::workloads::{mpeg, traces};
+
+    let ctg = mpeg::mpeg_ctg();
+    let platform = mpeg::mpeg_platform(&ctg);
+    let uniform = BranchProbs::uniform(&ctg);
+    let ctx = SchedContext::new(ctg, platform).unwrap();
+    let makespan = dls_schedule(&ctx, &uniform).unwrap().makespan();
+    let ctx = SchedContext::new(
+        ctx.ctg().with_deadline(2.0 * makespan),
+        ctx.platform().clone(),
+    )
+    .unwrap();
+
+    // Bike: 300 decisions adopt 49 tables with 32 distinct schedules over
+    // 22 distinct mappings, well inside the pool, so nothing is evicted.
+    let movie = &traces::movie_presets()[1];
+    let trace = traces::generate_trace(ctx.ctg(), &movie.profile, 300);
+    let initial = traces::empirical_probs(ctx.ctg(), &trace);
+    let mut mgr = AdaptiveScheduler::new(&ctx, initial.clone(), 20, 0.1).unwrap();
+    let mut adopted: Vec<BranchProbs> = vec![initial];
+    for v in &trace {
+        if mgr.observe(&ctx, v).unwrap() {
+            adopted.push(mgr.current_probs().clone());
+        }
+    }
+
+    let online = OnlineScheduler::new();
+    let mut ws = SolverWorkspace::new();
+    let mut schedules: Vec<Schedule> = Vec::new();
+    let mut mappings = Vec::new();
+    for (i, table) in adopted.iter().enumerate() {
+        let cold = online.solve(&ctx, table);
+        let warm = online.solve_with_workspace(&ctx, table, &mut ws);
+        assert_solutions_identical(&ctx, table, &cold, &warm, &format!("table {i}"));
+        let s = cold.unwrap().schedule;
+        let mapping: (Vec<_>, Vec<Vec<_>>) = (
+            ctx.ctg().tasks().map(|t| s.pe_of(t)).collect(),
+            ctx.platform()
+                .pes()
+                .map(|pe| s.pe_order(pe).to_vec())
+                .collect(),
+        );
+        if !mappings.contains(&mapping) {
+            mappings.push(mapping);
+        }
+        if !schedules.contains(&s) {
+            schedules.push(s);
+        }
+    }
+    let stats = ws.stats();
+    assert_eq!(stats.solves, adopted.len());
+    assert_eq!(
+        stats.memo_hits, 0,
+        "adopted tables never repeat consecutively"
+    );
+    assert_eq!(
+        stats.graph_rebuilds,
+        mappings.len(),
+        "one build per distinct mapping: {stats:?}"
+    );
+    assert!(
+        mappings.len() < schedules.len(),
+        "the drift must produce schedules that share a mapping ({} mappings, {} schedules)",
+        mappings.len(),
+        schedules.len()
+    );
+}
+
 /// Rebinding the workspace to a different context starts cold (full level
 /// rebuild) and still produces bit-identical solutions for both contexts.
 #[test]

@@ -2,13 +2,14 @@
 //! against the public path view.
 //!
 //! The library stretches over the scheduled graph's flat per-task layout:
-//! each task's spanning paths grouped by minterm, `prob(p, τ)` cached per
-//! member, slack ratios cached per path. The reference below derives the
-//! same quantities the obvious way — spanning paths by [`SPath::spans`],
-//! groups by [`SPath::cond`] equality in first-occurrence order,
-//! [`SPath::prob_after`], [`SchedContext::task_prob`], the slack ratio
-//! `(D − d) / d` and the last of equal minima — and every speed must match
-//! bit for bit: cold and seeded, under the default, single-pass and
+//! each task's spanning paths grouped by minterm, `prob(p, τ)` priced once
+//! per guard suffix (members with the same pending guards share it), slack
+//! ratios cached per path, and each group scanned once. The reference below
+//! derives the same quantities the obvious way — spanning paths by
+//! [`SPath::spans`], groups by [`SPath::cond`] equality in first-occurrence
+//! order, [`SPath::prob_after`], [`SchedContext::task_prob`], the slack
+//! ratio `(D − d) / d` and the last of equal minima — and every speed must
+//! match bit for bit: cold and seeded, under the default, single-pass and
 //! exhaustive configurations, on DLS, HEFT and lookahead plans, and
 //! through a warm [`SolverWorkspace`].
 
