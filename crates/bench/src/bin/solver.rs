@@ -22,7 +22,11 @@
 //!
 //! A final instrumented warm pass records per-stage spans (`dls_map`,
 //! `path_enum`, `stretch`) through the telemetry layer for the stage
-//! breakdown; the timed passes run with telemetry disabled.
+//! breakdown; the timed passes run with telemetry disabled. The `build`
+//! row times one cold [`ScheduledGraph::build`] per distinct (assignment,
+//! per-PE order) mapping among the DLS, HEFT and lookahead plans of the
+//! harvested tables, the best of five passes each: the layer every pool
+//! miss and every cold race entry pays.
 //!
 //! Pass `--smoke` for a seconds-scale run (CI) — numbers then land in
 //! `target/BENCH_solver_smoke.json` instead of `BENCH_solver.json`. Pass
@@ -38,8 +42,8 @@ use ctg_bench::setup::{prepare_mpeg, profile_trace};
 use ctg_model::BranchProbs;
 use ctg_obs::{BufferedSink, EventKind, Obs, Stage};
 use ctg_sched::{
-    race_portfolio, AdaptiveScheduler, OnlineScheduler, SchedContext, Schedule, SchedulerKind,
-    Solution, SolverWorkspace, DEFAULT_PORTFOLIO,
+    race_portfolio, AdaptiveScheduler, OnlineScheduler, SchedContext, Schedule, ScheduledGraph,
+    SchedulerKind, Solution, SolverWorkspace, DEFAULT_PATH_CAP, DEFAULT_PORTFOLIO,
 };
 use ctg_workloads::traces;
 
@@ -50,6 +54,10 @@ const THRESHOLD: f64 = 0.1;
 /// through roughly a hundred per tile; an LRU smaller than the cycle
 /// thrashes and never replays).
 const NEAR_CAP: usize = 256;
+/// Passes over the distinct mappings in the `build` row; each mapping
+/// keeps its fastest build, so a burst of host noise in one pass drops
+/// out.
+const BUILD_PASSES: usize = 5;
 
 /// Latency summary of one pass, in microseconds.
 struct Lat {
@@ -103,9 +111,23 @@ fn assert_bit_identical(
     );
 }
 
+/// A schedule's (assignment, per-PE order) pair — the warm graph pool's
+/// key, and everything a scheduled graph depends on.
+type Mapping = (Vec<mpsoc_platform::PeId>, Vec<Vec<ctg_model::TaskId>>);
+
+fn mapping(ctx: &SchedContext, s: &Schedule) -> Mapping {
+    (
+        ctx.ctg().tasks().map(|t| s.pe_of(t)).collect(),
+        ctx.platform()
+            .pes()
+            .map(|pe| s.pe_order(pe).to_vec())
+            .collect(),
+    )
+}
+
 /// The number of distinct schedules among `solutions`, and of distinct
-/// (assignment, per-PE order) pairs — the warm graph pool's key. Without
-/// evictions a warm workspace rebuilds its graph once per distinct pair.
+/// mappings. Without evictions a warm workspace rebuilds its graph once
+/// per distinct mapping.
 fn distinct_counts(ctx: &SchedContext, solutions: &[Solution]) -> (usize, usize) {
     let mut schedules: Vec<&Schedule> = Vec::new();
     let mut mappings = HashSet::new();
@@ -114,13 +136,7 @@ fn distinct_counts(ctx: &SchedContext, solutions: &[Solution]) -> (usize, usize)
         if !schedules.contains(&s) {
             schedules.push(s);
         }
-        mappings.insert((
-            ctx.ctg().tasks().map(|t| s.pe_of(t)).collect::<Vec<_>>(),
-            ctx.platform()
-                .pes()
-                .map(|pe| s.pe_order(pe).to_vec())
-                .collect::<Vec<_>>(),
-        ));
+        mappings.insert(mapping(ctx, s));
     }
     (schedules.len(), mappings.len())
 }
@@ -178,6 +194,7 @@ fn main() {
     let mut warm_stats = None;
     let mut near_stats = None;
     let mut distinct = (0, 0);
+    let mut dls_solutions: Vec<Solution> = Vec::new();
     let mut race_wins = [0usize; SchedulerKind::COUNT];
     let mut race_energy_ratio_sum = 0.0;
     let mut race_energy_ratio_n = 0usize;
@@ -276,7 +293,34 @@ fn main() {
             race_energy_ratio_sum += outcome.energy / e_cold;
             race_energy_ratio_n += 1;
         }
+        dls_solutions = cold_solutions;
     }
+
+    // ---- Cold graph builds: one per distinct mapping of the DLS, HEFT
+    // and lookahead plans, each with the table it was solved for. ----
+    let mut seen = HashSet::new();
+    let mut builds: Vec<(Schedule, &BranchProbs)> = Vec::new();
+    for (probs, dls) in tables.iter().zip(dls_solutions) {
+        let mut plans = vec![dls.schedule];
+        for kind in [SchedulerKind::Heft, SchedulerKind::Lookahead] {
+            plans.push(kind.solve(&ctx, probs).expect("race entry solve").schedule);
+        }
+        for s in plans {
+            if seen.insert(mapping(&ctx, &s)) {
+                builds.push((s, probs));
+            }
+        }
+    }
+    let mut build_samples = vec![f64::INFINITY; builds.len()];
+    for _ in 0..BUILD_PASSES {
+        for ((s, probs), best) in builds.iter().zip(&mut build_samples) {
+            let t0 = Instant::now();
+            let graph = ScheduledGraph::build(&ctx, s, probs, DEFAULT_PATH_CAP);
+            *best = best.min(t0.elapsed().as_secs_f64());
+            assert!(graph.is_some(), "MPEG graphs fit the default path cap");
+        }
+    }
+    let build = summarize(build_samples);
 
     let cold = summarize(cold_samples);
     let warm = summarize(warm_samples);
@@ -365,6 +409,14 @@ fn main() {
         "near workspace: {} near-memo replays of {} solves ({} graph reuses / {} rebuilds)",
         near_stats.near_hits, near_stats.solves, near_stats.graph_reuses, near_stats.graph_rebuilds
     );
+    println!(
+        "cold graph build ({} distinct mappings of the dls, heft and lookahead plans, best \
+         of {BUILD_PASSES} passes): p50 {:.1} us   p99 {:.1} us   mean {:.1} us",
+        builds.len(),
+        build.p50_us,
+        build.p99_us,
+        build.mean_us
+    );
     println!("equivalence: PASS (every warm and near solution bit-identical to cold)");
     let wins: Vec<String> = SchedulerKind::ALL
         .iter()
@@ -395,6 +447,13 @@ fn main() {
     json.push_str(&format!("  \"warm\": {},\n", lat_json(&warm)));
     json.push_str(&format!("  \"near\": {},\n", lat_json(&near)));
     json.push_str(&format!("  \"portfolio\": {},\n", lat_json(&race)));
+    json.push_str(&format!(
+        "  \"build\": {{\"p50_us\": {:.3}, \"p99_us\": {:.3}, \"mean_us\": {:.3}, \"count\": {}}},\n",
+        build.p50_us,
+        build.p99_us,
+        build.mean_us,
+        builds.len()
+    ));
     json.push_str(&format!(
         "  \"portfolio_wins\": {{\"dls\": {}, \"heft\": {}, \"lookahead\": {}, \"frame\": {}}},\n",
         race_wins[0], race_wins[1], race_wins[2], race_wins[3]

@@ -39,15 +39,6 @@ impl ScenarioMask {
         }
     }
 
-    /// A mask of a set of size `len` from its words, as
-    /// [`ScenarioMask::words`] returns them.
-    pub(crate) fn from_words(words: &[u64], len: usize) -> Self {
-        ScenarioMask {
-            bits: words.to_vec(),
-            len,
-        }
-    }
-
     /// The mask's words, scenario `i` at bit `i % 64` of word `i / 64`.
     pub(crate) fn words(&self) -> &[u64] {
         &self.bits

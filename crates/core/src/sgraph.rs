@@ -9,6 +9,7 @@
 //! with its delay, activation condition and probability — the data the
 //! paper's `CalculateSlack` routine consumes.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::budget::WorkMeter;
@@ -18,9 +19,9 @@ use crate::schedule::Schedule;
 use crate::speed::SpeedAssignment;
 use ctg_model::{BranchProbs, Literal, TaskId};
 
-/// FNV-1a for the build-time mask dedup. The map is rebuilt per solve from
-/// non-adversarial keys (a few thousand scenario-mask word slices), so the
-/// cheap multiply-xor beats SipHash's per-key setup; a slice's length
+/// FNV-1a for the build-time mask interning. The map is rebuilt per solve
+/// from non-adversarial keys (a few thousand scenario-mask word slices), so
+/// the cheap multiply-xor beats SipHash's per-key setup; a slice's length
 /// prefix arrives through `write_usize`, its words through `write`.
 #[derive(Default)]
 struct Fnv(u64);
@@ -48,29 +49,6 @@ impl std::hash::Hasher for Fnv {
     fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
-}
-
-/// Largest task count for which the canonical path sort can use the packed
-/// integer prefix key: twenty 6-bit slots hold task indices up to 62 (slot
-/// value `index + 1`; 0 pads sequences shorter than twenty tasks, ordering
-/// a strict prefix before its extensions exactly like `Vec::cmp`).
-const PACK_MAX_TASK: usize = 62;
-
-/// How many leading tasks [`packed_prefix`] covers.
-const PACK_SLOTS: usize = 20;
-
-/// The first twenty tasks of a path packed into a big-endian 120-bit key
-/// whose integer order equals the lexicographic order of the (truncated)
-/// task sequence. Ties fall back to comparing the remaining tasks.
-fn packed_prefix(tasks: &[TaskId]) -> u128 {
-    let mut key = 0u128;
-    for slot in 0..PACK_SLOTS {
-        key <<= 6;
-        if let Some(t) = tasks.get(slot) {
-            key |= t.index() as u128 + 1;
-        }
-    }
-    key
 }
 
 /// Why an edge exists in the scheduled graph.
@@ -211,7 +189,9 @@ impl std::fmt::Debug for SPath<'_> {
 #[derive(Debug, Clone)]
 pub struct ScheduledGraph {
     edges: Vec<SEdge>,
-    /// The paths in canonical order.
+    /// The paths in canonical order: ascending task sequence, a prefix
+    /// before its extensions. Each path's tasks are contiguous in `tasks`,
+    /// in the same order.
     paths: Vec<PathRec>,
     tasks: Vec<TaskId>,
     guards: Vec<(u32, Literal)>,
@@ -259,7 +239,14 @@ impl ScheduledGraph {
     /// The step count depends only on the schedule's topology, the scenario
     /// masks and the path cap — not on probability values — so the charge
     /// is a pure function of the problem and budget verdicts reproduce
-    /// bit-for-bit. With an unlimited meter this is exactly `build`.
+    /// bit-for-bit. Under the cap it covers the whole walk; over the cap,
+    /// the steps taken until the first overflowing path. With an unlimited
+    /// meter this is exactly `build`.
+    ///
+    /// The walk emits the paths in canonical order and interns each path's
+    /// condition mask into its minterm group as it goes, so no sort and no
+    /// grouping pass follow it; the stretcher's per-task layout is then
+    /// laid out by a two-pass counting sort.
     ///
     /// Apart from the probabilities the graph's groups are weighted with,
     /// the result — the `None` verdict and the charge included — depends
@@ -283,9 +270,24 @@ impl ScheduledGraph {
         let edges = reduced_edges(ctx, schedule);
 
         // CSR out-adjacency: `adj[adj_start[t]..adj_start[t + 1]]` are
-        // `t`'s out-edges in edge-list order (the same order the former
-        // per-source index lists preserved), flattened so the enumeration
-        // reads each visited edge with one predictable load.
+        // `t`'s out-edges by descending destination, flattened so the
+        // enumeration reads each visited edge with one predictable load.
+        // Each edge carries its precombined mask: the destination's
+        // activation mask and the guard's literal mask (empty for an
+        // unknown literal), so a visited edge costs one `assign_and`.
+        let mut by_src: Vec<u32> = (0..edges.len() as u32).collect();
+        by_src.sort_unstable_by_key(|&i| {
+            let e = &edges[i as usize];
+            (e.src, std::cmp::Reverse(e.dst))
+        });
+        // No two edges share a (src, dst) pair — the CTG rejects duplicate
+        // edges and `collect_edges` adds an implied or pseudo edge only
+        // where none exists — so no two paths share a task sequence and
+        // the walk's order below is total.
+        debug_assert!(by_src.windows(2).all(|w| {
+            let (a, b) = (&edges[w[0] as usize], &edges[w[1] as usize]);
+            a.src != b.src || a.dst > b.dst
+        }));
         let mut adj_start = vec![0u32; n + 1];
         let mut indeg = vec![0usize; n];
         for e in &edges {
@@ -295,103 +297,114 @@ impl ScheduledGraph {
         for i in 0..n {
             adj_start[i + 1] += adj_start[i];
         }
-        let mut cursor: Vec<u32> = adj_start[..n].to_vec();
-        let mut adj: Vec<OutEdge> = vec![
-            OutEdge {
-                dst: TaskId::new(0),
-                delay: 0.0,
-                guard: None,
-            };
-            edges.len()
-        ];
-        for e in &edges {
-            let c = &mut cursor[e.src.index()];
-            adj[*c as usize] = OutEdge {
-                dst: e.dst,
-                delay: e.delay,
-                guard: e.guard,
-            };
-            *c += 1;
-        }
-        let roots: Vec<TaskId> = (0..n).filter(|&t| indeg[t] == 0).map(TaskId::new).collect();
+        let adj: Vec<OutEdge> = by_src
+            .iter()
+            .map(|&i| {
+                let e = &edges[i as usize];
+                let dst_mask = ctx.task_mask(e.dst);
+                let mask = match e.guard {
+                    None => Cow::Borrowed(dst_mask),
+                    Some(lit) => Cow::Owned(match ctx.literal_mask_ref(lit.branch(), lit.alt()) {
+                        Some(m) => dst_mask.and(m),
+                        None => ScenarioMask::empty(ctx.scenarios().len()),
+                    }),
+                };
+                OutEdge {
+                    dst: e.dst,
+                    delay: e.delay,
+                    guard: e.guard,
+                    mask,
+                }
+            })
+            .collect();
+        // Roots by descending task: the LIFO walk pops them ascending.
+        let roots: Vec<TaskId> = (0..n)
+            .rev()
+            .filter(|&t| indeg[t] == 0)
+            .map(TaskId::new)
+            .collect();
         let Some(store) = enumerate_from(ctx, schedule, &adj_start, &adj, &roots, cap, meter)?
         else {
             return Ok(None);
         };
+        let PathStore {
+            paths,
+            tasks,
+            guards,
+            group_masks,
+            ..
+        } = store;
 
-        // Deterministic canonical order: ascending task sequence, with the
-        // emission index as the final tiebreak so fully-equal sequences
-        // keep their emission order (what a stable sort guarantees). Up to
-        // PACK_MAX_TASK tasks the comparator front-loads a packed key of
-        // the first twenty tasks, so almost every comparison is one
-        // integer compare; above it a stable sort on the task sequence.
-        let seq = |i: u32| {
-            let (s, e) = store.paths[i as usize].tasks;
-            &store.tasks[s as usize..e as usize]
-        };
-        let order: Vec<u32> = if n <= PACK_MAX_TASK {
-            let mut keyed: Vec<(u128, u32)> = (0..store.paths.len() as u32)
-                .map(|i| (packed_prefix(seq(i)), i))
-                .collect();
-            let rest = |i: u32| seq(i).get(PACK_SLOTS..).unwrap_or(&[]);
-            keyed.sort_unstable_by(|a, b| {
-                a.0.cmp(&b.0)
-                    // Equal keys ⇒ the first PACK_SLOTS tasks are equal;
-                    // compare only the remainder, then keep emission order.
-                    .then_with(|| rest(a.1).cmp(rest(b.1)))
-                    .then(a.1.cmp(&b.1))
-            });
-            keyed.into_iter().map(|(_, i)| i).collect()
-        } else {
-            let mut order: Vec<u32> = (0..store.paths.len() as u32).collect();
-            order.sort_by(|&a, &b| seq(a).cmp(seq(b)));
-            order
-        };
-
-        // Canonical records, with minterm groups and their probabilities
-        // evaluated once per *distinct* condition mask: `mask_prob` is a
-        // pure function of (mask content, table) — the same ascending-bit
-        // sum for equal masks — so the group's value is bit-identical to
-        // what every member would compute. The tasks and guards stay where
-        // the enumeration wrote them; only the records move.
-        let words = store.mask_words;
+        // Each minterm group's probability, evaluated once per *distinct*
+        // condition mask: `mask_prob` is a pure function of (mask content,
+        // table) — the same ascending-bit sum for equal masks — so the
+        // group's value is bit-identical to what every member would
+        // compute.
         let scenario_probs = ctx.scenario_probs(probs);
-        let mut group_masks: Vec<ScenarioMask> = Vec::new();
-        let mut group_prob: Vec<f64> = Vec::new();
-        let mut paths: Vec<PathRec> = Vec::with_capacity(order.len());
-        {
-            let mut by_cond: HashMap<&[u64], u32, BuildFnv> =
-                HashMap::with_hasher(BuildFnv::default());
-            for &i in &order {
-                let i = i as usize;
-                let cond = &store.cond_words[i * words..(i + 1) * words];
-                let group = *by_cond.entry(cond).or_insert_with(|| {
-                    let mask = ScenarioMask::from_words(cond, ctx.scenarios().len());
-                    group_prob.push(ctx.mask_prob(&mask, &scenario_probs));
-                    group_masks.push(mask);
-                    group_masks.len() as u32 - 1
-                });
-                paths.push(PathRec {
-                    group,
-                    ..store.paths[i]
-                });
+        let group_prob: Vec<f64> = group_masks
+            .iter()
+            .map(|m| ctx.mask_prob(m, &scenario_probs))
+            .collect();
+
+        // The stretcher's per-task layout, by a two-pass counting sort over
+        // the canonical paths. Pass 1 numbers each (task, group) run in
+        // first-occurrence order and counts its members; since a path
+        // spans a task at most once, one task's runs are numbered in the
+        // order its spanning paths first reach each group.
+        // `run_of` is group-major, so one path's lookups share a row.
+        let mut run_of = vec![u32::MAX; group_masks.len() * n];
+        let row = |p: &PathRec| p.group as usize * n..(p.group as usize + 1) * n;
+        let mut run_task: Vec<u32> = Vec::new();
+        let mut run_len: Vec<u32> = Vec::new();
+        let mut run_off = vec![0u32; n + 1];
+        for p in &paths {
+            let run_of = &mut run_of[row(p)];
+            for t in &tasks[p.tasks.0 as usize..p.tasks.1 as usize] {
+                let cell = &mut run_of[t.index()];
+                if *cell == u32::MAX {
+                    *cell = run_len.len() as u32;
+                    run_len.push(0);
+                    run_task.push(t.index() as u32);
+                    run_off[t.index() + 1] += 1;
+                }
+                run_len[*cell as usize] += 1;
             }
         }
-        let PathStore { tasks, guards, .. } = store;
-
-        // The stretcher's per-task layout. Spanning lists first (CSR over
-        // the canonical path order, so each ascends by path index), then
-        // each task's list bucketed by group in first-occurrence order.
-        let mut span_off = vec![0u32; n + 1];
-        for t in &tasks {
-            span_off[t.index() + 1] += 1;
-        }
         for i in 0..n {
-            span_off[i + 1] += span_off[i];
+            run_off[i + 1] += run_off[i];
         }
-        let mut spanning = vec![(0u32, 0u32); tasks.len()];
-        let mut cursor: Vec<u32> = span_off[..n].to_vec();
+        // Runs laid out task by task, each task's in numbering order, each
+        // run's members contiguous; `fill[r]` is where run `r`'s next
+        // member goes.
+        let mut next_run: Vec<u32> = run_off[..n].to_vec();
+        let mut runs = vec![(0u32, 0u32); run_len.len()];
+        let mut fill = vec![0u32; run_len.len()];
+        for (r, &t) in run_task.iter().enumerate() {
+            let at = &mut next_run[t as usize];
+            fill[r] = *at;
+            runs[*at as usize].1 = run_len[r];
+            *at += 1;
+        }
+        let mut end = 0u32;
+        for run in &mut runs {
+            run.0 = end;
+            end += run.1;
+            run.1 = end;
+        }
+        for f in &mut fill {
+            *f = runs[*f as usize].0;
+        }
+        // A task's members start at its first run; a task no path spans
+        // starts where the next task's members do.
+        let span_off: Vec<u32> = run_off
+            .iter()
+            .map(|&r| runs.get(r as usize).map_or(end, |run| run.0))
+            .collect();
+        // Pass 2 scatters the `(path, suffix slot)` members, so each run
+        // ascends by path index.
+        let mut members = vec![(0u32, 0u32); tasks.len()];
         for (i, p) in paths.iter().enumerate() {
+            let run_of = &run_of[row(p)];
             // Every guard names the source of its CTG edge, so fork
             // positions rise strictly along the path and the guards decided
             // at or after a position are a suffix `guards[k..]`, with
@@ -407,32 +420,10 @@ impl ScheduledGraph {
                 while k < guards.len() && (guards[k].0 as usize) < pos {
                     k += 1;
                 }
-                let c = &mut cursor[t.index()];
-                spanning[*c as usize] = (i as u32, p.tasks.0 + k as u32);
+                let c = &mut fill[run_of[t.index()] as usize];
+                members[*c as usize] = (i as u32, p.tasks.0 + k as u32);
                 *c += 1;
             }
-        }
-        let mut members: Vec<(u32, u32)> = Vec::with_capacity(spanning.len());
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut run_off: Vec<u32> = Vec::with_capacity(n + 1);
-        run_off.push(0);
-        let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); group_masks.len()];
-        let mut touched: Vec<u32> = Vec::new();
-        for t in 0..n {
-            for &(i, pos) in &spanning[span_off[t] as usize..span_off[t + 1] as usize] {
-                let g = paths[i as usize].group;
-                if buckets[g as usize].is_empty() {
-                    touched.push(g);
-                }
-                buckets[g as usize].push((i, pos));
-            }
-            for &g in &touched {
-                let start = members.len() as u32;
-                members.append(&mut buckets[g as usize]);
-                runs.push((start, members.len() as u32));
-            }
-            touched.clear();
-            run_off.push(runs.len() as u32);
         }
 
         Ok(Some(ScheduledGraph {
@@ -740,38 +731,35 @@ fn reduced_edges(ctx: &SchedContext, schedule: &Schedule) -> Vec<SEdge> {
 }
 
 /// One flattened out-edge of the scheduled graph: the CSR adjacency the
-/// enumeration walks (destination, delay and guard contiguous per source
-/// task, in edge-list order).
-#[derive(Clone)]
-struct OutEdge {
+/// enumeration walks (destination, delay, guard and combined mask
+/// contiguous per source task, by descending destination).
+struct OutEdge<'a> {
     dst: TaskId,
     delay: f64,
     guard: Option<Literal>,
+    /// The destination's activation mask ANDed with the guard's literal
+    /// mask: the scenarios a prefix keeps by taking this edge. Borrowed
+    /// from the context for an unguarded edge.
+    mask: Cow<'a, ScenarioMask>,
 }
 
-/// Paths as one enumeration emits them, in emission order: records into
-/// the store's own task and guard buffers, plus each path's condition mask
-/// as `mask_words` words of `cond_words`.
+/// Paths as one enumeration emits them, in canonical order: records into
+/// the store's own task and guard buffers, and the minterm groups interned
+/// as the paths arrive — a path's group is the first-occurrence id of its
+/// condition mask, and `group_masks` holds each distinct mask once.
+#[derive(Default)]
 struct PathStore {
     paths: Vec<PathRec>,
     tasks: Vec<TaskId>,
     guards: Vec<(u32, Literal)>,
-    cond_words: Vec<u64>,
-    mask_words: usize,
+    group_masks: Vec<ScenarioMask>,
+    by_cond: HashMap<Vec<u64>, u32, BuildFnv>,
 }
 
 impl PathStore {
-    fn new(n_scen: usize) -> Self {
-        PathStore {
-            paths: Vec::new(),
-            tasks: Vec::new(),
-            guards: Vec::new(),
-            cond_words: Vec::new(),
-            mask_words: n_scen.div_ceil(64),
-        }
-    }
-
-    /// Emits one path; its group is assigned after the canonical sort.
+    /// Emits one path, joining the group of its condition mask (or opening
+    /// a new one). Most paths share the previous path's group, which is
+    /// checked before the map.
     fn push(
         &mut self,
         tasks: &[TaskId],
@@ -779,37 +767,53 @@ impl PathStore {
         cond: &ScenarioMask,
         delay: f64,
     ) {
+        let last = self.paths.last().map(|p| p.group);
+        let group = match last
+            .filter(|&g| self.group_masks[g as usize] == *cond)
+            .or_else(|| self.by_cond.get(cond.words()).copied())
+        {
+            Some(g) => g,
+            None => {
+                let g = self.group_masks.len() as u32;
+                self.by_cond.insert(cond.words().to_vec(), g);
+                self.group_masks.push(cond.clone());
+                g
+            }
+        };
         let (t0, g0) = (self.tasks.len() as u32, self.guards.len() as u32);
         self.tasks.extend_from_slice(tasks);
         self.guards.extend_from_slice(guards);
-        self.cond_words.extend_from_slice(cond.words());
         self.paths.push(PathRec {
             tasks: (t0, self.tasks.len() as u32),
             guards: (g0, self.guards.len() as u32),
-            group: u32::MAX,
+            group,
             delay,
         });
     }
 }
 
-/// Depth-first path enumeration over `roots`, LIFO over a shared stack —
-/// exactly the historical traversal (roots pushed in ascending task order,
-/// each subtree fully explored before the next root) so the per-step meter
-/// charges, the cap verdict and every float operation replay bit-for-bit.
-/// Returns the emitted paths in DFS order, `Ok(None)` once more than `cap`
-/// paths have been emitted.
+/// Depth-first path enumeration over `roots`, LIFO over a shared stack.
+/// With the roots given by descending task and each task's out-edges by
+/// descending destination, siblings pop in ascending order and a prefix is
+/// emitted before its extensions, so the paths come out in canonical order
+/// — ascending task sequence — with no sort. Returns the emitted paths,
+/// `Ok(None)` once more than `cap` paths have been emitted.
 ///
-/// The rewrite versus the original frame-cloning formulation is purely
-/// structural: the current prefix's tasks and guards live in shared buffers
-/// maintained by truncate-and-push across pops, scenario masks come from a
-/// free list and are combined in place, and emission appends the contiguous
-/// buffers to the flat store instead of walking a parent chain. Identical
-/// arithmetic, identical order.
+/// A path's tasks, guards, delay and condition mask depend only on its
+/// own prefix, and under the cap every frame and edge is visited whatever
+/// the sibling order, so the meter charge is the sum over the whole tree.
+/// Over the cap the walk stops at the first overflowing path, and the
+/// charge is what it spent until then.
+///
+/// The current prefix's tasks and guards live in shared buffers maintained
+/// by truncate-and-push across pops, scenario masks come from a free list
+/// and are combined in place, and emission appends the contiguous buffers
+/// to the flat store.
 fn enumerate_from(
     ctx: &SchedContext,
     schedule: &Schedule,
     adj_start: &[u32],
-    adj: &[OutEdge],
+    adj: &[OutEdge<'_>],
     roots: &[TaskId],
     cap: usize,
     meter: &mut WorkMeter,
@@ -865,7 +869,7 @@ fn enumerate_from(
     let mut free: Vec<ScenarioMask> = Vec::new();
     let mut covered = ScenarioMask::empty(n_scen);
     let mut cand = ScenarioMask::empty(n_scen);
-    let mut store = PathStore::new(n_scen);
+    let mut store = PathStore::default();
     while let Some(f) = stack.pop() {
         if unlimited {
             units += 1;
@@ -891,31 +895,23 @@ fn enumerate_from(
             } else {
                 meter.charge(1)?;
             }
-            // Combine the running condition with the guard and the next
-            // node's own activation condition; prune impossible branches.
-            cand.assign_and(&f.cond, ctx.task_mask(e.dst));
-            let mut guard = None;
-            if let Some(lit) = e.guard {
-                match ctx.literal_mask_ref(lit.branch(), lit.alt()) {
-                    Some(m) => cand.intersect(m),
-                    None => cand.clear(),
-                }
-                // Position of the deciding fork on the path: its deepest
-                // occurrence on the prefix, or the frame task's own
-                // position when the fork is not on the path (the
-                // historical fallback).
-                let mut fork_pos = fdepth;
-                for (d, &pt) in prefix.iter().enumerate().rev() {
-                    if pt == lit.branch() {
-                        fork_pos = d as u32;
-                        break;
-                    }
-                }
-                guard = Some((fork_pos, lit));
-            }
+            // Combine the running condition with the edge's guard and the
+            // next node's own activation condition; prune impossible
+            // branches.
+            cand.assign_and(&f.cond, &e.mask);
             if cand.is_empty() {
                 continue;
             }
+            // Position of the deciding fork on the path: its deepest
+            // occurrence on the prefix, or the frame task's own position
+            // when the fork is not on the path.
+            let guard = e.guard.map(|lit| {
+                let fork_pos = prefix
+                    .iter()
+                    .rposition(|&pt| pt == lit.branch())
+                    .map_or(fdepth, |d| d as u32);
+                (fork_pos, lit)
+            });
             covered.union(&cand);
             // Hand `cand`'s words to the new frame and recycle a free-list
             // buffer as the next `cand` (fully overwritten by the next
@@ -1123,6 +1119,95 @@ mod tests {
                 let (g, units) = build(copy, small_cap);
                 assert!(g.is_none(), "{label}: over-the-cap verdict");
                 assert_eq!(units, over_units, "{label}: charge over the cap");
+            }
+        }
+    }
+
+    /// The walk alone puts the paths in canonical order: task sequences
+    /// strictly ascend, group ids appear in first-occurrence order, one
+    /// group per distinct mask, and every task's members are its spanning
+    /// paths, ascending within runs of one group each, the runs in the
+    /// order the ascending spanning paths first reach their groups.
+    #[test]
+    fn paths_come_out_in_canonical_order() {
+        use crate::scheduler::SchedulerKind;
+        use tgff_gen::{Category, TgffConfig};
+        let tgff = |seed, tasks, branches, category, pes| {
+            let cfg = TgffConfig::new(seed, tasks, branches, category);
+            let generated = cfg.generate();
+            let platform = cfg.generate_platform(&generated.ctg, pes);
+            let ctx = SchedContext::new(generated.ctg, platform).unwrap();
+            let schedule = dls_schedule(&ctx, &generated.probs).unwrap();
+            (ctx, generated.probs, schedule)
+        };
+        let (ex_ctx, ex_probs, _) = example1_context();
+        let (mpeg_ctx, mpeg_probs) = crate::test_util::mpeg_context();
+        let mut cases = vec![(
+            "example1",
+            ex_ctx.clone(),
+            ex_probs.clone(),
+            dls_schedule(&ex_ctx, &ex_probs).unwrap(),
+        )];
+        for kind in [
+            SchedulerKind::Dls,
+            SchedulerKind::Heft,
+            SchedulerKind::Lookahead,
+        ] {
+            let plan = kind.solve(&mpeg_ctx, &mpeg_probs).unwrap();
+            cases.push((
+                kind.name(),
+                mpeg_ctx.clone(),
+                mpeg_probs.clone(),
+                plan.schedule,
+            ));
+        }
+        let (ctx, probs, s) = tgff(11, 24, 3, Category::ForkJoin, 3);
+        cases.push(("fork-join", ctx, probs, s));
+        let (ctx, probs, s) = tgff(21, 20, 2, Category::Layered, 3);
+        cases.push(("layered", ctx, probs, s));
+        let (ctx, probs, s) = tgff(79, 72, 6, Category::ForkJoin, 4);
+        assert!(ctx.ctg().num_tasks() > 62);
+        cases.push(("72-task fork-join", ctx, probs, s));
+
+        for (name, ctx, probs, s) in &cases {
+            let g = ScheduledGraph::build(ctx, s, probs, DEFAULT_PATH_CAP).unwrap();
+            assert!(g.paths().len() > 1, "{name}");
+            for (a, b) in g.paths().zip(g.paths().skip(1)) {
+                assert!(a.tasks() < b.tasks(), "{name}: {a:?} before {b:?}");
+            }
+            let mut opened = 0;
+            for p in &g.paths {
+                assert!(p.group <= opened, "{name}: group {} opened early", p.group);
+                opened = opened.max(p.group + 1);
+            }
+            assert_eq!(opened as usize, g.group_masks.len(), "{name}");
+            for (i, m) in g.group_masks.iter().enumerate() {
+                assert!(!g.group_masks[..i].contains(m), "{name}: mask {i} repeats");
+            }
+            for t in ctx.ctg().tasks() {
+                let spanning = (0..g.paths.len() as u32).filter(|&i| g.path(i as usize).spans(t));
+                let mut want: Vec<(u32, Vec<u32>)> = Vec::new();
+                for i in spanning {
+                    let group = g.paths[i as usize].group;
+                    match want.iter_mut().find(|(g, _)| *g == group) {
+                        Some((_, run)) => run.push(i),
+                        None => want.push((group, vec![i])),
+                    }
+                }
+                let want: Vec<Vec<u32>> = want.into_iter().map(|(_, run)| run).collect();
+                let got: Vec<Vec<u32>> = g
+                    .group_runs(t)
+                    .iter()
+                    .map(|&(s, e)| {
+                        g.members[s as usize..e as usize]
+                            .iter()
+                            .map(|m| m.0)
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(got, want, "{name}: runs of {t}");
+                let span: Vec<u32> = g.span(t).iter().map(|m| m.0).collect();
+                assert_eq!(span, got.concat(), "{name}: members of {t}");
             }
         }
     }

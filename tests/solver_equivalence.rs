@@ -13,7 +13,7 @@
 use adaptive_dvfs::ctg::{BranchProbs, Ctg};
 use adaptive_dvfs::sched::{
     dls_schedule, stretch_schedule, stretch_schedule_seeded, OnlineScheduler, SchedContext,
-    SolverWorkspace, StretchConfig,
+    ScheduledGraph, SolverWorkspace, StretchConfig, DEFAULT_PATH_CAP,
 };
 use adaptive_dvfs::tgff::{Category, TgffConfig};
 
@@ -424,6 +424,81 @@ fn budget_verdicts_agree_across_cold_memo_and_near_paths() {
             // even the abort's `spent` payload agrees.
             assert_eq!(cold, memo, "boundary abort payloads (memo)");
             assert_eq!(cold, near, "boundary abort payloads (near)");
+        }
+    }
+}
+
+/// Budget-verdict parity when the path enumeration overflows its cap: the
+/// cold solver, the depth-1 memo and a graph-pool hit, which re-charges
+/// the pooled `None` entry's enumeration cost in one step, land on the
+/// same verdict for a sweep of budgets around the over-cap solve cost,
+/// with bit-identical successes.
+#[test]
+fn budget_verdicts_agree_over_the_path_cap() {
+    let ctx = build_context(11, 24, 3, Category::ForkJoin, 3);
+    let a = drift_table(ctx.ctg(), 2);
+    let b = drift_table(ctx.ctg(), 5);
+    let schedule = dls_schedule(&ctx, &a).unwrap();
+    let paths = ScheduledGraph::build(&ctx, &schedule, &a, DEFAULT_PATH_CAP)
+        .expect("under the default cap")
+        .paths()
+        .len();
+    let path_cap = paths / 2;
+    assert!(ScheduledGraph::build(&ctx, &schedule, &a, path_cap).is_none());
+    let online = OnlineScheduler::with_config(StretchConfig {
+        path_cap,
+        ..StretchConfig::default()
+    });
+
+    let mut probe = SolverWorkspace::new();
+    online.solve_with_workspace(&ctx, &a, &mut probe).unwrap();
+    let cost = probe.last_solve_cost().unwrap();
+    assert!(cost > 2);
+
+    for budget in [0, 1, cost / 2, cost - 1, cost, cost + 1] {
+        let mut cold_ws = SolverWorkspace::new();
+        cold_ws.set_budget(Some(budget));
+        let cold = online.solve_with_workspace(&ctx, &a, &mut cold_ws);
+
+        // Depth-1 memo path: solve `a` unbudgeted, then repeat budgeted.
+        let mut memo_ws = SolverWorkspace::new();
+        online.solve_with_workspace(&ctx, &a, &mut memo_ws).unwrap();
+        memo_ws.set_budget(Some(budget));
+        let memo = online.solve_with_workspace(&ctx, &a, &mut memo_ws);
+
+        // Graph-pool path: `a` then `b` unbudgeted, then `a` budgeted (a
+        // non-consecutive revisit the depth-1 memo cannot serve).
+        let mut pool_ws = SolverWorkspace::new();
+        online.solve_with_workspace(&ctx, &a, &mut pool_ws).unwrap();
+        online.solve_with_workspace(&ctx, &b, &mut pool_ws).unwrap();
+        let reuses = pool_ws.stats().graph_reuses;
+        pool_ws.set_budget(Some(budget));
+        let pool = online.solve_with_workspace(&ctx, &a, &mut pool_ws);
+
+        if budget >= cost {
+            assert!(cold.is_ok(), "budget {budget} covers cost {cost}");
+            assert_solutions_identical(&ctx, &a, &cold, &memo, &format!("budget {budget} memo"));
+            assert_solutions_identical(&ctx, &a, &cold, &pool, &format!("budget {budget} pool"));
+            assert_eq!(pool_ws.stats().graph_reuses, reuses + 1, "a pool hit");
+            assert_eq!(pool_ws.stats().memo_hits, 0);
+        } else {
+            for (path, res) in [("cold", &cold), ("memo", &memo), ("pool", &pool)] {
+                assert!(
+                    matches!(
+                        res,
+                        Err(adaptive_dvfs::sched::SchedError::SolveBudgetExceeded {
+                            budget: b, ..
+                        }) if *b == budget
+                    ),
+                    "budget {budget} (cost {cost}) {path}: expected an abort, got {res:?}"
+                );
+            }
+        }
+        if budget == cost - 1 {
+            // At the boundary every path crosses on its final charge, so
+            // even the abort's `spent` payload agrees.
+            assert_eq!(cold, memo, "boundary abort payloads (memo)");
+            assert_eq!(cold, pool, "boundary abort payloads (pool)");
         }
     }
 }

@@ -236,8 +236,8 @@ fn contexts() -> Vec<(SchedContext, usize)> {
         (calibrated(cruise_ctg, cruise_platform), 2),
         (calibrated(wlan_ctg, wlan_platform), 2),
         (multi_root_context(), 2),
-        // Above 62 tasks the canonical path order comes from the stable
-        // task-sequence sort instead of the packed-prefix key.
+        // The widest input: 63 tasks against at most 25 in the Table-1/4/5
+        // graphs, so stretching is also checked on a deep path tree.
         (
             tgff_context((TgffConfig::new(3, 63, 6, Category::ForkJoin), 4)),
             2,
