@@ -37,7 +37,7 @@ cargo build -q --release --offline -p ctg-bench --bin solver
 ./target/release/solver --smoke --check-baseline BASELINE_solver.json
 test -s target/BENCH_solver_smoke.json
 
-echo "==> serving-engine determinism matrix (2 workers forced)"
+echo "==> serving-engine determinism matrix + per-stream reference pin (2 workers forced)"
 CTG_WORKERS=2 cargo test -q --offline --test serve_determinism
 
 echo "==> telemetry equivalence matrix (sink off / no-op / buffered)"
@@ -47,21 +47,23 @@ CTG_WORKERS=2 cargo test -q --offline --test obs_equivalence
 echo "==> clippy over the obs crate (deny warnings)"
 cargo clippy -p ctg-obs --all-targets --offline -- -D warnings
 
-echo "==> overload-resilience matrix (dormant-knob equivalence + shed/quarantine"
-echo "    determinism across workers, shards, cache modes; budget-off == baseline)"
+echo "==> overload-resilience matrix (dormant-knob equivalence + queue-depth shed /"
+echo "    quarantine determinism on a zero-gap replay across workers, shards, cache"
+echo "    modes; budget-off == baseline)"
 cargo test -q --offline --test serve_overload
 CTG_WORKERS=2 cargo test -q --offline --test serve_overload
 
 echo "==> event-engine determinism matrix (workers x streams x arrivals x caches;"
-echo "    closed-loop == lockstep bit-for-bit)"
+echo "    every arrival process yields the closed-loop summaries)"
 cargo test -q --offline --test serve_events
 CTG_WORKERS=2 cargo test -q --offline --test serve_events
 
-echo "==> serve bench smoke (asserts summaries invariant across engine configs and"
-echo "    engines via --compare-lockstep, runs the 10k-stream open-loop scale row,"
-echo "    writes + validates a telemetry-on chrome trace)"
+echo "==> serve bench smoke (asserts summaries invariant across engine configs,"
+echo "    shared cache > independent managers' caches at 64 streams, every overload"
+echo "    row sheds; runs the 10k-stream open-loop scale row, writes + validates a"
+echo "    telemetry-on chrome trace)"
 cargo build -q --release --offline -p ctg-bench --bin serve
-CTG_WORKERS=2 ./target/release/serve --smoke --compare-lockstep --trace target/ci_serve_trace.json
+CTG_WORKERS=2 ./target/release/serve --smoke --trace target/ci_serve_trace.json
 test -s target/ci_serve_trace.json
 test -s target/BENCH_serve_smoke.json
 

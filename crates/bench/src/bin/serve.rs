@@ -4,30 +4,27 @@
 //!
 //! The stream population models a decoder farm: a pool of 8 distinct
 //! drift "movies", each watched by several sessions at different playback
-//! offsets. Same-movie same-tick sessions exercise reschedule
-//! *coalescing*; offset sessions revisit each other's probability regimes
-//! a few hundred ticks apart and exercise the *cross-stream shared cache*
-//! (a per-stream cache cannot serve those — the regime is new to that
-//! session's own history).
+//! offsets. Sessions that start a movie together drift onto identical
+//! tables at the same instant; offset sessions revisit each other's
+//! probability regimes a few hundred instances apart. The *cross-stream
+//! shared cache* serves both (an isolated per-manager cache cannot serve
+//! either — the regime is new to that session's own history).
 //!
 //! Reported per stream count: aggregate instances/s and reschedules/s,
-//! per-stream (isolated) vs shared cache hit rates, coalescing factor, and
-//! the speedup over the independent-manager baseline. Determinism is
-//! asserted, not sampled: per-stream summaries must be bit-identical
-//! across worker counts, shard counts and cache modes. Pass `--smoke` for
-//! a seconds-scale run (CI); numbers land in `BENCH_serve.json`, or in
-//! `target/BENCH_serve_smoke.json` for smoke runs so CI never clobbers
-//! the committed full-run artifact.
+//! isolated (the independent managers' own caches) vs shared cache hit
+//! rates, and the speedup over the independent-manager baseline.
+//! Determinism is asserted, not sampled: per-stream summaries must be
+//! bit-identical across worker counts, shard counts and cache modes. Pass
+//! `--smoke` for a seconds-scale run (CI); numbers land in
+//! `BENCH_serve.json`, or in `target/BENCH_serve_smoke.json` for smoke
+//! runs so CI never clobbers the full-run artifact.
 //!
-//! Two event-engine extensions ride along:
-//!
-//! * `--compare-lockstep` re-runs every stream count on the retired
-//!   lockstep engine (asserting bit-equal summaries) and records both
-//!   engines' instance throughput plus the crossover stream count;
-//! * a *scale* row drives 10k (smoke) / 100k (full) short-trace streams
-//!   under Poisson arrivals with a latency SLO — the open-loop regime the
-//!   lockstep engine cannot express — reporting latency percentiles and
-//!   the SLO-violation rate.
+//! Three more rows ride along: a *scale* row drives 10k (smoke) / 100k
+//! (full) short-trace streams under Poisson arrivals with a latency SLO,
+//! reporting latency percentiles and the SLO-violation rate; an
+//! *overload* sweep runs budgets, queue-depth admission and quarantine
+//! under rising fault bursts; a *portfolio* row races schedulers on every
+//! drift event.
 
 use ctg_bench::setup::{prepare_mpeg, profile_trace};
 use ctg_model::DecisionVector;
@@ -36,8 +33,8 @@ use ctg_sched::{
     AdaptiveScheduler, OnlineScheduler, SchedulerKind, SolverWorkspace, DEFAULT_PORTFOLIO,
 };
 use ctg_sim::serve::{
-    run_serve, AdmissionConfig, ArrivalConfig, ArrivalKind, CacheMode, EngineKind,
-    QuarantineConfig, ServeConfig, ServeReport, StreamSpec,
+    run_serve, AdmissionConfig, ArrivalConfig, ArrivalKind, CacheMode, QuarantineConfig,
+    ServeConfig, ServeReport, StreamSpec,
 };
 use ctg_sim::{map_ordered, run_adaptive, worker_count, BurstModel, FaultPlan, RunConfig, Runner};
 use ctg_workloads::traces::{self, DriftProfile};
@@ -63,10 +60,10 @@ fn rotated(base: &[DecisionVector], offset: usize) -> Vec<DecisionVector> {
 /// `streams` sessions over a pool of [`SEED_POOL`] drift movies; session
 /// `i` plays movie `i % SEED_POOL` at one of two playback offsets. Beyond
 /// 16 streams the population therefore contains *duplicate* sessions
-/// (several viewers hit play on the same movie at the same moment — the
-/// coalescer's case) and *lagged* sessions 37 ticks apart (the shared
-/// cache's case: the leader inserts each regime's plan, the laggard
-/// replays it).
+/// (several viewers hit play on the same movie at the same moment) and
+/// *lagged* sessions 37 instances apart. Either way the shared cache
+/// answers the follower: the leader inserts each regime's plan, the
+/// follower replays it.
 fn stream_specs(
     ctx: &ctg_sched::SchedContext,
     streams: usize,
@@ -104,7 +101,6 @@ fn serve_cfg(workers: usize, shards: usize, cache: CacheMode) -> ServeConfig {
         workers,
         shards,
         cache,
-        coalesce: true,
         quantum: THRESHOLD,
         solve_budget: None,
         admission: None,
@@ -115,12 +111,14 @@ fn serve_cfg(workers: usize, shards: usize, cache: CacheMode) -> ServeConfig {
 
 struct Baseline {
     reschedules: usize,
+    /// Drift events answered by the managers' own caches.
+    cache_hits: usize,
     wall_s: f64,
 }
 
 /// The pre-serve architecture: one independent `AdaptiveScheduler` (with
 /// its own PR 2 schedule cache) per stream, run over the worker pool.
-/// Nothing is shared, nothing coalesces.
+/// Nothing is shared.
 fn run_independent(
     ctx: &ctg_sched::SchedContext,
     specs: &[StreamSpec],
@@ -137,6 +135,7 @@ fn run_independent(
     });
     Baseline {
         reschedules: summaries.iter().map(|s| s.reschedules).sum(),
+        cache_hits: summaries.iter().map(|s| s.cache_hits).sum(),
         wall_s: start.elapsed().as_secs_f64(),
     }
 }
@@ -204,8 +203,8 @@ struct OverloadRow {
 }
 
 /// The sweep population: the drift-movie sessions of [`stream_specs`] with
-/// staggered criticalities and (for `p_enter > 0`) a burst-modulated fault
-/// plan driving correlated miss storms.
+/// (for `p_enter > 0`) a burst-modulated fault plan driving correlated
+/// miss storms.
 fn overload_specs(
     ctx: &ctg_sched::SchedContext,
     streams: usize,
@@ -214,7 +213,6 @@ fn overload_specs(
 ) -> Vec<StreamSpec> {
     let mut specs = stream_specs(ctx, streams, trace_len);
     for (i, spec) in specs.iter_mut().enumerate() {
-        spec.criticality = (i % 4) as u8;
         if p_enter > 0.0 {
             let mut plan = FaultPlan::uniform(0xB0057 + i as u64, 0.02);
             plan.burst = Some(BurstModel {
@@ -246,7 +244,11 @@ fn overload_sweep(
     workers: usize,
 ) -> Vec<OverloadRow> {
     let streams = if smoke { 16 } else { 64 };
-    let high_water = (streams / 8).max(1);
+    // Every session is replayed with all its instances arriving at t = 0,
+    // so when instance k completes `trace_len - 1 - k` arrivals wait
+    // behind it whatever the service times: drift events in the first
+    // half of each trace are shed, later ones admitted.
+    let high_water = trace_len / 2;
     let budget = {
         let probe = overload_specs(ctx, streams, trace_len, 0.0);
         let cost = typical_solve_cost(ctx, &probe);
@@ -260,11 +262,16 @@ fn overload_sweep(
         solve_budget: Some(budget),
         admission: Some(AdmissionConfig { high_water }),
         quarantine: Some(QuarantineConfig::default()),
+        arrival: ArrivalConfig {
+            kind: ArrivalKind::Trace,
+            traces: vec![vec![0.0; trace_len]; streams],
+            ..ArrivalConfig::default()
+        },
         ..serve_cfg(workers, shards, cache)
     };
     println!(
-        "\noverload sweep ({streams} streams, budget {budget} units, \
-         high-water {high_water}):"
+        "\noverload sweep ({streams} streams replayed at t = 0, budget {budget} units, \
+         high-water {high_water} queued):"
     );
     let mut rows = Vec::new();
     for &p_enter in &[0.0, 0.05, 0.2] {
@@ -318,14 +325,12 @@ struct Row {
     instances: usize,
     inst_per_s: f64,
     resched_per_s: f64,
-    coalescing_factor: f64,
-    per_stream_hit_rate: f64,
+    isolated_hit_rate: f64,
     shared_hit_rate: f64,
     solver_calls_shared: usize,
     solver_calls_independent: usize,
     baseline_resched_per_s: f64,
     speedup: f64,
-    lockstep_inst_per_s: Option<f64>,
     stages: BTreeMap<&'static str, StageAgg>,
     metrics_json: String,
 }
@@ -525,7 +530,6 @@ portfolio ({streams} streams): {} races, wins {}, energy {:.1} vs dls {:.1} \
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let compare_lockstep = args.iter().any(|a| a == "--compare-lockstep");
     let trace_path: Option<&str> = args.iter().position(|a| a == "--trace").map(|i| {
         args.get(i + 1)
             .expect("--trace requires a file path")
@@ -551,20 +555,7 @@ fn main() {
         // Determinism reference: fully sequential, cache off.
         let reference =
             run_serve(&ctx, &specs, &serve_cfg(1, 1, CacheMode::Off)).expect("reference serve run");
-        // Isolated per-stream caches (the "no sharing" engine).
-        let isolated = run_serve(
-            &ctx,
-            &specs,
-            &serve_cfg(
-                workers,
-                streams,
-                CacheMode::PerStream {
-                    capacity: PER_STREAM_CAPACITY,
-                },
-            ),
-        )
-        .expect("per-stream serve run");
-        // The full engine: shared striped cache + coalescing.
+        // The full engine: shared striped cache.
         let shared_cache = CacheMode::Shared {
             capacity: SHARED_CAPACITY,
             stripes: SHARED_STRIPES,
@@ -591,11 +582,6 @@ fn main() {
         )
         .expect("resharded serve run");
 
-        assert_same_streams(
-            &isolated,
-            &reference,
-            &format!("{streams}: per-stream vs ref"),
-        );
         assert_same_streams(&shared, &reference, &format!("{streams}: shared vs ref"));
         assert_same_streams(
             &resharded,
@@ -603,28 +589,6 @@ fn main() {
             &format!("{streams}: resharded vs shared"),
         );
         assert_eq!(shared.stats.drift_events, reference.stats.drift_events);
-
-        // Engine comparison: the lockstep engine over the same population
-        // must reproduce the event engine's summaries bit-for-bit (the
-        // closed-loop equivalence contract), and both throughputs go into
-        // the artifact so the crossover is visible.
-        let lockstep_inst_per_s = compare_lockstep.then(|| {
-            let lockstep = run_serve(
-                &ctx,
-                &specs,
-                &ServeConfig {
-                    engine: EngineKind::Lockstep,
-                    ..serve_cfg(workers, streams, shared_cache)
-                },
-            )
-            .expect("lockstep serve run");
-            assert_same_streams(
-                &lockstep,
-                &shared,
-                &format!("{streams}: lockstep vs events"),
-            );
-            lockstep.stats.instances_per_s()
-        });
 
         // Telemetry-on run through the unified `Runner` API: bit-identical
         // streams (asserted) plus a stage-level breakdown for the artifact.
@@ -666,6 +630,11 @@ fn main() {
             baseline.reschedules, shared.stats.drift_events,
             "independent managers must adopt the same reschedules"
         );
+        let isolated_hit_rate = if baseline.reschedules > 0 {
+            baseline.cache_hits as f64 / baseline.reschedules as f64
+        } else {
+            0.0
+        };
 
         let resched_per_s = shared.stats.reschedules_per_s();
         let baseline_resched_per_s = if baseline.wall_s > 0.0 {
@@ -683,37 +652,30 @@ fn main() {
         }
         if streams == 64 {
             speedup_at_64 = speedup;
-            hit_split_at_64 = (
-                isolated.stats.per_stream_hit_rate(),
-                shared.stats.shared_hit_rate(),
-            );
+            hit_split_at_64 = (isolated_hit_rate, shared.stats.shared_hit_rate());
         }
         println!(
             "{streams:>4} streams: {:>9.0} inst/s  {:>7.0} resched/s  \
-             coalesce x{:.2}  hit iso {:>5.1}% / shared {:>5.1}%  speedup x{:.2}{}",
+             hit iso {:>5.1}% ({}/{}) / shared {:>5.1}%  speedup x{:.2}",
             shared.stats.instances_per_s(),
             resched_per_s,
-            shared.stats.coalescing_factor(),
-            100.0 * isolated.stats.per_stream_hit_rate(),
+            100.0 * isolated_hit_rate,
+            baseline.cache_hits,
+            baseline.reschedules,
             100.0 * shared.stats.shared_hit_rate(),
             speedup,
-            lockstep_inst_per_s
-                .map(|l| format!("  lockstep {l:.0} inst/s"))
-                .unwrap_or_default()
         );
         rows.push(Row {
             streams,
             instances: shared.stats.instances,
             inst_per_s: shared.stats.instances_per_s(),
             resched_per_s,
-            coalescing_factor: shared.stats.coalescing_factor(),
-            per_stream_hit_rate: isolated.stats.per_stream_hit_rate(),
+            isolated_hit_rate,
             shared_hit_rate: shared.stats.shared_hit_rate(),
             solver_calls_shared: shared.stats.solver_calls,
             solver_calls_independent: reference.stats.solver_calls,
             baseline_resched_per_s,
             speedup,
-            lockstep_inst_per_s,
             stages,
             metrics_json,
         });
@@ -726,8 +688,8 @@ fn main() {
     let (iso_rate, shared_rate) = hit_split_at_64;
     assert!(
         shared_rate > iso_rate,
-        "shared cache hit rate ({shared_rate:.3}) must exceed the isolated \
-         per-stream rate ({iso_rate:.3}) at 64 streams"
+        "shared cache hit rate ({shared_rate:.3}) must exceed the independent \
+         managers' own rate ({iso_rate:.3}) at 64 streams"
     );
     if !smoke {
         assert!(
@@ -735,12 +697,10 @@ fn main() {
             "aggregate reschedule throughput must be >= 2x the independent \
              baseline at 64 streams, got x{speedup_at_64:.2}"
         );
-        // The event engine solves on each stream's own warm workspace, so
-        // small populations must no longer pay the lockstep engine's
-        // cross-stream warm-start thrash.
+        // Small populations must not pay for the engine's machinery.
         assert!(
             speedup_at_8 >= 1.0,
-            "the event engine must at least match the independent baseline \
+            "the serve engine must at least match the independent baseline \
              at 8 streams, got x{speedup_at_8:.2}"
         );
     }
@@ -754,11 +714,11 @@ fn main() {
         .collect();
     let overload_rows = overload_sweep(&ctx, trace_len, smoke, workers);
     let portfolio_row = portfolio_run(&ctx, trace_len, workers, if smoke { 16 } else { 64 });
+    // Budget aborts alone must not pass for a working sweep: every row has
+    // to shed, or queue-depth admission is not being exercised at all.
     assert!(
-        overload_rows
-            .iter()
-            .any(|r| r.shed_requests > 0 || r.budget_exceeded > 0),
-        "the overload sweep must actually exercise shedding or budgets"
+        overload_rows.iter().all(|r| r.shed_requests > 0),
+        "every overload sweep row must shed"
     );
 
     println!("\ndeterminism: PASS (summaries identical across workers/shards/cache modes)");
@@ -772,21 +732,16 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"streams\": {}, \"instances\": {}, \"inst_per_s\": {:.1}, \
-             \"lockstep_inst_per_s\": {}, \
-             \"resched_per_s\": {:.1}, \"coalescing_factor\": {:.3}, \
-             \"per_stream_hit_rate\": {:.4}, \"shared_hit_rate\": {:.4}, \
+             \"resched_per_s\": {:.1}, \
+             \"isolated_hit_rate\": {:.4}, \"shared_hit_rate\": {:.4}, \
              \"solver_calls_shared\": {}, \"solver_calls_independent\": {}, \
              \"baseline_resched_per_s\": {:.1}, \"speedup_vs_independent\": {:.3}, \
              \"stages\": {}, \"metrics\": {}}}{}\n",
             r.streams,
             r.instances,
             r.inst_per_s,
-            r.lockstep_inst_per_s
-                .map(|l| format!("{l:.1}"))
-                .unwrap_or_else(|| "null".to_string()),
             r.resched_per_s,
-            r.coalescing_factor,
-            r.per_stream_hit_rate,
+            r.isolated_hit_rate,
             r.shared_hit_rate,
             r.solver_calls_shared,
             r.solver_calls_independent,
@@ -797,15 +752,7 @@ fn main() {
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
-    // Crossover: the smallest stream count where the event engine's
-    // throughput meets or beats the lockstep engine's (null without
-    // --compare-lockstep or when lockstep wins everywhere).
-    let crossover = rows
-        .iter()
-        .find(|r| r.lockstep_inst_per_s.is_some_and(|l| r.inst_per_s >= l))
-        .map(|r| r.streams.to_string())
-        .unwrap_or_else(|| "null".to_string());
-    json.push_str(&format!("  ],\n  \"crossover_streams\": {crossover},\n"));
+    json.push_str("  ],\n");
     json.push_str("  \"scale\": [\n");
     for (i, scale) in scale_rows.iter().enumerate() {
         json.push_str(&format!(

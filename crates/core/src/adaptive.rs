@@ -760,9 +760,8 @@ impl AdaptiveScheduler {
     /// table [`AdaptiveScheduler::observe`] would re-schedule on right now.
     ///
     /// Splitting drift detection from solving lets an external engine
-    /// coalesce solves across streams: collect candidates, solve each
-    /// distinct table once, then hand the plans back through
-    /// [`AdaptiveScheduler::adopt_candidate`].
+    /// route the solve through its own caches and workspaces, then hand
+    /// the plan back through [`AdaptiveScheduler::adopt_candidate`].
     pub fn drift_candidate(&self, ctx: &SchedContext) -> Option<BranchProbs> {
         let candidate = self.drifted_probs(ctx);
         if candidate.is_some() {

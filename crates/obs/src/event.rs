@@ -10,8 +10,8 @@
 /// One variant per hot stage of the stack, from the solver's inner phases
 /// (DLS mapping, path enumeration, stretching) through the adaptive
 /// manager's decisions (drift, adoption, cache traffic) to the serving
-/// engine's machinery (ticks, coalescing, fan-out) and the failure plumbing
-/// (fault injection, degradation-ladder transitions).
+/// engine's machinery (event queues, SLO misses, shedding) and the failure
+/// plumbing (fault injection, degradation-ladder transitions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Stage {
@@ -35,18 +35,14 @@ pub enum Stage {
     /// (`arg` = instances observed so far).
     DriftDetect,
     /// A candidate plan was adopted (`arg` = 1 when the adopting solve ran
-    /// the solver, 0 when a cache or coalesced fan-out served it).
+    /// the solver, 0 when a cache served it).
     Adopt,
     /// A schedule-cache lookup hit (manager LRU or shared striped cache).
     CacheHit,
     /// A schedule-cache lookup missed and fell through to the solver.
     CacheMiss,
-    /// Same-tick requests folded into one solve job (`arg` = requesters in
-    /// the group).
-    Coalesce,
-    /// A coalesced/cached plan fanned out to a follower stream.
-    FanOut,
-    /// One lockstep serving tick on one worker (`arg` = streams advanced).
+    /// Nothing records it: the serve engine has no ticks. Kept so existing
+    /// callers compile.
     Tick,
     /// An instance arrival was pushed onto a worker's event queue
     /// (`arg` = queue depth after the push).
@@ -60,7 +56,7 @@ pub enum Stage {
     FaultInject,
     /// The degradation ladder changed rung (`arg` = new rung, 0..=3).
     Ladder,
-    /// Admission control shed reschedule requests this tick
+    /// Admission control shed a stream's drift re-solve
     /// (`arg` = requests shed).
     Shed,
     /// A stream's circuit breaker opened and the stream entered
@@ -101,8 +97,6 @@ impl Stage {
             Stage::Adopt => "adopt",
             Stage::CacheHit => "cache_hit",
             Stage::CacheMiss => "cache_miss",
-            Stage::Coalesce => "coalesce",
-            Stage::FanOut => "fan_out",
             Stage::Tick => "tick",
             Stage::Enqueue => "enqueue",
             Stage::Dequeue => "dequeue",
@@ -130,12 +124,7 @@ impl Stage {
             | Stage::CacheHit
             | Stage::CacheMiss => "cache",
             Stage::DriftDetect | Stage::Adopt | Stage::PortfolioRace => "adapt",
-            Stage::Coalesce
-            | Stage::FanOut
-            | Stage::Tick
-            | Stage::Enqueue
-            | Stage::Dequeue
-            | Stage::SloMiss => "serve",
+            Stage::Tick | Stage::Enqueue | Stage::Dequeue | Stage::SloMiss => "serve",
             Stage::FaultInject
             | Stage::Ladder
             | Stage::Shed
@@ -195,8 +184,6 @@ mod tests {
             Stage::Adopt,
             Stage::CacheHit,
             Stage::CacheMiss,
-            Stage::Coalesce,
-            Stage::FanOut,
             Stage::Tick,
             Stage::Enqueue,
             Stage::Dequeue,

@@ -4,7 +4,7 @@
 //! adaptive manager, fault plumbing and serving engine all carry an
 //! [`Obs`] handle and record span/instant [`Event`]s for their hot stages
 //! (DLS mapping, path enumeration, stretching, cache hits, drift
-//! detection, coalesced fan-out, fault injection, ladder transitions)
+//! detection, event-queue work, fault injection, ladder transitions)
 //! plus counters and fixed-bucket histograms into a [`Metrics`] registry.
 //!
 //! * **Disabled is free.** A disabled handle ([`Obs::disabled`], the

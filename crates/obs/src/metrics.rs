@@ -30,8 +30,6 @@ pub enum Counter {
     DriftEvents,
     /// Adopted re-schedules.
     Adoptions,
-    /// Requests folded into another stream's solve job.
-    CoalescedRequests,
     /// Injected fault events.
     FaultsInjected,
     /// Degradation-ladder transitions.
@@ -60,7 +58,7 @@ pub enum Counter {
 }
 
 /// All counters, in snapshot/export order.
-pub const COUNTERS: [Counter; 20] = [
+pub const COUNTERS: [Counter; 19] = [
     Counter::Instances,
     Counter::DeadlineMisses,
     Counter::SolverCalls,
@@ -68,7 +66,6 @@ pub const COUNTERS: [Counter; 20] = [
     Counter::CacheMisses,
     Counter::DriftEvents,
     Counter::Adoptions,
-    Counter::CoalescedRequests,
     Counter::FaultsInjected,
     Counter::LadderTransitions,
     Counter::ShedRequests,
@@ -93,19 +90,18 @@ impl Counter {
             Counter::CacheMisses => 4,
             Counter::DriftEvents => 5,
             Counter::Adoptions => 6,
-            Counter::CoalescedRequests => 7,
-            Counter::FaultsInjected => 8,
-            Counter::LadderTransitions => 9,
-            Counter::ShedRequests => 10,
-            Counter::QuarantineEvents => 11,
-            Counter::BudgetExceededSolves => 12,
-            Counter::NearMissHits => 13,
-            Counter::SloMisses => 14,
-            Counter::CellsCompleted => 15,
-            Counter::CellsResumed => 16,
-            Counter::ArtifactCompiles => 17,
-            Counter::ArtifactHits => 18,
-            Counter::PortfolioRaces => 19,
+            Counter::FaultsInjected => 7,
+            Counter::LadderTransitions => 8,
+            Counter::ShedRequests => 9,
+            Counter::QuarantineEvents => 10,
+            Counter::BudgetExceededSolves => 11,
+            Counter::NearMissHits => 12,
+            Counter::SloMisses => 13,
+            Counter::CellsCompleted => 14,
+            Counter::CellsResumed => 15,
+            Counter::ArtifactCompiles => 16,
+            Counter::ArtifactHits => 17,
+            Counter::PortfolioRaces => 18,
         }
     }
 
@@ -119,7 +115,6 @@ impl Counter {
             Counter::CacheMisses => "cache_misses",
             Counter::DriftEvents => "drift_events",
             Counter::Adoptions => "adoptions",
-            Counter::CoalescedRequests => "coalesced_requests",
             Counter::FaultsInjected => "faults_injected",
             Counter::LadderTransitions => "ladder_transitions",
             Counter::ShedRequests => "shed_requests",

@@ -43,8 +43,7 @@
 use crate::fault::FaultPlan;
 use crate::pool;
 use crate::serve::{
-    run_serve_seeded, ArrivalConfig, ArrivalKind, CacheMode, EngineKind, ServeConfig, ServeReport,
-    StreamSpec,
+    run_serve_seeded, ArrivalConfig, ArrivalKind, CacheMode, ServeConfig, ServeReport, StreamSpec,
 };
 use ctg_model::{BranchProbs, DecisionVector};
 use ctg_obs::json::{self, fmt_f64, quote, Value};
@@ -956,14 +955,12 @@ fn run_cell(
             capacity: 1024,
             stripes: 1,
         },
-        coalesce: true,
         quantum: 0.1,
         solve_budget: None,
         admission: None,
         quarantine: None,
         arrival: spec.arrivals[cell.coord.arrival]
             .to_config(SplitMix64::mix(cell.id, ARRIVAL_SALT)),
-        engine: EngineKind::Auto,
         // Labels were validated with the spec; a bare `dls` selection is
         // the historic pipeline, not a one-entry race.
         portfolio: crate::run::normalize_scheduler_selection(

@@ -13,9 +13,9 @@
 //! (workers, fault plan, degradation ladder, serve knobs, telemetry) and a
 //! [`Runner`] dispatching to the static / adaptive / serving engines. The
 //! [`runner`] free functions survive as thin wrappers over it. [`serve`]
-//! drives *many* independent adaptive streams at once, sharded over worker
-//! threads with a cross-stream schedule cache and same-tick reschedule
-//! coalescing. Every engine records structured telemetry through a
+//! drives *many* independent adaptive streams at once through a
+//! discrete-event engine, sharded over worker threads with a cross-stream
+//! schedule cache. Every engine records structured telemetry through a
 //! `ctg_obs::Obs` handle when one is configured — with the invariant that
 //! simulated results are bit-identical with telemetry on or off.
 //!

@@ -107,9 +107,6 @@ pub struct RunConfig {
     pub shards: usize,
     /// Schedule-cache mode for [`Runner::serve`].
     pub cache: CacheMode,
-    /// Coalesce identical same-tick reschedule requests in
-    /// [`Runner::serve`].
-    pub coalesce: bool,
     /// Quantisation resolution of the serve engine's shared-cache key.
     pub quantum: f64,
     /// Inject faults from this plan ([`Runner::run_static`] and
@@ -126,12 +123,9 @@ pub struct RunConfig {
     /// Arrival process, latency SLO and replay traces for
     /// [`Runner::serve`]'s discrete-event engine (closed loop by default).
     pub arrival: ArrivalConfig,
-    /// Serve-engine selection: [`EngineKind::Auto`] (the default) routes
-    /// admission-controlled closed-loop runs to the lockstep engine and
-    /// everything else to the event-driven one.
-    pub engine: EngineKind,
-    /// Admission control for [`Runner::serve`]: cap per-tick reschedule
-    /// demand and shed the excess deterministically.
+    /// Admission control for [`Runner::serve`]: shed a stream's drift
+    /// re-solve while its queue is deeper than the high-water mark
+    /// (needs open-loop arrivals).
     pub admission: Option<AdmissionConfig>,
     /// Per-stream quarantine circuit breaker for [`Runner::serve`].
     pub quarantine: Option<QuarantineConfig>,
@@ -150,8 +144,8 @@ impl RunConfig {
     /// Fixed defaults, independent of the process environment: sequential
     /// (`workers = 1`), the compiled-in
     /// [`pool::DEFAULT_MIN_BATCH`] threshold, one shard, the serve
-    /// engine's default shared cache, coalescing on, no faults, no ladder,
-    /// telemetry disabled.
+    /// engine's default shared cache, no faults, no ladder, telemetry
+    /// disabled.
     pub fn new() -> Self {
         RunConfig {
             workers: 1,
@@ -161,13 +155,11 @@ impl RunConfig {
                 capacity: 4096,
                 stripes: 16,
             },
-            coalesce: true,
             quantum: 0.1,
             fault_plan: None,
             degrade: None,
             solve_budget: None,
             arrival: ArrivalConfig::default(),
-            engine: EngineKind::Auto,
             admission: None,
             quarantine: None,
             portfolio: None,
@@ -230,10 +222,11 @@ impl RunConfig {
         self
     }
 
-    /// Enables/disables serve-engine request coalescing.
+    /// Returns the configuration unchanged: every serve request is its own
+    /// solve job and the shared cache does the amortizing. Kept so
+    /// existing callers compile.
     #[must_use]
-    pub fn coalesce(mut self, coalesce: bool) -> Self {
-        self.coalesce = coalesce;
+    pub fn coalesce(self, _coalesce: bool) -> Self {
         self
     }
 
@@ -279,10 +272,10 @@ impl RunConfig {
         self
     }
 
-    /// Pins the serve engine ([`EngineKind::Auto`] picks per run).
+    /// Returns the configuration unchanged: there is one serve engine.
+    /// Kept so existing callers compile.
     #[must_use]
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
+    pub fn engine(self, _engine: EngineKind) -> Self {
         self
     }
 
@@ -336,11 +329,9 @@ impl RunConfig {
             workers: self.workers,
             shards: self.shards,
             cache: self.cache,
-            coalesce: self.coalesce,
             quantum: self.quantum,
             solve_budget: self.solve_budget,
             arrival: self.arrival.clone(),
-            engine: self.engine,
             admission: self.admission,
             quarantine: self.quarantine,
             portfolio: self.portfolio.clone(),
@@ -544,18 +535,15 @@ mod tests {
         assert_eq!(cfg.min_batch, 0);
         assert_eq!(cfg.shards, 7);
         assert_eq!(cfg.cache, CacheMode::Off);
-        assert!(!cfg.coalesce);
         assert!(cfg.fault_plan.is_some());
         assert!(cfg.degrade.is_some());
         assert_eq!(cfg.solve_budget, Some(5000));
         assert_eq!(cfg.arrival, arrival);
-        assert_eq!(cfg.engine, EngineKind::Events);
         let sc = cfg.serve_config();
         assert_eq!(sc.workers, 4);
         assert_eq!(sc.shards, 7);
         assert_eq!(sc.solve_budget, Some(5000));
         assert_eq!(sc.arrival, arrival);
-        assert_eq!(sc.engine, EngineKind::Events);
         assert_eq!(sc.admission, Some(AdmissionConfig { high_water: 3 }));
         assert_eq!(sc.quarantine, Some(QuarantineConfig::default()));
         assert_eq!(
@@ -596,7 +584,6 @@ mod tests {
         assert_eq!(cfg.min_batch, pool::min_batch());
         assert_eq!(cfg.shards, serve::default_shards());
         assert_eq!(cfg.arrival.kind, serve::default_arrival());
-        assert_eq!(cfg.engine, EngineKind::Auto);
         assert_eq!(cfg.portfolio, scheduler_from_env());
     }
 

@@ -93,9 +93,9 @@ impl std::fmt::Display for ExecStats {
 /// event-driven serving engine.
 ///
 /// Kept *separate* from [`StreamSummary`](crate::StreamSummary) so the
-/// closed-loop equivalence contract — event-engine summaries bit-equal to
-/// lockstep summaries — stays a plain `==` over summaries: latencies only
-/// exist where arrivals do. All quantities are virtual time (the same unit
+/// arrival-invariance contract — without admission control, summaries are
+/// bit-equal under every arrival process — stays a plain `==` over
+/// summaries: latencies move with arrivals, decisions do not. All quantities are virtual time (the same unit
 /// as makespans and deadlines). Latency for instance *k* is
 /// `completion_k − arrival_k`, which folds in any queueing delay behind
 /// earlier instances of the same stream; in closed-loop mode it collapses

@@ -102,8 +102,8 @@ pub mod prelude {
         SchedContext, SchedError, SchedulerKind, Solution, DEFAULT_PORTFOLIO,
     };
     pub use crate::sim::{
-        run_serve, simulate_instance, AdmissionConfig, BurstModel, CacheMode, DegradeConfig,
-        ExecStats, FaultPlan, InstanceOutcome, QuarantineConfig, RunConfig, RunSummary, Runner,
-        ServeConfig, ServeReport, StreamSpec, StreamSummary,
+        run_serve, simulate_instance, AdmissionConfig, ArrivalConfig, ArrivalKind, BurstModel,
+        CacheMode, DegradeConfig, ExecStats, FaultPlan, InstanceOutcome, QuarantineConfig,
+        RunConfig, RunSummary, Runner, ServeConfig, ServeReport, StreamSpec, StreamSummary,
     };
 }

@@ -8,7 +8,7 @@
 //! plans; summaries must be bit-for-bit identical in all three modes.
 //! On top, the Chrome exporter's output is golden-checked: valid JSON
 //! (via the crate's own strict parser), per-track monotone timestamps,
-//! and the expected solve/cache/coalesce/fault span names present.
+//! and the expected solve/cache/queue/fault span names present.
 
 use adaptive_dvfs::obs::{chrome, json, BufferedSink, Event, NullSink, Obs};
 use adaptive_dvfs::prelude::*;
@@ -236,8 +236,7 @@ fn chrome_export_is_valid_and_tracks_are_monotone() {
             assert!(ts >= prev, "exported track {tid} timestamps regressed");
         }
     }
-    // The default engine is event-driven: enqueue/dequeue replace the
-    // lockstep engine's per-tick spans.
+    // The engine is event-driven: every instance is enqueued and dequeued.
     for expected in ["solve", "enqueue", "dequeue", "fault_inject"] {
         assert!(
             names.iter().any(|n| n == expected),
@@ -250,11 +249,9 @@ fn chrome_export_is_valid_and_tracks_are_monotone() {
             }
         );
     }
-    // Coalescing and cache verdicts fire on drifting same-seed streams.
+    // Cache verdicts fire on drifting same-seed streams.
     assert!(
-        names.iter().any(|n| n == "coalesce")
-            || names.iter().any(|n| n == "cache_hit")
-            || names.iter().any(|n| n == "cache_miss"),
+        names.iter().any(|n| n == "cache_hit") || names.iter().any(|n| n == "cache_miss"),
         "trace must show cross-stream amortization events"
     );
 
@@ -266,8 +263,12 @@ fn chrome_export_is_valid_and_tracks_are_monotone() {
         "instance counter matches engine accounting"
     );
     assert_eq!(
-        snap.counter("coalesced_requests") as usize,
-        report.stats.coalesced_requests
+        snap.counter("cache_hits") as usize,
+        report.stats.shared_hit_requests
+    );
+    assert_eq!(
+        snap.counter("cache_misses") as usize,
+        report.stats.solver_calls
     );
     assert!(snap.counter("solver_calls") > 0);
     assert!(snap.counter("faults_injected") > 0);

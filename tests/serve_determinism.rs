@@ -1,24 +1,29 @@
 //! Serving-engine determinism matrix: per-stream summaries must be
 //! bit-for-bit identical for every (worker count, shard count, cache mode)
-//! choice, with and without fault injection — and a single fault-free
-//! served stream must reproduce `run_adaptive` exactly.
+//! choice, with and without fault injection — and every served stream
+//! must reproduce that stream run alone, through `run_adaptive` or a plain
+//! `AdaptiveScheduler::observe` loop.
 //!
 //! The reference point of every matrix is the most sequential engine
-//! (1 worker, 1 shard, no cache, coalescing on); everything else must
-//! merely be *faster*, never *different*.
+//! (1 worker, 1 shard, no cache); everything else must merely be
+//! *faster*, never *different*.
 
 use adaptive_dvfs::ctg::{BranchProbs, DecisionVector};
 use adaptive_dvfs::sched::test_util::example1_context;
 use adaptive_dvfs::sched::{dls_schedule, AdaptiveScheduler, SchedContext};
-use adaptive_dvfs::sim::serve::{run_serve, CacheMode, ServeConfig, StreamSpec, StreamSummary};
-use adaptive_dvfs::sim::{run_adaptive, FaultPlan};
+use adaptive_dvfs::sim::serve::{
+    run_serve, ArrivalConfig, ArrivalKind, CacheMode, ServeConfig, StreamSpec, StreamSummary,
+};
+use adaptive_dvfs::sim::{
+    run_adaptive, ExecStats, FaultInjector, FaultLog, FaultPlan, FaultStats, SimWorkspace,
+};
 use adaptive_dvfs::workloads::mpeg;
 use adaptive_dvfs::workloads::traces::{self, DriftProfile};
 
 /// Per-stream drifting traces: a handful of distinct drift seeds reused
-/// across streams, so same-seed streams move in lockstep and the engine
-/// has real coalescing and cross-stream replay opportunities (the serving
-/// scenario: many sessions playing the same few movies).
+/// across streams, so same-seed streams drift onto identical tables and
+/// the shared cache has real cross-stream replay opportunities (the
+/// serving scenario: many sessions playing the same few movies).
 fn stream_specs(
     ctx: &SchedContext,
     streams: usize,
@@ -66,8 +71,7 @@ fn assert_summaries_eq(a: &[StreamSummary], b: &[StreamSummary], what: &str) {
 
 /// The full matrix on the (fast) example graph:
 /// (1, 2, 4) workers × (1, 4, 64) streams × faults on/off × cache
-/// off/per-stream/shared × shard counts — all against the sequential
-/// reference.
+/// off/shared × shard counts — all against the sequential reference.
 #[test]
 fn summaries_invariant_across_workers_streams_faults_and_caches() {
     let (ctx, _, _) = example1_context();
@@ -81,7 +85,6 @@ fn summaries_invariant_across_workers_streams_faults_and_caches() {
                     workers: 1,
                     shards: 1,
                     cache: CacheMode::Off,
-                    coalesce: true,
                     quantum: 0.1,
                     ..ServeConfig::default()
                 },
@@ -94,7 +97,6 @@ fn summaries_invariant_across_workers_streams_faults_and_caches() {
             );
             for cache in [
                 CacheMode::Off,
-                CacheMode::PerStream { capacity: 16 },
                 CacheMode::Shared {
                     capacity: 128,
                     stripes: 4,
@@ -109,7 +111,6 @@ fn summaries_invariant_across_workers_streams_faults_and_caches() {
                                 workers,
                                 shards,
                                 cache,
-                                coalesce: true,
                                 quantum: 0.1,
                                 ..ServeConfig::default()
                             },
@@ -129,25 +130,6 @@ fn summaries_invariant_across_workers_streams_faults_and_caches() {
                     }
                 }
             }
-            // Coalescing itself must not change results either.
-            let uncoalesced = run_serve(
-                &ctx,
-                &specs,
-                &ServeConfig {
-                    workers: 2,
-                    shards: 5,
-                    cache: CacheMode::Off,
-                    coalesce: false,
-                    quantum: 0.1,
-                    ..ServeConfig::default()
-                },
-            )
-            .unwrap();
-            assert_summaries_eq(
-                &uncoalesced.streams,
-                &reference.streams,
-                &format!("streams={streams} faults={faults} uncoalesced"),
-            );
         }
     }
 }
@@ -178,7 +160,6 @@ fn mpeg_streams_invariant_and_shared_cache_fires() {
             workers: 1,
             shards: 1,
             cache: CacheMode::Off,
-            coalesce: true,
             quantum: 0.1,
             ..ServeConfig::default()
         },
@@ -199,7 +180,6 @@ fn mpeg_streams_invariant_and_shared_cache_fires() {
                 capacity: 256,
                 stripes: 8,
             },
-            coalesce: true,
             quantum: 0.1,
             ..ServeConfig::default()
         },
@@ -207,7 +187,7 @@ fn mpeg_streams_invariant_and_shared_cache_fires() {
     .unwrap();
     assert_summaries_eq(&shared.streams, &reference.streams, "mpeg shared 4w");
     assert!(
-        shared.stats.coalesced_requests > 0 || shared.stats.shared_hits > 0,
+        shared.stats.shared_hit_requests > 0,
         "seed-sharing MPEG streams must amortize solves: {:?}",
         shared.stats
     );
@@ -251,7 +231,6 @@ fn single_stream_serve_matches_run_adaptive() {
                     capacity: 64,
                     stripes: 2,
                 },
-                coalesce: true,
                 quantum: 0.1,
                 ..ServeConfig::default()
             },
@@ -270,5 +249,110 @@ fn single_stream_serve_matches_run_adaptive() {
             baseline.exec.max_makespan.to_bits()
         );
         assert_eq!(s.faults, adaptive_dvfs::sim::FaultStats::default());
+    }
+}
+
+/// One stream run alone the plain way: an `AdaptiveScheduler::observe`
+/// loop over its own simulation workspace and fault injector — no engine,
+/// no cache, no queue. Returns the stream's execution totals, adopted
+/// reschedules and injected faults.
+fn plain_stream(ctx: &SchedContext, spec: &StreamSpec) -> (ExecStats, usize, usize) {
+    let mut mgr =
+        AdaptiveScheduler::new(ctx, spec.initial_probs.clone(), spec.window, spec.threshold)
+            .unwrap();
+    let mut sim = SimWorkspace::new(ctx, mgr.solution());
+    let mut injector = FaultInjector::empty(ctx);
+    let mut log = FaultLog::default();
+    let mut exec = ExecStats::default();
+    let mut faults = FaultStats::default();
+    for (i, v) in spec.trace.iter().enumerate() {
+        let outcome = match &spec.fault_plan {
+            Some(plan) => {
+                injector.resample(plan, ctx, i as u64).unwrap();
+                let r = sim
+                    .simulate_faulty(ctx, mgr.solution(), v, plan, &injector, &mut log)
+                    .unwrap();
+                faults.absorb(&log.stats);
+                r
+            }
+            None => sim.simulate(ctx, mgr.solution(), v).unwrap(),
+        };
+        exec.absorb_outcome(&outcome);
+        if mgr.observe(ctx, v).unwrap() {
+            sim.rebuild(ctx, mgr.solution());
+        }
+    }
+    (exec, mgr.stats().reschedules, faults.total())
+}
+
+/// The per-stream reference pin: streams are independent copies of the
+/// paper's adaptive manager, so every served stream — whatever the
+/// arrival process, cache and worker count — equals the same stream run
+/// alone through [`plain_stream`].
+#[test]
+fn every_served_stream_matches_a_plain_per_stream_loop() {
+    let (ctx, _, _) = example1_context();
+    let deadline = ctx.ctg().deadline();
+    for faults in [false, true] {
+        let specs = stream_specs(&ctx, 8, 48, 6, 0.25, faults);
+        let plain: Vec<_> = specs.iter().map(|s| plain_stream(&ctx, s)).collect();
+        assert!(plain.iter().any(|(_, r, _)| *r > 0), "fixture must drift");
+        assert_eq!(plain.iter().any(|(_, _, f)| *f > 0), faults);
+        for kind in [
+            ArrivalKind::ClosedLoop,
+            ArrivalKind::Poisson {
+                rate: 2.0 / deadline,
+            },
+        ] {
+            for cache in [
+                CacheMode::Off,
+                CacheMode::Shared {
+                    capacity: 128,
+                    stripes: 4,
+                },
+            ] {
+                for workers in [1usize, 3] {
+                    let report = run_serve(
+                        &ctx,
+                        &specs,
+                        &ServeConfig {
+                            workers,
+                            shards: 8,
+                            cache,
+                            arrival: ArrivalConfig {
+                                kind,
+                                ..ArrivalConfig::default()
+                            },
+                            ..ServeConfig::default()
+                        },
+                    )
+                    .unwrap();
+                    for (i, (s, (exec, reschedules, fault_total))) in
+                        report.streams.iter().zip(&plain).enumerate()
+                    {
+                        let what = format!(
+                            "faults={faults} {kind:?} cache={cache:?} workers={workers} \
+                             stream {i}"
+                        );
+                        assert_eq!(
+                            s.exec.total_energy.to_bits(),
+                            exec.total_energy.to_bits(),
+                            "{what}: energy bits"
+                        );
+                        assert_eq!(
+                            s.exec.max_makespan.to_bits(),
+                            exec.max_makespan.to_bits(),
+                            "{what}: makespan bits"
+                        );
+                        assert_eq!(
+                            s.exec.deadline_misses, exec.deadline_misses,
+                            "{what}: misses"
+                        );
+                        assert_eq!(s.reschedules, *reschedules, "{what}: reschedules");
+                        assert_eq!(s.faults.total(), *fault_total, "{what}: faults");
+                    }
+                }
+            }
+        }
     }
 }

@@ -8,23 +8,28 @@
 //! 2. **Overload decisions are deterministic**: with budgets, admission
 //!    control and quarantine all engaged, per-stream summaries — every
 //!    shed, abort and quarantine decision included — are invariant across
-//!    worker counts, shard counts, cache modes and coalescing.
+//!    worker counts, shard counts and cache modes.
 //! 3. **Summaries round-trip through the hand-rolled JSON layer**:
 //!    `to_json` output re-parsed with `ctg_obs::json` reproduces every
 //!    serialized field, new overload counters included.
+//!
+//! Admission sheds by queue depth, so the overload fixtures replay every
+//! stream with all its instances arriving at t = 0 ([`zero_gap`]): the
+//! depth at each completion is then fixed by the trace alone.
 
 use adaptive_dvfs::ctg::BranchProbs;
 use adaptive_dvfs::obs::json;
 use adaptive_dvfs::sched::test_util::example1_context;
 use adaptive_dvfs::sched::{AdaptiveScheduler, OnlineScheduler, SchedContext, SolverWorkspace};
 use adaptive_dvfs::sim::serve::{
-    run_serve, AdmissionConfig, CacheMode, QuarantineConfig, ServeConfig, StreamSpec, StreamSummary,
+    run_serve, AdmissionConfig, ArrivalConfig, ArrivalKind, CacheMode, QuarantineConfig,
+    ServeConfig, StreamSpec, StreamSummary,
 };
 use adaptive_dvfs::sim::{BurstModel, DegradeConfig, FaultPlan, RunConfig, RunSummary, Runner};
 use adaptive_dvfs::workloads::traces::{self, DriftProfile};
 
-/// Drifting streams over a small seed pool, so same-seed streams move in
-/// lockstep and pile identical same-tick requests onto the admission gate.
+/// Drifting streams over a small seed pool, so same-seed streams drift
+/// onto identical tables.
 fn stream_specs(ctx: &SchedContext, streams: usize, len: usize, faults: bool) -> Vec<StreamSpec> {
     (0..streams)
         .map(|i| {
@@ -37,10 +42,25 @@ fn stream_specs(ctx: &SchedContext, streams: usize, len: usize, faults: bool) ->
                 window: 6,
                 threshold: 0.25,
                 fault_plan: faults.then(|| FaultPlan::uniform(0xFA17 + i as u64, 0.03)),
-                criticality: (i % 3) as u8,
+                criticality: 0,
             }
         })
         .collect()
+}
+
+/// Queued arrivals above which a drift re-solve is shed. On a 48-instance
+/// [`zero_gap`] replay, drift events of the first 31 instances are shed.
+const HIGH_WATER: usize = 16;
+
+/// Every instance of every stream arrives at t = 0: when instance `k`
+/// completes, `len - 1 - k` arrivals wait behind it whatever the service
+/// times, so each shed is a pure function of the trace.
+fn zero_gap(specs: &[StreamSpec]) -> ArrivalConfig {
+    ArrivalConfig {
+        kind: ArrivalKind::Trace,
+        traces: specs.iter().map(|s| vec![0.0; s.trace.len()]).collect(),
+        ..ArrivalConfig::default()
+    }
 }
 
 fn base_cfg(workers: usize, shards: usize, cache: CacheMode) -> ServeConfig {
@@ -48,7 +68,6 @@ fn base_cfg(workers: usize, shards: usize, cache: CacheMode) -> ServeConfig {
         workers,
         shards,
         cache,
-        coalesce: true,
         quantum: 0.1,
         solve_budget: None,
         admission: None,
@@ -88,13 +107,16 @@ fn dormant_overload_knobs_are_bit_exact_with_baseline() {
     let specs = stream_specs(&ctx, 8, 48, true);
     for cache in [
         CacheMode::Off,
-        CacheMode::PerStream { capacity: 16 },
         CacheMode::Shared {
             capacity: 64,
             stripes: 4,
         },
     ] {
-        let baseline = run_serve(&ctx, &specs, &base_cfg(2, 4, cache)).unwrap();
+        let replay = ServeConfig {
+            arrival: zero_gap(&specs),
+            ..base_cfg(2, 4, cache)
+        };
+        let baseline = run_serve(&ctx, &specs, &replay).unwrap();
         let dormant = run_serve(
             &ctx,
             &specs,
@@ -104,7 +126,7 @@ fn dormant_overload_knobs_are_bit_exact_with_baseline() {
                     high_water: usize::MAX,
                 }),
                 quarantine: Some(QuarantineConfig::default()),
-                ..base_cfg(2, 4, cache)
+                ..replay.clone()
             },
         )
         .unwrap();
@@ -137,20 +159,29 @@ fn dormant_overload_knobs_are_bit_exact_with_baseline() {
 fn infinite_budget_is_equivalent_to_no_budget() {
     let (ctx, _, _) = example1_context();
     let specs = stream_specs(&ctx, 6, 48, false);
-    for cache in [CacheMode::Off, CacheMode::PerStream { capacity: 16 }] {
-        let off = run_serve(&ctx, &specs, &base_cfg(2, 3, cache)).unwrap();
+    // The shared cache runs on one worker: with two, concurrent misses on
+    // one table make its counters order-dependent.
+    let shared = CacheMode::Shared {
+        capacity: 64,
+        stripes: 4,
+    };
+    for (workers, cache) in [(2, CacheMode::Off), (1, shared)] {
+        let off = run_serve(&ctx, &specs, &base_cfg(workers, 3, cache)).unwrap();
         let huge = run_serve(
             &ctx,
             &specs,
             &ServeConfig {
                 solve_budget: Some(u64::MAX),
-                ..base_cfg(2, 3, cache)
+                ..base_cfg(workers, 3, cache)
             },
         )
         .unwrap();
         assert_streams_eq(&huge.streams, &off.streams, "budget=MAX vs None");
         assert_eq!(huge.stats.drift_events, off.stats.drift_events);
-        assert_eq!(huge.stats.per_stream_hits, off.stats.per_stream_hits);
+        assert_eq!(
+            huge.stats.shared_hit_requests,
+            off.stats.shared_hit_requests
+        );
         assert_eq!(huge.stats.requests, off.stats.requests);
         assert_eq!(huge.stats.groups, off.stats.groups);
         assert_eq!(huge.stats.solver_calls, off.stats.solver_calls);
@@ -161,7 +192,7 @@ fn infinite_budget_is_equivalent_to_no_budget() {
 /// Contract 2: the full overload matrix. A tight budget plus a low
 /// high-water mark plus a touchy breaker produce real shedding, aborts and
 /// quarantines — and every one of those decisions is invariant across
-/// workers, shards, cache modes and coalescing.
+/// workers, shards and cache modes.
 #[test]
 fn overload_decisions_invariant_across_engine_configurations() {
     let (ctx, _, _) = example1_context();
@@ -169,22 +200,24 @@ fn overload_decisions_invariant_across_engine_configurations() {
     // Below the cheapest re-solve in this workload most requests abort;
     // half the typical cold cost is tight enough to strike reliably.
     let budget = probe_cost(&ctx, &specs[0].initial_probs) / 2;
-    let overload = |workers: usize, shards: usize, cache: CacheMode, coalesce: bool| ServeConfig {
-        coalesce,
+    let overload = |workers: usize, shards: usize, cache: CacheMode| ServeConfig {
         solve_budget: Some(budget),
-        admission: Some(AdmissionConfig { high_water: 2 }),
+        admission: Some(AdmissionConfig {
+            high_water: HIGH_WATER,
+        }),
         quarantine: Some(QuarantineConfig {
             strikes: 2,
             window: 8,
             backoff: 4,
             backoff_max: 32,
         }),
+        arrival: zero_gap(&specs),
         ..base_cfg(workers, shards, cache)
     };
-    let reference = run_serve(&ctx, &specs, &overload(1, 1, CacheMode::Off, true)).unwrap();
+    let reference = run_serve(&ctx, &specs, &overload(1, 1, CacheMode::Off)).unwrap();
     assert!(
         reference.stats.shed_requests > 0,
-        "lockstep streams over high_water=2 must shed: {:?}",
+        "queues deeper than the high-water mark must shed: {:?}",
         reference.stats
     );
     assert!(
@@ -199,7 +232,6 @@ fn overload_decisions_invariant_across_engine_configurations() {
     );
     for cache in [
         CacheMode::Off,
-        CacheMode::PerStream { capacity: 16 },
         CacheMode::Shared {
             capacity: 64,
             stripes: 4,
@@ -207,8 +239,7 @@ fn overload_decisions_invariant_across_engine_configurations() {
     ] {
         for &workers in &[1usize, 2, 4] {
             for &shards in &[1usize, 5, 16] {
-                let report =
-                    run_serve(&ctx, &specs, &overload(workers, shards, cache, true)).unwrap();
+                let report = run_serve(&ctx, &specs, &overload(workers, shards, cache)).unwrap();
                 assert_streams_eq(
                     &report.streams,
                     &reference.streams,
@@ -227,41 +258,33 @@ fn overload_decisions_invariant_across_engine_configurations() {
             }
         }
     }
-    // Budget aborts are counted per requester, so disabling coalescing
-    // must not move a single counter either.
-    let uncoalesced = run_serve(&ctx, &specs, &overload(2, 5, CacheMode::Off, false)).unwrap();
-    assert_streams_eq(
-        &uncoalesced.streams,
-        &reference.streams,
-        "overload uncoalesced",
-    );
-    assert_eq!(
-        uncoalesced.stats.budget_exceeded,
-        reference.stats.budget_exceeded
-    );
 }
 
 /// DESIGN.md §14 pin: fault-burst intensity moves *fault* pressure, not
-/// *load*. Burst modulation multiplies fault rates only; the decision
-/// traces driving drift, re-solve demand and budget verdicts are fixed by
-/// the drift profiles, so every overload counter — sheds, budget aborts,
-/// quarantines, frozen ticks — is byte-identical at any `p_enter`, while
-/// fault totals rise with it. The identical overload columns across
-/// `burst_p_enter` in `BENCH_serve.json` are this invariance by
-/// construction, not a stuck sweep.
+/// *load*, where queue depth does not depend on service time. Burst
+/// modulation multiplies fault rates only; the decision traces driving
+/// drift, re-solve demand and budget verdicts are fixed by the drift
+/// profiles, and on the [`zero_gap`] replay so is every queue depth. So
+/// every overload counter — sheds, budget aborts, quarantines, frozen
+/// instances — is byte-identical at any `p_enter`, while fault totals rise
+/// with it. Under Poisson arrivals fault-lengthened service can deepen
+/// queues, and sheds may move with it.
 #[test]
 fn burst_rate_moves_fault_pressure_but_not_overload_decisions() {
     let (ctx, _, _) = example1_context();
     let budget = probe_cost(&ctx, &stream_specs(&ctx, 1, 48, false)[0].initial_probs) / 2;
     let overloaded = ServeConfig {
         solve_budget: Some(budget),
-        admission: Some(AdmissionConfig { high_water: 2 }),
+        admission: Some(AdmissionConfig {
+            high_water: HIGH_WATER,
+        }),
         quarantine: Some(QuarantineConfig {
             strikes: 2,
             window: 8,
             backoff: 4,
             backoff_max: 32,
         }),
+        arrival: zero_gap(&stream_specs(&ctx, 8, 48, false)),
         ..base_cfg(2, 4, CacheMode::Off)
     };
     let reports: Vec<_> = [0.0, 0.05, 0.2]
@@ -376,13 +399,16 @@ fn stream_summary_json_round_trips() {
         &specs,
         &ServeConfig {
             solve_budget: Some(budget),
-            admission: Some(AdmissionConfig { high_water: 2 }),
+            admission: Some(AdmissionConfig {
+                high_water: HIGH_WATER,
+            }),
             quarantine: Some(QuarantineConfig {
                 strikes: 2,
                 window: 8,
                 backoff: 4,
                 backoff_max: 32,
             }),
+            arrival: zero_gap(&specs),
             ..base_cfg(2, 4, CacheMode::Off)
         },
     )
