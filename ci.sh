@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo doc (deny warnings: every intra-doc link resolves)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --keep-going
+
 echo "==> the solver crates read no environment variable (only ctg-sim's run"
 echo "    layer does)"
 if grep -rn 'std::env::var' crates/core/src crates/ctg/src crates/obs/src \

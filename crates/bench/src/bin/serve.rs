@@ -101,7 +101,6 @@ fn serve_cfg(workers: usize, shards: usize, cache: CacheMode) -> ServeConfig {
         workers,
         shards,
         cache,
-        quantum: THRESHOLD,
         solve_budget: None,
         admission: None,
         quarantine: None,
@@ -129,7 +128,7 @@ fn run_independent(
         let mut mgr =
             AdaptiveScheduler::new(ctx, spec.initial_probs.clone(), spec.window, spec.threshold)
                 .expect("manager builds");
-        mgr.enable_cache(ctx, PER_STREAM_CAPACITY);
+        mgr.enable_cache(PER_STREAM_CAPACITY);
         let (summary, _) = run_adaptive(ctx, mgr, &spec.trace).expect("adaptive run");
         summary
     });

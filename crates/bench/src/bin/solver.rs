@@ -1,24 +1,20 @@
 //! Solver-latency bench — cold (from-scratch [`OnlineScheduler::solve`])
-//! vs warm ([`SolverWorkspace`]) vs near-memo (warm workspace with the
-//! quantised near-miss memo enabled, as the adaptive manager runs it)
-//! re-solve latency over the probability tables an adaptive MPEG run
-//! actually re-schedules on (perf extension; not a paper table).
+//! vs warm ([`SolverWorkspace`]) re-solve latency, and the portfolio
+//! race's, over the probability tables an adaptive MPEG run actually
+//! re-schedules on (perf extension; not a paper table).
 //!
 //! The table sequence is harvested by replaying a drifting MPEG trace
 //! through an [`AdaptiveScheduler`] and recording every adopted table, so
 //! consecutive tables differ exactly as much as real drift makes them
-//! differ — and, like real drift, most adopted tables are exact revisits
-//! of an earlier operating point, which is what the near-miss column
-//! exploits. Each rep solves the whole sequence three times: cold (a
-//! fresh solve per table), warm (one plain workspace), and near (the same
-//! plus the near-miss memo at the manager's drift threshold). The warm
-//! and near workspaces are **primed with one untimed pass first**: the
-//! columns report the steady state a long-running manager sits in (every
-//! warm solve answered by the graph pool, every near solve replayed from
-//! the memo) — the first-visit cost of a table is the cold column, and
-//! the rebuild path's stage split is in the instrumented breakdown below.
-//! Every warm and near solution is asserted **bit-for-bit identical** to
-//! its cold counterpart before any number is reported.
+//! differ. The trace tiles one segment, so later tiles revisit the tables
+//! of the first. Each rep solves the whole sequence cold (a fresh solve
+//! per table), warm (one plain workspace) and raced. The warm workspace
+//! is **primed with one untimed pass first**: the column reports the
+//! steady state a long-running manager sits in (every warm solve answered
+//! by the graph pool) — the first-visit cost of a table is the cold
+//! column, and the rebuild path's stage split is in the instrumented
+//! breakdown below. Every warm solution is asserted **bit-for-bit
+//! identical** to its cold counterpart before any number is reported.
 //!
 //! A final instrumented warm pass records per-stage spans (`dls_map`,
 //! `path_enum`, `stretch`) through the telemetry layer for the stage
@@ -49,11 +45,6 @@ use ctg_workloads::traces;
 
 const WINDOW: usize = 20;
 const THRESHOLD: f64 = 0.1;
-/// Near-memo capacity: comfortably above the distinct adopted operating
-/// points of the harvested drift run (the full MPEG harvest cycles
-/// through roughly a hundred per tile; an LRU smaller than the cycle
-/// thrashes and never replays).
-const NEAR_CAP: usize = 256;
 /// Passes over the distinct mappings in the `build` row; each mapping
 /// keeps its fastest build, so a burst of host noise in one pass drops
 /// out.
@@ -189,10 +180,8 @@ fn main() {
     let online = OnlineScheduler::new();
     let mut cold_samples = Vec::with_capacity(tables.len() * reps);
     let mut warm_samples = Vec::with_capacity(tables.len() * reps);
-    let mut near_samples = Vec::with_capacity(tables.len() * reps);
     let mut race_samples = Vec::with_capacity(tables.len() * reps);
     let mut warm_stats = None;
-    let mut near_stats = None;
     let mut distinct = (0, 0);
     let mut dls_solutions: Vec<Solution> = Vec::new();
     let mut race_wins = [0usize; SchedulerKind::COUNT];
@@ -211,8 +200,7 @@ fn main() {
 
         // Warm: one plain workspace, primed with an untimed pass so the
         // timed pass measures the steady state (graph pool populated,
-        // levels warm). Consecutive tables always differ, so no timed
-        // solve is a trivial memo hit.
+        // levels warm).
         let mut ws = SolverWorkspace::new();
         for probs in &tables {
             online
@@ -229,32 +217,9 @@ fn main() {
         }
         warm_stats = Some(ws.stats());
 
-        // Near: the workspace configuration the adaptive manager runs —
-        // the near-miss memo at the drift threshold — primed the same
-        // way. Revisited operating points replay instead of re-running
-        // the pipeline; every replay is still asserted bit-identical to
-        // cold.
-        let mut ws = SolverWorkspace::new();
-        ws.set_near_memo(THRESHOLD, NEAR_CAP);
-        for probs in &tables {
-            online
-                .solve_with_workspace(&ctx, probs, &mut ws)
-                .expect("near priming solve");
-        }
-        for (probs, cold) in tables.iter().zip(&cold_solutions) {
-            let t0 = Instant::now();
-            let sol = online
-                .solve_with_workspace(&ctx, probs, &mut ws)
-                .expect("near solve");
-            near_samples.push(t0.elapsed().as_secs_f64());
-            assert_bit_identical(&ctx, probs, cold, &sol, "near");
-        }
-        near_stats = Some(ws.stats());
-
-        // Portfolio: race DLS/HEFT/lookahead on every table, per-entry
-        // workspaces (warm-layer keys carry no scheduler identity, so
-        // entries never share state), primed like the warm pass. The
-        // winner is asserted never worse than the cold (DLS) plan.
+        // Portfolio: race DLS/HEFT/lookahead on every table, one workspace
+        // per entry, primed like the warm pass. The winner is asserted
+        // never worse than the cold (DLS) plan.
         let mut wss: Vec<SolverWorkspace> = DEFAULT_PORTFOLIO
             .iter()
             .map(|_| SolverWorkspace::new())
@@ -324,13 +289,10 @@ fn main() {
 
     let cold = summarize(cold_samples);
     let warm = summarize(warm_samples);
-    let near = summarize(near_samples);
     let race = summarize(race_samples);
     let race_energy_ratio = race_energy_ratio_sum / race_energy_ratio_n as f64;
     let speedup_total = cold.total_s / warm.total_s;
-    let near_speedup_total = cold.total_s / near.total_s;
     let warm_stats = warm_stats.expect("at least one rep ran");
-    let near_stats = near_stats.expect("at least one rep ran");
 
     // ---- Instrumented warm pass: per-stage breakdown. ----
     let sink = Arc::new(BufferedSink::new(1));
@@ -375,12 +337,8 @@ fn main() {
     };
     fmt("cold", &cold);
     fmt("warm", &warm);
-    fmt("near", &near);
     fmt("race", &race);
-    println!(
-        "\nwarm speedup (total cold / total warm): {speedup_total:.2}x, \
-         near-memo: {near_speedup_total:.2}x"
-    );
+    println!("\nwarm speedup (total cold / total warm): {speedup_total:.2}x");
     println!(
         "stages (instrumented warm pass): dls_map {:.1} us x{}, path_enum {:.1} us x{}, \
          stretch {:.1} us x{}",
@@ -392,11 +350,10 @@ fn main() {
         stage_stretch.count
     );
     println!(
-        "warm workspace: {} solves, {} memo hits, {} full level builds, {} dirty updates \
-         ({} levels recomputed), {} graph reuses / {} rebuilds (the cold solutions hold {} \
-         distinct schedules over {} distinct (assignment, per-PE order) pairs)",
+        "warm workspace: {} solves, {} full level builds, {} dirty updates ({} levels \
+         recomputed), {} graph reuses / {} rebuilds (the cold solutions hold {} distinct \
+         schedules over {} distinct (assignment, per-PE order) pairs)",
         warm_stats.solves,
-        warm_stats.memo_hits,
         warm_stats.full_level_rebuilds,
         warm_stats.dirty_level_updates,
         warm_stats.levels_recomputed,
@@ -406,10 +363,6 @@ fn main() {
         distinct.1
     );
     println!(
-        "near workspace: {} near-memo replays of {} solves ({} graph reuses / {} rebuilds)",
-        near_stats.near_hits, near_stats.solves, near_stats.graph_reuses, near_stats.graph_rebuilds
-    );
-    println!(
         "cold graph build ({} distinct mappings of the dls, heft and lookahead plans, best \
          of {BUILD_PASSES} passes): p50 {:.1} us   p99 {:.1} us   mean {:.1} us",
         builds.len(),
@@ -417,7 +370,7 @@ fn main() {
         build.p99_us,
         build.mean_us
     );
-    println!("equivalence: PASS (every warm and near solution bit-identical to cold)");
+    println!("equivalence: PASS (every warm solution bit-identical to cold)");
     let wins: Vec<String> = SchedulerKind::ALL
         .iter()
         .map(|k| format!("{k}:{}", race_wins[k.index()]))
@@ -445,7 +398,6 @@ fn main() {
     ));
     json.push_str(&format!("  \"cold\": {},\n", lat_json(&cold)));
     json.push_str(&format!("  \"warm\": {},\n", lat_json(&warm)));
-    json.push_str(&format!("  \"near\": {},\n", lat_json(&near)));
     json.push_str(&format!("  \"portfolio\": {},\n", lat_json(&race)));
     json.push_str(&format!(
         "  \"build\": {{\"p50_us\": {:.3}, \"p99_us\": {:.3}, \"mean_us\": {:.3}, \"count\": {}}},\n",
@@ -463,21 +415,17 @@ fn main() {
     ));
     json.push_str(&format!("  \"speedup_total\": {speedup_total:.4},\n"));
     json.push_str(&format!(
-        "  \"near_speedup_total\": {near_speedup_total:.4},\n"
-    ));
-    json.push_str(&format!(
         "  \"stages\": {{\"dls_map\": {}, \"path_enum\": {}, \"stretch\": {}}},\n",
         stage_json(&stage_dls),
         stage_json(&stage_enum),
         stage_json(&stage_stretch)
     ));
     json.push_str(&format!(
-        "  \"workspace\": {{\"solves\": {}, \"memo_hits\": {}, \"full_level_rebuilds\": {}, \
+        "  \"workspace\": {{\"solves\": {}, \"full_level_rebuilds\": {}, \
          \"dirty_level_updates\": {}, \"levels_recomputed\": {}, \"graph_reuses\": {}, \
          \"graph_rebuilds\": {}, \"rebinds\": {}, \"distinct_schedules\": {}, \
          \"distinct_mappings\": {}}},\n",
         warm_stats.solves,
-        warm_stats.memo_hits,
         warm_stats.full_level_rebuilds,
         warm_stats.dirty_level_updates,
         warm_stats.levels_recomputed,
@@ -486,15 +434,6 @@ fn main() {
         warm_stats.rebinds,
         distinct.0,
         distinct.1
-    ));
-    json.push_str(&format!(
-        "  \"near_workspace\": {{\"solves\": {}, \"near_hits\": {}, \"memo_hits\": {}, \
-         \"graph_reuses\": {}, \"graph_rebuilds\": {}}},\n",
-        near_stats.solves,
-        near_stats.near_hits,
-        near_stats.memo_hits,
-        near_stats.graph_reuses,
-        near_stats.graph_rebuilds
     ));
     json.push_str("  \"equivalence\": \"pass\"\n}\n");
     let out = if smoke {

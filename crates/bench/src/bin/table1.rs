@@ -4,7 +4,7 @@
 //! online ≈ 120 000× faster than ref. 2).
 //!
 //! Grown past the paper: a scheduler column block compares the
-//! [`CtgScheduler`] implementors (HEFT, the lookahead list scheduler and
+//! [`CtgScheduler`](ctg_sched::CtgScheduler) implementors (HEFT, the lookahead list scheduler and
 //! the frame-based DVFS baseline) and the racing portfolio on the same
 //! cases, normalized the same way. The portfolio is asserted never worse
 //! than the online (DLS) pipeline on every row — the race's DLS-first

@@ -91,7 +91,7 @@ fn main() {
     let (off, _) = run_adaptive(&ctx, mgr_off, &trace).expect("adaptive run");
     let mut mgr_on =
         AdaptiveScheduler::new(&ctx, profiled.clone(), WINDOW, THRESHOLD).expect("manager builds");
-    mgr_on.enable_cache(&ctx, CACHE_CAPACITY);
+    mgr_on.enable_cache(CACHE_CAPACITY);
     let (on, _) = run_adaptive(&ctx, mgr_on, &trace).expect("adaptive cached run");
 
     assert_eq!(

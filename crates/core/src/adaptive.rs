@@ -204,36 +204,18 @@ pub struct AdaptiveStats {
     pub cache_misses: usize,
 }
 
-/// A memoised solver result: the exact probability table it was solved for
-/// and the solution produced.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    probs: BranchProbs,
-    solution: Solution,
-}
-
-/// Capacity of each workspace's quantised near-miss memo: enough buckets
-/// for the distinct operating points a drifting trace cycles through
-/// (the harvested MPEG drift run revisits roughly a hundred per period —
-/// an LRU smaller than the revisit cycle thrashes and never replays),
-/// while entries (a schedule, a speed table and a probability table)
-/// stay small enough that the memo costs well under a megabyte.
-const NEAR_MEMO_CAP: usize = 128;
-
 /// Returns the workspace in `slot`, creating it on first use with the
-/// manager's replayed settings (near memo at the drift threshold,
-/// telemetry, budget). A free function rather than a method so callers can
-/// borrow `slot` mutably while other fields of the manager stay readable.
+/// manager's replayed settings (telemetry, budget). A free function rather
+/// than a method so callers can borrow `slot` mutably while other fields of
+/// the manager stay readable.
 fn ensure_workspace<'a>(
     slot: &'a mut Option<Box<SolverWorkspace>>,
-    threshold: f64,
     obs: &Obs,
     obs_track: u32,
     budget: Option<u64>,
 ) -> &'a mut SolverWorkspace {
     slot.get_or_insert_with(|| {
         let mut ws = SolverWorkspace::new();
-        ws.set_near_memo(threshold, NEAR_MEMO_CAP);
         ws.set_obs(obs.clone(), obs_track);
         ws.set_budget(budget);
         Box::new(ws)
@@ -311,10 +293,11 @@ pub struct AdaptiveScheduler {
     /// Deadline multiplier in `(0, 1]` applied to resilient re-solves
     /// (guard-band rung of the degradation ladder); 1.0 = paper behaviour.
     deadline_guard: f64,
-    /// Memoised solver results; `None` means caching is disabled (the
-    /// default, which reproduces the paper's re-solve-on-every-drift
-    /// behaviour exactly).
-    cache: Option<LruCache<ScheduleKey, CacheEntry>>,
+    /// Plans the solve path in force returned, keyed on the exact table,
+    /// guard and deadline; `None` means caching is disabled (the default,
+    /// which reproduces the paper's re-solve-on-every-drift behaviour
+    /// exactly).
+    cache: Option<LruCache<ScheduleKey, Solution>>,
     /// Warm-start solver state for unguarded solves — bit-for-bit
     /// equivalent to calling the scheduler from scratch, but structurally
     /// incremental across re-schedules. Boxed and allocated on first use:
@@ -485,18 +468,8 @@ impl AdaptiveScheduler {
         current_probs: BranchProbs,
         threshold: f64,
         solution: Solution,
-        mut workspace: Option<Box<SolverWorkspace>>,
+        workspace: Option<Box<SolverWorkspace>>,
     ) -> Self {
-        // The near-miss memo buckets tables at the drift threshold — the
-        // resolution below which the manager does not react — so revisited
-        // operating points keep replaying across sub-threshold wobble. It
-        // is an exact-replay cache (see `SolverWorkspace::set_near_memo`);
-        // every adopted plan stays bit-identical to a cold solve. The same
-        // memo is applied to lazily created workspaces in
-        // `ensure_workspace`.
-        if let Some(ws) = workspace.as_deref_mut() {
-            ws.set_near_memo(threshold, NEAR_MEMO_CAP);
-        }
         AdaptiveScheduler {
             scheduler,
             estimators,
@@ -541,7 +514,14 @@ impl AdaptiveScheduler {
     /// [`SchedError::SolveBudgetExceeded`]; the manager keeps the last
     /// adopted solution, so callers degrade instead of crashing. See
     /// [`SolverWorkspace::set_budget`] for the determinism argument.
+    ///
+    /// A changed budget drops the cached plans: a race whose DLS entry
+    /// aborts crowns another entry, so under a different budget the same
+    /// table can race to a different plan.
     pub fn set_solve_budget(&mut self, budget: Option<u64>) {
+        if budget != self.ws_budget {
+            self.drop_cached_plans();
+        }
         self.ws_budget = budget;
         if let Some(ws) = self.workspace.as_deref_mut() {
             ws.set_budget(budget);
@@ -578,7 +558,8 @@ impl AdaptiveScheduler {
     /// lookahead entry costs about what a DLS solve that rebuilds its
     /// scheduled graph does, and pricing the candidates is cheap (see the
     /// `scheduler` module). The construction solve already happened, so
-    /// the incumbent plan is unchanged until the next drift event.
+    /// the incumbent plan is unchanged until the next drift event. Cached
+    /// plans came from the previous solve path and are dropped.
     ///
     /// # Errors
     ///
@@ -593,7 +574,6 @@ impl AdaptiveScheduler {
             .iter()
             .map(|_| {
                 let mut ws = SolverWorkspace::new();
-                ws.set_near_memo(self.threshold, NEAR_MEMO_CAP);
                 ws.set_obs(self.obs.clone(), self.obs_track);
                 ws.set_budget(self.ws_budget);
                 ws
@@ -604,13 +584,16 @@ impl AdaptiveScheduler {
             workspaces,
             stats: PortfolioStats::default(),
         });
+        self.drop_cached_plans();
         Ok(())
     }
 
     /// Leaves portfolio mode; subsequent re-solves go through the DLS
     /// pipeline alone, exactly as before [`Self::enable_portfolio`].
+    /// Cached plans came from races and are dropped.
     pub fn disable_portfolio(&mut self) {
         self.portfolio = None;
+        self.drop_cached_plans();
     }
 
     /// Whether portfolio racing is enabled.
@@ -778,8 +761,9 @@ impl AdaptiveScheduler {
     ///
     /// `candidate` **must** be exactly the solution this manager's solver
     /// would produce for `(ctx, probs)`; callers that share plans across
-    /// streams guarantee this with an exact-probability guard, so adoption
-    /// order and cache hits can never change a single adopted bit.
+    /// streams guarantee this by keying them on the exact
+    /// [`ScheduleKey`], so adoption order and cache hits can never change
+    /// a single adopted bit.
     pub fn adopt_candidate(&mut self, probs: BranchProbs, candidate: Solution, solver_call: bool) {
         self.current_probs = probs;
         self.solution = candidate;
@@ -788,39 +772,6 @@ impl AdaptiveScheduler {
         }
         self.stats.reschedules += 1;
         self.record_adopt(solver_call);
-    }
-
-    /// Solves for `probs` through this manager's own warm-start workspace,
-    /// without touching the schedule cache, the statistics or the solution
-    /// in force — the solving half of the
-    /// [`AdaptiveScheduler::drift_candidate`] /
-    /// [`AdaptiveScheduler::adopt_candidate`] split.
-    ///
-    /// An external engine that interleaves many streams over few OS
-    /// threads uses this so each stream's solves warm-start against *its
-    /// own* solve history (memo, pool, near-miss buckets) instead of
-    /// whatever stream last used a shared per-thread workspace. The result
-    /// is bit-identical to a from-scratch solve (the workspace's warm==cold
-    /// contract), so it composes with exact-guard plan sharing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures ([`SchedError`]) unchanged; budget
-    /// aborts surface as [`SchedError::SolveBudgetExceeded`] like any other
-    /// budgeted solve.
-    pub fn solve_candidate(
-        &mut self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-    ) -> Result<Solution, SchedError> {
-        let ws = ensure_workspace(
-            &mut self.workspace,
-            self.threshold,
-            &self.obs,
-            self.obs_track,
-            self.ws_budget,
-        );
-        ws.solve(self.scheduler.config(), ctx, probs)
     }
 
     /// Like [`AdaptiveScheduler::observe`], but with retry-with-fallback
@@ -913,7 +864,6 @@ impl AdaptiveScheduler {
             )?;
             let ws = ensure_workspace(
                 &mut self.guard_workspace,
-                self.threshold,
                 &self.obs,
                 self.obs_track,
                 self.ws_budget,
@@ -924,7 +874,6 @@ impl AdaptiveScheduler {
         } else {
             let ws = ensure_workspace(
                 &mut self.workspace,
-                self.threshold,
                 &self.obs,
                 self.obs_track,
                 self.ws_budget,
@@ -963,11 +912,11 @@ impl AdaptiveScheduler {
 
     /// Solves for `probs` through the schedule cache when enabled.
     ///
-    /// Returns the solution and whether it came from the cache. A hit
-    /// requires the stored entry's *exact* probability table to equal
-    /// `probs` — quantisation only selects the bucket — so the returned
-    /// solution is always identical to what [`AdaptiveScheduler::raw_solve`]
-    /// would produce. Solver failures are propagated and never cached.
+    /// Returns the solution and whether it came from the cache. Every
+    /// entry is a plan [`AdaptiveScheduler::raw_solve`] returned under the
+    /// solve path in force, keyed on the exact table, guard and deadline,
+    /// so a hit is always identical to what a solve would produce. Solver
+    /// failures are propagated and never cached.
     fn solve_probs(
         &mut self,
         ctx: &SchedContext,
@@ -977,14 +926,9 @@ impl AdaptiveScheduler {
         if self.cache.is_none() {
             return Ok((self.raw_solve(ctx, probs, guard)?, false));
         }
-        let key = self.cache_key(ctx, probs, guard);
-        if let Some(entry) = self
-            .cache
-            .as_mut()
-            .and_then(|c| c.get(&key))
-            .filter(|e| e.probs == *probs)
-        {
-            let solution = entry.solution.clone();
+        let key = ScheduleKey::new(ctx, probs, guard);
+        if let Some(solution) = self.cache.as_mut().and_then(|c| c.get(&key)) {
+            let solution = solution.clone();
             self.stats.cache_hits += 1;
             self.obs.instant(self.obs_track, Stage::CacheHit, 1);
             self.obs.count(Counter::CacheHits, 1);
@@ -995,43 +939,31 @@ impl AdaptiveScheduler {
         self.obs.count(Counter::CacheMisses, 1);
         let solution = self.raw_solve(ctx, probs, guard)?;
         if let Some(cache) = self.cache.as_mut() {
-            cache.insert(
-                key,
-                CacheEntry {
-                    probs: probs.clone(),
-                    solution: solution.clone(),
-                },
-            );
+            cache.insert(key, solution.clone());
         }
         Ok((solution, false))
     }
 
-    /// The cache key for one solve: per-alternative probabilities quantised
-    /// at the adaptation threshold (the resolution below which the manager
-    /// itself does not react), plus the guard factor and deadline bits.
-    fn cache_key(&self, ctx: &SchedContext, probs: &BranchProbs, guard: f64) -> ScheduleKey {
-        ScheduleKey::new(ctx, probs, self.threshold, guard)
+    /// Enables schedule memoisation with room for `capacity` solutions. A
+    /// capacity of 0 keeps caching effectively off (every lookup misses)
+    /// but still counts hits/misses. Re-enabling resets the cache contents.
+    ///
+    /// The cache starts empty and only ever holds plans the solve path in
+    /// force returned — not the plan in force, which may come from an
+    /// earlier solve path, a guard band or safe mode. Caching therefore
+    /// never changes decisions: a hit returns a clone of a plan solved
+    /// earlier *for the exact same probability table, guard and deadline*,
+    /// so runs with the cache on and off adopt identical solutions (only
+    /// [`AdaptiveStats::calls`] shrinks).
+    pub fn enable_cache(&mut self, capacity: usize) {
+        self.cache = Some(LruCache::new(capacity));
     }
 
-    /// Enables schedule memoisation with room for `capacity` solutions,
-    /// seeding the cache with the solution currently in force. A capacity
-    /// of 0 keeps caching effectively off (every lookup misses) but still
-    /// counts hits/misses. Re-enabling resets the cache contents.
-    ///
-    /// Caching never changes decisions: a hit returns a clone of a plan the
-    /// solver produced earlier *for the exact same probability table, guard
-    /// and deadline*, so runs with the cache on and off adopt identical
-    /// solutions (only [`AdaptiveStats::calls`] shrinks).
-    pub fn enable_cache(&mut self, ctx: &SchedContext, capacity: usize) {
-        let mut cache = LruCache::new(capacity);
-        cache.insert(
-            self.cache_key(ctx, &self.current_probs, 1.0),
-            CacheEntry {
-                probs: self.current_probs.clone(),
-                solution: self.solution.clone(),
-            },
-        );
-        self.cache = Some(cache);
+    /// Empties the schedule cache, if enabled, keeping its capacity.
+    fn drop_cached_plans(&mut self) {
+        if let Some(cache) = self.cache.as_mut() {
+            cache.clear();
+        }
     }
 
     /// Whether schedule memoisation is enabled.
@@ -1284,7 +1216,7 @@ mod cache_tests {
         let (ctx, probs, _) = example1_context();
         let mut plain = AdaptiveScheduler::new(&ctx, probs.clone(), 4, 0.3).unwrap();
         let mut cached = AdaptiveScheduler::new(&ctx, probs, 4, 0.3).unwrap();
-        cached.enable_cache(&ctx, 16);
+        cached.enable_cache(16);
         for v in regime_trace(64) {
             let a = plain.observe(&ctx, &v).unwrap();
             let b = cached.observe(&ctx, &v).unwrap();
@@ -1308,7 +1240,7 @@ mod cache_tests {
         let (ctx, probs, _) = example1_context();
         let mut plain = AdaptiveScheduler::new(&ctx, probs.clone(), 4, 0.3).unwrap();
         let mut cached = AdaptiveScheduler::new(&ctx, probs, 4, 0.3).unwrap();
-        cached.enable_cache(&ctx, 16);
+        cached.enable_cache(16);
         for v in regime_trace(48) {
             let a = plain.observe_resilient(&ctx, &v).unwrap();
             let b = cached.observe_resilient(&ctx, &v).unwrap();
@@ -1319,22 +1251,10 @@ mod cache_tests {
     }
 
     #[test]
-    fn enable_cache_seeds_the_incumbent_plan() {
-        let (ctx, probs, _) = example1_context();
-        let mut mgr = AdaptiveScheduler::new(&ctx, probs, 4, 0.3).unwrap();
-        mgr.enable_cache(&ctx, 4);
-        let current = mgr.current_probs().clone();
-        let incumbent = mgr.solution().clone();
-        let (sol, hit) = mgr.solve_probs(&ctx, &current, 1.0).unwrap();
-        assert!(hit, "the incumbent plan is seeded on enable");
-        assert_eq!(sol, incumbent);
-    }
-
-    #[test]
     fn exact_repeat_hits_and_matches_raw_solver() {
         let (ctx, probs, _) = example1_context();
         let mut mgr = AdaptiveScheduler::new(&ctx, probs.clone(), 4, 0.3).unwrap();
-        mgr.enable_cache(&ctx, 8);
+        mgr.enable_cache(8);
         let fork = ctx.ctg().branch_nodes()[0];
         let mut skewed = probs.clone();
         skewed.set(fork, vec![0.8, 0.2]).unwrap();
@@ -1347,66 +1267,65 @@ mod cache_tests {
     }
 
     #[test]
-    fn same_bucket_different_probs_never_hits() {
+    fn one_ulp_apart_tables_miss_and_bit_equal_tables_hit() {
         let (ctx, probs, _) = example1_context();
         let mut mgr = AdaptiveScheduler::new(&ctx, probs.clone(), 4, 0.3).unwrap();
-        mgr.enable_cache(&ctx, 8);
+        mgr.enable_cache(8);
         let fork = ctx.ctg().branch_nodes()[0];
-        // 0.6/0.3 = 2.0 and 0.59/0.3 ≈ 1.97 both round to bucket 2 (and
-        // 0.4 / 0.41 both to bucket 1): same key, different exact
-        // probabilities. Neither equals the seeded incumbent table.
         let mut a = probs.clone();
         a.set(fork, vec![0.6, 0.4]).unwrap();
+        // `a`'s first alternative one ulp up: a different exact table, and
+        // so a different key.
         let mut b = probs.clone();
-        b.set(fork, vec![0.59, 0.41]).unwrap();
-        assert_eq!(mgr.cache_key(&ctx, &a, 1.0), mgr.cache_key(&ctx, &b, 1.0));
+        b.set(fork, vec![f64::from_bits(0.6f64.to_bits() + 1), 0.4])
+            .unwrap();
+        assert_ne!(
+            ScheduleKey::new(&ctx, &a, 1.0),
+            ScheduleKey::new(&ctx, &b, 1.0)
+        );
 
         let (sol_a, hit_a) = mgr.solve_probs(&ctx, &a, 1.0).unwrap();
         assert!(!hit_a);
-        let (_sol_b, hit_b) = mgr.solve_probs(&ctx, &b, 1.0).unwrap();
-        assert!(
-            !hit_b,
-            "exactness guard must reject a same-bucket neighbour"
-        );
-        // The bucket now stores b's plan; a must miss again and re-solve to
-        // its own plan rather than borrow b's.
-        let (sol_a2, hit_a2) = mgr.solve_probs(&ctx, &a, 1.0).unwrap();
-        assert!(!hit_a2);
+        let (sol_b, hit_b) = mgr.solve_probs(&ctx, &b, 1.0).unwrap();
+        assert!(!hit_b, "a table one ulp away must miss");
+        assert_eq!(sol_b, mgr.raw_solve(&ctx, &b, 1.0).unwrap());
+        // A bit-equal copy of `a`, built separately, hits `a`'s entry.
+        let mut a_again = probs.clone();
+        a_again.set(fork, vec![0.6, 0.4]).unwrap();
+        let (sol_a2, hit_a2) = mgr.solve_probs(&ctx, &a_again, 1.0).unwrap();
+        assert!(hit_a2);
         assert_eq!(sol_a, sol_a2);
-        assert_eq!(mgr.stats().cache_hits, 0);
-        assert_eq!(mgr.stats().cache_misses, 3);
-    }
-
-    #[test]
-    fn quantisation_boundary_splits_buckets_deterministically() {
-        let (ctx, probs, _) = example1_context();
-        let mgr = AdaptiveScheduler::new(&ctx, probs.clone(), 4, 0.3).unwrap();
-        let fork = ctx.ctg().branch_nodes()[0];
-        // 0.45/0.3 = 1.5 sits exactly on a bucket edge and rounds away from
-        // zero (bucket 2); 0.44/0.3 ≈ 1.47 stays in bucket 1. The key is a
-        // pure function of the probability bits, never of lookup history.
-        let mut on_edge = probs.clone();
-        on_edge.set(fork, vec![0.45, 0.55]).unwrap();
-        let mut below = probs.clone();
-        below.set(fork, vec![0.44, 0.56]).unwrap();
-        assert_ne!(
-            mgr.cache_key(&ctx, &on_edge, 1.0),
-            mgr.cache_key(&ctx, &below, 1.0)
-        );
-        assert_eq!(
-            mgr.cache_key(&ctx, &on_edge, 1.0),
-            mgr.cache_key(&ctx, &on_edge, 1.0)
-        );
+        assert_eq!(mgr.stats().cache_hits, 1);
+        assert_eq!(mgr.stats().cache_misses, 2);
     }
 
     #[test]
     fn guard_factor_is_part_of_the_key() {
         let (ctx, probs, _) = example1_context();
-        let mgr = AdaptiveScheduler::new(&ctx, probs.clone(), 4, 0.3).unwrap();
         assert_ne!(
-            mgr.cache_key(&ctx, &probs, 1.0),
-            mgr.cache_key(&ctx, &probs, 0.9)
+            ScheduleKey::new(&ctx, &probs, 1.0),
+            ScheduleKey::new(&ctx, &probs, 0.9)
         );
+    }
+
+    #[test]
+    fn changing_the_solve_path_drops_cached_plans() {
+        let (ctx, probs, _) = example1_context();
+        let mut mgr = AdaptiveScheduler::new(&ctx, probs.clone(), 4, 0.3).unwrap();
+        mgr.enable_cache(8);
+        let hit = |mgr: &mut AdaptiveScheduler| mgr.solve_probs(&ctx, &probs, 1.0).unwrap().1;
+        assert!(!hit(&mut mgr));
+        assert!(hit(&mut mgr));
+        mgr.enable_portfolio(&[SchedulerKind::Dls, SchedulerKind::Heft])
+            .unwrap();
+        assert!(!hit(&mut mgr), "a DLS plan must not answer for a race");
+        assert!(hit(&mut mgr));
+        mgr.set_solve_budget(Some(u64::MAX));
+        assert!(!hit(&mut mgr), "a new budget drops the plans");
+        mgr.set_solve_budget(Some(u64::MAX));
+        assert!(hit(&mut mgr), "re-setting the same budget keeps them");
+        mgr.disable_portfolio();
+        assert!(!hit(&mut mgr), "a raced plan must not answer for DLS");
     }
 
     #[test]

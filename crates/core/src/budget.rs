@@ -10,9 +10,9 @@
 //! * the same problem always costs the same number of units, so a
 //!   budget-exceeded verdict is reproducible bit-for-bit across machines,
 //!   worker counts and cache states;
-//! * warm-start paths (memo and graph-pool hits in
+//! * a warm-start path (a graph-pool hit in
 //!   [`SolverWorkspace`](crate::SolverWorkspace)) can *re-charge* the
-//!   stored cost of the work they skip, so a warm solve reaches the exact
+//!   stored cost of the work it skips, so a warm solve reaches the exact
 //!   same verdict as a cold solve of the same problem.
 //!
 //! A meter either has a finite budget ([`WorkMeter::with_budget`]) or is

@@ -1,40 +1,37 @@
-//! A small bounded LRU map, hand-rolled over `HashMap`.
+//! The plan cache's key and a small bounded LRU map, hand-rolled over
+//! `HashMap`.
 //!
 //! No external cache crate is used. Recency is a monotonic stamp stored
 //! next to each value: `get`/`insert` bump the clock in O(1), and only an
 //! eviction (at most one per insert, and only once the map is full) scans
 //! for the minimum stamp. The earlier `VecDeque` recency list scanned the
 //! whole deque on *every hit* — quadratic in capacity for hit-heavy
-//! workloads, which the serving engine's striped cache and the near-miss
-//! memo both are once their capacities reach the hundreds.
+//! workloads, which the serving engine's striped cache is once its
+//! capacity reaches the hundreds.
 //!
-//! The schedule cache and the warm-start
+//! The plan cache and the warm-start
 //! [`SolverWorkspace`](crate::SolverWorkspace) are complementary: the
 //! cache replays *exact* revisits of a probability table without any
 //! solver work, while the workspace makes the solves the cache cannot
-//! avoid — nearby-but-new tables — structurally incremental. Neither
-//! changes a single adopted plan.
+//! avoid structurally incremental. Neither changes a single adopted plan.
 
 use crate::context::SchedContext;
 use ctg_model::BranchProbs;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Cache key of one solver invocation: the branch-probability table
-/// quantised at a resolution `quantum`, plus the guard-banded deadline the
-/// solve ran against.
+/// Cache key of one solver invocation: the exact bits of every branch
+/// probability, plus the guard-banded deadline the solve ran against.
 ///
-/// Quantisation only *buckets* entries so a cache stays small over a
-/// drifting trace — it never substitutes a nearby solution: every consumer
-/// (the [`AdaptiveScheduler`](crate::AdaptiveScheduler) schedule cache and
-/// the serving engine's cross-stream cache) additionally requires the
-/// entry's exact stored probabilities to equal the requested ones before
-/// returning it, so a cached plan is always the plan the solver would have
-/// produced.
+/// Both plan caches — the [`AdaptiveScheduler`](crate::AdaptiveScheduler)
+/// schedule cache and the serving engine's cross-stream cache — store
+/// plans under this key alone. Equal keys mean bit-equal solver inputs,
+/// and the solver is deterministic, so a cached plan is always the plan
+/// the solver would have produced.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ScheduleKey {
-    /// `round(p / quantum)` per alternative, in branch-node order.
-    qprobs: Vec<i64>,
+    /// Bits of every alternative's probability, in branch-node order.
+    probs: Vec<u64>,
     /// Bits of the deadline-guard factor the solve honours.
     guard: u64,
     /// Bits of the context's (unguarded) deadline — a cheap fingerprint
@@ -43,30 +40,27 @@ pub struct ScheduleKey {
 }
 
 impl ScheduleKey {
-    /// Builds the key for a solve of `probs` on `ctx` under `guard`, with
-    /// probabilities bucketed at `quantum` (the adaptive manager uses its
-    /// drift threshold — the resolution below which it does not react).
-    ///
-    /// The key is a pure function of its inputs' bits, never of lookup
-    /// history.
+    /// Builds the key for a solve of `probs` on `ctx` under `guard`.
     ///
     /// # Panics
     ///
     /// Panics if `probs` lacks a distribution for one of the context's
     /// branch nodes (callers hold validated tables).
-    pub fn new(ctx: &SchedContext, probs: &BranchProbs, quantum: f64, guard: f64) -> Self {
+    pub fn new(ctx: &SchedContext, probs: &BranchProbs, guard: f64) -> Self {
         let ctg = ctx.ctg();
-        let mut qprobs = Vec::new();
-        for &b in ctg.branch_nodes() {
-            let dist = probs
-                .distribution(b)
-                .expect("validated table has every branch");
-            for &p in dist {
-                qprobs.push((p / quantum).round() as i64);
-            }
-        }
+        let probs = ctg
+            .branch_nodes()
+            .iter()
+            .flat_map(|&b| {
+                probs
+                    .distribution(b)
+                    .expect("validated table has every branch")
+                    .iter()
+                    .map(|p| p.to_bits())
+            })
+            .collect();
         ScheduleKey {
-            qprobs,
+            probs,
             guard: guard.to_bits(),
             deadline: ctg.deadline().to_bits(),
         }
@@ -155,8 +149,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Drops every entry, keeping the configured capacity. Used when the
-    /// cached solutions' premises change wholesale (e.g. a workspace
-    /// rebinding to a different context).
+    /// cached solutions' premises change wholesale (e.g. a manager
+    /// switching its solve path).
     pub fn clear(&mut self) {
         self.map.clear();
     }

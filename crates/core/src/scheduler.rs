@@ -63,8 +63,8 @@ use mpsoc_platform::PeId;
 ///
 /// The trait is the seam the portfolio races over. Implementations must be
 /// **deterministic pure functions** of `(ctx, probs)` and their own
-/// configuration — the race replays winners through
-/// exact-probability-guarded caches, which is only sound when re-solving
+/// configuration — the race replays winners through plan caches keyed
+/// on the exact probability bits, which is only sound when re-solving
 /// the same inputs cannot produce different bits. The workspace parameter
 /// carries warm-start state for implementors that use it (the DLS
 /// pipeline); implementors without warm layers ignore it.
@@ -617,8 +617,8 @@ pub struct RaceOutcome {
 /// Races `kinds` over one probability table and crowns the winner.
 ///
 /// Entries solve in entry order, each against its own workspace
-/// (`workspaces[i]` belongs to `kinds[i]`; per-entry state never mixes
-/// across schedulers, so the DLS entry's memo keys stay sound), and each
+/// (`workspaces[i]` belongs to `kinds[i]`, so per-entry state never mixes
+/// across schedulers), and each
 /// verdict folds in as soon as its entry solves:
 ///
 /// 1. among candidates whose worst-case makespan is within the deadline

@@ -30,21 +30,12 @@
 //!    the worst-case-exponential path enumeration and the stretcher's
 //!    per-task layout. The stretch itself still reads the commit order,
 //!    the PEs and the starts from the schedule being solved.
-//! 4. **Memoisation**: a solve for the exact probability table and stretch
-//!    configuration of the previous solve returns its solution — the
-//!    solver is deterministic, so re-running it cannot produce anything
-//!    else. Note that the memo is depth-1 and therefore **dead on a pure
-//!    drift sequence by construction**: the adaptive manager only re-solves
-//!    when the estimate moved beyond the threshold from the table in force,
-//!    so consecutive *adopted* tables always differ (`BENCH_solver.json`
-//!    reports `memo_hits: 0` over 1483 adopted MPEG drift tables — that is
-//!    correct behaviour, not a broken key). The memo earns its keep on the
-//!    paths that re-solve an *unchanged* table: the degradation ladder's
-//!    [`resolve_now`](crate::AdaptiveScheduler::resolve_now) rungs, guard
-//!    relax/escalate cycles, and external callers replaying a table.
-//!    Deeper replay of non-consecutive tables is the schedule cache's job
-//!    (see [`LruCache`](crate::LruCache) in the adaptive manager), not the
-//!    workspace's.
+//!
+//! Every solve runs DLS and the stretch sweeps. Replaying a whole plan for
+//! a table solved before is the plan cache's job (an
+//! [`LruCache`](crate::LruCache) keyed on the exact
+//! [`ScheduleKey`](crate::ScheduleKey), in the adaptive manager and in the
+//! serving engine), not the workspace's.
 //!
 //! The stretching sweeps themselves intentionally run *cold* (not seeded
 //! from the incumbent speeds): seeding changes the sweep arithmetic and
@@ -54,14 +45,12 @@
 //! `tests/solver_equivalence.rs`).
 
 use crate::budget::WorkMeter;
-use crate::cache::{LruCache, ScheduleKey};
 use crate::context::SchedContext;
 use crate::dls::dls_with_levels_metered;
 use crate::error::SchedError;
 use crate::online::Solution;
 use crate::schedule::Schedule;
 use crate::sgraph::ScheduledGraph;
-use crate::speed::SpeedAssignment;
 use crate::static_level::{static_levels_into, update_static_levels};
 use crate::stretch::{
     critical_path_fallback, stretch_on_graph, validate_config, StretchConfig, StretchScratch,
@@ -73,11 +62,8 @@ use mpsoc_platform::{PeId, Platform};
 /// Counters describing how much work repeated solves actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkspaceStats {
-    /// Total solve calls (including memo hits and failed solves).
+    /// Total solve calls (including failed solves).
     pub solves: usize,
-    /// Solves answered entirely from the previous solve (same
-    /// probabilities, same configuration).
-    pub memo_hits: usize,
     /// Full static-level recomputes (first call and after each rebind).
     pub full_level_rebuilds: usize,
     /// Incremental static-level updates.
@@ -93,9 +79,6 @@ pub struct WorkspaceStats {
     pub rebinds: usize,
     /// Solves aborted because they crossed the configured work budget.
     pub budget_exceeded: usize,
-    /// Solves answered by the quantised near-miss memo (exact replay of a
-    /// cached table sharing the requested table's quantisation bucket).
-    pub near_hits: usize,
 }
 
 /// The (context) inputs the cached state is valid for. Compared by content,
@@ -105,64 +88,6 @@ pub struct WorkspaceStats {
 struct Bound {
     ctg: Ctg,
     platform: Platform,
-}
-
-/// The last successful solve, for exact-repeat memoisation.
-#[derive(Debug, Clone)]
-struct LastSolve {
-    probs: BranchProbs,
-    cfg: StretchConfig,
-    schedule: Schedule,
-    speeds: SpeedAssignment,
-    /// Total work units the solve cost — a pure function of
-    /// (context, probs, cfg), re-charged on memo hits so a warm repeat
-    /// reaches the same budget verdict as a cold solve.
-    work_units: u64,
-}
-
-/// Key of the quantised near-miss memo: the probability table bucketed at
-/// the memo's quantum (via [`ScheduleKey`], which also fingerprints the
-/// context deadline), plus the exact stretch configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct NearKey {
-    key: ScheduleKey,
-    /// `min_speed` bits — configs are compared exactly, never bucketed.
-    min_speed: u64,
-    path_cap: usize,
-    sweeps: usize,
-}
-
-impl NearKey {
-    fn new(ctx: &SchedContext, probs: &BranchProbs, quantum: f64, cfg: &StretchConfig) -> Self {
-        NearKey {
-            key: ScheduleKey::new(ctx, probs, quantum, 1.0),
-            min_speed: cfg.min_speed.to_bits(),
-            path_cap: cfg.path_cap,
-            sweeps: cfg.sweeps,
-        }
-    }
-}
-
-/// One near-miss memo entry: a full solve outcome plus the *exact* table it
-/// was produced under. Quantisation only buckets lookups — an entry is
-/// replayed solely when its stored table equals the requested one bit for
-/// bit, so the memo never substitutes a nearby solution (see
-/// [`SolverWorkspace::set_near_memo`]).
-#[derive(Debug, Clone)]
-struct NearEntry {
-    probs: BranchProbs,
-    schedule: Schedule,
-    speeds: SpeedAssignment,
-    /// Re-charged on a hit, like [`LastSolve::work_units`].
-    work_units: u64,
-}
-
-/// The quantised near-miss memo (disabled unless
-/// [`SolverWorkspace::set_near_memo`] was called).
-#[derive(Debug, Clone)]
-struct NearMemo {
-    quantum: f64,
-    cache: LruCache<NearKey, NearEntry>,
 }
 
 /// One pooled scheduled graph, keyed by the (assignment, per-PE order, path
@@ -218,8 +143,9 @@ fn graph_fp(schedule: &Schedule, path_cap: usize) -> u64 {
 }
 
 /// Reusable state for repeated online solves over one (CTG, platform)
-/// context — see the [module docs](self) for the layers and the
-/// equivalence argument.
+/// context: dirty-set static levels and a pool of scheduled graphs keyed
+/// on the PE mapping, over the context's compiled adjacency. Every solve
+/// returns exactly what a cold solve of the same table would.
 ///
 /// Obtain solutions through
 /// [`OnlineScheduler::solve_with_workspace`](crate::OnlineScheduler::solve_with_workspace);
@@ -232,7 +158,8 @@ pub struct SolverWorkspace {
     /// Static levels under `sl_probs`, maintained incrementally.
     sl: Vec<f64>,
     sl_probs: Option<BranchProbs>,
-    last: Option<LastSolve>,
+    /// Work units the last successful solve cost.
+    last_cost: Option<u64>,
     /// Pooled scheduled graphs, recency carried by each entry's stamp.
     graphs: Vec<GraphEntry>,
     /// Monotonic use counter stamping pool entries (unique, so the
@@ -247,8 +174,6 @@ pub struct SolverWorkspace {
     /// Optional per-solve work budget, in solver work units (DLS candidate
     /// evaluations + path-enumeration steps). `None` = unlimited.
     budget: Option<u64>,
-    /// Quantised near-miss memo (`None` = disabled, the default).
-    near: Option<NearMemo>,
 }
 
 impl SolverWorkspace {
@@ -290,73 +215,11 @@ impl SolverWorkspace {
         self.budget
     }
 
-    /// Enables the quantised near-miss memo: up to `cap` past solves are
-    /// kept, keyed by their probability table bucketed at `quantum` (plus
-    /// the exact stretch configuration and context deadline).
-    ///
-    /// The memo is an **exact-replay** cache with a quantised index, not an
-    /// approximation: a lookup first locates the bucket, then requires the
-    /// stored table to equal the requested one bit for bit before the
-    /// stored solution is returned, so every answer is the one a cold solve
-    /// would produce. The bucketing is what keeps the memo small under
-    /// drift — tables differing below `quantum` share an entry slot, and
-    /// the working set of *adopted* tables in a drift run is tiny (most
-    /// adopted tables are exact revisits of an earlier one). Deeper than
-    /// the depth-1 last-solve memo, cheaper than the graph pool (which
-    /// still re-runs the stretch sweeps on every hit).
-    ///
-    /// Stored work units are re-charged on hits, so budget verdicts are
-    /// identical to a cold solve of the same table. For warm-*starting* a
-    /// genuinely new table from a neighbouring bucket — a tolerance-level,
-    /// not bitwise, shortcut — see [`SolverWorkspace::near_seed`] and
-    /// [`crate::stretch_schedule_seeded`].
-    ///
-    /// The adaptive manager enables this on its workspaces with `quantum` =
-    /// its drift threshold; a bare workspace leaves it off, keeping the
-    /// default construction bit-compatible with earlier revisions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is not a positive, finite number.
-    pub fn set_near_memo(&mut self, quantum: f64, cap: usize) {
-        assert!(
-            quantum.is_finite() && quantum > 0.0,
-            "near-memo quantum must be positive and finite"
-        );
-        self.near = Some(NearMemo {
-            quantum,
-            cache: LruCache::new(cap),
-        });
-    }
-
-    /// Disables the near-miss memo and drops its entries.
-    pub fn clear_near_memo(&mut self) {
-        self.near = None;
-    }
-
-    /// The speeds of a cached solve whose table shares `probs`'s
-    /// quantisation bucket (and exact `cfg`), if the near-miss memo holds
-    /// one — the seed for an explicitly opted-in
-    /// [`crate::stretch_schedule_seeded`] warm start. Does not touch
-    /// recency. Callers accepting a seeded solve accept tolerance-level
-    /// (not bitwise) agreement with the cold fixed point; the default
-    /// [`SolverWorkspace::solve`] path never does this.
-    pub fn near_seed(
-        &self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-        cfg: &StretchConfig,
-    ) -> Option<&SpeedAssignment> {
-        let near = self.near.as_ref()?;
-        let key = NearKey::new(ctx, probs, near.quantum, cfg);
-        near.cache.peek(&key).map(|e| &e.speeds)
-    }
-
     /// Work units the last successful solve cost, if any — the cost is a
     /// pure function of the problem, so this is useful for calibrating
     /// budgets against a representative solve.
     pub fn last_solve_cost(&self) -> Option<u64> {
-        self.last.as_ref().map(|l| l.work_units)
+        self.last_cost
     }
 
     /// Records a budget abort in the stats and telemetry, passing the
@@ -406,79 +269,11 @@ impl SolverWorkspace {
                 platform: ctx.platform().clone(),
             });
             self.sl_probs = None;
-            self.last = None;
+            self.last_cost = None;
             self.graphs.clear();
-            // Near-memo entries are premised on the old context; keep the
-            // configuration (quantum, capacity) but drop every entry.
-            if let Some(near) = self.near.as_mut() {
-                near.cache.clear();
-            }
         }
 
         let mut meter = WorkMeter::from_limit(self.budget);
-
-        // Layer 4: the solver is a pure function of (ctx, probs, cfg) — an
-        // exact repeat returns the previous solution. The stored work units
-        // are re-charged first, so a table too expensive for the budget
-        // aborts here exactly as a cold solve of it would.
-        let memo_units = self
-            .last
-            .as_ref()
-            .and_then(|last| (last.probs == *probs && last.cfg == *cfg).then_some(last.work_units));
-        if let Some(units) = memo_units {
-            if let Err(e) = meter.charge(units) {
-                return Err(self.note_budget_abort(&obs, track, e));
-            }
-            let last = self.last.as_ref().expect("memo hit checked above");
-            self.stats.memo_hits += 1;
-            obs.instant(track, Stage::MemoHit, 1);
-            let dur_ns = solve_span.end(SOLVE_VIA_MEMO);
-            obs.observe(Hist::SolveUs, dur_ns as f64 / 1e3);
-            return Ok(Solution {
-                schedule: last.schedule.clone(),
-                speeds: last.speeds.clone(),
-            });
-        }
-
-        // Layer 4b: the quantised near-miss memo (when enabled). The key
-        // buckets the table at the memo's quantum; the entry answers only
-        // when its stored table equals the requested one bit for bit, so
-        // this is an exact replay like the depth-1 memo — just deeper, and
-        // indexed so the lookup survives sub-quantum drift around a
-        // revisited table. The stored work units are re-charged first for
-        // identical budget verdicts.
-        let near_key = self
-            .near
-            .as_ref()
-            .map(|near| NearKey::new(ctx, probs, near.quantum, cfg));
-        if let (Some(near), Some(key)) = (self.near.as_mut(), near_key.as_ref()) {
-            let replay = near
-                .cache
-                .get(key)
-                .filter(|e| e.probs == *probs)
-                .map(|e| (e.schedule.clone(), e.speeds.clone(), e.work_units));
-            if let Some((schedule, speeds, units)) = replay {
-                if let Err(e) = meter.charge(units) {
-                    return Err(self.note_budget_abort(&obs, track, e));
-                }
-                self.stats.near_hits += 1;
-                obs.instant(track, Stage::NearMissHit, 1);
-                obs.count(Counter::NearMissHits, 1);
-                // The replay is the most recent successful solve; keeping
-                // the depth-1 memo on it preserves `last_solve_cost` and
-                // lets exact consecutive repeats keep hitting layer 4.
-                self.last = Some(LastSolve {
-                    probs: probs.clone(),
-                    cfg: cfg.clone(),
-                    schedule: schedule.clone(),
-                    speeds: speeds.clone(),
-                    work_units: units,
-                });
-                let dur_ns = solve_span.end(SOLVE_VIA_NEAR);
-                obs.observe(Hist::SolveUs, dur_ns as f64 / 1e3);
-                return Ok(Solution { schedule, speeds });
-            }
-        }
 
         // Layer 2: dirty-set static levels (full recompute when cold).
         match self.sl_probs.take() {
@@ -608,35 +403,17 @@ impl SolverWorkspace {
             }
         };
 
-        self.last = Some(LastSolve {
-            probs: probs.clone(),
-            cfg: cfg.clone(),
-            schedule: schedule.clone(),
-            speeds: speeds.clone(),
-            work_units: meter.spent(),
-        });
-        if let (Some(near), Some(key)) = (self.near.as_mut(), near_key) {
-            near.cache.insert(
-                key,
-                NearEntry {
-                    probs: probs.clone(),
-                    schedule: schedule.clone(),
-                    speeds: speeds.clone(),
-                    work_units: meter.spent(),
-                },
-            );
-        }
+        self.last_cost = Some(meter.spent());
         let dur_ns = solve_span.end(via);
         obs.observe(Hist::SolveUs, dur_ns as f64 / 1e3);
         Ok(Solution { schedule, speeds })
     }
 }
 
-/// [`Stage::Solve`] span args: which warm-start layer answered the solve.
+/// [`Stage::Solve`] span args: whether the solve rebuilt its scheduled
+/// graph or reused a pooled one.
 const SOLVE_VIA_REBUILD: i64 = 0;
 const SOLVE_VIA_POOL: i64 = 1;
-const SOLVE_VIA_MEMO: i64 = 2;
-const SOLVE_VIA_NEAR: i64 = 3;
 
 #[cfg(test)]
 mod tests {
@@ -664,7 +441,7 @@ mod tests {
         let tables: Vec<BranchProbs> = [
             vec![0.5, 0.5],
             vec![0.6, 0.4],
-            vec![0.6, 0.4], // exact repeat → memo
+            vec![0.6, 0.4], // exact repeat → pool hit
             vec![0.62, 0.38],
             vec![0.2, 0.8],
             vec![0.5, 0.5],
@@ -684,50 +461,9 @@ mod tests {
         }
         let stats = ws.stats();
         assert_eq!(stats.solves, tables.len());
-        assert!(stats.memo_hits >= 1, "{stats:?}");
         assert_eq!(stats.full_level_rebuilds, 1);
-        assert!(stats.graph_reuses + stats.graph_rebuilds + stats.memo_hits == stats.solves);
+        assert_eq!(stats.graph_reuses + stats.graph_rebuilds, stats.solves);
         assert!(stats.graph_reuses >= 1, "{stats:?}");
-    }
-
-    #[test]
-    fn memo_counter_pins_exact_consecutive_repeats_only() {
-        // Regression for the "dead memo" investigation: the depth-1 memo
-        // hits exactly once per *unchanged consecutive* table and never
-        // across an intervening different table. Pinned with equalities,
-        // not >=, so a silently broken key (0 hits) or an over-eager one
-        // (matching non-consecutive repeats) both fail.
-        let (ctx, probs, ids) = example1_context();
-        let [_, _, t3, _, _, t5, ..] = ids;
-        let scheduler = OnlineScheduler::new();
-        let mut ws = SolverWorkspace::new();
-        let table = |d: Vec<f64>| {
-            let mut p = probs.clone();
-            p.set(t3, d.clone()).unwrap();
-            p.set(t5, d).unwrap();
-            p
-        };
-        let a = table(vec![0.7, 0.3]);
-        let b = table(vec![0.3, 0.7]);
-
-        let first = scheduler.solve_with_workspace(&ctx, &a, &mut ws).unwrap();
-        assert_eq!(ws.stats().memo_hits, 0, "cold solve cannot hit");
-        // Unchanged consecutive table: must be answered from the memo.
-        let repeat = scheduler.solve_with_workspace(&ctx, &a, &mut ws).unwrap();
-        assert_eq!(ws.stats().memo_hits, 1);
-        assert_bit_identical(&first, &repeat, &ctx);
-        let again = scheduler.solve_with_workspace(&ctx, &a, &mut ws).unwrap();
-        assert_eq!(ws.stats().memo_hits, 2);
-        assert_bit_identical(&first, &again, &ctx);
-        // A drifted table breaks the streak…
-        scheduler.solve_with_workspace(&ctx, &b, &mut ws).unwrap();
-        assert_eq!(ws.stats().memo_hits, 2);
-        // …and returning to `a` is a non-consecutive repeat: the depth-1
-        // memo must NOT serve it (that replay is the schedule cache's job).
-        let back = scheduler.solve_with_workspace(&ctx, &a, &mut ws).unwrap();
-        assert_eq!(ws.stats().memo_hits, 2);
-        assert_bit_identical(&first, &back, &ctx);
-        assert_eq!(ws.stats().solves, 5);
     }
 
     #[test]
@@ -757,7 +493,8 @@ mod tests {
             .solve_with_workspace(&ctx2_again, &probs, &mut ws)
             .unwrap();
         assert_eq!(ws.stats().rebinds, 1);
-        assert_eq!(ws.stats().memo_hits, 1);
+        assert_eq!(ws.stats().full_level_rebuilds, 2);
+        assert_eq!(ws.stats().graph_reuses, 1);
     }
 
     #[test]
@@ -780,9 +517,10 @@ mod tests {
         assert_bit_identical(&sol, &cold_ok, &ctx);
         assert_eq!(exact.stats().budget_exceeded, 0);
 
-        // One unit short: a cold solve and a warm memo repeat abort with
-        // the identical error (cold crosses on a 1-unit charge at
-        // spent == cost; the memo re-charge lands on the same total).
+        // One unit short: a cold solve and a warm repeat abort with the
+        // identical error (cold crosses on a 1-unit charge at
+        // spent == cost; the repeat's graph-pool re-charge lands on the
+        // same total).
         let mut short = SolverWorkspace::new();
         short.set_budget(Some(cost - 1));
         let cold_err = scheduler.solve_with_workspace(&ctx, &probs, &mut short);
@@ -807,9 +545,9 @@ mod tests {
     #[test]
     fn pool_hits_recharge_enumeration_cost() {
         // Solve a, then b, then a again: the third solve answers from the
-        // graph pool (non-consecutive repeat, so the depth-1 memo cannot).
-        // Its budget verdict must match a cold solve of a at the same
-        // budget, because the pooled enumeration cost is re-charged.
+        // graph pool. Its budget verdict must match a cold solve of a at
+        // the same budget, because the pooled enumeration cost is
+        // re-charged.
         let (ctx, probs, ids) = example1_context();
         let [_, _, t3, _, _, t5, ..] = ids;
         let scheduler = OnlineScheduler::new();
@@ -847,172 +585,6 @@ mod tests {
         assert_eq!(ws.stats().graph_reuses, reuses_before + 1);
         let cold_ok = scheduler.solve(&ctx, &a).unwrap();
         assert_bit_identical(&cold_ok, &ok, &ctx);
-    }
-
-    #[test]
-    fn near_memo_replays_non_consecutive_repeats_bit_identically() {
-        let (ctx, probs, ids) = example1_context();
-        let [_, _, t3, _, _, t5, ..] = ids;
-        let scheduler = OnlineScheduler::new();
-        let table = |d: Vec<f64>| {
-            let mut p = probs.clone();
-            p.set(t3, d.clone()).unwrap();
-            p.set(t5, d).unwrap();
-            p
-        };
-        let a = table(vec![0.7, 0.3]);
-        let b = table(vec![0.3, 0.7]);
-
-        let mut ws = SolverWorkspace::new();
-        ws.set_near_memo(0.05, 32);
-        let first = scheduler.solve_with_workspace(&ctx, &a, &mut ws).unwrap();
-        scheduler.solve_with_workspace(&ctx, &b, &mut ws).unwrap();
-        assert_eq!(ws.stats().near_hits, 0, "cold solves cannot near-hit");
-        // Returning to `a` is a non-consecutive repeat: the depth-1 memo
-        // misses (last solve was `b`) and the near memo must answer.
-        let rebuilds_before = ws.stats().graph_rebuilds + ws.stats().graph_reuses;
-        let back = scheduler.solve_with_workspace(&ctx, &a, &mut ws).unwrap();
-        assert_eq!(ws.stats().near_hits, 1);
-        assert_eq!(
-            ws.stats().graph_rebuilds + ws.stats().graph_reuses,
-            rebuilds_before,
-            "a near hit must not run the graph pipeline"
-        );
-        assert_bit_identical(&first, &back, &ctx);
-        let cold = scheduler.solve(&ctx, &a).unwrap();
-        assert_bit_identical(&cold, &back, &ctx);
-        // The replay refreshed the depth-1 memo: an exact consecutive
-        // repeat of `a` now hits layer 4, not the near memo again.
-        scheduler.solve_with_workspace(&ctx, &a, &mut ws).unwrap();
-        assert_eq!(ws.stats().memo_hits, 1);
-        assert_eq!(ws.stats().near_hits, 1);
-    }
-
-    #[test]
-    fn near_memo_never_substitutes_a_same_bucket_table() {
-        // Two tables in the same quantisation bucket (quantum 0.05 buckets
-        // 0.70 and 0.71 both to round(14.x) at most one apart — pick values
-        // that collide) must not replay each other: the near memo is an
-        // exact-replay cache with a quantised *index*, never a nearby
-        // *answer*.
-        let (ctx, probs, ids) = example1_context();
-        let [_, _, t3, _, _, t5, ..] = ids;
-        let scheduler = OnlineScheduler::new();
-        let table = |d: Vec<f64>| {
-            let mut p = probs.clone();
-            p.set(t3, d.clone()).unwrap();
-            p.set(t5, d).unwrap();
-            p
-        };
-        // quantum 0.05: 0.70/0.05 = 14.0 and 0.71/0.05 = 14.2 both round
-        // to 14; 0.30 → 6 and 0.29 → 6. Same key, different bits.
-        let a = table(vec![0.70, 0.30]);
-        let a_drifted = table(vec![0.71, 0.29]);
-
-        let mut ws = SolverWorkspace::new();
-        ws.set_near_memo(0.05, 32);
-        scheduler.solve_with_workspace(&ctx, &a, &mut ws).unwrap();
-        let warm = scheduler
-            .solve_with_workspace(&ctx, &a_drifted, &mut ws)
-            .unwrap();
-        assert_eq!(
-            ws.stats().near_hits,
-            0,
-            "a same-bucket but different table must fall through to the solver"
-        );
-        let cold = scheduler.solve(&ctx, &a_drifted).unwrap();
-        assert_bit_identical(&cold, &warm, &ctx);
-        // The bucket now holds the drifted table. After an intervening
-        // solve from a *different* bucket (so neither the depth-1 memo nor
-        // this bucket is disturbed), revisiting the drifted table replays.
-        let elsewhere = table(vec![0.30, 0.70]);
-        scheduler
-            .solve_with_workspace(&ctx, &elsewhere, &mut ws)
-            .unwrap();
-        scheduler
-            .solve_with_workspace(&ctx, &a_drifted, &mut ws)
-            .unwrap();
-        assert_eq!(ws.stats().near_hits, 1);
-    }
-
-    #[test]
-    fn near_hits_recharge_work_for_identical_budget_verdicts() {
-        let (ctx, probs, ids) = example1_context();
-        let [_, _, t3, _, _, t5, ..] = ids;
-        let scheduler = OnlineScheduler::new();
-        let table = |d: Vec<f64>| {
-            let mut p = probs.clone();
-            p.set(t3, d.clone()).unwrap();
-            p.set(t5, d).unwrap();
-            p
-        };
-        let a = table(vec![0.7, 0.3]);
-        let b = table(vec![0.3, 0.7]);
-
-        let mut probe = SolverWorkspace::new();
-        scheduler
-            .solve_with_workspace(&ctx, &a, &mut probe)
-            .unwrap();
-        let cost_a = probe.last_solve_cost().unwrap();
-
-        let mut ws = SolverWorkspace::new();
-        ws.set_near_memo(0.05, 32);
-        scheduler.solve_with_workspace(&ctx, &a, &mut ws).unwrap();
-        scheduler.solve_with_workspace(&ctx, &b, &mut ws).unwrap();
-
-        // One unit short: the near replay's re-charge must abort with the
-        // identical error a cold solve of `a` produces at that budget.
-        ws.set_budget(Some(cost_a - 1));
-        let warm_err = scheduler.solve_with_workspace(&ctx, &a, &mut ws);
-        let mut cold_ws = SolverWorkspace::new();
-        cold_ws.set_budget(Some(cost_a - 1));
-        let cold_err = scheduler.solve_with_workspace(&ctx, &a, &mut cold_ws);
-        assert_eq!(warm_err, cold_err);
-        assert!(matches!(
-            warm_err,
-            Err(SchedError::SolveBudgetExceeded { .. })
-        ));
-        assert_eq!(ws.stats().near_hits, 0, "an aborted replay is not a hit");
-
-        // Exactly affordable: the replay succeeds and is bit-identical.
-        ws.set_budget(Some(cost_a));
-        let ok = scheduler.solve_with_workspace(&ctx, &a, &mut ws).unwrap();
-        assert_eq!(ws.stats().near_hits, 1);
-        let cold_ok = scheduler.solve(&ctx, &a).unwrap();
-        assert_bit_identical(&cold_ok, &ok, &ctx);
-    }
-
-    #[test]
-    fn rebind_and_disable_drop_near_entries() {
-        let (ctx, probs, _) = example1_context();
-        let scheduler = OnlineScheduler::new();
-        let mut ws = SolverWorkspace::new();
-        ws.set_near_memo(0.05, 32);
-        scheduler
-            .solve_with_workspace(&ctx, &probs, &mut ws)
-            .unwrap();
-        let cfg = StretchConfig::default();
-        assert!(ws.near_seed(&ctx, &probs, &cfg).is_some());
-
-        // A different context drops the entries but keeps the memo enabled.
-        let ctx2 = SchedContext::new(
-            ctx.ctg().with_deadline(ctx.ctg().deadline() * 2.0),
-            ctx.platform().clone(),
-        )
-        .unwrap();
-        scheduler
-            .solve_with_workspace(&ctx2, &probs, &mut ws)
-            .unwrap();
-        assert_eq!(ws.stats().near_hits, 0);
-        assert!(ws.near_seed(&ctx2, &probs, &cfg).is_some());
-
-        // Disabling drops everything; seeds stop being offered.
-        ws.clear_near_memo();
-        assert!(ws.near_seed(&ctx2, &probs, &cfg).is_none());
-        scheduler
-            .solve_with_workspace(&ctx2, &probs, &mut ws)
-            .unwrap();
-        assert_eq!(ws.stats().near_hits, 0);
     }
 
     #[test]

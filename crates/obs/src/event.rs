@@ -26,11 +26,6 @@ pub enum Stage {
     PoolHit,
     /// Slack-distribution speed selection inside a solve.
     Stretch,
-    /// A solve answered from the workspace's last-solve memo.
-    MemoHit,
-    /// A solve answered from the workspace's quantised near-miss memo
-    /// (exact replay of a cached table in the same quantisation bucket).
-    NearMissHit,
     /// The manager's windowed estimate crossed its drift threshold
     /// (`arg` = instances observed so far).
     DriftDetect,
@@ -91,8 +86,6 @@ impl Stage {
             Stage::PathEnum => "path_enum",
             Stage::PoolHit => "pool_hit",
             Stage::Stretch => "stretch",
-            Stage::MemoHit => "memo_hit",
-            Stage::NearMissHit => "near_miss_hit",
             Stage::DriftDetect => "drift_detect",
             Stage::Adopt => "adopt",
             Stage::CacheHit => "cache_hit",
@@ -118,11 +111,7 @@ impl Stage {
     pub fn category(self) -> &'static str {
         match self {
             Stage::Solve | Stage::DlsMap | Stage::PathEnum | Stage::Stretch => "solver",
-            Stage::PoolHit
-            | Stage::MemoHit
-            | Stage::NearMissHit
-            | Stage::CacheHit
-            | Stage::CacheMiss => "cache",
+            Stage::PoolHit | Stage::CacheHit | Stage::CacheMiss => "cache",
             Stage::DriftDetect | Stage::Adopt | Stage::PortfolioRace => "adapt",
             Stage::Tick | Stage::Enqueue | Stage::Dequeue | Stage::SloMiss => "serve",
             Stage::FaultInject
@@ -178,8 +167,6 @@ mod tests {
             Stage::PathEnum,
             Stage::PoolHit,
             Stage::Stretch,
-            Stage::MemoHit,
-            Stage::NearMissHit,
             Stage::DriftDetect,
             Stage::Adopt,
             Stage::CacheHit,

@@ -22,7 +22,8 @@ pub enum Counter {
     DeadlineMisses,
     /// Solver invocations that actually ran the pipeline.
     SolverCalls,
-    /// Solves answered by a memo/pool/schedule cache (any layer).
+    /// Plan-cache lookups that hit (the manager's cache or the serving
+    /// engine's shared one).
     CacheHits,
     /// Cache lookups that fell through to the solver.
     CacheMisses,
@@ -40,8 +41,6 @@ pub enum Counter {
     QuarantineEvents,
     /// Solves aborted by the work-budget watchdog.
     BudgetExceededSolves,
-    /// Solves answered by the workspace's quantised near-miss memo.
-    NearMissHits,
     /// Instances whose arrival-to-completion latency exceeded the SLO.
     SloMisses,
     /// Campaign cells executed to completion.
@@ -58,7 +57,7 @@ pub enum Counter {
 }
 
 /// All counters, in snapshot/export order.
-pub const COUNTERS: [Counter; 19] = [
+pub const COUNTERS: [Counter; 18] = [
     Counter::Instances,
     Counter::DeadlineMisses,
     Counter::SolverCalls,
@@ -71,7 +70,6 @@ pub const COUNTERS: [Counter; 19] = [
     Counter::ShedRequests,
     Counter::QuarantineEvents,
     Counter::BudgetExceededSolves,
-    Counter::NearMissHits,
     Counter::SloMisses,
     Counter::CellsCompleted,
     Counter::CellsResumed,
@@ -95,13 +93,12 @@ impl Counter {
             Counter::ShedRequests => 9,
             Counter::QuarantineEvents => 10,
             Counter::BudgetExceededSolves => 11,
-            Counter::NearMissHits => 12,
-            Counter::SloMisses => 13,
-            Counter::CellsCompleted => 14,
-            Counter::CellsResumed => 15,
-            Counter::ArtifactCompiles => 16,
-            Counter::ArtifactHits => 17,
-            Counter::PortfolioRaces => 18,
+            Counter::SloMisses => 12,
+            Counter::CellsCompleted => 13,
+            Counter::CellsResumed => 14,
+            Counter::ArtifactCompiles => 15,
+            Counter::ArtifactHits => 16,
+            Counter::PortfolioRaces => 17,
         }
     }
 
@@ -120,7 +117,6 @@ impl Counter {
             Counter::ShedRequests => "shed_requests",
             Counter::QuarantineEvents => "quarantine_events",
             Counter::BudgetExceededSolves => "budget_exceeded_solves",
-            Counter::NearMissHits => "near_miss_hits",
             Counter::SloMisses => "slo_misses",
             Counter::CellsCompleted => "cells_completed",
             Counter::CellsResumed => "cells_resumed",

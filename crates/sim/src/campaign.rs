@@ -19,8 +19,8 @@
 //!   change a single output bit.
 //! * **Per-worker solver reuse** — each executor worker owns one
 //!   [`SolverWorkspace`] threaded into every cell's setup solve
-//!   ([`run_serve_seeded`](crate::serve::run_serve_seeded)); consecutive
-//!   same-context cells warm-start instead of re-deriving solver state.
+//!   ([`run_serve_seeded`]); consecutive same-context cells warm-start
+//!   instead of re-deriving solver state.
 //! * **Bounded-memory streaming** — each finished cell is appended to a
 //!   JSON-lines file and *dropped*; only a fixed-size
 //!   [`CampaignRollup`] (counters plus fixed-bucket histograms) stays in
@@ -75,9 +75,8 @@ pub fn campaign_workers() -> usize {
         .unwrap_or_else(pool::worker_count)
 }
 
-/// Arrival-process axis value (mirrors
-/// [`ArrivalKind`](crate::serve::ArrivalKind), minus trace replay, which
-/// has no grid-expressible parameterisation).
+/// Arrival-process axis value (mirrors [`ArrivalKind`], minus trace
+/// replay, which has no grid-expressible parameterisation).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalSpec {
     /// Back-to-back closed-loop arrivals.
@@ -955,7 +954,6 @@ fn run_cell(
             capacity: 1024,
             stripes: 1,
         },
-        quantum: 0.1,
         solve_budget: None,
         admission: None,
         quarantine: None,

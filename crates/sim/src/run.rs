@@ -107,8 +107,6 @@ pub struct RunConfig {
     pub shards: usize,
     /// Schedule-cache mode for [`Runner::serve`].
     pub cache: CacheMode,
-    /// Quantisation resolution of the serve engine's shared-cache key.
-    pub quantum: f64,
     /// Inject faults from this plan ([`Runner::run_static`] and
     /// [`Runner::run_adaptive`] switch to their fault-injected engines when
     /// set).
@@ -155,7 +153,6 @@ impl RunConfig {
                 capacity: 4096,
                 stripes: 16,
             },
-            quantum: 0.1,
             fault_plan: None,
             degrade: None,
             solve_budget: None,
@@ -230,10 +227,11 @@ impl RunConfig {
         self
     }
 
-    /// Sets the shared-cache key quantum.
+    /// Returns the configuration unchanged: the shared cache is keyed on
+    /// the exact probability bits, so there is no quantum to set. Kept so
+    /// existing callers compile.
     #[must_use]
-    pub fn quantum(mut self, quantum: f64) -> Self {
-        self.quantum = quantum;
+    pub fn quantum(self, _quantum: f64) -> Self {
         self
     }
 
@@ -329,7 +327,6 @@ impl RunConfig {
             workers: self.workers,
             shards: self.shards,
             cache: self.cache,
-            quantum: self.quantum,
             solve_budget: self.solve_budget,
             arrival: self.arrival.clone(),
             admission: self.admission,

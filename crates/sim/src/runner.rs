@@ -2,10 +2,10 @@
 //! sequence of decision vectors.
 //!
 //! The eight historical `run_*` entry points survive as thin wrappers over
-//! the unified [`Runner`](crate::Runner) / [`RunConfig`](crate::RunConfig)
-//! API (see [`crate::run`]); the engine implementations live here and all
-//! take an [`Obs`] telemetry handle — free when disabled, and never
-//! affecting a single simulated bit when enabled.
+//! the unified [`Runner`] / [`RunConfig`] API (see [`crate::run`]); the
+//! engine implementations live here and all take an [`Obs`] telemetry
+//! handle — free when disabled, and never affecting a single simulated bit
+//! when enabled.
 
 use crate::degrade::{DegradeConfig, DegradeStats, Rung, Watchdog, WatchdogVerdict};
 use crate::fault::{FaultInjector, FaultLog, FaultPlan, FaultStats};

@@ -21,22 +21,20 @@
 //!   DESIGN.md §16 documents the event queue, tie-breaking and SLO
 //!   semantics.
 //! * **Cross-stream schedule cache.** A lock-striped
-//!   [`SharedScheduleCache`] keyed on the quantised-probability
-//!   [`ScheduleKey`] of PR 2 lets a plan solved for one stream be adopted
-//!   by any stream whose windowed estimate lands on the *same exact*
-//!   probability table (the quantised key only selects the bucket; a hit
-//!   additionally requires the entry's stored table to equal the requested
-//!   one bit-for-bit — the exact-probability guard). Windowed estimates
-//!   are ratios of small integer counts, so distinct streams genuinely
-//!   collide on exact tables all the time.
+//!   [`SharedScheduleCache`] keyed on the exact [`ScheduleKey`] (the bits
+//!   of every branch probability, plus the guard and deadline bits) lets
+//!   a plan solved for one stream be adopted by any stream whose windowed
+//!   estimate lands on the *same exact* probability table. Windowed
+//!   estimates are ratios of small integer counts, so distinct streams
+//!   genuinely collide on exact tables all the time.
 //!
 //! # Determinism
 //!
 //! Per-stream results depend only on `(stream spec, arrival process,
 //! context)` — never on shard count, worker count, cache mode or hit/miss
 //! order. The argument reduces to two facts: (1) the solver is a pure
-//! function of `(context, probs, config)` and the shared cache guards hits
-//! on *exact* probability equality, so a served plan is always
+//! function of `(context, probs, config)` and the shared cache keys plans
+//! on the *exact* probability bits, so a served plan is always
 //! bit-identical to the plan the stream's own solver would have produced;
 //! (2) each stream is a self-contained state machine advanced in instance
 //! order by exactly one owner (the per-worker heap pops a stream's events
@@ -114,11 +112,6 @@ pub fn default_shards() -> usize {
 /// Environment variable selecting the default arrival process.
 pub const SERVE_ARRIVAL_ENV: &str = "CTG_SERVE_ARRIVAL";
 
-/// Near-miss memo capacity of each event-engine worker workspace: the
-/// per-manager cap (128, sized above one stream's ~100-table revisit
-/// cycle) scaled for a workspace serving many interleaved streams.
-const NEAR_MEMO_WORKER_CAP: usize = 1024;
-
 /// Parses a `CTG_SERVE_ARRIVAL`-style override:
 ///
 /// * `closed` — the closed loop (the default);
@@ -159,7 +152,8 @@ fn parse_arrival(raw: Option<&str>) -> Option<ArrivalKind> {
 }
 
 /// The default arrival process: `CTG_SERVE_ARRIVAL` when set to a valid
-/// spec ([`parse_arrival`]), else the closed loop.
+/// spec (`closed`, `poisson:<rate>` or
+/// `bursty:<rate>:<mult>:<p_enter>:<p_exit>`), else the closed loop.
 pub fn default_arrival() -> ArrivalKind {
     parse_arrival(std::env::var(SERVE_ARRIVAL_ENV).ok().as_deref())
         .unwrap_or(ArrivalKind::ClosedLoop)
@@ -411,11 +405,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Schedule cache mode.
     pub cache: CacheMode,
-    /// Quantisation resolution of the shared cache's [`ScheduleKey`] and
-    /// of each worker workspace's near-miss memo. Any positive value is
-    /// *correct* — quantisation only buckets, the exact-probability guard
-    /// decides — it just trades bucket collisions against map size.
-    pub quantum: f64,
     /// Per-solve work budget in solver work units (DLS candidate
     /// evaluations + path-enumeration steps), applied to every worker
     /// solve. `None` disables budgeting; the setup solves that seed each
@@ -451,7 +440,6 @@ impl Default for ServeConfig {
                 capacity: 4096,
                 stripes: 16,
             },
-            quantum: 0.1,
             solve_budget: None,
             admission: None,
             quarantine: None,
@@ -651,25 +639,16 @@ pub struct ServeReport {
     pub stats: ServeStats,
 }
 
-/// A memoised solver result: the exact table it was solved for plus the
-/// plan (the exact-probability guard's evidence).
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    probs: BranchProbs,
-    solution: Solution,
-}
-
 /// The lock-striped cross-stream schedule cache.
 ///
-/// Entries are bucketed by [`ScheduleKey`] (quantised probabilities +
-/// guard + deadline bits) and striped by the key's hash, so concurrent
-/// lookups from different buckets rarely contend. A hit requires the
-/// stored *exact* table to equal the requested one — the same guard the
-/// per-manager cache of PR 2 uses — so sharing plans across streams can
-/// never change an adopted bit.
+/// Plans are keyed on the exact [`ScheduleKey`] (probability, guard and
+/// deadline bits) — the same key the per-manager cache uses — and striped
+/// by the key's hash, so concurrent lookups of different tables rarely
+/// contend. A hit is a plan solved for a bit-equal table, so sharing
+/// plans across streams can never change an adopted bit.
 #[derive(Debug)]
 pub struct SharedScheduleCache {
-    stripes: Vec<Mutex<LruCache<ScheduleKey, CacheEntry>>>,
+    stripes: Vec<Mutex<LruCache<ScheduleKey, Solution>>>,
 }
 
 impl SharedScheduleCache {
@@ -710,41 +689,21 @@ impl SharedScheduleCache {
         (h.finish() as usize) % self.stripes.len()
     }
 
-    /// Returns the cached plan for `key` iff the stored exact table equals
-    /// `probs` (marking the entry most-recently-used).
-    pub fn lookup(&self, key: &ScheduleKey, probs: &BranchProbs) -> Option<Solution> {
+    /// Returns the cached plan for `key`, marking it most-recently-used.
+    pub fn lookup(&self, key: &ScheduleKey) -> Option<Solution> {
         let mut stripe = self.stripes[self.stripe_of(key)]
             .lock()
             .expect("stripe lock");
-        stripe
-            .get(key)
-            .filter(|e| e.probs == *probs)
-            .map(|e| e.solution.clone())
+        stripe.get(key).cloned()
     }
 
-    /// Stores `solution` as the plan for (`key`, exact `probs`).
-    pub fn insert(&self, key: ScheduleKey, probs: BranchProbs, solution: Solution) {
+    /// Stores `solution` as the plan for `key`.
+    pub fn insert(&self, key: ScheduleKey, solution: Solution) {
         let mut stripe = self.stripes[self.stripe_of(&key)]
             .lock()
             .expect("stripe lock");
-        stripe.insert(key, CacheEntry { probs, solution });
+        stripe.insert(key, solution);
     }
-}
-
-/// Exact identity of a probability table: the bits of every alternative's
-/// probability in branch-node order. Used to deduplicate initial solves.
-fn probs_bits(ctx: &SchedContext, probs: &BranchProbs) -> Vec<u64> {
-    ctx.ctg()
-        .branch_nodes()
-        .iter()
-        .flat_map(|&b| {
-            probs
-                .distribution(b)
-                .expect("validated table has every branch")
-                .iter()
-                .map(|p| p.to_bits())
-        })
-        .collect()
 }
 
 /// Circuit-breaker phase (the quarantine state machine's node).
@@ -1040,16 +999,17 @@ fn setup_streams<'a>(
         }
     };
     setup_ws.set_obs(obs.clone(), 0);
-    let mut initial: HashMap<Vec<u64>, Solution> = HashMap::new();
+    let key = |spec: &StreamSpec| ScheduleKey::new(ctx, &spec.initial_probs, 1.0);
+    let mut initial: HashMap<ScheduleKey, Solution> = HashMap::new();
     for spec in specs {
-        if let Entry::Vacant(e) = initial.entry(probs_bits(ctx, &spec.initial_probs)) {
+        if let Entry::Vacant(e) = initial.entry(key(spec)) {
             e.insert(online.solve_with_workspace(ctx, &spec.initial_probs, setup_ws)?);
         }
     }
 
     let mut states: Vec<StreamState> = Vec::with_capacity(specs.len());
     for (id, spec) in specs.iter().enumerate() {
-        let solution = initial[&probs_bits(ctx, &spec.initial_probs)].clone();
+        let solution = initial[&key(spec)].clone();
         let mut mgr = AdaptiveScheduler::with_initial_solution(
             ctx,
             spec.initial_probs.clone(),
@@ -1199,19 +1159,13 @@ struct EvStream {
 /// samples, and the worker-local counters.
 type WorkerYield<'a> = (Vec<(StreamState<'a>, Vec<f64>)>, LocalCounters);
 
-/// A worker's solver workspace: this run's telemetry track and budget,
-/// and the §15 near-miss memo sized for many interleaved streams. Every
-/// stream's regime revisits (and any cross-stream table collisions)
-/// replay as sub-ms exact-guarded hits with the stored work re-charged, so
-/// budget verdicts and solutions stay bit-identical to a cold solve at any
-/// worker count.
+/// A worker's solver workspace, with this run's telemetry track and
+/// budget. Warm solves stay bit-identical to a cold solve, budget verdicts
+/// included, at any worker count.
 fn worker_workspace(cfg: &ServeConfig, obs: &Obs, track: u32) -> SolverWorkspace {
     let mut ws = SolverWorkspace::new();
     ws.set_obs(obs.clone(), track);
     ws.set_budget(cfg.solve_budget);
-    if cfg.quantum.is_finite() && cfg.quantum > 0.0 {
-        ws.set_near_memo(cfg.quantum, NEAR_MEMO_WORKER_CAP);
-    }
     ws
 }
 
@@ -1268,15 +1222,14 @@ pub(crate) fn serve_engine<'a>(
     let run_worker = |w: usize, mut my_streams: Vec<StreamState<'a>>| -> WorkerYield<'a> {
         let track = w as u32;
         // Drift solves run on one worker-shared warm-start workspace: its
-        // memos and incumbents amortize across every stream the worker
+        // levels and graph pool amortize across every stream the worker
         // owns, and the warm == cold bit-identity contract (§11) keeps
         // summaries invariant across worker counts regardless of which
         // streams share a workspace.
         let online = OnlineScheduler::new();
         let mut ws = worker_workspace(cfg, obs, track);
-        // Portfolio entries get private workspaces built the same way:
-        // warm-layer keys carry no scheduler identity, so sharing one
-        // would replay another entry's plans.
+        // Portfolio entries get private workspaces built the same way,
+        // one per entry as `race_portfolio` takes them.
         let mut race = cfg.portfolio.as_deref().map(|kinds| RaceState {
             kinds: kinds.to_vec(),
             wss: kinds
@@ -1662,9 +1615,9 @@ fn post_instance(
         }
     }
     counters.requests += 1;
-    let key = shared.map(|_| ScheduleKey::new(ctx, &estimated, cfg.quantum, 1.0));
+    let key = shared.map(|_| ScheduleKey::new(ctx, &estimated, 1.0));
     if let (Some(cache), Some(key)) = (shared, key.as_ref()) {
-        if let Some(solution) = cache.lookup(key, &estimated) {
+        if let Some(solution) = cache.lookup(key) {
             counters.shared_hit_requests += 1;
             obs.instant(track, Stage::CacheHit, 1);
             obs.count(Counter::CacheHits, 1);
@@ -1677,11 +1630,11 @@ fn post_instance(
     counters.solver_calls += 1;
     // The stripe lock is not held during the solve: two workers missing on
     // the same table may both solve it and insert in either order —
-    // harmless, the exact guard keeps every future hit bit-correct.
+    // harmless, both solves return the same plan.
     match serve_solve(ctx, online, ws, race, &estimated, counters, obs, track) {
         Ok(solution) => {
             if let (Some(cache), Some(key)) = (shared, key) {
-                cache.insert(key, estimated.clone(), solution.clone());
+                cache.insert(key, solution.clone());
             }
             st.adopt(ctx, estimated, solution, true);
             Ok(())
@@ -1712,8 +1665,9 @@ struct RaceState {
 /// The engine's one solver entry point: the DLS pipeline through the
 /// worker's warm workspace, or — with [`ServeConfig::portfolio`] set — a
 /// portfolio race (see [`race_portfolio`]). The shared cache stores
-/// whatever comes back; its exact-probability guard makes replaying a
-/// raced winner just as sound as replaying a DLS plan.
+/// whatever comes back; the portfolio is fixed for the run, so replaying
+/// a raced winner for the same exact table is as sound as replaying a
+/// DLS plan.
 #[allow(clippy::too_many_arguments)]
 fn serve_solve(
     ctx: &SchedContext,
@@ -1911,27 +1865,30 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_exact_guard_rejects_same_bucket_neighbours() {
+    fn shared_cache_misses_one_ulp_apart_and_hits_bit_equal_tables() {
         let (ctx, probs) = setup();
         let cache = SharedScheduleCache::new(8, 2);
         let fork = ctx.ctg().branch_nodes()[0];
         let mut a = probs.clone();
         a.set(fork, vec![0.6, 0.4]).unwrap();
+        // `a`'s first alternative one ulp up.
         let mut b = probs.clone();
-        b.set(fork, vec![0.59, 0.41]).unwrap();
-        let quantum = 0.3;
-        let key_a = ScheduleKey::new(&ctx, &a, quantum, 1.0);
-        let key_b = ScheduleKey::new(&ctx, &b, quantum, 1.0);
-        assert_eq!(key_a, key_b, "0.6 and 0.59 share a 0.3-quantum bucket");
+        b.set(fork, vec![f64::from_bits(0.6f64.to_bits() + 1), 0.4])
+            .unwrap();
+        let key_a = ScheduleKey::new(&ctx, &a, 1.0);
+        let key_b = ScheduleKey::new(&ctx, &b, 1.0);
+        assert_ne!(key_a, key_b);
 
         let sol = OnlineScheduler::new().solve(&ctx, &a).unwrap();
-        cache.insert(key_a, a.clone(), sol.clone());
+        cache.insert(key_a, sol.clone());
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.lookup(&key_b, &a), Some(sol));
+        assert_eq!(cache.lookup(&key_b), None, "a table one ulp away must miss");
+        // A bit-equal copy of `a`, built separately, hits.
+        let mut a_again = probs.clone();
+        a_again.set(fork, vec![0.6, 0.4]).unwrap();
         assert_eq!(
-            cache.lookup(&key_b, &b),
-            None,
-            "same bucket, different exact table must miss"
+            cache.lookup(&ScheduleKey::new(&ctx, &a_again, 1.0)),
+            Some(sol)
         );
     }
 
@@ -2038,7 +1995,6 @@ mod tests {
             workers: 1,
             shards: 1,
             cache: CacheMode::Off,
-            quantum: 0.1,
             ..ServeConfig::default()
         };
         let reference = run_serve(&ctx, &specs, &base).unwrap();
@@ -2054,7 +2010,6 @@ mod tests {
                     workers,
                     shards: 5,
                     cache,
-                    quantum: 0.1,
                     ..ServeConfig::default()
                 };
                 let report = run_serve(&ctx, &specs, &cfg).unwrap();
@@ -2076,7 +2031,6 @@ mod tests {
                     capacity: 64,
                     stripes: 4,
                 },
-                quantum: 0.1,
                 ..ServeConfig::default()
             },
         )
@@ -2224,7 +2178,6 @@ mod tests {
             workers: 2,
             shards: 4,
             cache: CacheMode::Off,
-            quantum: 0.1,
             solve_budget: Some(0),
             arrival: ArrivalConfig::default(),
             admission: None,
@@ -2283,7 +2236,6 @@ mod tests {
             workers: 2,
             shards: 4,
             cache: CacheMode::Off,
-            quantum: 0.1,
             solve_budget: None,
             arrival: ArrivalConfig {
                 kind: ArrivalKind::Trace,

@@ -2,15 +2,21 @@
 //! must adopt exactly the plans of a cache-off run over a long drifting
 //! MPEG trace — identical energy bits, reschedule counts and final
 //! solution — while answering a positive number of lookups from the cache.
+//! A racing manager's forced re-solve must adopt the same plan with the
+//! cache on as off, whatever plan was in force when the cache was enabled.
 
 use adaptive_dvfs::ctg::{BranchProbs, DecisionVector};
-use adaptive_dvfs::sched::{dls_schedule, AdaptiveScheduler, SchedContext};
+use adaptive_dvfs::sched::{
+    dls_schedule, AdaptiveScheduler, ObserveOutcome, SchedContext, DEFAULT_PORTFOLIO,
+};
 use adaptive_dvfs::sim::run_adaptive;
 use adaptive_dvfs::workloads::mpeg;
 use adaptive_dvfs::workloads::traces::{self, DriftProfile};
 
 const WINDOW: usize = 20;
 const THRESHOLD: f64 = 0.1;
+/// Instances each profiled table of the racing test is estimated from.
+const PROFILE: usize = 40;
 
 fn mpeg_context() -> SchedContext {
     let ctg = mpeg::mpeg_ctg();
@@ -47,7 +53,7 @@ fn cached_adaptive_run_is_bitwise_equivalent_to_uncached() {
     let (off, final_off) = run_adaptive(&ctx, mgr_off, &trace).unwrap();
 
     let mut mgr_on = AdaptiveScheduler::new(&ctx, profiled, WINDOW, THRESHOLD).unwrap();
-    mgr_on.enable_cache(&ctx, 64);
+    mgr_on.enable_cache(64);
     let (on, final_on) = run_adaptive(&ctx, mgr_on, &trace).unwrap();
 
     // Same decisions, same plans, same energies — to the bit.
@@ -88,7 +94,7 @@ fn zero_capacity_cache_behaves_like_cache_off() {
     let (off, _) = run_adaptive(&ctx, mgr_off, &trace).unwrap();
 
     let mut mgr_zero = AdaptiveScheduler::new(&ctx, profiled, WINDOW, THRESHOLD).unwrap();
-    mgr_zero.enable_cache(&ctx, 0);
+    mgr_zero.enable_cache(0);
     let (zero, _) = run_adaptive(&ctx, mgr_zero, &trace).unwrap();
 
     assert_eq!(
@@ -102,4 +108,67 @@ fn zero_capacity_cache_behaves_like_cache_off() {
         zero.cache_misses, zero.calls,
         "every adopted solve went through a (missing) lookup"
     );
+}
+
+/// Cached and uncached racing managers adopt the same plan on
+/// `resolve_now` on profiled tables of every movie preset, whether the
+/// cache was enabled before portfolio mode, after it, or after safe mode
+/// pinned the all-max-speed plan, and after a re-solve under a budget
+/// that aborts the DLS entry was followed by lifting the budget. The plan
+/// in force at enable time and the budgeted race's winner are none of the
+/// solve path's answers, so the cache must not hold them; a second
+/// `resolve_now` replays the raced plan from the cache.
+#[test]
+fn cached_racing_managers_resolve_like_uncached_ones() {
+    fn race(m: &mut AdaptiveScheduler) {
+        m.enable_portfolio(&DEFAULT_PORTFOLIO).unwrap();
+    }
+    type Setup = fn(&mut AdaptiveScheduler, &SchedContext);
+    let ctx = mpeg_context();
+    let setups: [(&str, Setup); 4] = [
+        ("cache, then portfolio", |m, _| {
+            m.enable_cache(8);
+            race(m);
+        }),
+        ("portfolio, then cache", |m, _| {
+            race(m);
+            m.enable_cache(8);
+        }),
+        ("portfolio, safe mode, then cache", |m, _| {
+            race(m);
+            m.enter_safe_mode();
+            m.enable_cache(8);
+        }),
+        (
+            "portfolio, cache, budgeted re-solve, budget lifted",
+            |m, ctx| {
+                race(m);
+                m.enable_cache(8);
+                m.set_solve_budget(Some(0));
+                m.resolve_now(ctx);
+                m.set_solve_budget(None);
+            },
+        ),
+    ];
+    for movie in traces::movie_presets() {
+        let trace = traces::generate_trace(ctx.ctg(), &movie.profile, 4 * PROFILE);
+        for (w, window) in trace.chunks(PROFILE).enumerate() {
+            let profiled = traces::empirical_probs(ctx.ctg(), window);
+            let base = AdaptiveScheduler::new(&ctx, profiled, WINDOW, THRESHOLD).unwrap();
+            let mut uncached = base.clone();
+            race(&mut uncached);
+            assert_eq!(uncached.resolve_now(&ctx), ObserveOutcome::Rescheduled);
+            for (setup, prepare) in setups {
+                let label = format!("{} window {w}, {setup}", movie.name);
+                let mut cached = base.clone();
+                prepare(&mut cached, &ctx);
+                assert_eq!(cached.resolve_now(&ctx), ObserveOutcome::Rescheduled);
+                assert_eq!(cached.solution(), uncached.solution(), "{label}");
+                assert_eq!(cached.stats().cache_hits, 0, "{label}");
+                assert_eq!(cached.resolve_now(&ctx), ObserveOutcome::Rescheduled);
+                assert_eq!(cached.stats().cache_hits, 1, "{label}");
+                assert_eq!(cached.solution(), uncached.solution(), "{label}");
+            }
+        }
+    }
 }

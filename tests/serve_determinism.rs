@@ -85,7 +85,6 @@ fn summaries_invariant_across_workers_streams_faults_and_caches() {
                     workers: 1,
                     shards: 1,
                     cache: CacheMode::Off,
-                    quantum: 0.1,
                     ..ServeConfig::default()
                 },
             )
@@ -111,7 +110,6 @@ fn summaries_invariant_across_workers_streams_faults_and_caches() {
                                 workers,
                                 shards,
                                 cache,
-                                quantum: 0.1,
                                 ..ServeConfig::default()
                             },
                         )
@@ -160,7 +158,6 @@ fn mpeg_streams_invariant_and_shared_cache_fires() {
             workers: 1,
             shards: 1,
             cache: CacheMode::Off,
-            quantum: 0.1,
             ..ServeConfig::default()
         },
     )
@@ -180,7 +177,6 @@ fn mpeg_streams_invariant_and_shared_cache_fires() {
                 capacity: 256,
                 stripes: 8,
             },
-            quantum: 0.1,
             ..ServeConfig::default()
         },
     )
@@ -231,7 +227,6 @@ fn single_stream_serve_matches_run_adaptive() {
                     capacity: 64,
                     stripes: 2,
                 },
-                quantum: 0.1,
                 ..ServeConfig::default()
             },
         )

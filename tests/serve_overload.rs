@@ -68,7 +68,6 @@ fn base_cfg(workers: usize, shards: usize, cache: CacheMode) -> ServeConfig {
         workers,
         shards,
         cache,
-        quantum: 0.1,
         solve_budget: None,
         admission: None,
         quarantine: None,

@@ -119,30 +119,11 @@ fn warm_solves_are_bit_identical_to_cold_under_drift() {
     }
 }
 
-/// Re-solving an unchanged table is answered from the memo and still
-/// matches a fresh solve bit-for-bit.
-#[test]
-fn repeated_table_hits_the_memo() {
-    let online = OnlineScheduler::new();
-    let ctx = build_context(11, 24, 3, Category::ForkJoin, 3);
-    let table = drift_table(ctx.ctg(), 4);
-    let cold = online.solve(&ctx, &table);
-    let mut ws = SolverWorkspace::new();
-    for rep in 0..3 {
-        let warm = online.solve_with_workspace(&ctx, &table, &mut ws);
-        assert_solutions_identical(&ctx, &table, &cold, &warm, &format!("memo rep {rep}"));
-    }
-    assert_eq!(ws.stats().memo_hits, 2, "reps 2 and 3 are memo hits");
-}
-
-/// Regression for the "dead memo" finding of `BENCH_solver.json`
-/// (`memo_hits: 0` across 1483 adopted drift tables): adopted tables
-/// *genuinely never repeat consecutively* — the manager only adopts when
-/// the estimate drifted beyond the threshold from the table in force, so
-/// each adopted table differs from its predecessor by construction. The
-/// depth-1 memo is therefore correctly silent on a drift replay, and a
-/// sequence with each adopted table repeated back-to-back hits exactly once
-/// per repeat.
+/// Adopted drift tables *never repeat consecutively* — the manager only
+/// adopts when the estimate drifted beyond the threshold from the table in
+/// force — so a memo of the last solve would never answer on a drift run.
+/// An unchanged consecutive repeat still costs no graph build: DLS returns
+/// the same mapping and the pool answers, bit-identically.
 #[test]
 fn adopted_drift_tables_never_repeat_consecutively_but_unchanged_repeats_hit() {
     use adaptive_dvfs::sched::AdaptiveScheduler;
@@ -171,27 +152,25 @@ fn adopted_drift_tables_never_repeat_consecutively_but_unchanged_repeats_hit() {
     }
 
     let online = OnlineScheduler::new();
-    // Plain replay: pins the bench's observed number — zero memo hits.
-    let mut ws = SolverWorkspace::new();
+    let mut plain = SolverWorkspace::new();
     for table in &adopted {
-        online.solve_with_workspace(&ctx, table, &mut ws).unwrap();
+        online
+            .solve_with_workspace(&ctx, table, &mut plain)
+            .unwrap();
     }
-    assert_eq!(
-        ws.stats().memo_hits,
-        0,
-        "a pure drift sequence never hits the depth-1 memo"
-    );
-    // Doubled replay: every unchanged consecutive table must hit.
+    // Doubled replay: every unchanged consecutive repeat is a pool hit.
     let mut ws = SolverWorkspace::new();
     for table in &adopted {
         let first = online.solve_with_workspace(&ctx, table, &mut ws).unwrap();
         let again = online.solve_with_workspace(&ctx, table, &mut ws).unwrap();
-        assert_eq!(first, again, "memoised solution must be identical");
+        assert_eq!(first, again, "a repeated solve must be identical");
     }
+    let (plain, doubled) = (plain.stats(), ws.stats());
+    assert_eq!(doubled.graph_rebuilds, plain.graph_rebuilds);
     assert_eq!(
-        ws.stats().memo_hits,
-        adopted.len(),
-        "exactly one hit per unchanged consecutive repeat"
+        doubled.graph_reuses,
+        plain.graph_reuses + adopted.len(),
+        "exactly one extra pool hit per unchanged consecutive repeat"
     );
 }
 
@@ -287,10 +266,6 @@ fn warm_pool_builds_once_per_distinct_mapping() {
     let stats = ws.stats();
     assert_eq!(stats.solves, adopted.len());
     assert_eq!(
-        stats.memo_hits, 0,
-        "adopted tables never repeat consecutively"
-    );
-    assert_eq!(
         stats.graph_rebuilds,
         mappings.len(),
         "one build per distinct mapping: {stats:?}"
@@ -322,91 +297,49 @@ fn rebinding_contexts_stays_equivalent() {
     assert_eq!(stats.full_level_rebuilds, 3, "each switch starts cold");
 }
 
-/// With the near-miss memo enabled, a second pass over a drift sequence is
-/// answered entirely by exact replays (non-consecutive revisits the depth-1
-/// memo cannot serve) — and every replay stays bit-identical to a cold
-/// solve.
-#[test]
-fn near_miss_memo_replays_revisited_tables_bit_identically() {
-    let online = OnlineScheduler::new();
-    for (seed, a, c, cat, pes) in [CASES[0], CASES[3]] {
-        let ctx = build_context(seed, a, c, cat, pes);
-        let tables: Vec<BranchProbs> = (0..6).map(|s| drift_table(ctx.ctg(), s)).collect();
-        let mut ws = SolverWorkspace::new();
-        // A tiny quantum gives every distinct table its own bucket, so the
-        // second pass finds each first-pass entry still resident.
-        ws.set_near_memo(1e-6, 64);
-        for pass in 0..2 {
-            for (i, table) in tables.iter().enumerate() {
-                let cold = online.solve(&ctx, table);
-                let warm = online.solve_with_workspace(&ctx, table, &mut ws);
-                assert_solutions_identical(
-                    &ctx,
-                    table,
-                    &cold,
-                    &warm,
-                    &format!("seed {seed} pass {pass} table {i}"),
-                );
-            }
-        }
-        let stats = ws.stats();
-        assert_eq!(
-            stats.near_hits,
-            tables.len(),
-            "seed {seed}: every second-pass solve must replay from the near memo: {stats:?}"
-        );
-    }
-}
-
-/// Budget-verdict parity across every solve path: for a sweep of budgets
-/// around the true solve cost, the cold solver, the depth-1 memo and the
-/// near-miss memo all land on the identical verdict — success with the
-/// same bits, or a budget abort against the same budget. (The abort's
-/// `spent` payload is pinned only at the `cost - 1` boundary: the memo
-/// paths re-charge the stored total in one step, so a deeply short budget
-/// reports the full replayed cost where the cold path stops at its first
-/// crossing charge — same verdict, same determinism, different progress
-/// mark. The graph pool's enumeration re-charge has worked this way since
-/// it landed.)
-#[test]
-fn budget_verdicts_agree_across_cold_memo_and_near_paths() {
-    let online = OnlineScheduler::new();
-    let ctx = build_context(11, 24, 3, Category::ForkJoin, 3);
-    let a = drift_table(ctx.ctg(), 2);
-    let b = drift_table(ctx.ctg(), 5);
-
+/// Budget-verdict parity between a cold solve of `a` and two graph-pool
+/// hits on it — an unchanged repeat, and a revisit after `b` — for a
+/// sweep of budgets around the cold solve's cost: success with the same
+/// bits, or an abort against the same budget. A pool hit re-charges the
+/// pooled enumeration cost in one step, so a deeply short budget can
+/// report more `spent` than the cold path's first crossing charge; the
+/// payload is pinned only at the `cost - 1` boundary, where every path
+/// crosses on its final charge.
+fn assert_budget_verdicts_agree(
+    online: &OnlineScheduler,
+    ctx: &SchedContext,
+    a: &BranchProbs,
+    b: &BranchProbs,
+) {
     let mut probe = SolverWorkspace::new();
-    online.solve_with_workspace(&ctx, &a, &mut probe).unwrap();
+    online.solve_with_workspace(ctx, a, &mut probe).unwrap();
     let cost = probe.last_solve_cost().unwrap();
     assert!(cost > 2);
 
     for budget in [0, 1, cost / 2, cost - 1, cost, cost + 1] {
         let mut cold_ws = SolverWorkspace::new();
         cold_ws.set_budget(Some(budget));
-        let cold = online.solve_with_workspace(&ctx, &a, &mut cold_ws);
+        let mut results = vec![("cold", online.solve_with_workspace(ctx, a, &mut cold_ws))];
+        for (path, before) in [("repeat", vec![a]), ("revisit", vec![a, b])] {
+            let mut ws = SolverWorkspace::new();
+            for t in before {
+                online.solve_with_workspace(ctx, t, &mut ws).unwrap();
+            }
+            let reuses = ws.stats().graph_reuses;
+            ws.set_budget(Some(budget));
+            let res = online.solve_with_workspace(ctx, a, &mut ws);
+            if res.is_ok() {
+                assert_eq!(ws.stats().graph_reuses, reuses + 1, "{path}: a pool hit");
+            }
+            results.push((path, res));
+        }
 
-        // Depth-1 memo path: solve `a` unbudgeted, then repeat budgeted.
-        let mut memo_ws = SolverWorkspace::new();
-        online.solve_with_workspace(&ctx, &a, &mut memo_ws).unwrap();
-        memo_ws.set_budget(Some(budget));
-        let memo = online.solve_with_workspace(&ctx, &a, &mut memo_ws);
-
-        // Near-memo path: `a` then `b` unbudgeted, then `a` budgeted (a
-        // non-consecutive revisit the depth-1 memo cannot serve).
-        let mut near_ws = SolverWorkspace::new();
-        near_ws.set_near_memo(1e-6, 16);
-        online.solve_with_workspace(&ctx, &a, &mut near_ws).unwrap();
-        online.solve_with_workspace(&ctx, &b, &mut near_ws).unwrap();
-        near_ws.set_budget(Some(budget));
-        let near = online.solve_with_workspace(&ctx, &a, &mut near_ws);
-
-        if budget >= cost {
-            assert!(cold.is_ok(), "budget {budget} covers cost {cost}");
-            assert_solutions_identical(&ctx, &a, &cold, &memo, &format!("budget {budget} memo"));
-            assert_solutions_identical(&ctx, &a, &cold, &near, &format!("budget {budget} near"));
-            assert_eq!(near_ws.stats().near_hits, 1);
-        } else {
-            for (path, res) in [("cold", &cold), ("memo", &memo), ("near", &near)] {
+        let cold = &results[0].1;
+        for (path, res) in &results {
+            if budget >= cost {
+                assert!(cold.is_ok(), "budget {budget} covers cost {cost}");
+                assert_solutions_identical(ctx, a, cold, res, &format!("budget {budget} {path}"));
+            } else {
                 assert!(
                     matches!(
                         res,
@@ -417,22 +350,24 @@ fn budget_verdicts_agree_across_cold_memo_and_near_paths() {
                     "budget {budget} (cost {cost}) {path}: expected an abort, got {res:?}"
                 );
             }
-            assert_eq!(near_ws.stats().near_hits, 0, "aborted replays are not hits");
-        }
-        if budget == cost - 1 {
-            // At the boundary every path crosses on its final charge, so
-            // even the abort's `spent` payload agrees.
-            assert_eq!(cold, memo, "boundary abort payloads (memo)");
-            assert_eq!(cold, near, "boundary abort payloads (near)");
+            if budget == cost - 1 {
+                assert_eq!(cold, res, "boundary abort payloads ({path})");
+            }
         }
     }
 }
 
-/// Budget-verdict parity when the path enumeration overflows its cap: the
-/// cold solver, the depth-1 memo and a graph-pool hit, which re-charges
-/// the pooled `None` entry's enumeration cost in one step, land on the
-/// same verdict for a sweep of budgets around the over-cap solve cost,
-/// with bit-identical successes.
+#[test]
+fn budget_verdicts_agree_across_cold_and_pool_paths() {
+    let online = OnlineScheduler::new();
+    let ctx = build_context(11, 24, 3, Category::ForkJoin, 3);
+    let a = drift_table(ctx.ctg(), 2);
+    let b = drift_table(ctx.ctg(), 5);
+    assert_budget_verdicts_agree(&online, &ctx, &a, &b);
+}
+
+/// The same parity when the path enumeration overflows its cap, where the
+/// pool hit re-charges a pooled `None` entry's enumeration cost.
 #[test]
 fn budget_verdicts_agree_over_the_path_cap() {
     let ctx = build_context(11, 24, 3, Category::ForkJoin, 3);
@@ -449,58 +384,7 @@ fn budget_verdicts_agree_over_the_path_cap() {
         path_cap,
         ..StretchConfig::default()
     });
-
-    let mut probe = SolverWorkspace::new();
-    online.solve_with_workspace(&ctx, &a, &mut probe).unwrap();
-    let cost = probe.last_solve_cost().unwrap();
-    assert!(cost > 2);
-
-    for budget in [0, 1, cost / 2, cost - 1, cost, cost + 1] {
-        let mut cold_ws = SolverWorkspace::new();
-        cold_ws.set_budget(Some(budget));
-        let cold = online.solve_with_workspace(&ctx, &a, &mut cold_ws);
-
-        // Depth-1 memo path: solve `a` unbudgeted, then repeat budgeted.
-        let mut memo_ws = SolverWorkspace::new();
-        online.solve_with_workspace(&ctx, &a, &mut memo_ws).unwrap();
-        memo_ws.set_budget(Some(budget));
-        let memo = online.solve_with_workspace(&ctx, &a, &mut memo_ws);
-
-        // Graph-pool path: `a` then `b` unbudgeted, then `a` budgeted (a
-        // non-consecutive revisit the depth-1 memo cannot serve).
-        let mut pool_ws = SolverWorkspace::new();
-        online.solve_with_workspace(&ctx, &a, &mut pool_ws).unwrap();
-        online.solve_with_workspace(&ctx, &b, &mut pool_ws).unwrap();
-        let reuses = pool_ws.stats().graph_reuses;
-        pool_ws.set_budget(Some(budget));
-        let pool = online.solve_with_workspace(&ctx, &a, &mut pool_ws);
-
-        if budget >= cost {
-            assert!(cold.is_ok(), "budget {budget} covers cost {cost}");
-            assert_solutions_identical(&ctx, &a, &cold, &memo, &format!("budget {budget} memo"));
-            assert_solutions_identical(&ctx, &a, &cold, &pool, &format!("budget {budget} pool"));
-            assert_eq!(pool_ws.stats().graph_reuses, reuses + 1, "a pool hit");
-            assert_eq!(pool_ws.stats().memo_hits, 0);
-        } else {
-            for (path, res) in [("cold", &cold), ("memo", &memo), ("pool", &pool)] {
-                assert!(
-                    matches!(
-                        res,
-                        Err(adaptive_dvfs::sched::SchedError::SolveBudgetExceeded {
-                            budget: b, ..
-                        }) if *b == budget
-                    ),
-                    "budget {budget} (cost {cost}) {path}: expected an abort, got {res:?}"
-                );
-            }
-        }
-        if budget == cost - 1 {
-            // At the boundary every path crosses on its final charge, so
-            // even the abort's `spent` payload agrees.
-            assert_eq!(cold, memo, "boundary abort payloads (memo)");
-            assert_eq!(cold, pool, "boundary abort payloads (pool)");
-        }
-    }
+    assert_budget_verdicts_agree(&online, &ctx, &a, &b);
 }
 
 /// Iterated seeding of the exhaustive stretch converges to a fixed point:
@@ -554,13 +438,13 @@ fn exhaustive_stretch_seeding_converges_to_a_fixed_point() {
     }
 }
 
-/// Warm-starting the stretch from a near-miss neighbour's speeds reaches
-/// the *same* fixed point as iterating from the cold solution: seeding from
-/// [`SolverWorkspace::near_seed`] is a tolerance-level shortcut, not a
-/// different answer. For each case, a table is solved (populating the near
-/// memo), then a same-bucket perturbed table's stretch is iterated to its
-/// fixed point twice — once seeded cold, once seeded from the cached
-/// neighbour — and the two fixed points must agree.
+/// Warm-starting the stretch from a neighbouring table's speeds reaches
+/// the *same* fixed point as iterating from the cold solution: seeding
+/// [`stretch_schedule_seeded`] with a nearby solve is a tolerance-level
+/// shortcut, not a different answer. For each case, a table is solved,
+/// then a slightly perturbed table's stretch is iterated to its fixed
+/// point twice — once seeded cold, once seeded from the neighbour's
+/// speeds — and the two fixed points must agree.
 #[test]
 fn near_seeded_stretch_converges_to_the_cold_fixed_point() {
     let cfg = StretchConfig::exhaustive();
@@ -592,13 +476,10 @@ fn near_seeded_stretch_converges_to_the_cold_fixed_point() {
         let ctx = build_context(seed, a, c, cat, pes);
         let base = drift_table(ctx.ctg(), 3);
 
-        // Solve the base table with the near memo on (quantum wide enough
-        // that a small perturbation lands in the same bucket)…
-        let mut ws = SolverWorkspace::new();
-        ws.set_near_memo(0.15, 16);
-        online.solve_with_workspace(&ctx, &base, &mut ws).unwrap();
+        // Solve the base table…
+        let seed_speeds = online.solve(&ctx, &base).unwrap().speeds;
 
-        // …then perturb every branch by sub-quantum amounts.
+        // …then perturb every branch slightly.
         let mut near_table = BranchProbs::new();
         for &b in ctx.ctg().branch_nodes() {
             let dist = base.distribution(b).unwrap();
@@ -610,11 +491,6 @@ fn near_seeded_stretch_converges_to_the_cold_fixed_point() {
             }
             near_table.set(b, d).unwrap();
         }
-        let stretch_cfg = online.config();
-        let seed_speeds = ws
-            .near_seed(&ctx, &near_table, stretch_cfg)
-            .expect("perturbed table shares the bucket")
-            .clone();
 
         let schedule = dls_schedule(&ctx, &near_table).unwrap();
         let cold_start = stretch_schedule(&ctx, &near_table, &schedule, &cfg).unwrap();
@@ -625,9 +501,8 @@ fn near_seeded_stretch_converges_to_the_cold_fixed_point() {
         // fixed point rather than at a single point; different starting
         // speeds stall within ~1e-3 of each other. The property pinned here
         // is tolerance-level agreement (which is exactly what a caller of
-        // `near_seed` + `stretch_schedule_seeded` signs up for), not
-        // bitwise equality — the default solve path never takes this
-        // shortcut.
+        // `stretch_schedule_seeded` signs up for), not bitwise equality —
+        // the default solve path never takes this shortcut.
         let delta = max_delta(&cold_fp, &seeded_fp, &ctx);
         assert!(
             delta < 5e-3,
