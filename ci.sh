@@ -13,19 +13,20 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> cargo doc (deny warnings: every intra-doc link resolves)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --keep-going
 
-echo "==> the solver crates read no environment variable (only ctg-sim's run"
-echo "    layer does)"
+echo "==> the library reads the environment in one place only:"
+echo "    RunConfig::from_env (crates/sim/src/run.rs)"
 if grep -rn 'std::env::var' crates/core/src crates/ctg/src crates/obs/src \
-    crates/platform/src crates/rng/src crates/tgff/src crates/workloads/src; then
-    echo "environment read found in a solver crate" >&2
+    crates/platform/src crates/rng/src crates/sim/src crates/tgff/src \
+    crates/workloads/src | grep -v '^crates/sim/src/run.rs:'; then
+    echo "environment read found outside RunConfig::from_env" >&2
     exit 1
 fi
 
 echo "==> cargo test (offline)"
 cargo test -q --workspace --offline
 
-echo "==> parallel determinism matrix (2 workers forced)"
-CTG_WORKERS=2 cargo test -q --offline --test parallel_determinism
+echo "==> parallel determinism matrix"
+cargo test -q --offline --test parallel_determinism
 
 echo "==> throughput smoke (2 workers)"
 cargo build -q --release --offline -p ctg-bench --bin throughput
@@ -40,12 +41,11 @@ cargo build -q --release --offline -p ctg-bench --bin solver
 ./target/release/solver --smoke --check-baseline BASELINE_solver.json
 test -s target/BENCH_solver_smoke.json
 
-echo "==> serving-engine determinism matrix + per-stream reference pin (2 workers forced)"
-CTG_WORKERS=2 cargo test -q --offline --test serve_determinism
+echo "==> serving-engine determinism matrix + per-stream reference pin"
+cargo test -q --offline --test serve_determinism
 
 echo "==> telemetry equivalence matrix (sink off / no-op / buffered)"
 cargo test -q --offline --test obs_equivalence
-CTG_WORKERS=2 cargo test -q --offline --test obs_equivalence
 
 echo "==> clippy over the obs crate (deny warnings)"
 cargo clippy -p ctg-obs --all-targets --offline -- -D warnings
@@ -54,12 +54,10 @@ echo "==> overload-resilience matrix (dormant-knob equivalence + queue-depth she
 echo "    quarantine determinism on a zero-gap replay across workers, shards, cache"
 echo "    modes; budget-off == baseline)"
 cargo test -q --offline --test serve_overload
-CTG_WORKERS=2 cargo test -q --offline --test serve_overload
 
 echo "==> event-engine determinism matrix (workers x streams x arrivals x caches;"
 echo "    every arrival process yields the closed-loop summaries)"
 cargo test -q --offline --test serve_events
-CTG_WORKERS=2 cargo test -q --offline --test serve_events
 
 echo "==> serve bench smoke (asserts summaries invariant across engine configs,"
 echo "    shared cache > independent managers' caches at 64 streams, every overload"
@@ -72,20 +70,18 @@ test -s target/BENCH_serve_smoke.json
 
 echo "==> campaign determinism matrix (worker invariance + kill/resume round-trip)"
 cargo test -q --offline --test campaign_determinism
-CTG_WORKERS=2 cargo test -q --offline --test campaign_determinism
 
 echo "==> campaign bench smoke (8-cell grid at 2 workers: shared-artifact compile,"
 echo "    JSONL cell stream, truncate-mid-line kill/resume drill asserting the"
 echo "    resumed roll-up is bit-identical; JSONL validated by the strict parser)"
 cargo build -q --release --offline -p ctg-bench --bin campaign
-CTG_CAMPAIGN_WORKERS=2 ./target/release/campaign --smoke
+CTG_WORKERS=2 ./target/release/campaign --smoke
 test -s target/campaign_cells_smoke.jsonl
 test -s target/BENCH_campaign_smoke.json
 
 echo "==> scheduler portfolio matrix (trait pin bit-for-bit, dormant knob, race"
-echo "    verdict, serve determinism with 2 workers forced)"
+echo "    verdict, serve determinism across worker and shard counts)"
 cargo test -q --offline --test scheduler_portfolio
-CTG_WORKERS=2 cargo test -q --offline --test scheduler_portfolio
 
 echo "==> portfolio bench smoke (serve bench portfolio row: expected-energy"
 echo "    no-regression gate vs DLS-only + reshard determinism, asserted in-bin;"

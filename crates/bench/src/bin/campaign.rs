@@ -24,8 +24,9 @@
 use ctg_bench::setup::{prepare_case, prepare_cruise, prepare_mpeg, profile_trace};
 use ctg_sched::SchedError;
 use ctg_sim::campaign::{
-    campaign_workers, run_campaign, ArrivalSpec, Artifact, CampaignConfig, CampaignSpec, KnobSpec,
+    run_campaign, ArrivalSpec, Artifact, CampaignConfig, CampaignSpec, KnobSpec,
 };
+use ctg_sim::RunConfig;
 use ctg_workloads::traces::{self, DriftProfile};
 use tgff_gen::{Category, TgffConfig};
 
@@ -162,7 +163,7 @@ fn main() {
     let trace_len = if smoke { 60 } else { 480 };
     let spec = if smoke { smoke_spec() } else { full_spec() };
     let cells_total = spec.cells().len();
-    let workers = campaign_workers();
+    let workers = RunConfig::from_env().workers;
     std::fs::create_dir_all("target").expect("create target dir");
     let jsonl = if smoke {
         "target/campaign_cells_smoke.jsonl"
@@ -186,7 +187,10 @@ fn main() {
 
     let compile_fn =
         move |w: &str, p: &str| -> Result<Artifact, SchedError> { compile(w, p, trace_len) };
-    let cfg = CampaignConfig::new(jsonl);
+    let cfg = CampaignConfig {
+        workers,
+        ..CampaignConfig::new(jsonl)
+    };
     let report = run_campaign(&spec, &compile_fn, &cfg).expect("campaign runs");
     let r = &report;
     let cells_per_s = r.cells_run as f64 / r.wall_s;
@@ -242,7 +246,7 @@ fn main() {
         &compile_fn,
         &CampaignConfig {
             resume: true,
-            ..CampaignConfig::new(jsonl)
+            ..cfg.clone()
         },
     )
     .expect("resumed campaign runs");

@@ -17,10 +17,7 @@
 use ctg_bench::setup::{prepare_case, prepare_mpeg};
 use ctg_model::DecisionVector;
 use ctg_sched::{AdaptiveScheduler, SchedContext};
-use ctg_sim::{
-    map_ordered, run_adaptive_resilient, worker_count, BurstModel, DegradeConfig, FaultPlan,
-    RunSummary,
-};
+use ctg_sim::{map_ordered, BurstModel, DegradeConfig, FaultPlan, RunConfig, RunSummary, Runner};
 use ctg_workloads::traces::{self, DriftProfile};
 
 const LEN: usize = 400;
@@ -87,31 +84,16 @@ fn burst_plan(p_enter: f64) -> FaultPlan {
     plan
 }
 
-fn run_burst_cell(w: &Workload, p_enter: f64) -> RunSummary {
+/// Runs the resilient adaptive engine over `w` under `plan`.
+fn run_resilient(w: &Workload, plan: FaultPlan) -> RunSummary {
     let probs = ctg_model::BranchProbs::uniform(w.ctx.ctg());
     let manager = AdaptiveScheduler::new(&w.ctx, probs, WINDOW, THRESHOLD).expect("manager builds");
-    let (summary, _) = run_adaptive_resilient(
-        &w.ctx,
-        manager,
-        &w.trace,
-        &burst_plan(p_enter),
-        &DegradeConfig::default(),
-    )
-    .expect("resilient runner never fails on recoverable faults");
-    summary
-}
-
-fn run_cell(w: &Workload, rate: f64, severity: f64) -> RunSummary {
-    let probs = ctg_model::BranchProbs::uniform(w.ctx.ctg());
-    let manager = AdaptiveScheduler::new(&w.ctx, probs, WINDOW, THRESHOLD).expect("manager builds");
-    let (summary, _) = run_adaptive_resilient(
-        &w.ctx,
-        manager,
-        &w.trace,
-        &plan_for(rate, severity),
-        &DegradeConfig::default(),
-    )
-    .expect("resilient runner never fails on recoverable faults");
+    let cfg = RunConfig::new()
+        .fault_plan(plan)
+        .degrade(DegradeConfig::default());
+    let (summary, _) = Runner::new(cfg)
+        .run_adaptive(&w.ctx, manager, &w.trace)
+        .expect("resilient runner never fails on recoverable faults");
     summary
 }
 
@@ -129,7 +111,7 @@ fn sweep(workloads: &[Workload], workers: usize) -> Vec<(String, RunSummary)> {
         }
     }
     let summaries = map_ordered(&cells, workers, |_, &(_, wi, rate, severity)| {
-        run_cell(&workloads[wi], rate, severity)
+        run_resilient(&workloads[wi], plan_for(rate, severity))
     });
     cells
         .into_iter()
@@ -140,7 +122,7 @@ fn sweep(workloads: &[Workload], workers: usize) -> Vec<(String, RunSummary)> {
 
 fn main() {
     let ws = workloads();
-    let workers = worker_count();
+    let workers = RunConfig::from_env().workers;
     let first = sweep(&ws, workers);
 
     println!(
@@ -205,7 +187,7 @@ fn main() {
     let mut burst_rows: Vec<(f64, RunSummary)> = Vec::new();
     for w in &ws {
         for &p_enter in &BURST_P_ENTER {
-            let s = run_burst_cell(w, p_enter);
+            let s = run_resilient(w, burst_plan(p_enter));
             println!(
                 "{},{p_enter:.2},{:.4},{:.4},{},{},{}",
                 w.name,
@@ -221,7 +203,7 @@ fn main() {
     // Determinism: every burst cell must reproduce bit-for-bit.
     for (w, chunk) in ws.iter().zip(burst_rows.chunks(BURST_P_ENTER.len())) {
         for (p_enter, s) in chunk {
-            let again = run_burst_cell(w, *p_enter);
+            let again = run_resilient(w, burst_plan(*p_enter));
             assert_eq!(
                 &again, s,
                 "non-deterministic burst cell {}/{p_enter}",

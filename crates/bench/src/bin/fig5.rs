@@ -9,7 +9,7 @@
 use ctg_bench::report::{f1, pct, Table};
 use ctg_bench::setup::{prepare_mpeg, profile_trace};
 use ctg_sched::{AdaptiveScheduler, OnlineScheduler, DEFAULT_PORTFOLIO};
-use ctg_sim::{map_ordered, run_adaptive, worker_count, RunConfig, RunSummary, Runner};
+use ctg_sim::{map_ordered, RunConfig, RunSummary, Runner};
 use ctg_workloads::traces;
 
 const WINDOW: usize = 20;
@@ -35,7 +35,7 @@ fn main() {
     // One independent cell per movie clip, merged back in preset order.
     let movies = traces::movie_presets();
     let per_movie: Vec<(RunSummary, Vec<RunSummary>)> =
-        map_ordered(&movies, worker_count(), |_, movie| {
+        map_ordered(&movies, RunConfig::from_env().workers, |_, movie| {
             let trace = traces::generate_trace(ctx.ctg(), &movie.profile, TRAIN + TEST);
             let (train, test) = trace.split_at(TRAIN);
 
@@ -44,7 +44,7 @@ fn main() {
             let online = OnlineScheduler::new()
                 .solve(&ctx, &profiled)
                 .expect("online solves");
-            let s_online = Runner::new(RunConfig::new())
+            let s_online = Runner::default()
                 .run_static(&ctx, &online, test)
                 .expect("static run");
 
@@ -53,7 +53,9 @@ fn main() {
             for threshold in [0.5, 0.1] {
                 let mgr = AdaptiveScheduler::new(&ctx, profiled.clone(), WINDOW, threshold)
                     .expect("manager builds");
-                let (summary, _) = run_adaptive(&ctx, mgr, test).expect("adaptive run");
+                let (summary, _) = Runner::default()
+                    .run_adaptive(&ctx, mgr, test)
+                    .expect("adaptive run");
                 assert_eq!(summary.exec.deadline_misses, 0, "hard deadline violated");
                 results.push(summary);
             }

@@ -9,7 +9,7 @@
 use ctg_bench::report::{f1, pct, Table};
 use ctg_bench::setup::{prepare_case, profile_trace};
 use ctg_sched::{AdaptiveScheduler, OnlineScheduler, DEFAULT_PORTFOLIO};
-use ctg_sim::{map_ordered, run_adaptive, run_static, worker_count, RunConfig, Runner};
+use ctg_sim::{map_ordered, RunConfig, Runner};
 use ctg_workloads::traces::{self, DriftProfile};
 
 const WINDOW: usize = 20;
@@ -36,7 +36,7 @@ fn main() {
 
     // Each CTG case is an independent cell; fan out and merge in case
     // order so the table is identical to a sequential run.
-    let rows = map_ordered(&cases, worker_count(), |i, (cfg, pes)| {
+    let rows = map_ordered(&cases, RunConfig::from_env().workers, |i, (cfg, pes)| {
         let case = prepare_case(cfg, *pes, 1.6);
         let ctx = &case.ctx;
         let profile = DriftProfile {
@@ -55,7 +55,8 @@ fn main() {
         let online = OnlineScheduler::new()
             .solve(ctx, &ideal)
             .expect("online solves");
-        let s_online = run_static(ctx, &online, &trace).expect("static run");
+        let runner = Runner::default();
+        let s_online = runner.run_static(ctx, &online, &trace).expect("static run");
 
         let mut cells = vec![
             format!("{}", i + 1),
@@ -67,7 +68,7 @@ fn main() {
         for threshold in THRESHOLDS {
             let mgr = AdaptiveScheduler::new(ctx, ideal.clone(), WINDOW, threshold)
                 .expect("manager builds");
-            let (s_adaptive, _) = run_adaptive(ctx, mgr, &trace).expect("adaptive run");
+            let (s_adaptive, _) = runner.run_adaptive(ctx, mgr, &trace).expect("adaptive run");
             assert_eq!(s_adaptive.exec.deadline_misses, 0, "hard deadline violated");
             let savings = 1.0 - s_adaptive.avg_energy() / s_online.avg_energy();
             best_savings = best_savings.max(savings);

@@ -9,7 +9,7 @@
 use ctg_bench::report::{f1, Table};
 use ctg_bench::setup::{prepare_mpeg, profile_trace};
 use ctg_sched::{OnlineScheduler, Solution, SpeedAssignment};
-use ctg_sim::run_periodic;
+use ctg_sim::Runner;
 use ctg_workloads::traces;
 
 const LEN: usize = 300;
@@ -35,10 +35,15 @@ fn main() {
         "nominal overruns",
         "nominal max lateness",
     ]);
+    let runner = Runner::default();
     for factor in [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4] {
         let period = factor * deadline;
-        let s = run_periodic(&ctx, &stretched, &trace, period).expect("periodic run");
-        let n = run_periodic(&ctx, &nominal, &trace, period).expect("periodic run");
+        let s = runner
+            .run_periodic(&ctx, &stretched, &trace, period)
+            .expect("periodic run");
+        let n = runner
+            .run_periodic(&ctx, &nominal, &trace, period)
+            .expect("periodic run");
         table.row([
             format!("{factor}"),
             s.overruns.to_string(),

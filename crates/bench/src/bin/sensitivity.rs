@@ -10,7 +10,7 @@
 use ctg_bench::report::{pct, Table};
 use ctg_bench::setup::{prepare_mpeg, profile_trace};
 use ctg_sched::{AdaptiveScheduler, EstimatorKind, OnlineScheduler, SchedContext};
-use ctg_sim::{map_ordered, run_adaptive, run_static, worker_count};
+use ctg_sim::{map_ordered, RunConfig, Runner};
 use ctg_workloads::traces;
 use mpsoc_platform::DvfsModel;
 
@@ -25,9 +25,10 @@ fn main() {
     let online = OnlineScheduler::new()
         .solve(&ctx, &profiled)
         .expect("online solves");
-    let s_online = run_static(&ctx, &online, test).expect("static run");
+    let runner = Runner::default();
+    let s_online = runner.run_static(&ctx, &online, test).expect("static run");
 
-    let workers = worker_count();
+    let workers = RunConfig::from_env().workers;
     let windows = [8usize, 20, 50];
     let thresholds = [0.5, 0.25, 0.1, 0.05];
     // Flatten the window × threshold grid and fan the cells out; ordered
@@ -38,7 +39,7 @@ fn main() {
         .collect();
     let grid_cells = map_ordered(&grid, workers, |_, &(w, t)| {
         let mgr = AdaptiveScheduler::new(&ctx, profiled.clone(), w, t).expect("manager builds");
-        let (s, _) = run_adaptive(&ctx, mgr, test).expect("adaptive run");
+        let (s, _) = runner.run_adaptive(&ctx, mgr, test).expect("adaptive run");
         assert_eq!(s.exec.deadline_misses, 0);
         let savings = 1.0 - s.avg_energy() / s_online.avg_energy();
         format!("{} ({} calls)", pct(savings), s.calls)
@@ -72,7 +73,7 @@ fn main() {
             OnlineScheduler::new(),
         )
         .expect("manager builds");
-        let (s, _) = run_adaptive(&ctx, mgr, test).expect("adaptive run");
+        let (s, _) = runner.run_adaptive(&ctx, mgr, test).expect("adaptive run");
         assert_eq!(s.exec.deadline_misses, 0);
         [
             label.to_string(),
@@ -124,7 +125,9 @@ fn energy_with_dvfs(
     let platform = ctx.platform().with_dvfs(model);
     let ctx = SchedContext::new(ctx.ctg().clone(), platform).expect("rebuild context");
     let online = OnlineScheduler::new().solve(&ctx, probs).expect("solves");
-    let s = run_static(&ctx, &online, test).expect("static run");
+    let s = Runner::default()
+        .run_static(&ctx, &online, test)
+        .expect("static run");
     assert_eq!(
         s.exec.deadline_misses, 0,
         "quantized speeds must stay deadline-safe"

@@ -36,7 +36,7 @@ use ctg_sim::serve::{
     run_serve, AdmissionConfig, ArrivalConfig, ArrivalKind, CacheMode, QuarantineConfig,
     ServeConfig, ServeReport, StreamSpec,
 };
-use ctg_sim::{map_ordered, run_adaptive, worker_count, BurstModel, FaultPlan, RunConfig, Runner};
+use ctg_sim::{map_ordered, BurstModel, FaultPlan, RunConfig, Runner};
 use ctg_workloads::traces::{self, DriftProfile};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -129,7 +129,9 @@ fn run_independent(
             AdaptiveScheduler::new(ctx, spec.initial_probs.clone(), spec.window, spec.threshold)
                 .expect("manager builds");
         mgr.enable_cache(PER_STREAM_CAPACITY);
-        let (summary, _) = run_adaptive(ctx, mgr, &spec.trace).expect("adaptive run");
+        let (summary, _) = Runner::default()
+            .run_adaptive(ctx, mgr, &spec.trace)
+            .expect("adaptive run");
         summary
     });
     Baseline {
@@ -536,7 +538,7 @@ fn main() {
     });
     let trace_len = if smoke { 120 } else { 480 };
     let stream_counts: &[usize] = if smoke { &[1, 8, 64] } else { &[1, 8, 64, 256] };
-    let workers = worker_count();
+    let workers = RunConfig::from_env().workers;
 
     let ctx = prepare_mpeg(2.0);
     println!(

@@ -18,7 +18,7 @@ use ctg_sched::{
     race_portfolio, OnlineScheduler, SchedulerKind, SolverWorkspace, StretchConfig,
     DEFAULT_PORTFOLIO,
 };
-use ctg_sim::{map_ordered, worker_count};
+use ctg_sim::{map_ordered, RunConfig};
 use std::time::{Duration, Instant};
 
 struct CaseResult {
@@ -128,7 +128,8 @@ fn main() {
     // energy columns are bit-identical to a sequential run; only the timing
     // columns feel scheduler contention.
     let cases = tgff_gen::table1_cases();
-    let results = map_ordered(&cases, worker_count(), |_, (cfg, pes)| run_case(cfg, *pes));
+    let workers = RunConfig::from_env().workers;
+    let results = map_ordered(&cases, workers, |_, (cfg, pes)| run_case(cfg, *pes));
 
     for (i, r) in results.into_iter().enumerate() {
         sum_ref1 += r.n1;

@@ -8,7 +8,7 @@
 use ctg_bench::report::{f1, pct, Table};
 use ctg_bench::setup::{prepare_cruise, profile_trace};
 use ctg_sched::{AdaptiveScheduler, OnlineScheduler};
-use ctg_sim::{run_adaptive, run_static};
+use ctg_sim::Runner;
 use ctg_workloads::traces;
 
 const WINDOW: usize = 20;
@@ -30,6 +30,7 @@ fn main() {
 
     // Paper: threshold 0.1 for the first two sequences, 0.5 for the third.
     let thresholds = [0.1, 0.1, 0.5];
+    let runner = Runner::default();
 
     let mut table = Table::new([
         "Vector sequence",
@@ -40,10 +41,10 @@ fn main() {
         "T",
     ]);
     for (i, seq) in seqs.iter().enumerate() {
-        let s_static = run_static(&ctx, &online, seq).expect("static run");
+        let s_static = runner.run_static(&ctx, &online, seq).expect("static run");
         let mgr = AdaptiveScheduler::new(&ctx, profiled.clone(), WINDOW, thresholds[i])
             .expect("manager builds");
-        let (s_adaptive, _) = run_adaptive(&ctx, mgr, seq).expect("adaptive run");
+        let (s_adaptive, _) = runner.run_adaptive(&ctx, mgr, seq).expect("adaptive run");
         assert_eq!(s_adaptive.exec.deadline_misses, 0, "hard deadline violated");
         assert_eq!(s_static.exec.deadline_misses, 0, "hard deadline violated");
         let savings = 1.0 - s_adaptive.avg_energy() / s_static.avg_energy();

@@ -16,7 +16,7 @@ use ctg_bench::report::{f1, pct, Table};
 use ctg_bench::setup::{extreme_minterm_alts, prepare_case};
 use ctg_model::DecisionVector;
 use ctg_sched::{AdaptiveScheduler, OnlineScheduler, SchedContext};
-use ctg_sim::{run_adaptive, run_static, RunSummary};
+use ctg_sim::{RunSummary, Runner};
 use ctg_workloads::traces::{self, DriftProfile};
 
 const WINDOW: usize = 20;
@@ -36,13 +36,14 @@ fn run_case(
     let online = OnlineScheduler::new()
         .solve(ctx, biased)
         .expect("online solves");
-    let s_online: RunSummary = run_static(ctx, &online, trace).expect("static run");
+    let runner = Runner::default();
+    let s_online: RunSummary = runner.run_static(ctx, &online, trace).expect("static run");
     assert_eq!(s_online.exec.deadline_misses, 0, "hard deadline violated");
     let mut adaptive = [(0.0, 0usize); 2];
     for (k, threshold) in [0.5, 0.1].into_iter().enumerate() {
         let mgr =
             AdaptiveScheduler::new(ctx, biased.clone(), WINDOW, threshold).expect("manager builds");
-        let (s, _) = run_adaptive(ctx, mgr, trace).expect("adaptive run");
+        let (s, _) = runner.run_adaptive(ctx, mgr, trace).expect("adaptive run");
         assert_eq!(s.exec.deadline_misses, 0, "hard deadline violated");
         adaptive[k] = (s.avg_energy(), s.calls);
     }

@@ -18,10 +18,7 @@
 use ctg_bench::setup::{prepare_mpeg, profile_trace};
 use ctg_model::DecisionVector;
 use ctg_sched::{AdaptiveScheduler, OnlineScheduler};
-use ctg_sim::{
-    run_adaptive, run_static, run_static_faulty, run_static_faulty_parallel, run_static_parallel,
-    worker_count, FaultPlan, RunSummary,
-};
+use ctg_sim::{FaultPlan, RunConfig, RunSummary, Runner};
 use ctg_workloads::traces;
 
 const WINDOW: usize = 20;
@@ -34,7 +31,7 @@ const FAULT_SEED: u64 = 0x7A9_0BEEF;
 const FAULT_RATE: f64 = 0.05;
 
 fn worker_counts() -> Vec<usize> {
-    let n = worker_count();
+    let n = RunConfig::from_env().workers;
     let mut out = vec![1, 2];
     if n > 2 {
         out.push(n);
@@ -60,10 +57,14 @@ fn main() {
         .expect("online solves");
 
     // ---- Static batch: sequential vs pool. ----
-    let seq = run_static(&ctx, &online, &trace).expect("static run");
+    let seq = Runner::default()
+        .run_static(&ctx, &online, &trace)
+        .expect("static run");
     let mut static_rows = Vec::new();
     for &w in &worker_counts() {
-        let s = run_static_parallel(&ctx, &online, &trace, w).expect("parallel static run");
+        let s = Runner::new(RunConfig::new().workers(w))
+            .run_static(&ctx, &online, &trace)
+            .expect("parallel static run");
         assert_eq!(
             seq, s,
             "parallel static summary must be identical at {w} workers"
@@ -72,11 +73,14 @@ fn main() {
     }
 
     // ---- Faulty batch: per-instance fault streams are chunk-invariant. ----
-    let plan = FaultPlan::uniform(FAULT_SEED, FAULT_RATE);
-    let fseq = run_static_faulty(&ctx, &online, &trace, &plan).expect("faulty run");
+    let faulty = RunConfig::new().fault_plan(FaultPlan::uniform(FAULT_SEED, FAULT_RATE));
+    let fseq = Runner::new(faulty.clone())
+        .run_static(&ctx, &online, &trace)
+        .expect("faulty run");
     let mut faulty_rows = Vec::new();
     for &w in &worker_counts() {
-        let s = run_static_faulty_parallel(&ctx, &online, &trace, &plan, w)
+        let s = Runner::new(faulty.clone().workers(w))
+            .run_static(&ctx, &online, &trace)
             .expect("parallel faulty run");
         assert_eq!(
             fseq, s,
@@ -88,11 +92,16 @@ fn main() {
     // ---- Adaptive: schedule cache off vs on. ----
     let mgr_off =
         AdaptiveScheduler::new(&ctx, profiled.clone(), WINDOW, THRESHOLD).expect("manager builds");
-    let (off, _) = run_adaptive(&ctx, mgr_off, &trace).expect("adaptive run");
+    let runner = Runner::default();
+    let (off, _) = runner
+        .run_adaptive(&ctx, mgr_off, &trace)
+        .expect("adaptive run");
     let mut mgr_on =
         AdaptiveScheduler::new(&ctx, profiled.clone(), WINDOW, THRESHOLD).expect("manager builds");
     mgr_on.enable_cache(CACHE_CAPACITY);
-    let (on, _) = run_adaptive(&ctx, mgr_on, &trace).expect("adaptive cached run");
+    let (on, _) = runner
+        .run_adaptive(&ctx, mgr_on, &trace)
+        .expect("adaptive cached run");
 
     assert_eq!(
         off.exec.total_energy.to_bits(),

@@ -60,21 +60,6 @@ use std::sync::Mutex;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Environment variable overriding the campaign executor's worker count
-/// (falls back to `CTG_WORKERS` / the machine's parallelism via
-/// [`pool::worker_count`]).
-pub const CAMPAIGN_WORKERS_ENV: &str = "CTG_CAMPAIGN_WORKERS";
-
-/// The campaign executor's worker count: [`CAMPAIGN_WORKERS_ENV`] when
-/// set to a positive integer, else [`pool::worker_count`].
-pub fn campaign_workers() -> usize {
-    std::env::var(CAMPAIGN_WORKERS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&w| w > 0)
-        .unwrap_or_else(pool::worker_count)
-}
-
 /// Arrival-process axis value (mirrors [`ArrivalKind`], minus trace
 /// replay, which has no grid-expressible parameterisation).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -500,8 +485,8 @@ impl From<std::io::Error> for CampaignError {
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
-    /// Worker threads claiming cells (defaults to
-    /// [`campaign_workers`]).
+    /// Worker threads claiming cells (default 1; bench binaries pass
+    /// [`RunConfig::from_env`](crate::RunConfig::from_env)'s count).
     pub workers: usize,
     /// JSON-lines output path — also the checkpoint.
     pub output: PathBuf,
@@ -514,11 +499,11 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Default executor writing to `output`: auto worker count, no
-    /// resume, telemetry off.
+    /// Default executor writing to `output`: one worker, no resume,
+    /// telemetry off.
     pub fn new(output: impl Into<PathBuf>) -> Self {
         CampaignConfig {
-            workers: campaign_workers(),
+            workers: 1,
             output: output.into(),
             resume: false,
             obs: Obs::disabled(),

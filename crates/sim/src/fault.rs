@@ -298,6 +298,9 @@ pub struct FaultInjector {
     stall: Vec<Option<(f64, f64)>>,
     /// Whether each task's DVFS request is denied (snapped at dispatch).
     denial: Vec<bool>,
+    /// The legal ratios a denied request snaps to: the sampled plan's
+    /// [`FaultPlan::dvfs_levels`].
+    levels: Vec<f64>,
     /// Delay multiplier per CTG edge index (1.0 = no retransmit).
     retransmit: Vec<f64>,
     /// Burst-chain cursor: `burst_bad` is the chain state of instance
@@ -316,6 +319,7 @@ impl FaultInjector {
             overrun: Vec::with_capacity(ctx.ctg().num_tasks()),
             stall: Vec::with_capacity(ctx.platform().num_pes()),
             denial: Vec::with_capacity(ctx.ctg().num_tasks()),
+            levels: Vec::new(),
             retransmit: Vec::with_capacity(ctx.ctg().num_edges()),
             burst_pos: 0,
             burst_bad: false,
@@ -419,6 +423,8 @@ impl FaultInjector {
         self.denial.clear();
         self.denial
             .extend((0..n).map(|_| rng.gen_bool(rate(plan.dvfs_denial_rate))));
+        self.levels.clear();
+        self.levels.extend_from_slice(&plan.dvfs_levels);
         self.retransmit.clear();
         self.retransmit.extend((0..ctx.ctg().num_edges()).map(|_| {
             if rng.gen_bool(rate(plan.retransmit_rate)) {
@@ -474,7 +480,7 @@ pub fn simulate_instance_faulty(
     let injector = FaultInjector::for_instance(plan, ctx, instance)?;
     let mut ws = SimWorkspace::new(ctx, solution);
     let mut log = FaultLog::default();
-    let out = ws.simulate_faulty(ctx, solution, vector, plan, &injector, &mut log)?;
+    let out = ws.simulate_faulty(ctx, solution, vector, &injector, &mut log)?;
     Ok((ws.result_from(out), log))
 }
 
@@ -484,9 +490,9 @@ impl SimWorkspace {
     /// buffer's allocation is kept across calls).
     ///
     /// Semantics and arithmetic equal
-    /// [`simulate_instance_faulty`]'s bit-for-bit; the injector must have
-    /// been (re-)sampled under the same `plan` (the plan is only consulted
-    /// for its DVFS denial levels here, so it is **not** re-validated).
+    /// [`simulate_instance_faulty`]'s bit-for-bit under the plan the
+    /// injector was last (re-)sampled with: the injector carries every
+    /// decision, including the plan's DVFS denial levels.
     ///
     /// # Errors
     ///
@@ -496,7 +502,6 @@ impl SimWorkspace {
         ctx: &SchedContext,
         solution: &Solution,
         vector: &DecisionVector,
-        plan: &FaultPlan,
         injector: &FaultInjector,
         log: &mut FaultLog,
     ) -> Result<InstanceOutcome, SchedError> {
@@ -571,7 +576,7 @@ impl SimWorkspace {
             // bypassing the platform's own quantization.
             if injector.denial[t.index()] {
                 let requested = speeds.speed(t);
-                let granted = FaultInjector::snap(&plan.dvfs_levels, requested);
+                let granted = FaultInjector::snap(&injector.levels, requested);
                 if (granted - requested).abs() > 1e-12 {
                     let d2 = profile.wcet(t.index(), pe) / granted;
                     let e2 = profile.energy(t.index(), pe) * granted * granted;
@@ -760,6 +765,33 @@ mod tests {
             if let FaultEvent::DvfsDenial { granted, .. } = e {
                 assert_eq!(*granted, 1.0);
             }
+        }
+    }
+
+    #[test]
+    fn workspace_denials_snap_to_the_resampled_plans_levels() {
+        let (ctx, solution) = setup(60.0);
+        let v = DecisionVector::new(vec![1, 1]);
+        let mut ws = SimWorkspace::new(&ctx, &solution);
+        let mut injector = FaultInjector::empty(&ctx);
+        let mut log = FaultLog::default();
+        for levels in [vec![1.0], vec![0.5], vec![0.3, 0.9]] {
+            let plan = FaultPlan {
+                dvfs_denial_rate: 1.0,
+                dvfs_levels: levels.clone(),
+                ..FaultPlan::none(5)
+            };
+            injector.resample(&plan, &ctx, 0).unwrap();
+            ws.simulate_faulty(&ctx, &solution, &v, &injector, &mut log)
+                .unwrap();
+            assert!(log.stats.denials > 0, "levels {levels:?}");
+            for e in &log.events {
+                if let FaultEvent::DvfsDenial { granted, .. } = e {
+                    assert!(levels.contains(granted), "{granted} not in {levels:?}");
+                }
+            }
+            let (_, one_shot) = simulate_instance_faulty(&ctx, &solution, &v, &plan, 0).unwrap();
+            assert_eq!(one_shot, log);
         }
     }
 

@@ -9,10 +9,12 @@
 //! instance's actual energy, makespan and deadline verdict — the quantities
 //! the paper's evaluation averages over 1000-instance traces.
 //!
-//! [`run`] is the front door for whole traces: a [`RunConfig`] builder
-//! (workers, fault plan, degradation ladder, serve knobs, telemetry) and a
-//! [`Runner`] dispatching to the static / adaptive / serving engines. The
-//! [`runner`] free functions survive as thin wrappers over it. [`serve`]
+//! [`Runner`] is the only way to run a whole trace: it dispatches to the
+//! static / adaptive / periodic / serving engines in [`runner`] and
+//! [`serve`] from a [`RunConfig`] builder (workers, fault plan,
+//! degradation ladder, serve knobs, telemetry; see [`run`]).
+//! [`RunConfig::from_env`] is the one place the crate reads the
+//! environment (`CTG_WORKERS`). [`serve`]
 //! drives *many* independent adaptive streams at once through a
 //! discrete-event engine, sharded over worker threads with a cross-stream
 //! schedule cache. Every engine records structured telemetry through a
@@ -70,9 +72,8 @@ pub mod serve;
 mod summary;
 
 pub use campaign::{
-    campaign_workers, run_campaign, ArrivalSpec, Artifact, CampaignConfig, CampaignError,
-    CampaignReport, CampaignRollup, CampaignSpec, Cell, CellCoord, CellDigest, KnobSpec,
-    CAMPAIGN_WORKERS_ENV,
+    run_campaign, ArrivalSpec, Artifact, CampaignConfig, CampaignError, CampaignReport,
+    CampaignRollup, CampaignSpec, Cell, CellCoord, CellDigest, KnobSpec,
 };
 pub use degrade::{DegradeConfig, DegradeStats, Rung, Watchdog, WatchdogVerdict};
 pub use estimate::{monte_carlo_energy, McEstimate};
@@ -85,20 +86,13 @@ pub use instance::{
     InstanceResult, SimWorkspace,
 };
 pub use metrics::{trace_metrics, TraceMetrics};
-pub use pool::{
-    effective_workers, effective_workers_weighted, effective_workers_with, map_ordered,
-    map_ordered_with, worker_count,
-};
+pub use pool::{effective_workers_with, map_ordered, map_ordered_with};
 pub use reclaim::simulate_instance_reclaiming;
 pub use run::{RunConfig, Runner};
-pub use runner::{
-    run_adaptive, run_adaptive_resilient, run_periodic, run_static, run_static_faulty,
-    run_static_faulty_parallel, run_static_parallel, PeriodicSummary, RunSummary,
-    FAULTY_INSTANCE_COST,
-};
+pub use runner::{PeriodicSummary, RunSummary, FAULTY_INSTANCE_COST};
 pub use serve::{
-    default_arrival, run_serve, run_serve_seeded, AdmissionConfig, ArrivalConfig, ArrivalKind,
-    CacheMode, EngineKind, QuarantineConfig, ServeConfig, ServeReport, ServeStats,
-    SharedScheduleCache, StreamSpec, StreamSummary, SERVE_ARRIVAL_ENV, SERVE_SHARDS_ENV,
+    run_serve, run_serve_seeded, AdmissionConfig, ArrivalConfig, ArrivalKind, CacheMode,
+    EngineKind, QuarantineConfig, ServeConfig, ServeReport, ServeStats, SharedScheduleCache,
+    StreamSpec, StreamSummary,
 };
 pub use summary::{percentile_sorted, ExecStats, StreamLatency};

@@ -11,19 +11,11 @@
 //! the sequential run regardless of worker count or OS scheduling**. The
 //! only thing parallelism is allowed to change is wall-clock time.
 //!
-//! Worker count comes from [`worker_count`]: the `CTG_WORKERS` environment
-//! variable when set to a positive integer, otherwise
-//! [`std::thread::available_parallelism`].
+//! Callers pass the worker count explicitly; the run layer takes it from
+//! [`RunConfig`](crate::RunConfig).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-
-/// Environment variable overriding the default worker count.
-pub const WORKERS_ENV: &str = "CTG_WORKERS";
-
-/// Environment variable overriding the small-batch sequential-fallback
-/// threshold (see [`min_batch`]).
-pub const MIN_BATCH_ENV: &str = "CTG_POOL_MIN_BATCH";
 
 /// Default minimum batch size for which spawning workers pays off.
 ///
@@ -34,34 +26,10 @@ pub const MIN_BATCH_ENV: &str = "CTG_POOL_MIN_BATCH";
 /// ordered-merge contract), so the fallback only changes wall-clock time.
 pub const DEFAULT_MIN_BATCH: usize = 1024;
 
-/// Parses a `CTG_POOL_MIN_BATCH`-style override: a non-negative integer,
-/// where `0` disables the fallback entirely. Unset or unparsable values
-/// yield [`DEFAULT_MIN_BATCH`]. Split out of [`min_batch`] so the policy is
-/// testable without mutating the process environment (environment writes
-/// race across the test harness's threads).
-fn parse_min_batch(raw: Option<&str>) -> usize {
-    match raw {
-        Some(v) => v.trim().parse::<usize>().unwrap_or(DEFAULT_MIN_BATCH),
-        None => DEFAULT_MIN_BATCH,
-    }
-}
-
-/// The batch size below which [`effective_workers`] degrades to sequential:
-/// `CTG_POOL_MIN_BATCH` when set to a valid integer (0 disables the
-/// fallback), else [`DEFAULT_MIN_BATCH`].
-pub fn min_batch() -> usize {
-    parse_min_batch(std::env::var(MIN_BATCH_ENV).ok().as_deref())
-}
-
-/// The worker count actually worth using for a batch of `total_items`:
-/// `workers`, degraded to 1 when the batch is smaller than [`min_batch`].
-pub fn effective_workers(total_items: usize, workers: usize) -> usize {
-    effective_workers_weighted(total_items, workers, 1.0)
-}
-
-/// Like [`effective_workers`], but for items whose per-item cost is
-/// `unit_cost ×` the plain-simulation baseline the [`min_batch`] threshold
-/// was calibrated on.
+/// The worker count actually worth using for a batch of `total_items`
+/// whose per-item cost is `unit_cost ×` the plain-simulation baseline the
+/// `min_batch` threshold was calibrated on: `workers`, degraded to 1 when
+/// the weighted batch is smaller than `min_batch`.
 ///
 /// The fallback exists because thread spawn/join overhead must be amortized
 /// over enough *work*, not enough *items*: a batch of heavier items (e.g.
@@ -71,15 +39,6 @@ pub fn effective_workers(total_items: usize, workers: usize) -> usize {
 /// threshold, so a cost of 2.0 halves the break-even batch size. Costs
 /// below 1.0 raise it symmetrically. The choice only affects wall-clock
 /// time — sequential and pooled runs are bit-identical either way.
-pub fn effective_workers_weighted(total_items: usize, workers: usize, unit_cost: f64) -> usize {
-    effective_workers_with(total_items, workers, min_batch(), unit_cost)
-}
-
-/// Like [`effective_workers_weighted`], with an explicit `min_batch`
-/// threshold instead of the environment-derived one.
-/// [`RunConfig`](crate::RunConfig) resolves the threshold once — builder
-/// value or `CTG_POOL_MIN_BATCH` fallback — and the runner engines pass it
-/// through here, so the environment is read in exactly one place.
 pub fn effective_workers_with(
     total_items: usize,
     workers: usize,
@@ -92,21 +51,6 @@ pub fn effective_workers_with(
     } else {
         workers
     }
-}
-
-/// The pool's default worker count: `CTG_WORKERS` (if set to a positive
-/// integer), else [`std::thread::available_parallelism`], else 1.
-pub fn worker_count() -> usize {
-    if let Ok(v) = std::env::var(WORKERS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Maps `f` over `items` on up to `workers` threads, returning the results
@@ -244,53 +188,21 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_is_positive() {
-        assert!(worker_count() >= 1);
-    }
-
-    #[test]
-    fn min_batch_parsing() {
-        assert_eq!(parse_min_batch(None), DEFAULT_MIN_BATCH);
-        assert_eq!(parse_min_batch(Some("256")), 256);
-        assert_eq!(parse_min_batch(Some(" 64 ")), 64);
-        // 0 disables the fallback: no batch is ever "too small".
-        assert_eq!(parse_min_batch(Some("0")), 0);
-        assert_eq!(parse_min_batch(Some("nope")), DEFAULT_MIN_BATCH);
-        assert_eq!(parse_min_batch(Some("-3")), DEFAULT_MIN_BATCH);
-    }
-
-    #[test]
-    fn effective_workers_degrades_small_batches() {
-        // Uses the compiled-in default (the env override is covered by
-        // `min_batch_parsing` without touching the process environment).
-        let threshold = min_batch();
-        if threshold > 0 {
-            assert_eq!(effective_workers(threshold - 1, 8), 1);
-        }
-        assert_eq!(effective_workers(threshold, 8), 8);
-        assert_eq!(effective_workers(threshold + 1, 4), 4);
-    }
-
-    #[test]
     fn weighted_cost_scales_the_break_even_batch() {
-        let threshold = min_batch();
-        if threshold < 2 {
-            return; // fallback disabled; nothing to scale
-        }
+        let threshold = DEFAULT_MIN_BATCH;
+        let workers = |items: usize, cost: f64| effective_workers_with(items, 8, threshold, cost);
+        // Unit cost degrades exactly below the threshold.
+        assert_eq!(workers(threshold - 1, 1.0), 1);
+        assert_eq!(workers(threshold, 1.0), 8);
         // 2x-heavy items break even at half the items…
-        assert_eq!(effective_workers_weighted(threshold / 2, 8, 2.0), 8);
-        assert_eq!(effective_workers_weighted(threshold / 2 - 1, 8, 2.0), 1);
+        assert_eq!(workers(threshold / 2, 2.0), 8);
+        assert_eq!(workers(threshold / 2 - 1, 2.0), 1);
         // …and half-weight items need twice as many.
-        assert_eq!(effective_workers_weighted(threshold, 8, 0.5), 1);
-        assert_eq!(effective_workers_weighted(2 * threshold, 8, 0.5), 8);
-        // Cost 1.0 reproduces the unweighted policy exactly.
-        for items in [0, threshold - 1, threshold, threshold + 7] {
-            assert_eq!(
-                effective_workers_weighted(items, 8, 1.0),
-                effective_workers(items, 8)
-            );
-        }
+        assert_eq!(workers(threshold, 0.5), 1);
+        assert_eq!(workers(2 * threshold, 0.5), 8);
         // Degenerate costs never panic and degrade conservatively.
-        assert_eq!(effective_workers_weighted(usize::MAX, 8, 0.0), 1);
+        assert_eq!(workers(usize::MAX, 0.0), 1);
+        // A zero threshold disables the fallback.
+        assert_eq!(effective_workers_with(0, 4, 0, 1.0), 4);
     }
 }

@@ -18,7 +18,7 @@
 //! This quantifies how much of the adaptive manager's benefit a purely
 //! reactive, per-instance mechanism can recover (and it composes with it).
 
-use crate::instance::InstanceResult;
+use crate::instance::{InstanceResult, SimWorkspace};
 use ctg_model::{DecisionVector, TaskId};
 use ctg_sched::{SchedContext, SchedError, Solution};
 
@@ -89,36 +89,15 @@ pub fn simulate_instance_reclaiming(
     let active = vector.active_tasks(ctg, ctx.activation());
     let n = ctg.num_tasks();
 
-    // Constraint graph (identical to the plain simulator).
-    let mut preds: Vec<Vec<(TaskId, f64)>> = vec![Vec::new(); n];
-    for (_, e) in ctg.edges() {
-        preds[e.dst().index()].push((e.src(), e.comm_kbytes()));
-    }
-    for &(fork, or_node) in ctx.activation().implied_or_deps() {
-        preds[or_node.index()].push((fork, 0.0));
-    }
-    for pe in platform.pes() {
-        let order = schedule.pe_order(pe);
-        for i in 0..order.len() {
-            for j in (i + 1)..order.len() {
-                preds[order[j].index()].push((order[i], 0.0));
-            }
-        }
-    }
-    let mut order: Vec<TaskId> = ctg.tasks().collect();
-    order.sort_by(|&a, &b| {
-        schedule
-            .start(a)
-            .partial_cmp(&schedule.start(b))
-            .expect("finite start times")
-            .then(a.cmp(&b))
-    });
+    // The plain simulator's constraint graph and processing order.
+    let ws = SimWorkspace::new(ctx, solution);
 
     // rem(τ): worst-case remaining time after τ finishes over the
-    // constraint graph (condition-blind, therefore safe).
+    // constraint graph (condition-blind, therefore safe), pulled from the
+    // successors in reverse processing order.
     let mut succs: Vec<Vec<(TaskId, f64)>> = vec![Vec::new(); n];
-    for (d, ps) in preds.iter().enumerate() {
-        for &(p, kb) in ps {
+    for (d, ps) in ws.preds.iter().enumerate() {
+        for &(p, kb, _) in ps {
             succs[p.index()].push((TaskId::new(d), kb));
         }
     }
@@ -133,7 +112,7 @@ pub fn simulate_instance_reclaiming(
         }
     };
     let mut rem = vec![0.0_f64; n];
-    for &t in order.iter().rev() {
+    for &t in ws.order.iter().rev() {
         let mut worst: f64 = 0.0;
         for &(s, kb) in &succs[t.index()] {
             let delay = comm.delay(schedule.pe_of(t), schedule.pe_of(s), kb);
@@ -146,13 +125,13 @@ pub fn simulate_instance_reclaiming(
     let mut task_times: Vec<Option<(f64, f64)>> = vec![None; n];
     let mut exec_energy = 0.0;
     let mut makespan: f64 = 0.0;
-    for &t in &order {
+    for &t in &ws.order {
         if !active[t.index()] {
             continue;
         }
         let pe = schedule.pe_of(t);
         let mut start: f64 = 0.0;
-        for &(p, kbytes) in &preds[t.index()] {
+        for &(p, kbytes, _) in &ws.preds[t.index()] {
             if !active[p.index()] {
                 continue;
             }

@@ -1,13 +1,9 @@
-//! The unified run API: [`RunConfig`] + [`Runner`].
+//! The run API: [`RunConfig`] + [`Runner`], the only way to run a trace.
 //!
-//! The simulator grew eight `run_*` free functions, each threading its own
-//! subset of knobs (worker count, fault plan, ladder config, serve shards)
-//! and each reading its own environment variables at its own call depth.
-//! [`RunConfig`] is the one place all of those knobs live — explicit fields
-//! with builder setters, environment fallbacks (`CTG_WORKERS`,
-//! `CTG_POOL_MIN_BATCH`, `CTG_SERVE_SHARDS`) resolved in exactly one
-//! function ([`RunConfig::from_env`]) — and [`Runner`] dispatches to the
-//! right engine from the configuration alone:
+//! [`RunConfig`] holds every knob of every engine (worker count, fault
+//! plan, degradation ladder, serve knobs, telemetry) as explicit fields
+//! with builder setters, and [`Runner`] dispatches to the right engine
+//! from the configuration alone:
 //!
 //! * [`Runner::run_static`] — sequential / parallel / fault-injected,
 //!   chosen by `workers` and `fault_plan`;
@@ -16,14 +12,16 @@
 //! * [`Runner::run_periodic`] — periodically released instances;
 //! * [`Runner::serve`] — the sharded multi-stream engine.
 //!
+//! [`RunConfig::from_env`] is the one place the simulator reads the
+//! environment: `CTG_WORKERS` sets the worker and shard counts. Every
+//! other default ([`RunConfig::new`], `ServeConfig::default()`,
+//! `CampaignConfig::new`) is fixed.
+//!
 //! Every configuration also carries a telemetry handle ([`RunConfig::obs`],
 //! default disabled): wire a [`BufferedSink`](ctg_obs::BufferedSink) in to
 //! collect span-level traces and counters; leave it disabled and the
 //! engines pay one branch per would-be event. Simulated outputs are
 //! bit-identical either way (`tests/obs_equivalence.rs`).
-//!
-//! The legacy free functions survive as thin wrappers over this type, so
-//! existing call sites keep compiling and keep their exact behavior.
 //!
 //! # Example
 //!
@@ -59,17 +57,19 @@ use crate::serve::{
 };
 use ctg_model::DecisionVector;
 use ctg_obs::Obs;
-use ctg_sched::{
-    parse_scheduler_selection, AdaptiveScheduler, SchedContext, SchedError, SchedulerKind, Solution,
-};
+use ctg_sched::{AdaptiveScheduler, SchedContext, SchedError, SchedulerKind, Solution};
 
-/// Environment override for the scheduler selection, read **only** by
-/// [`RunConfig::from_env`]: a kind name (`dls`, `heft`, `lookahead`,
-/// `frame`), the literal `portfolio`
-/// ([`ctg_sched::DEFAULT_PORTFOLIO`]), or a comma-separated racing list.
-/// Unset, empty, plain `dls`, or unparsable values keep the default
-/// DLS-only pipeline.
-pub const SCHEDULER_ENV: &str = "CTG_SCHEDULER";
+/// Environment variable setting [`RunConfig::from_env`]'s worker and
+/// shard counts.
+const WORKERS_ENV: &str = "CTG_WORKERS";
+
+/// Parses a `CTG_WORKERS` value: a positive integer, else `None`. Split
+/// out of [`RunConfig::from_env`] so the policy is testable without
+/// mutating the process environment.
+fn parse_workers(raw: Option<&str>) -> Option<usize> {
+    raw.and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+}
 
 /// Folds a parsed selection to the `RunConfig` representation: a bare
 /// `[Dls]` is the historic pipeline, not a one-entry race.
@@ -83,17 +83,11 @@ pub(crate) fn normalize_scheduler_selection(
     }
 }
 
-fn scheduler_from_env() -> Option<Vec<SchedulerKind>> {
-    let raw = std::env::var(SCHEDULER_ENV).ok()?;
-    normalize_scheduler_selection(parse_scheduler_selection(&raw)?)
-}
-
 /// Every knob of every runner, in one place.
 ///
-/// Construct with [`RunConfig::new`] (fixed, environment-independent
-/// defaults: sequential, no faults, telemetry disabled) or
-/// [`RunConfig::from_env`] (the environment-variable fallbacks the legacy
-/// entry points used), then chain the builder setters.
+/// Construct with [`RunConfig::new`] (fixed defaults: sequential, no
+/// faults, telemetry disabled) or [`RunConfig::from_env`] (the worker and
+/// shard counts from `CTG_WORKERS`), then chain the builder setters.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Worker threads for the parallel static runners and the serve
@@ -101,7 +95,7 @@ pub struct RunConfig {
     pub workers: usize,
     /// Batch size below which the parallel static runners degrade to
     /// sequential (thread spawn/join overhead dominates; see
-    /// [`pool::min_batch`]). Only wall-clock time depends on it.
+    /// [`pool::DEFAULT_MIN_BATCH`]). Only wall-clock time depends on it.
     pub min_batch: usize,
     /// Stream shards for [`Runner::serve`] (load balance only).
     pub shards: usize,
@@ -164,30 +158,18 @@ impl RunConfig {
         }
     }
 
-    /// [`RunConfig::new`] with the environment fallbacks resolved — the
-    /// *only* place the run layer reads the environment:
-    ///
-    /// * `workers` ← `CTG_WORKERS`, else available parallelism
-    ///   ([`pool::worker_count`]);
-    /// * `min_batch` ← `CTG_POOL_MIN_BATCH`, else
-    ///   [`pool::DEFAULT_MIN_BATCH`] ([`pool::min_batch`]);
-    /// * `shards` ← `CTG_SERVE_SHARDS`, else the worker count
-    ///   ([`serve::default_shards`]);
-    /// * `arrival.kind` ← `CTG_SERVE_ARRIVAL`, else closed loop
-    ///   ([`serve::default_arrival`]);
-    /// * `portfolio` ← `CTG_SCHEDULER` ([`SCHEDULER_ENV`]), else DLS only.
+    /// [`RunConfig::new`] with the worker and shard counts taken from the
+    /// environment — the *only* place the simulator reads it: both are
+    /// `CTG_WORKERS` when set to a positive integer, else the machine's
+    /// available parallelism.
     pub fn from_env() -> Self {
-        RunConfig {
-            workers: pool::worker_count(),
-            min_batch: pool::min_batch(),
-            shards: serve::default_shards(),
-            arrival: ArrivalConfig {
-                kind: serve::default_arrival(),
-                ..ArrivalConfig::default()
-            },
-            portfolio: scheduler_from_env(),
-            ..RunConfig::new()
-        }
+        let workers =
+            parse_workers(std::env::var(WORKERS_ENV).ok().as_deref()).unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            });
+        RunConfig::new().workers(workers).shards(workers)
     }
 
     /// Sets the worker count.
@@ -359,12 +341,6 @@ impl Runner {
         Runner { cfg }
     }
 
-    /// A runner with the environment-fallback defaults
-    /// ([`RunConfig::from_env`]).
-    pub fn from_env() -> Self {
-        Runner::new(RunConfig::from_env())
-    }
-
     /// The configuration this runner dispatches on.
     pub fn config(&self) -> &RunConfig {
         &self.cfg
@@ -451,13 +427,18 @@ impl Runner {
         runner::adaptive_resilient_run(ctx, manager, vectors, &plan, &dcfg, obs)
     }
 
-    /// Runs `vectors` as periodically released instances (period as a call
+    /// Runs `vectors` as periodically released instances with carry-over
+    /// PE contention (see [`PeriodicSummary`]; the period is a call
     /// parameter: it is a property of the experiment, not of the engine).
+    ///
+    /// With `period ≥` the worst-case makespan the result matches
+    /// [`Runner::run_static`] instance by instance; shorter periods make
+    /// instances interfere and eventually overrun.
     ///
     /// # Errors
     ///
-    /// Rejects non-positive periods and propagates vector-arity
-    /// mismatches.
+    /// Returns [`SchedError::InvalidParameter`] for a non-positive period
+    /// and propagates vector-arity mismatches.
     pub fn run_periodic(
         &self,
         ctx: &SchedContext,
@@ -465,7 +446,7 @@ impl Runner {
         vectors: &[DecisionVector],
         period: f64,
     ) -> Result<PeriodicSummary, SchedError> {
-        runner::run_periodic(ctx, solution, vectors, period)
+        runner::periodic_run(ctx, solution, vectors, period)
     }
 
     /// Drives a set of streams through the sharded serving engine
@@ -488,7 +469,6 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_static, run_static_parallel};
     use ctg_model::BranchProbs;
     use ctg_sched::test_util::{example1_ctg, uniform_platform};
     use ctg_sched::OnlineScheduler;
@@ -573,30 +553,45 @@ mod tests {
     }
 
     #[test]
-    fn from_env_matches_single_sourced_fallbacks() {
-        // Whatever the environment holds, from_env must agree with the
-        // pool/serve helpers — they are the single source of truth.
+    fn workers_env_parsing() {
+        assert_eq!(parse_workers(None), None);
+        assert_eq!(parse_workers(Some("8")), Some(8));
+        assert_eq!(parse_workers(Some(" 3 ")), Some(3));
+        assert_eq!(parse_workers(Some("0")), None);
+        assert_eq!(parse_workers(Some("-2")), None);
+        assert_eq!(parse_workers(Some("nope")), None);
         let cfg = RunConfig::from_env();
-        assert_eq!(cfg.workers, pool::worker_count());
-        assert_eq!(cfg.min_batch, pool::min_batch());
-        assert_eq!(cfg.shards, serve::default_shards());
-        assert_eq!(cfg.arrival.kind, serve::default_arrival());
-        assert_eq!(cfg.portfolio, scheduler_from_env());
+        assert!(cfg.workers >= 1);
+        assert_eq!(cfg.shards, cfg.workers);
     }
 
     #[test]
-    fn dispatch_matches_legacy_entry_points() {
+    fn library_defaults_ignore_the_environment() {
+        let run = RunConfig::new().serve_config();
+        let serve = ServeConfig::default();
+        assert_eq!((serve.workers, serve.shards), (run.workers, run.shards));
+        assert_eq!((serve.workers, serve.shards), (1, 1));
+        assert_eq!(crate::CampaignConfig::new("cells.jsonl").workers, 1);
+    }
+
+    #[test]
+    fn static_dispatch_is_invariant_in_the_worker_count() {
         let (ctx, probs) = setup();
         let solution = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
         let vs = trace(64);
-        let legacy_seq = run_static(&ctx, &solution, &vs).unwrap();
-        let legacy_par = run_static_parallel(&ctx, &solution, &vs, 3).unwrap();
-        // min_batch 0: force the pool even for this tiny trace.
-        let unified_par = Runner::new(RunConfig::new().workers(3).min_batch(0))
+        let seq = Runner::default().run_static(&ctx, &solution, &vs).unwrap();
+        for workers in [2, 3, 8] {
+            // min_batch 0: force the pool even for this tiny trace.
+            let par = Runner::new(RunConfig::new().workers(workers).min_batch(0))
+                .run_static(&ctx, &solution, &vs)
+                .unwrap();
+            assert_eq!(seq, par, "workers={workers}");
+        }
+        // Below the default batch threshold the pool is skipped.
+        let fallback = Runner::new(RunConfig::new().workers(3))
             .run_static(&ctx, &solution, &vs)
             .unwrap();
-        assert_eq!(legacy_seq, legacy_par);
-        assert_eq!(legacy_seq, unified_par);
+        assert_eq!(seq, fallback);
     }
 
     #[test]
@@ -622,11 +617,9 @@ mod tests {
         let (ctx, probs) = setup();
         let vs = trace(80);
         let mgr = || AdaptiveScheduler::new(&ctx, probs.clone(), 8, 0.2).unwrap();
-        let (plain, _) = Runner::new(RunConfig::new())
-            .run_adaptive(&ctx, mgr(), &vs)
-            .unwrap();
-        let (legacy, _) = crate::runner::run_adaptive(&ctx, mgr(), &vs).unwrap();
-        assert_eq!(plain, legacy);
+        let (plain, _) = Runner::default().run_adaptive(&ctx, mgr(), &vs).unwrap();
+        let (engine, _) = runner::adaptive_run(&ctx, mgr(), &vs, &Obs::disabled()).unwrap();
+        assert_eq!(plain, engine);
         // Ladder-only config routes to the resilient engine with a no-op
         // plan: same energies, degrade counters present.
         let (resilient, _) = Runner::new(RunConfig::new().degrade(DegradeConfig::default()))

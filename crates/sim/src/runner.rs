@@ -1,9 +1,8 @@
-//! Trace runners: drive the non-adaptive and adaptive policies over a
-//! sequence of decision vectors.
+//! Trace engines: drive the non-adaptive, adaptive and periodic policies
+//! over a sequence of decision vectors.
 //!
-//! The eight historical `run_*` entry points survive as thin wrappers over
-//! the unified [`Runner`] / [`RunConfig`] API (see [`crate::run`]); the
-//! engine implementations live here and all take an [`Obs`] telemetry
+//! The engines are crate-private; [`Runner`](crate::Runner) picks one from
+//! its [`RunConfig`](crate::RunConfig). Each takes an [`Obs`] telemetry
 //! handle — free when disabled, and never affecting a single simulated bit
 //! when enabled.
 
@@ -11,7 +10,6 @@ use crate::degrade::{DegradeConfig, DegradeStats, Rung, Watchdog, WatchdogVerdic
 use crate::fault::{FaultInjector, FaultLog, FaultPlan, FaultStats};
 use crate::instance::{InstanceOutcome, SimWorkspace};
 use crate::pool;
-use crate::run::{RunConfig, Runner};
 use crate::summary::{fmt_f64, ExecStats};
 use ctg_model::DecisionVector;
 use ctg_obs::{Counter, Hist, Obs, Stage};
@@ -171,24 +169,9 @@ pub(crate) fn note_slo_miss(obs: &Obs, track: u32, stream_id: usize) {
     obs.count(Counter::SloMisses, 1);
 }
 
-/// Runs a fixed solution over a trace (the paper's *non-adaptive online*
-/// policy: schedule once from profiled probabilities, never revisit).
-///
-/// Thin wrapper over [`Runner::run_static`] with the sequential
-/// [`RunConfig::new`] defaults.
-///
-/// # Errors
-///
-/// Propagates vector-arity mismatches.
-pub fn run_static(
-    ctx: &SchedContext,
-    solution: &Solution,
-    vectors: &[DecisionVector],
-) -> Result<RunSummary, SchedError> {
-    Runner::new(RunConfig::new()).run_static(ctx, solution, vectors)
-}
-
-/// Sequential static engine.
+/// Sequential static engine: runs a fixed solution over a trace (the
+/// paper's *non-adaptive online* policy: schedule once from profiled
+/// probabilities, never revisit).
 pub(crate) fn static_seq(
     ctx: &SchedContext,
     solution: &Solution,
@@ -217,38 +200,19 @@ fn chunk_len(len: usize, workers: usize) -> usize {
     len.div_ceil(workers.max(1) * 8).max(1)
 }
 
-/// [`run_static`] fanned out over a worker pool (see [`pool`]).
+/// [`static_seq`] fanned out over a worker pool (see [`pool`]).
 ///
 /// The trace is split into chunks, simulated on up to `workers` threads
 /// (each with its own [`SimWorkspace`]), and the per-instance outcomes are
 /// folded into the summary **in trace order** — so the returned summary is
-/// bit-for-bit equal to [`run_static`]'s for every worker count (the
-/// wall-clock fields differ; they are ignored by `==`).
+/// bit-for-bit equal to [`static_seq`]'s for every worker count (the
+/// wall-clock fields differ; they are ignored by `==`). Traces shorter
+/// than `min_batch` run sequentially regardless of `workers` — spawn/join
+/// overhead dominates there — which changes only the wall-clock fields.
 ///
-/// Use [`pool::worker_count`] for a `CTG_WORKERS`-aware default. Traces
-/// shorter than [`pool::min_batch`] run sequentially regardless of
-/// `workers` — spawn/join overhead dominates there — which changes only
-/// the wall-clock fields.
-///
-/// Thin wrapper over [`Runner::run_static`] with [`RunConfig::from_env`]
-/// (preserving the `CTG_POOL_MIN_BATCH` fallback) and an explicit worker
-/// count.
-///
-/// # Errors
-///
-/// Propagates vector-arity mismatches.
-pub fn run_static_parallel(
-    ctx: &SchedContext,
-    solution: &Solution,
-    vectors: &[DecisionVector],
-    workers: usize,
-) -> Result<RunSummary, SchedError> {
-    Runner::new(RunConfig::from_env().workers(workers)).run_static(ctx, solution, vectors)
-}
-
-/// Parallel static engine: telemetry (counters, histograms) is recorded on
-/// the merging thread in trace order, so enabling it cannot perturb the
-/// worker pool or the merged bits.
+/// Telemetry (counters, histograms) is recorded on the merging thread in
+/// trace order, so enabling it cannot perturb the worker pool or the
+/// merged bits.
 pub(crate) fn static_parallel(
     ctx: &SchedContext,
     solution: &Solution,
@@ -285,26 +249,9 @@ pub(crate) fn static_parallel(
     Ok(summary)
 }
 
-/// Runs a fixed solution over a trace under a fault plan (the static policy
-/// of [`run_static`] with the fault semantics of
-/// [`simulate_instance_faulty`](crate::simulate_instance_faulty); instance
-/// `i` draws its faults from the sub-stream `mix(plan.seed, i)`).
-///
-/// Thin wrapper over [`Runner::run_static`] with a fault plan configured.
-///
-/// # Errors
-///
-/// Propagates vector-arity mismatches and invalid plans.
-pub fn run_static_faulty(
-    ctx: &SchedContext,
-    solution: &Solution,
-    vectors: &[DecisionVector],
-    plan: &FaultPlan,
-) -> Result<RunSummary, SchedError> {
-    Runner::new(RunConfig::new().fault_plan(plan.clone())).run_static(ctx, solution, vectors)
-}
-
-/// Sequential faulty static engine.
+/// Sequential faulty static engine: the static policy with the fault
+/// semantics of [`simulate_instance_faulty`](crate::simulate_instance_faulty);
+/// instance `i` draws its faults from the sub-stream `mix(plan.seed, i)`.
 pub(crate) fn static_faulty_seq(
     ctx: &SchedContext,
     solution: &Solution,
@@ -320,7 +267,7 @@ pub(crate) fn static_faulty_seq(
     let mut summary = RunSummary::default();
     for (i, v) in vectors.iter().enumerate() {
         injector.resample(plan, ctx, i as u64)?;
-        let r = ws.simulate_faulty(ctx, solution, v, plan, &injector, &mut log)?;
+        let r = ws.simulate_faulty(ctx, solution, v, &injector, &mut log)?;
         summary.absorb_outcome(&r);
         summary.faults.absorb(&log.stats);
         note_instance(obs, ctx, &r);
@@ -339,40 +286,17 @@ pub(crate) fn static_faulty_seq(
 /// half as many instances.
 pub const FAULTY_INSTANCE_COST: f64 = 2.0;
 
-/// [`run_static_faulty`] fanned out over a worker pool.
+/// [`static_faulty_seq`] fanned out over a worker pool (telemetry merged
+/// in trace order, like [`static_parallel`]).
 ///
 /// Fault decisions are keyed by `(plan.seed, global instance index)`, so
 /// instances are independent and the partition into chunks cannot change
 /// them; outcomes are folded in trace order, making the summary bit-for-bit
-/// equal to [`run_static_faulty`]'s at every worker count. The small-batch
+/// equal to [`static_faulty_seq`]'s at every worker count. The small-batch
 /// sequential fallback is weighted by [`FAULTY_INSTANCE_COST`]: faulty
 /// instances are heavier than plain ones, so the pool pays off at
-/// proportionally shorter traces than [`run_static_parallel`]'s
-/// [`pool::min_batch`] floor.
-///
-/// Thin wrapper over [`Runner::run_static`] with [`RunConfig::from_env`]
-/// plus a fault plan and an explicit worker count.
-///
-/// # Errors
-///
-/// Propagates vector-arity mismatches and invalid plans.
-pub fn run_static_faulty_parallel(
-    ctx: &SchedContext,
-    solution: &Solution,
-    vectors: &[DecisionVector],
-    plan: &FaultPlan,
-    workers: usize,
-) -> Result<RunSummary, SchedError> {
-    Runner::new(
-        RunConfig::from_env()
-            .workers(workers)
-            .fault_plan(plan.clone()),
-    )
-    .run_static(ctx, solution, vectors)
-}
-
-/// Parallel faulty static engine (telemetry merged in trace order, like
-/// [`static_parallel`]).
+/// proportionally shorter traces than [`static_parallel`]'s `min_batch`
+/// floor.
 pub(crate) fn static_faulty_parallel(
     ctx: &SchedContext,
     solution: &Solution,
@@ -411,7 +335,7 @@ pub(crate) fn static_faulty_parallel(
                 .enumerate()
                 .map(|(j, v)| {
                     injector.resample(plan, ctx, (base + j) as u64)?;
-                    let r = ws.simulate_faulty(ctx, solution, v, plan, injector, log)?;
+                    let r = ws.simulate_faulty(ctx, solution, v, injector, log)?;
                     Ok((r, log.stats))
                 })
                 .collect()
@@ -431,29 +355,10 @@ pub(crate) fn static_faulty_parallel(
     Ok(summary)
 }
 
-/// Runs the adaptive policy over a trace: each instance executes under the
-/// solution currently in force, then its branch decisions are fed to the
-/// manager, possibly triggering a re-schedule that takes effect from the
-/// next instance (paper §III.B).
-///
-/// The manager is taken by value and mutated; pass a freshly constructed
-/// [`AdaptiveScheduler`] for reproducible runs.
-///
-/// Thin wrapper over [`Runner::run_adaptive`] with the fault-free
-/// [`RunConfig::new`] defaults.
-///
-/// # Errors
-///
-/// Propagates vector-arity mismatches and re-scheduling failures.
-pub fn run_adaptive(
-    ctx: &SchedContext,
-    manager: AdaptiveScheduler,
-    vectors: &[DecisionVector],
-) -> Result<(RunSummary, AdaptiveScheduler), SchedError> {
-    Runner::new(RunConfig::new()).run_adaptive(ctx, manager, vectors)
-}
-
-/// Adaptive engine: the manager records drift/adopt/solve telemetry on
+/// Adaptive engine: each instance executes under the solution currently in
+/// force, then its branch decisions are fed to the manager, possibly
+/// triggering a re-schedule that takes effect from the next instance
+/// (paper §III.B). The manager records drift/adopt/solve telemetry on
 /// track 0.
 pub(crate) fn adaptive_run(
     ctx: &SchedContext,
@@ -501,45 +406,24 @@ fn note_ladder(obs: &Obs, rung: Rung) {
     obs.count(Counter::LadderTransitions, 1);
 }
 
-/// Runs the adaptive policy over a trace under a fault plan, protected by
-/// the graceful-degradation ladder (see [`crate::degrade`]).
+/// Resilient adaptive engine: the adaptive policy under a fault plan,
+/// protected by the graceful-degradation ladder (see [`crate::degrade`]).
 ///
-/// Each instance executes under [`simulate_instance_faulty`]; the watchdog
-/// absorbs its deadline verdict and may escalate the ladder (guard-banded
-/// re-stretch → all-max-speed safe mode → recorded unschedulability).
-/// Drift-triggered re-schedules use the manager's resilient path: a
-/// `SchedError` or a worse worst-case makespan keeps the last-known-good
-/// solution and bumps the corresponding [`DegradeStats`] counter. On the
-/// safe-mode and unschedulable rungs the estimators keep profiling but the
-/// pinned full-speed solution is not overwritten until the ladder relaxes.
+/// Each instance executes under fault injection; the watchdog absorbs its
+/// deadline verdict and may escalate the ladder (guard-banded re-stretch →
+/// all-max-speed safe mode → recorded unschedulability). Drift-triggered
+/// re-schedules use the manager's resilient path: a `SchedError` or a
+/// worse worst-case makespan keeps the last-known-good solution and bumps
+/// the corresponding [`DegradeStats`] counter. On the safe-mode and
+/// unschedulable rungs the estimators keep profiling but the pinned
+/// full-speed solution is not overwritten until the ladder relaxes. With a
+/// no-op plan ([`FaultPlan::is_none`]) and a trace that never misses, the
+/// summary's energies and call counts equal [`adaptive_run`]'s exactly.
 ///
-/// With a no-op plan ([`FaultPlan::is_none`]) and a trace that never
-/// misses, the summary's energies and call counts equal [`run_adaptive`]'s
-/// exactly.
-///
-/// Thin wrapper over [`Runner::run_adaptive`] with the plan and ladder
-/// configured.
-///
-/// [`simulate_instance_faulty`]: crate::simulate_instance_faulty
-///
-/// # Errors
-///
-/// Returns `Err` only for non-recoverable misuse: wrong-arity vectors and
-/// invalid plan/ladder configuration. Solver failures and deadline misses
-/// during the run are absorbed and accounted, never propagated.
-pub fn run_adaptive_resilient(
-    ctx: &SchedContext,
-    manager: AdaptiveScheduler,
-    vectors: &[DecisionVector],
-    plan: &FaultPlan,
-    cfg: &DegradeConfig,
-) -> Result<(RunSummary, AdaptiveScheduler), SchedError> {
-    Runner::new(RunConfig::new().fault_plan(plan.clone()).degrade(*cfg))
-        .run_adaptive(ctx, manager, vectors)
-}
-
-/// Resilient adaptive engine: ladder transitions and fault injections are
-/// recorded alongside the manager's drift/adopt telemetry (track 0).
+/// Ladder transitions and fault injections are recorded alongside the
+/// manager's drift/adopt telemetry (track 0). Returns `Err` only for
+/// non-recoverable misuse: wrong-arity vectors and invalid plan/ladder
+/// configuration.
 pub(crate) fn adaptive_resilient_run(
     ctx: &SchedContext,
     mut manager: AdaptiveScheduler,
@@ -559,7 +443,7 @@ pub(crate) fn adaptive_resilient_run(
     let mut last_reschedules = manager.stats().reschedules;
     for (i, v) in vectors.iter().enumerate() {
         injector.resample(plan, ctx, i as u64)?;
-        let r = ws.simulate_faulty(ctx, manager.solution(), v, plan, &injector, &mut log)?;
+        let r = ws.simulate_faulty(ctx, manager.solution(), v, &injector, &mut log)?;
         summary.absorb_outcome(&r);
         summary.faults.absorb(&log.stats);
         note_instance(obs, ctx, &r);
@@ -642,6 +526,7 @@ pub(crate) fn adaptive_resilient_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Runner;
     use ctg_model::BranchProbs;
     use ctg_sched::test_util::{example1_ctg, uniform_platform};
     use ctg_sched::OnlineScheduler;
@@ -664,7 +549,7 @@ mod tests {
         let (ctx, probs) = setup();
         let sol = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
         let trace = constant_trace(0, 10);
-        let s = run_static(&ctx, &sol, &trace).unwrap();
+        let s = Runner::default().run_static(&ctx, &sol, &trace).unwrap();
         assert_eq!(s.exec.instances, 10);
         assert_eq!(s.exec.deadline_misses, 0);
         assert_eq!(s.calls, 0);
@@ -681,10 +566,14 @@ mod tests {
         wrong.set(forks[0], vec![0.05, 0.95]).unwrap();
         let static_sol = OnlineScheduler::new().solve(&ctx, &wrong).unwrap();
         let trace = constant_trace(0, 60);
-        let s_static = run_static(&ctx, &static_sol, &trace).unwrap();
+        let s_static = Runner::default()
+            .run_static(&ctx, &static_sol, &trace)
+            .unwrap();
 
         let manager = AdaptiveScheduler::new(&ctx, wrong, 10, 0.2).unwrap();
-        let (s_adaptive, _) = run_adaptive(&ctx, manager, &trace).unwrap();
+        let (s_adaptive, _) = Runner::default()
+            .run_adaptive(&ctx, manager, &trace)
+            .unwrap();
         assert!(s_adaptive.calls >= 1);
         assert!(
             s_adaptive.exec.total_energy < s_static.exec.total_energy,
@@ -700,9 +589,11 @@ mod tests {
         let (ctx, probs) = setup();
         let sol = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
         let trace = constant_trace(1, 20);
-        let s_static = run_static(&ctx, &sol, &trace).unwrap();
+        let s_static = Runner::default().run_static(&ctx, &sol, &trace).unwrap();
         let manager = AdaptiveScheduler::new(&ctx, probs, 10, 1.0).unwrap();
-        let (s_adaptive, _) = run_adaptive(&ctx, manager, &trace).unwrap();
+        let (s_adaptive, _) = Runner::default()
+            .run_adaptive(&ctx, manager, &trace)
+            .unwrap();
         assert_eq!(s_adaptive.calls, 0);
         assert!((s_adaptive.exec.total_energy - s_static.exec.total_energy).abs() < 1e-9);
     }
@@ -716,8 +607,10 @@ mod tests {
             .collect();
         let m_low = AdaptiveScheduler::new(&ctx, probs.clone(), 10, 0.1).unwrap();
         let m_high = AdaptiveScheduler::new(&ctx, probs, 10, 0.5).unwrap();
-        let (s_low, _) = run_adaptive(&ctx, m_low, &trace).unwrap();
-        let (s_high, _) = run_adaptive(&ctx, m_high, &trace).unwrap();
+        let (s_low, _) = Runner::default().run_adaptive(&ctx, m_low, &trace).unwrap();
+        let (s_high, _) = Runner::default()
+            .run_adaptive(&ctx, m_high, &trace)
+            .unwrap();
         assert!(
             s_low.calls >= s_high.calls,
             "T=0.1 calls {} < T=0.5 calls {}",
@@ -731,7 +624,9 @@ mod tests {
     fn summary_json_renders() {
         let (ctx, probs) = setup();
         let sol = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
-        let s = run_static(&ctx, &sol, &constant_trace(0, 4)).unwrap();
+        let s = Runner::default()
+            .run_static(&ctx, &sol, &constant_trace(0, 4))
+            .unwrap();
         let json = s.to_json();
         assert!(json.contains("\"exec\":{\"instances\":4"));
         assert!(json.contains("\"calls\":0"));
@@ -771,20 +666,9 @@ impl PeriodicSummary {
     }
 }
 
-/// Runs `vectors` as periodically released instances with carry-over PE
-/// contention.
-///
-/// With `period ≥` the worst-case makespan the result matches
-/// [`run_static`] instance by instance; shorter periods make instances
-/// interfere and eventually overrun.
-///
-/// Also reachable through [`Runner::run_periodic`].
-///
-/// # Errors
-///
-/// Returns [`SchedError::InvalidParameter`] for a non-positive period and
-/// propagates vector-arity mismatches.
-pub fn run_periodic(
+/// Periodic engine behind [`Runner::run_periodic`](crate::Runner::run_periodic):
+/// the constraint structure and processing order are [`SimWorkspace`]'s.
+pub(crate) fn periodic_run(
     ctx: &SchedContext,
     solution: &Solution,
     vectors: &[DecisionVector],
@@ -798,31 +682,7 @@ pub fn run_periodic(
     let comm = platform.comm();
     let schedule = &solution.schedule;
     let n = ctg.num_tasks();
-
-    // Static constraint structure (same as the instance simulator).
-    let mut preds: Vec<Vec<(ctg_model::TaskId, f64)>> = vec![Vec::new(); n];
-    for (_, e) in ctg.edges() {
-        preds[e.dst().index()].push((e.src(), e.comm_kbytes()));
-    }
-    for &(fork, or_node) in ctx.activation().implied_or_deps() {
-        preds[or_node.index()].push((fork, 0.0));
-    }
-    for pe in platform.pes() {
-        let order = schedule.pe_order(pe);
-        for i in 0..order.len() {
-            for j in (i + 1)..order.len() {
-                preds[order[j].index()].push((order[i], 0.0));
-            }
-        }
-    }
-    let mut order: Vec<ctg_model::TaskId> = ctg.tasks().collect();
-    order.sort_by(|&a, &b| {
-        schedule
-            .start(a)
-            .partial_cmp(&schedule.start(b))
-            .expect("finite start times")
-            .then(a.cmp(&b))
-    });
+    let ws = SimWorkspace::new(ctx, solution);
 
     let mut pe_carry = vec![0.0_f64; platform.num_pes()];
     let mut summary = PeriodicSummary {
@@ -844,13 +704,13 @@ pub fn run_periodic(
         let mut finish_at: Vec<Option<f64>> = vec![None; n];
         let mut instance_end: f64 = release;
         let mut next_carry = pe_carry.clone();
-        for &t in &order {
+        for &t in &ws.order {
             if !active[t.index()] {
                 continue;
             }
             let pe = schedule.pe_of(t);
             let mut start = release.max(pe_carry[pe.index()]);
-            for &(p, kbytes) in &preds[t.index()] {
+            for &(p, kbytes, _) in &ws.preds[t.index()] {
                 if !active[p.index()] {
                     continue;
                 }
@@ -889,6 +749,7 @@ pub fn run_periodic(
 #[cfg(test)]
 mod periodic_tests {
     use super::*;
+    use crate::Runner;
     use ctg_model::BranchProbs;
     use ctg_sched::test_util::{example1_ctg, uniform_platform};
     use ctg_sched::OnlineScheduler;
@@ -912,8 +773,10 @@ mod periodic_tests {
     fn long_period_matches_isolated_instances() {
         let (ctx, solution) = setup();
         let vs = trace(12);
-        let periodic = run_periodic(&ctx, &solution, &vs, ctx.ctg().deadline()).unwrap();
-        let isolated = run_static(&ctx, &solution, &vs).unwrap();
+        let periodic = Runner::default()
+            .run_periodic(&ctx, &solution, &vs, ctx.ctg().deadline())
+            .unwrap();
+        let isolated = Runner::default().run_static(&ctx, &solution, &vs).unwrap();
         assert_eq!(periodic.overruns, 0);
         assert!((periodic.total_energy - isolated.exec.total_energy).abs() < 1e-9);
         assert!(periodic.max_lateness <= 0.0);
@@ -924,11 +787,13 @@ mod periodic_tests {
         let (ctx, solution) = setup();
         let vs = trace(20);
         // Period far below the stretched makespan: backlog accumulates.
-        let periodic = run_periodic(&ctx, &solution, &vs, 5.0).unwrap();
+        let periodic = Runner::default()
+            .run_periodic(&ctx, &solution, &vs, 5.0)
+            .unwrap();
         assert!(periodic.overruns > 0);
         assert!(periodic.max_lateness > 0.0);
         // Energy is speed-determined, not contention-determined.
-        let isolated = run_static(&ctx, &solution, &vs).unwrap();
+        let isolated = Runner::default().run_static(&ctx, &solution, &vs).unwrap();
         assert!((periodic.total_energy - isolated.exec.total_energy).abs() < 1e-9);
     }
 
@@ -936,15 +801,23 @@ mod periodic_tests {
     fn lateness_monotone_in_period() {
         let (ctx, solution) = setup();
         let vs = trace(16);
-        let tight = run_periodic(&ctx, &solution, &vs, 10.0).unwrap();
-        let loose = run_periodic(&ctx, &solution, &vs, 40.0).unwrap();
+        let tight = Runner::default()
+            .run_periodic(&ctx, &solution, &vs, 10.0)
+            .unwrap();
+        let loose = Runner::default()
+            .run_periodic(&ctx, &solution, &vs, 40.0)
+            .unwrap();
         assert!(tight.max_lateness >= loose.max_lateness);
     }
 
     #[test]
     fn bad_period_rejected() {
         let (ctx, solution) = setup();
-        assert!(run_periodic(&ctx, &solution, &trace(2), 0.0).is_err());
-        assert!(run_periodic(&ctx, &solution, &trace(2), f64::NAN).is_err());
+        assert!(Runner::default()
+            .run_periodic(&ctx, &solution, &trace(2), 0.0)
+            .is_err());
+        assert!(Runner::default()
+            .run_periodic(&ctx, &solution, &trace(2), f64::NAN)
+            .is_err());
     }
 }

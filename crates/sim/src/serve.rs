@@ -8,9 +8,8 @@
 //! playing its own movie) — and amortizes scheduling work *across* them:
 //!
 //! * **Sharding.** Streams are partitioned into shards
-//!   ([`ServeConfig::shards`], default `CTG_SERVE_SHARDS` or the pool
-//!   worker count) and shards are distributed over persistent worker
-//!   threads that never synchronise after spawn.
+//!   ([`ServeConfig::shards`]) and shards are distributed over persistent
+//!   worker threads that never synchronise after spawn.
 //! * **Discrete-event core.** Each worker runs a virtual-time event queue
 //!   over its streams; each stream is an independent arrival process
 //!   ([`ArrivalKind::ClosedLoop`] back-to-back, [`ArrivalKind::Poisson`],
@@ -74,7 +73,6 @@
 
 use crate::fault::{FaultInjector, FaultLog, FaultPlan, FaultStats};
 use crate::instance::SimWorkspace;
-use crate::pool;
 use crate::runner::{note_faults, note_instance, note_slo_miss};
 use crate::summary::{percentile_sorted, ExecStats, StreamLatency};
 use ctg_model::{BranchProbs, DecisionVector};
@@ -91,73 +89,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Environment variable overriding the default shard count.
-pub const SERVE_SHARDS_ENV: &str = "CTG_SERVE_SHARDS";
-
-/// Parses a `CTG_SERVE_SHARDS`-style override: a positive integer. Split
-/// out of [`default_shards`] so the policy is testable without mutating
-/// the process environment.
-fn parse_shards(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-}
-
-/// The default shard count: `CTG_SERVE_SHARDS` when set to a positive
-/// integer, else the pool's [`worker_count`](pool::worker_count).
-pub fn default_shards() -> usize {
-    parse_shards(std::env::var(SERVE_SHARDS_ENV).ok().as_deref()).unwrap_or_else(pool::worker_count)
-}
-
-/// Environment variable selecting the default arrival process.
-pub const SERVE_ARRIVAL_ENV: &str = "CTG_SERVE_ARRIVAL";
-
-/// Parses a `CTG_SERVE_ARRIVAL`-style override:
-///
-/// * `closed` — the closed loop (the default);
-/// * `poisson:<rate>` — Poisson arrivals at `rate` per virtual-time unit;
-/// * `bursty:<rate>:<mult>:<p_enter>:<p_exit>` — the two-state bursty
-///   process.
-///
-/// Split out of [`default_arrival`] so the policy is testable without
-/// mutating the process environment. Malformed or out-of-range values
-/// parse to `None` (callers fall back to closed loop) — an env knob should
-/// degrade, not abort.
-fn parse_arrival(raw: Option<&str>) -> Option<ArrivalKind> {
-    let raw = raw?.trim();
-    let mut parts = raw.split(':');
-    let kind = parts.next()?.trim().to_ascii_lowercase();
-    let mut nums = Vec::new();
-    for p in parts {
-        nums.push(p.trim().parse::<f64>().ok().filter(|v| v.is_finite())?);
-    }
-    match (kind.as_str(), nums.as_slice()) {
-        ("closed", []) => Some(ArrivalKind::ClosedLoop),
-        ("poisson", &[rate]) if rate > 0.0 => Some(ArrivalKind::Poisson { rate }),
-        ("bursty", &[rate, burst_mult, p_enter, p_exit])
-            if rate > 0.0
-                && burst_mult >= 1.0
-                && (0.0..=1.0).contains(&p_enter)
-                && (0.0..=1.0).contains(&p_exit) =>
-        {
-            Some(ArrivalKind::Bursty {
-                rate,
-                burst_mult,
-                p_enter,
-                p_exit,
-            })
-        }
-        _ => None,
-    }
-}
-
-/// The default arrival process: `CTG_SERVE_ARRIVAL` when set to a valid
-/// spec (`closed`, `poisson:<rate>` or
-/// `bursty:<rate>:<mult>:<p_enter>:<p_exit>`), else the closed loop.
-pub fn default_arrival() -> ArrivalKind {
-    parse_arrival(std::env::var(SERVE_ARRIVAL_ENV).ok().as_deref())
-        .unwrap_or(ArrivalKind::ClosedLoop)
-}
 
 /// Which schedule cache the engine consults before solving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -432,20 +363,10 @@ pub struct ServeConfig {
 }
 
 impl Default for ServeConfig {
+    /// The serve slice of [`RunConfig::new`](crate::RunConfig::new): one
+    /// worker, one shard, the default shared cache, closed-loop arrivals.
     fn default() -> Self {
-        ServeConfig {
-            workers: pool::worker_count(),
-            shards: default_shards(),
-            cache: CacheMode::Shared {
-                capacity: 4096,
-                stripes: 16,
-            },
-            solve_budget: None,
-            admission: None,
-            quarantine: None,
-            arrival: ArrivalConfig::default(),
-            portfolio: None,
-        }
+        crate::RunConfig::new().serve_config()
     }
 }
 
@@ -1491,14 +1412,9 @@ fn start_service(
     let outcome = match st.plan {
         Some(plan) => {
             st.injector.resample(plan, ctx, st.pos as u64)?;
-            let r = st.sim.simulate_faulty(
-                ctx,
-                st.mgr.solution(),
-                v,
-                plan,
-                &st.injector,
-                &mut st.log,
-            )?;
+            let r = st
+                .sim
+                .simulate_faulty(ctx, st.mgr.solution(), v, &st.injector, &mut st.log)?;
             st.summary.faults.absorb(&st.log.stats);
             note_faults(obs, track, &st.log.stats);
             r
@@ -1709,50 +1625,6 @@ mod tests {
                 DecisionVector::new(vec![alt, alt])
             })
             .collect()
-    }
-
-    #[test]
-    fn shards_env_parsing() {
-        assert_eq!(parse_shards(None), None);
-        assert_eq!(parse_shards(Some("8")), Some(8));
-        assert_eq!(parse_shards(Some(" 3 ")), Some(3));
-        assert_eq!(parse_shards(Some("0")), None);
-        assert_eq!(parse_shards(Some("nope")), None);
-        assert!(default_shards() >= 1);
-    }
-
-    #[test]
-    fn arrival_env_parsing() {
-        assert_eq!(parse_arrival(None), None);
-        assert_eq!(parse_arrival(Some("closed")), Some(ArrivalKind::ClosedLoop));
-        assert_eq!(
-            parse_arrival(Some(" Poisson:0.5 ")),
-            Some(ArrivalKind::Poisson { rate: 0.5 })
-        );
-        assert_eq!(
-            parse_arrival(Some("bursty:1.0:8:0.1:0.25")),
-            Some(ArrivalKind::Bursty {
-                rate: 1.0,
-                burst_mult: 8.0,
-                p_enter: 0.1,
-                p_exit: 0.25,
-            })
-        );
-        // Malformed or out-of-range specs degrade to None, never panic.
-        for bad in [
-            "poisson",
-            "poisson:0",
-            "poisson:-1",
-            "poisson:inf",
-            "poisson:x",
-            "bursty:1:0.5:0.1:0.25", // burst_mult < 1
-            "bursty:1:8:1.5:0.25",   // p_enter out of range
-            "bursty:1:8:0.1",        // missing field
-            "trace",
-            "",
-        ] {
-            assert_eq!(parse_arrival(Some(bad)), None, "{bad:?} must not parse");
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use adaptive_dvfs::ctg::BranchProbs;
 use adaptive_dvfs::sched::{dls_schedule, AdaptiveScheduler, OnlineScheduler, SchedContext};
-use adaptive_dvfs::sim::{run_adaptive, run_static};
+use adaptive_dvfs::sim::Runner;
 use adaptive_dvfs::workloads::{cruise, mpeg, traces};
 
 fn mpeg_context(factor: f64) -> SchedContext {
@@ -25,7 +25,7 @@ fn mpeg_adaptive_run_is_deadline_safe_and_counts_calls() {
     let trace = traces::generate_trace(ctx.ctg(), &movie.profile, 600);
     let probs = BranchProbs::uniform(ctx.ctg());
     let mgr = AdaptiveScheduler::new(&ctx, probs, 20, 0.1).unwrap();
-    let (summary, mgr) = run_adaptive(&ctx, mgr, &trace).unwrap();
+    let (summary, mgr) = Runner::default().run_adaptive(&ctx, mgr, &trace).unwrap();
     assert_eq!(summary.exec.instances, 600);
     assert_eq!(summary.exec.deadline_misses, 0);
     assert!(
@@ -45,7 +45,7 @@ fn threshold_orders_call_counts_on_mpeg() {
     let mut calls = Vec::new();
     for threshold in [0.5, 0.25, 0.1] {
         let mgr = AdaptiveScheduler::new(&ctx, probs.clone(), 20, threshold).unwrap();
-        let (summary, _) = run_adaptive(&ctx, mgr, &trace).unwrap();
+        let (summary, _) = Runner::default().run_adaptive(&ctx, mgr, &trace).unwrap();
         calls.push(summary.calls);
     }
     assert!(
@@ -62,9 +62,9 @@ fn adaptive_beats_stale_profile_on_mpeg() {
     let (train, test) = traces::split_train_test(&trace);
     let profiled = traces::empirical_probs(ctx.ctg(), train);
     let online = OnlineScheduler::new().solve(&ctx, &profiled).unwrap();
-    let s_static = run_static(&ctx, &online, test).unwrap();
+    let s_static = Runner::default().run_static(&ctx, &online, test).unwrap();
     let mgr = AdaptiveScheduler::new(&ctx, profiled, 20, 0.1).unwrap();
-    let (s_adaptive, _) = run_adaptive(&ctx, mgr, test).unwrap();
+    let (s_adaptive, _) = Runner::default().run_adaptive(&ctx, mgr, test).unwrap();
     assert!(
         s_adaptive.exec.total_energy < s_static.exec.total_energy,
         "adaptive {} should beat stale online {}",
@@ -89,7 +89,7 @@ fn cruise_controller_full_run() {
     for road in traces::road_presets() {
         let trace = traces::generate_trace(ctx.ctg(), &road.profile, 400);
         let mgr = AdaptiveScheduler::new(&ctx, probs.clone(), 20, 0.1).unwrap();
-        let (summary, _) = run_adaptive(&ctx, mgr, &trace).unwrap();
+        let (summary, _) = Runner::default().run_adaptive(&ctx, mgr, &trace).unwrap();
         assert_eq!(
             summary.exec.deadline_misses, 0,
             "{} missed deadlines",
@@ -108,7 +108,7 @@ fn window_estimates_converge_to_trace_statistics() {
         .collect();
     let probs = BranchProbs::uniform(ctx.ctg());
     let mgr = AdaptiveScheduler::new(&ctx, probs, 16, 0.2).unwrap();
-    let (_, mgr) = run_adaptive(&ctx, mgr, &trace).unwrap();
+    let (_, mgr) = Runner::default().run_adaptive(&ctx, mgr, &trace).unwrap();
     // The skipped fork executes every instance; its window must be all-0.
     let skipped = ctx.ctg().branch_nodes()[mpeg::BRANCH_SKIPPED];
     let est = mgr.window_estimate(&ctx, skipped).unwrap();

@@ -9,7 +9,7 @@ use adaptive_dvfs::ctg::{BranchProbs, DecisionVector};
 use adaptive_dvfs::sched::{
     dls_schedule, AdaptiveScheduler, ObserveOutcome, SchedContext, DEFAULT_PORTFOLIO,
 };
-use adaptive_dvfs::sim::run_adaptive;
+use adaptive_dvfs::sim::Runner;
 use adaptive_dvfs::workloads::mpeg;
 use adaptive_dvfs::workloads::traces::{self, DriftProfile};
 
@@ -50,11 +50,15 @@ fn cached_adaptive_run_is_bitwise_equivalent_to_uncached() {
     let profiled = traces::empirical_probs(ctx.ctg(), &trace[..250]);
 
     let mgr_off = AdaptiveScheduler::new(&ctx, profiled.clone(), WINDOW, THRESHOLD).unwrap();
-    let (off, final_off) = run_adaptive(&ctx, mgr_off, &trace).unwrap();
+    let (off, final_off) = Runner::default()
+        .run_adaptive(&ctx, mgr_off, &trace)
+        .unwrap();
 
     let mut mgr_on = AdaptiveScheduler::new(&ctx, profiled, WINDOW, THRESHOLD).unwrap();
     mgr_on.enable_cache(64);
-    let (on, final_on) = run_adaptive(&ctx, mgr_on, &trace).unwrap();
+    let (on, final_on) = Runner::default()
+        .run_adaptive(&ctx, mgr_on, &trace)
+        .unwrap();
 
     // Same decisions, same plans, same energies — to the bit.
     assert_eq!(
@@ -91,11 +95,15 @@ fn zero_capacity_cache_behaves_like_cache_off() {
     let profiled = traces::empirical_probs(ctx.ctg(), &trace[..200]);
 
     let mgr_off = AdaptiveScheduler::new(&ctx, profiled.clone(), WINDOW, THRESHOLD).unwrap();
-    let (off, _) = run_adaptive(&ctx, mgr_off, &trace).unwrap();
+    let (off, _) = Runner::default()
+        .run_adaptive(&ctx, mgr_off, &trace)
+        .unwrap();
 
     let mut mgr_zero = AdaptiveScheduler::new(&ctx, profiled, WINDOW, THRESHOLD).unwrap();
     mgr_zero.enable_cache(0);
-    let (zero, _) = run_adaptive(&ctx, mgr_zero, &trace).unwrap();
+    let (zero, _) = Runner::default()
+        .run_adaptive(&ctx, mgr_zero, &trace)
+        .unwrap();
 
     assert_eq!(
         off.exec.total_energy.to_bits(),

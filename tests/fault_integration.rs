@@ -4,9 +4,7 @@
 
 use adaptive_dvfs::ctg::BranchProbs;
 use adaptive_dvfs::sched::{dls_schedule, AdaptiveScheduler, SchedContext};
-use adaptive_dvfs::sim::{
-    run_adaptive, run_adaptive_resilient, DegradeConfig, FaultPlan, RunSummary,
-};
+use adaptive_dvfs::sim::{DegradeConfig, FaultPlan, RunConfig, RunSummary, Runner};
 use adaptive_dvfs::tgff::{Category, TgffConfig};
 use adaptive_dvfs::workloads::traces::{generate_trace, DriftProfile};
 
@@ -39,9 +37,12 @@ fn resilient(
     trace: &[adaptive_dvfs::ctg::DecisionVector],
     plan: &FaultPlan,
 ) -> RunSummary {
-    let (summary, _) =
-        run_adaptive_resilient(ctx, manager(ctx), trace, plan, &DegradeConfig::default())
-            .expect("resilient runner absorbs recoverable conditions");
+    let cfg = RunConfig::new()
+        .fault_plan(plan.clone())
+        .degrade(DegradeConfig::default());
+    let (summary, _) = Runner::new(cfg)
+        .run_adaptive(ctx, manager(ctx), trace)
+        .expect("resilient runner absorbs recoverable conditions");
     summary
 }
 
@@ -51,7 +52,9 @@ fn resilient(
 #[test]
 fn zero_fault_plan_matches_run_adaptive_bitwise() {
     let (ctx, trace) = setup();
-    let (plain, _) = run_adaptive(&ctx, manager(&ctx), &trace).unwrap();
+    let (plain, _) = Runner::default()
+        .run_adaptive(&ctx, manager(&ctx), &trace)
+        .unwrap();
     let shielded = resilient(&ctx, &trace, &FaultPlan::none(99));
 
     assert_eq!(plain.exec.instances, shielded.exec.instances);

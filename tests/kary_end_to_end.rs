@@ -5,7 +5,7 @@
 use adaptive_dvfs::ctg::{BranchProbs, CtgBuilder, DecisionVector, NodeKind};
 use adaptive_dvfs::platform::PlatformBuilder;
 use adaptive_dvfs::sched::{AdaptiveScheduler, OnlineScheduler, SchedContext};
-use adaptive_dvfs::sim::{run_adaptive, simulate_instance};
+use adaptive_dvfs::sim::{simulate_instance, Runner};
 
 fn three_way_context() -> SchedContext {
     let mut b = CtgBuilder::new("3way");
@@ -60,7 +60,7 @@ fn adaptive_tracks_three_way_distribution() {
     let mgr = AdaptiveScheduler::new(&ctx, probs, 10, 0.2).unwrap();
     // A trace that settles on alternative 2.
     let trace: Vec<DecisionVector> = (0..60).map(|_| DecisionVector::new(vec![2])).collect();
-    let (summary, mgr) = run_adaptive(&ctx, mgr, &trace).unwrap();
+    let (summary, mgr) = Runner::default().run_adaptive(&ctx, mgr, &trace).unwrap();
     assert_eq!(summary.exec.deadline_misses, 0);
     assert!(summary.calls >= 1);
     let sel = ctx.ctg().branch_nodes()[0];

@@ -274,8 +274,8 @@ fn chrome_export_is_valid_and_tracks_are_monotone() {
     assert!(snap.counter("faults_injected") > 0);
 }
 
-/// A fault-free served stream still matches `run_adaptive` with telemetry
-/// enabled on both sides (the legacy-wrapper contract holds under obs).
+/// A fault-free served stream still matches `Runner::run_adaptive` with
+/// telemetry enabled on both sides.
 #[test]
 fn telemetry_on_serve_matches_telemetry_on_adaptive() {
     let (ctx, _, _) = example1_context();

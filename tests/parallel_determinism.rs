@@ -1,7 +1,7 @@
-//! Determinism matrix for the parallel evaluation engine: every parallel
-//! entry point must return a summary **bit-for-bit identical** to its
-//! sequential counterpart at 1, 2 and N workers — fault-free and faulty,
-//! on both the MPEG decoder and the cruise-controller workloads.
+//! Determinism matrix for the parallel evaluation engine: `Runner::run_static`
+//! at 1, 2 and N workers must return a summary **bit-for-bit identical** to
+//! the sequential engine's (one worker) — fault-free and faulty, on both
+//! the MPEG decoder and the cruise-controller workloads.
 //!
 //! The pool merges per-instance outcomes in submission order, so the exact
 //! floating-point fold of the sequential runner is reproduced; these tests
@@ -10,16 +10,14 @@
 use adaptive_dvfs::ctg::{BranchProbs, Ctg, DecisionVector};
 use adaptive_dvfs::platform::Platform;
 use adaptive_dvfs::sched::{dls_schedule, OnlineScheduler, SchedContext, Solution};
-use adaptive_dvfs::sim::{
-    run_static, run_static_faulty, run_static_faulty_parallel, run_static_parallel, FaultPlan,
-    RunSummary,
-};
+use adaptive_dvfs::sim::{FaultPlan, RunConfig, RunSummary, Runner};
 use adaptive_dvfs::workloads::traces::{self, DriftProfile};
 use adaptive_dvfs::workloads::{cruise, mpeg};
 
 const WORKER_MATRIX: [usize; 3] = [1, 2, 4];
-/// Above the pool's default `CTG_POOL_MIN_BATCH` (1024), so the matrix
-/// exercises genuinely parallel runs, not the small-batch fallback.
+/// Above the pool's default batch threshold (`pool::DEFAULT_MIN_BATCH`,
+/// 1024), so the matrix exercises genuinely parallel runs, not the
+/// small-batch fallback.
 const LEN: usize = 2048;
 /// Below the threshold: these traces take the sequential fallback.
 const SHORT_LEN: usize = 64;
@@ -87,13 +85,30 @@ fn assert_bit_identical(a: &RunSummary, b: &RunSummary, label: &str) {
     );
 }
 
+/// Runs `solution` over `trace` at `workers` workers (one worker is the
+/// sequential engine), under `plan` when one is given.
+fn run(
+    ctx: &SchedContext,
+    solution: &Solution,
+    trace: &[DecisionVector],
+    workers: usize,
+    plan: Option<&FaultPlan>,
+) -> RunSummary {
+    let cfg = RunConfig::new().workers(workers);
+    let cfg = match plan {
+        Some(plan) => cfg.fault_plan(plan.clone()),
+        None => cfg,
+    };
+    Runner::new(cfg).run_static(ctx, solution, trace).unwrap()
+}
+
 #[test]
 fn static_parallel_matches_sequential_at_every_worker_count() {
     for (name, ctx, solution, trace) in workloads() {
-        let seq = run_static(&ctx, &solution, &trace).unwrap();
+        let seq = run(&ctx, &solution, &trace, 1, None);
         assert!(seq.exec.instances == LEN && seq.exec.total_energy > 0.0);
         for workers in WORKER_MATRIX {
-            let par = run_static_parallel(&ctx, &solution, &trace, workers).unwrap();
+            let par = run(&ctx, &solution, &trace, workers, None);
             assert_bit_identical(&seq, &par, &format!("{name}@{workers}w"));
         }
     }
@@ -103,13 +118,13 @@ fn static_parallel_matches_sequential_at_every_worker_count() {
 fn faulty_parallel_matches_sequential_at_every_worker_count() {
     let plan = FaultPlan::uniform(0xD15EA5E, 0.08);
     for (name, ctx, solution, trace) in workloads() {
-        let seq = run_static_faulty(&ctx, &solution, &trace, &plan).unwrap();
+        let seq = run(&ctx, &solution, &trace, 1, Some(&plan));
         // The run must actually inject faults for the check to mean much.
         let total_faults =
             seq.faults.overruns + seq.faults.stalls + seq.faults.denials + seq.faults.retransmits;
         assert!(total_faults > 0, "{name}: fault plan injected nothing");
         for workers in WORKER_MATRIX {
-            let par = run_static_faulty_parallel(&ctx, &solution, &trace, &plan, workers).unwrap();
+            let par = run(&ctx, &solution, &trace, workers, Some(&plan));
             assert_bit_identical(&seq, &par, &format!("{name}-faulty@{workers}w"));
             assert_eq!(seq.faults, par.faults, "{name}@{workers}w: fault stats");
         }
@@ -118,19 +133,18 @@ fn faulty_parallel_matches_sequential_at_every_worker_count() {
 
 #[test]
 fn small_batch_fallback_stays_bit_identical() {
-    // Traces below `CTG_POOL_MIN_BATCH` degrade to one worker inside the
-    // parallel entry points. The fallback is a pure wall-clock optimisation:
-    // the summaries must still match the sequential runners bit-for-bit.
+    // Traces below the batch threshold degrade to one worker inside the
+    // pooled engines. The fallback is a pure wall-clock optimisation: the
+    // summaries must still match the sequential engines bit-for-bit.
     let plan = FaultPlan::uniform(0xD15EA5E, 0.08);
     for (name, ctx, solution, trace) in workloads_of_len(SHORT_LEN) {
-        let seq = run_static(&ctx, &solution, &trace).unwrap();
+        let seq = run(&ctx, &solution, &trace, 1, None);
         assert_eq!(seq.exec.instances, SHORT_LEN);
-        let seq_faulty = run_static_faulty(&ctx, &solution, &trace, &plan).unwrap();
+        let seq_faulty = run(&ctx, &solution, &trace, 1, Some(&plan));
         for workers in WORKER_MATRIX {
-            let par = run_static_parallel(&ctx, &solution, &trace, workers).unwrap();
+            let par = run(&ctx, &solution, &trace, workers, None);
             assert_bit_identical(&seq, &par, &format!("{name}-short@{workers}w"));
-            let par_faulty =
-                run_static_faulty_parallel(&ctx, &solution, &trace, &plan, workers).unwrap();
+            let par_faulty = run(&ctx, &solution, &trace, workers, Some(&plan));
             assert_bit_identical(
                 &seq_faulty,
                 &par_faulty,
@@ -151,7 +165,7 @@ fn parallel_summary_is_invariant_in_the_worker_count() {
     let (_, ctx, solution, trace) = workloads().remove(0);
     let runs: Vec<RunSummary> = WORKER_MATRIX
         .iter()
-        .map(|&w| run_static_parallel(&ctx, &solution, &trace, w).unwrap())
+        .map(|&w| run(&ctx, &solution, &trace, w, None))
         .collect();
     for pair in runs.windows(2) {
         assert_bit_identical(&pair[0], &pair[1], "worker-count pair");

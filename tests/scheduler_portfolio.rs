@@ -294,8 +294,8 @@ fn adaptive_portfolio_never_regresses_and_is_deterministic() {
     );
 }
 
-/// The dormant knob: no portfolio, the explicit DLS-only selection and the
-/// historic free-function pipeline are all the same bits.
+/// The dormant knob: no portfolio, the explicit DLS-only selection and a
+/// cleared portfolio are all the same bits.
 #[test]
 fn dormant_portfolio_knob_is_bit_exact() {
     let (ctx, _) = build_context(32, 18, 2, Category::ForkJoin, 2);
@@ -306,12 +306,6 @@ fn dormant_portfolio_knob_is_bit_exact() {
         let mgr = AdaptiveScheduler::new(&ctx, initial.clone(), 6, 0.25).unwrap();
         Runner::new(cfg).run_adaptive(&ctx, mgr, &trace).unwrap().0
     };
-    let legacy = {
-        let mgr = AdaptiveScheduler::new(&ctx, initial.clone(), 6, 0.25).unwrap();
-        adaptive_dvfs::sim::run_adaptive(&ctx, mgr, &trace)
-            .unwrap()
-            .0
-    };
     let plain = run(RunConfig::new());
     let dls_selected = run(RunConfig::new().scheduler(SchedulerKind::Dls));
     let cleared = run(RunConfig::new()
@@ -319,17 +313,16 @@ fn dormant_portfolio_knob_is_bit_exact() {
         .portfolio(&[]));
 
     for (label, summary) in [
-        ("plain RunConfig", &plain),
         ("scheduler(Dls)", &dls_selected),
         ("portfolio cleared", &cleared),
     ] {
         assert_eq!(
             summary.exec.total_energy.to_bits(),
-            legacy.exec.total_energy.to_bits(),
-            "{label}: energy bits diverged from the legacy pipeline"
+            plain.exec.total_energy.to_bits(),
+            "{label}: energy bits diverged from the plain pipeline"
         );
-        assert_eq!(summary.reschedules, legacy.reschedules, "{label}");
-        assert_eq!(summary.exec.instances, legacy.exec.instances, "{label}");
+        assert_eq!(summary.reschedules, plain.reschedules, "{label}");
+        assert_eq!(summary.exec.instances, plain.exec.instances, "{label}");
     }
 
     // The selection normalizer behind the builders: DLS-only is the

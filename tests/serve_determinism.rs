@@ -1,8 +1,8 @@
 //! Serving-engine determinism matrix: per-stream summaries must be
 //! bit-for-bit identical for every (worker count, shard count, cache mode)
 //! choice, with and without fault injection — and every served stream
-//! must reproduce that stream run alone, through `run_adaptive` or a plain
-//! `AdaptiveScheduler::observe` loop.
+//! must reproduce that stream run alone, through `Runner::run_adaptive` or
+//! a plain `AdaptiveScheduler::observe` loop.
 //!
 //! The reference point of every matrix is the most sequential engine
 //! (1 worker, 1 shard, no cache); everything else must merely be
@@ -15,7 +15,7 @@ use adaptive_dvfs::sim::serve::{
     run_serve, ArrivalConfig, ArrivalKind, CacheMode, ServeConfig, StreamSpec, StreamSummary,
 };
 use adaptive_dvfs::sim::{
-    run_adaptive, ExecStats, FaultInjector, FaultLog, FaultPlan, FaultStats, SimWorkspace,
+    ExecStats, FaultInjector, FaultLog, FaultPlan, FaultStats, Runner, SimWorkspace,
 };
 use adaptive_dvfs::workloads::mpeg;
 use adaptive_dvfs::workloads::traces::{self, DriftProfile};
@@ -206,7 +206,7 @@ fn single_stream_serve_matches_run_adaptive() {
     let initial = traces::empirical_probs(ctx.ctg(), &trace[..30]);
 
     let mgr = AdaptiveScheduler::new(&ctx, initial.clone(), 10, 0.2).unwrap();
-    let (baseline, _) = run_adaptive(&ctx, mgr, &trace).unwrap();
+    let (baseline, _) = Runner::default().run_adaptive(&ctx, mgr, &trace).unwrap();
 
     let spec = StreamSpec {
         trace,
@@ -265,7 +265,7 @@ fn plain_stream(ctx: &SchedContext, spec: &StreamSpec) -> (ExecStats, usize, usi
             Some(plan) => {
                 injector.resample(plan, ctx, i as u64).unwrap();
                 let r = sim
-                    .simulate_faulty(ctx, mgr.solution(), v, plan, &injector, &mut log)
+                    .simulate_faulty(ctx, mgr.solution(), v, &injector, &mut log)
                     .unwrap();
                 faults.absorb(&log.stats);
                 r
