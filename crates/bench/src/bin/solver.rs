@@ -22,7 +22,10 @@
 //! row times one cold [`ScheduledGraph::build`] per distinct (assignment,
 //! per-PE order) mapping among the DLS, HEFT and lookahead plans of the
 //! harvested tables, the best of five passes each: the layer every pool
-//! miss and every cold race entry pays.
+//! miss pays, whichever race entry meets the mapping first. The portfolio
+//! pass races through one workspace shared by its entries, and the report
+//! prints that workspace's graph builds next to each entry's distinct
+//! mappings (informational, not gated).
 //!
 //! Pass `--smoke` for a seconds-scale run (CI) — numbers then land in
 //! `target/BENCH_solver_smoke.json` instead of `BENCH_solver.json`. Pass
@@ -187,6 +190,7 @@ fn main() {
     let mut race_wins = [0usize; SchedulerKind::COUNT];
     let mut race_energy_ratio_sum = 0.0;
     let mut race_energy_ratio_n = 0usize;
+    let mut race_builds = 0;
     for _ in 0..reps {
         // Cold: every table solved from scratch.
         let mut cold_solutions = Vec::with_capacity(tables.len());
@@ -217,35 +221,18 @@ fn main() {
         }
         warm_stats = Some(ws.stats());
 
-        // Portfolio: race DLS/HEFT/lookahead on every table, one workspace
-        // per entry, primed like the warm pass. The winner is asserted
-        // never worse than the cold (DLS) plan.
-        let mut wss: Vec<SolverWorkspace> = DEFAULT_PORTFOLIO
-            .iter()
-            .map(|_| SolverWorkspace::new())
-            .collect();
+        // Portfolio: race DLS/HEFT/lookahead on every table through one
+        // shared workspace, primed like the warm pass. The winner is
+        // asserted never worse than the cold (DLS) plan.
+        let mut race_ws = SolverWorkspace::new();
         for probs in &tables {
-            race_portfolio(
-                &DEFAULT_PORTFOLIO,
-                &ctx,
-                probs,
-                &mut wss,
-                &Obs::disabled(),
-                0,
-            )
-            .expect("race priming solve");
+            race_portfolio(&DEFAULT_PORTFOLIO, &ctx, probs, &mut race_ws)
+                .expect("race priming solve");
         }
         for (probs, cold) in tables.iter().zip(&cold_solutions) {
             let t0 = Instant::now();
-            let outcome = race_portfolio(
-                &DEFAULT_PORTFOLIO,
-                &ctx,
-                probs,
-                &mut wss,
-                &Obs::disabled(),
-                0,
-            )
-            .expect("race solve");
+            let outcome =
+                race_portfolio(&DEFAULT_PORTFOLIO, &ctx, probs, &mut race_ws).expect("race solve");
             race_samples.push(t0.elapsed().as_secs_f64());
             let e_cold = cold.expected_energy(&ctx, probs);
             assert!(
@@ -258,20 +245,24 @@ fn main() {
             race_energy_ratio_sum += outcome.energy / e_cold;
             race_energy_ratio_n += 1;
         }
+        race_builds = race_ws.stats().graph_rebuilds;
         dls_solutions = cold_solutions;
     }
 
     // ---- Cold graph builds: one per distinct mapping of the DLS, HEFT
     // and lookahead plans, each with the table it was solved for. ----
     let mut seen = HashSet::new();
+    let mut entry_mappings: [HashSet<Mapping>; 3] = Default::default();
     let mut builds: Vec<(Schedule, &BranchProbs)> = Vec::new();
     for (probs, dls) in tables.iter().zip(dls_solutions) {
         let mut plans = vec![dls.schedule];
         for kind in [SchedulerKind::Heft, SchedulerKind::Lookahead] {
             plans.push(kind.solve(&ctx, probs).expect("race entry solve").schedule);
         }
-        for s in plans {
-            if seen.insert(mapping(&ctx, &s)) {
+        for (s, entry) in plans.into_iter().zip(&mut entry_mappings) {
+            let m = mapping(&ctx, &s);
+            entry.insert(m.clone());
+            if seen.insert(m) {
                 builds.push((s, probs));
             }
         }
@@ -379,6 +370,15 @@ fn main() {
         "portfolio race (dls+heft+lookahead): wins {}, mean energy vs dls {:.4} (never above 1)",
         wins.join(" "),
         race_energy_ratio
+    );
+    println!(
+        "portfolio race workspace (shared by the entries, {} races): {race_builds} graph builds \
+         for {} / {} / {} distinct dls / heft / lookahead mappings ({} distinct in all)",
+        2 * tables.len(),
+        entry_mappings[0].len(),
+        entry_mappings[1].len(),
+        entry_mappings[2].len(),
+        builds.len()
     );
 
     // ---- Hand-rolled JSON artifact. ----

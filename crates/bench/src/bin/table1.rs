@@ -12,7 +12,6 @@
 
 use ctg_bench::report::{f1, Table};
 use ctg_bench::setup::prepare_case;
-use ctg_obs::Obs;
 use ctg_sched::baseline::{reference1, reference2, NlpConfig};
 use ctg_sched::{
     race_portfolio, OnlineScheduler, SchedulerKind, SolverWorkspace, StretchConfig,
@@ -65,19 +64,8 @@ fn run_case(cfg: &tgff_gen::TgffConfig, pes: usize) -> CaseResult {
 
     // The default racing portfolio; DLS races too, so the winner can never
     // be worse than the online pipeline.
-    let mut wss: Vec<SolverWorkspace> = DEFAULT_PORTFOLIO
-        .iter()
-        .map(|_| SolverWorkspace::new())
-        .collect();
-    let outcome = race_portfolio(
-        &DEFAULT_PORTFOLIO,
-        ctx,
-        probs,
-        &mut wss,
-        &Obs::disabled(),
-        0,
-    )
-    .expect("portfolio race solves");
+    let outcome = race_portfolio(&DEFAULT_PORTFOLIO, ctx, probs, &mut SolverWorkspace::new())
+        .expect("portfolio race solves");
     let n_portfolio = 100.0 * outcome.energy / e_online;
     assert!(
         n_portfolio <= 100.0 + 1e-9,

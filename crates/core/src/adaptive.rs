@@ -298,9 +298,10 @@ pub struct AdaptiveScheduler {
     /// which reproduces the paper's re-solve-on-every-drift behaviour
     /// exactly).
     cache: Option<LruCache<ScheduleKey, Solution>>,
-    /// Warm-start solver state for unguarded solves — bit-for-bit
-    /// equivalent to calling the scheduler from scratch, but structurally
-    /// incremental across re-schedules. Boxed and allocated on first use:
+    /// Warm-start solver state for unguarded solves, portfolio races
+    /// included (every entry shares it) — bit-for-bit equivalent to
+    /// calling the scheduler from scratch, but structurally incremental
+    /// across re-schedules. Boxed and allocated on first use:
     /// a serving engine holds one manager per stream but solves through a
     /// per-*worker* workspace, so at fleet scale (100k+ streams) an
     /// eagerly built inline workspace is pure resident dead weight. The
@@ -327,13 +328,11 @@ pub struct AdaptiveScheduler {
     obs_track: u32,
 }
 
-/// Racing state for portfolio mode: the configured entries, one private
-/// workspace per entry (warm layers are keyed by inputs only, so state
-/// must never mix across schedulers), and the win counters.
+/// Racing state for portfolio mode: the configured entries and the win
+/// counters. The entries race through the manager's unguarded workspace.
 #[derive(Debug, Clone)]
 struct PortfolioState {
     kinds: Vec<SchedulerKind>,
-    workspaces: Vec<SolverWorkspace>,
     stats: PortfolioStats,
 }
 
@@ -498,11 +497,6 @@ impl AdaptiveScheduler {
         if let Some(ws) = self.guard_workspace.as_deref_mut() {
             ws.set_obs(obs.clone(), track);
         }
-        if let Some(p) = self.portfolio.as_mut() {
-            for ws in &mut p.workspaces {
-                ws.set_obs(obs.clone(), track);
-            }
-        }
         self.obs = obs;
         self.obs_track = track;
     }
@@ -529,11 +523,6 @@ impl AdaptiveScheduler {
         if let Some(ws) = self.guard_workspace.as_deref_mut() {
             ws.set_budget(budget);
         }
-        if let Some(p) = self.portfolio.as_mut() {
-            for ws in &mut p.workspaces {
-                ws.set_budget(budget);
-            }
-        }
     }
 
     /// The configured per-solve work budget, if any.
@@ -552,11 +541,11 @@ impl AdaptiveScheduler {
     /// adopt a plan with higher expected energy than DLS alone. Guard-banded
     /// resilient solves (`deadline_guard < 1.0`) intentionally stay
     /// DLS-only — the degradation ladder's contract predates the portfolio
-    /// — and a budgeted workspace only constrains the DLS entry (the other
-    /// entries ignore their workspaces, so no meter sees their work). A
-    /// race costs about the sum of its entries' solves: a cold HEFT or
-    /// lookahead entry costs about what a DLS solve that rebuilds its
-    /// scheduled graph does, and pricing the candidates is cheap (see the
+    /// — and a solve budget only constrains the DLS entry: the entries
+    /// share the manager's unguarded workspace, and the HEFT-family
+    /// entries stretch through its graph pool unmetered. A race costs
+    /// about the sum of its entries' solves, and an entry whose mapping
+    /// the shared pool already holds skips the graph build (see the
     /// `scheduler` module). The construction solve already happened, so
     /// the incumbent plan is unchanged until the next drift event. Cached
     /// plans came from the previous solve path and are dropped.
@@ -570,18 +559,8 @@ impl AdaptiveScheduler {
                 "portfolio needs at least one scheduler",
             ));
         }
-        let workspaces = kinds
-            .iter()
-            .map(|_| {
-                let mut ws = SolverWorkspace::new();
-                ws.set_obs(self.obs.clone(), self.obs_track);
-                ws.set_budget(self.ws_budget);
-                ws
-            })
-            .collect();
         self.portfolio = Some(PortfolioState {
             kinds: kinds.to_vec(),
-            workspaces,
             stats: PortfolioStats::default(),
         });
         self.drop_cached_plans();
@@ -882,18 +861,22 @@ impl AdaptiveScheduler {
         }
     }
 
-    /// One portfolio race: every configured entry solves `probs` against
-    /// its own workspace, and the verdict fold adopts the lowest
+    /// One portfolio race: every configured entry solves `probs` through
+    /// the unguarded workspace, and the verdict fold adopts the lowest
     /// expected-energy schedulable plan (see [`race_portfolio`]).
     fn portfolio_solve(
         &mut self,
         ctx: &SchedContext,
         probs: &BranchProbs,
     ) -> Result<Solution, SchedError> {
-        let obs = self.obs.clone();
-        let track = self.obs_track;
+        let ws = ensure_workspace(
+            &mut self.workspace,
+            &self.obs,
+            self.obs_track,
+            self.ws_budget,
+        );
         let p = self.portfolio.as_mut().expect("portfolio mode enabled");
-        let raced = race_portfolio(&p.kinds, ctx, probs, &mut p.workspaces, &obs, track);
+        let raced = race_portfolio(&p.kinds, ctx, probs, ws);
         p.stats.races += 1;
         let outcome = raced?;
         p.stats.wins[p.kinds[outcome.winner].index()] += 1;
@@ -902,7 +885,9 @@ impl AdaptiveScheduler {
 
     /// Work counters of the unguarded warm-start solver workspace
     /// (all-zero while the workspace has not been created yet — the
-    /// manager has never solved on its own).
+    /// manager has never solved on its own). In portfolio mode the races
+    /// run through it, so its graph counters include the HEFT-family
+    /// entries' pool lookups.
     pub fn workspace_stats(&self) -> WorkspaceStats {
         self.workspace
             .as_deref()

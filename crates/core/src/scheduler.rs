@@ -32,15 +32,19 @@
 //! would.
 //!
 //! Determinism: every implementor is a pure function of
-//! `(ctx, probs, configuration)`. The DLS entry reuses the workspace's
-//! warm-start layers (whose warm == cold contract is pinned in
-//! `tests/solver_equivalence.rs`); the other implementors ignore the
-//! workspace and solve cold each call.
+//! `(ctx, probs, configuration)`. The DLS entry reuses all of the
+//! workspace's warm-start layers (whose warm == cold contract is pinned
+//! in `tests/solver_equivalence.rs`). HEFT and lookahead run their list
+//! schedulers cold and stretch through the workspace's graph pool, which
+//! is keyed on the mapping alone, so one workspace serves every entry of
+//! a race. The frame baseline ignores the workspace and solves cold.
 //!
-//! Cost: a race costs about the sum of its entries' solves. On the MPEG
-//! drift tables a cold HEFT or lookahead solve takes about as long as a
-//! DLS entry that rebuilds its scheduled graph. The verdict adds one
-//! worst-case-makespan check per entry and prices each schedulable
+//! Cost: a race costs about the sum of its entries' solves. The list
+//! schedulers are cheap; an entry whose mapping the pool holds skips the
+//! graph build and only re-weights and stretches, and each distinct
+//! mapping is built once, whichever entry meets it first. The verdict
+//! adds one worst-case-makespan check per entry (a longest-path dynamic
+//! program over per-edge scenario masks) and prices each schedulable
 //! candidate once with [`crate::expected_energy`], which reads the
 //! context's scenario masks and costs tens of microseconds. DESIGN.md
 //! §18.3 has the measured breakdown.
@@ -52,10 +56,10 @@ use crate::online::{OnlineScheduler, Solution};
 use crate::schedule::Schedule;
 use crate::speed::SpeedAssignment;
 use crate::static_level::static_levels;
-use crate::stretch::{stretch_schedule, StretchConfig};
+use crate::stretch::StretchConfig;
 use crate::workspace::SolverWorkspace;
 use ctg_model::{BranchProbs, TaskId};
-use ctg_obs::{Counter, Obs, Stage};
+use ctg_obs::{Counter, Stage};
 use mpsoc_platform::PeId;
 
 /// A conditional-task-graph scheduler: maps, orders and speed-assigns a
@@ -67,7 +71,8 @@ use mpsoc_platform::PeId;
 /// on the exact probability bits, which is only sound when re-solving
 /// the same inputs cannot produce different bits. The workspace parameter
 /// carries warm-start state for implementors that use it (the DLS
-/// pipeline); implementors without warm layers ignore it.
+/// pipeline, and the graph pool the HEFT-family entries stretch through);
+/// implementors without warm layers ignore it.
 pub trait CtgScheduler {
     /// Short stable identifier ("dls", "heft", …) used in bench columns
     /// and win counters.
@@ -186,10 +191,10 @@ impl CtgScheduler for HeftScheduler {
         &self,
         ctx: &SchedContext,
         probs: &BranchProbs,
-        _workspace: &mut SolverWorkspace,
+        workspace: &mut SolverWorkspace,
     ) -> Result<Solution, SchedError> {
         let schedule = eft_list_schedule(ctx, probs, false)?;
-        stretch_solution(ctx, probs, schedule, &self.cfg)
+        stretch_solution(ctx, probs, schedule, &self.cfg, workspace)
     }
 }
 
@@ -224,10 +229,10 @@ impl CtgScheduler for LookaheadScheduler {
         &self,
         ctx: &SchedContext,
         probs: &BranchProbs,
-        _workspace: &mut SolverWorkspace,
+        workspace: &mut SolverWorkspace,
     ) -> Result<Solution, SchedError> {
         let schedule = eft_list_schedule(ctx, probs, true)?;
-        stretch_solution(ctx, probs, schedule, &self.cfg)
+        stretch_solution(ctx, probs, schedule, &self.cfg, workspace)
     }
 }
 
@@ -450,19 +455,21 @@ fn lookahead_penalty(ctx: &SchedContext, ranks: &[f64], t: TaskId, pe: PeId, eft
 
 /// Shared tail of the HEFT-family entries: the online pipeline's deadline
 /// check (same epsilon and error as [`OnlineScheduler::solve`]) followed by
-/// the probability-weighted stretching pass.
+/// the probability-weighted stretching pass, through the workspace's graph
+/// pool — the same speeds [`crate::stretch_schedule`] returns.
 fn stretch_solution(
     ctx: &SchedContext,
     probs: &BranchProbs,
     schedule: Schedule,
     cfg: &StretchConfig,
+    workspace: &mut SolverWorkspace,
 ) -> Result<Solution, SchedError> {
     let makespan = schedule.makespan();
     let deadline = ctx.ctg().deadline();
     if makespan > deadline + 1e-9 {
         return Err(SchedError::DeadlineUnreachable { makespan, deadline });
     }
-    let speeds = stretch_schedule(ctx, probs, &schedule, cfg)?;
+    let speeds = workspace.stretch_mapping(cfg, ctx, probs, &schedule)?;
     Ok(Solution { schedule, speeds })
 }
 
@@ -616,9 +623,7 @@ pub struct RaceOutcome {
 
 /// Races `kinds` over one probability table and crowns the winner.
 ///
-/// Entries solve in entry order, each against its own workspace
-/// (`workspaces[i]` belongs to `kinds[i]`, so per-entry state never mixes
-/// across schedulers), and each
+/// Entries solve in entry order through one shared `workspace`, and each
 /// verdict folds in as soon as its entry solves:
 ///
 /// 1. among candidates whose worst-case makespan is within the deadline
@@ -629,35 +634,34 @@ pub struct RaceOutcome {
 ///    the least-bad plan);
 /// 3. if every entry failed, the first error in entry order propagates.
 ///
-/// A `portfolio_race` span records the winner index (`-1` when every
-/// entry failed).
+/// Sharing the workspace is sound because every warm layer is keyed on
+/// its inputs alone: the DLS entry's levels on the table, and the graph
+/// pool on the mapping, which every entry stretches through — a graph
+/// pooled from HEFT's mapping is the graph DLS would build for it. So a
+/// race through a long-lived workspace returns what a race of cold
+/// entries would, and each distinct mapping is built once, whichever
+/// entry meets it first. The workspace's budget constrains the DLS entry
+/// only; the other entries are unmetered.
+///
+/// A `portfolio_race` span, recorded on the workspace's telemetry handle
+/// and track, carries the winner index (`-1` when every entry failed).
 ///
 /// # Errors
 ///
 /// [`SchedError::InvalidParameter`] when `kinds` is empty; otherwise the
 /// first entry's error, in entry order, when all entries fail.
-///
-/// # Panics
-///
-/// Panics if `workspaces` and `kinds` differ in length.
 pub fn race_portfolio(
     kinds: &[SchedulerKind],
     ctx: &SchedContext,
     probs: &BranchProbs,
-    workspaces: &mut [SolverWorkspace],
-    obs: &Obs,
-    track: u32,
+    workspace: &mut SolverWorkspace,
 ) -> Result<RaceOutcome, SchedError> {
     if kinds.is_empty() {
         return Err(SchedError::InvalidParameter(
             "portfolio needs at least one scheduler",
         ));
     }
-    assert_eq!(
-        kinds.len(),
-        workspaces.len(),
-        "one workspace per racing scheduler"
-    );
+    let (obs, track) = workspace.obs();
     let span = obs.span(track, Stage::PortfolioRace);
     obs.count(Counter::PortfolioRaces, 1);
 
@@ -667,8 +671,8 @@ pub fn race_portfolio(
     let mut best: Option<(usize, Solution, f64)> = None;
     let mut fallback: Option<(usize, Solution, f64)> = None;
     let mut first_err: Option<SchedError> = None;
-    for (i, (kind, ws)) in kinds.iter().zip(workspaces.iter_mut()).enumerate() {
-        let sol = match kind.solve_with_workspace(ctx, probs, ws) {
+    for (i, kind) in kinds.iter().enumerate() {
+        let sol = match kind.solve_with_workspace(ctx, probs, workspace) {
             Ok(sol) => sol,
             Err(e) => {
                 first_err.get_or_insert(e);
@@ -766,9 +770,8 @@ mod tests {
     fn race_prefers_the_lowest_energy_schedulable_plan() {
         let (ctx, probs, _) = example1_context();
         let kinds = DEFAULT_PORTFOLIO;
-        let mut wss: Vec<SolverWorkspace> = kinds.iter().map(|_| SolverWorkspace::new()).collect();
-        let obs = Obs::disabled();
-        let out = race_portfolio(&kinds, &ctx, &probs, &mut wss, &obs, 0).unwrap();
+        let mut ws = SolverWorkspace::new();
+        let out = race_portfolio(&kinds, &ctx, &probs, &mut ws).unwrap();
         // The winner can never be worse than the DLS entry (entry 0).
         let dls = DlsScheduler::new().solve(&ctx, &probs).unwrap();
         assert!(out.energy <= dls.expected_energy(&ctx, &probs) + 1e-9);
@@ -784,16 +787,15 @@ mod tests {
         // Racing DLS against itself: equal energies, entry 0 must win.
         let (ctx, probs, _) = example1_context();
         let kinds = [SchedulerKind::Dls, SchedulerKind::Dls];
-        let mut wss: Vec<SolverWorkspace> = kinds.iter().map(|_| SolverWorkspace::new()).collect();
-        let obs = Obs::disabled();
-        let out = race_portfolio(&kinds, &ctx, &probs, &mut wss, &obs, 0).unwrap();
+        let mut ws = SolverWorkspace::new();
+        let out = race_portfolio(&kinds, &ctx, &probs, &mut ws).unwrap();
         assert_eq!(out.winner, 0);
     }
 
     #[test]
     fn race_rejects_an_empty_portfolio() {
         let (ctx, probs, _) = example1_context();
-        let err = race_portfolio(&[], &ctx, &probs, &mut [], &Obs::disabled(), 0).unwrap_err();
+        let err = race_portfolio(&[], &ctx, &probs, &mut SolverWorkspace::new()).unwrap_err();
         assert!(matches!(err, SchedError::InvalidParameter(_)));
     }
 
@@ -805,9 +807,8 @@ mod tests {
         let platform = crate::test_util::uniform_platform(ctg.num_tasks(), 2, 2.0, 2.0);
         let tight = SchedContext::new(ctg, platform).unwrap();
         let kinds = DEFAULT_PORTFOLIO;
-        let mut wss: Vec<SolverWorkspace> = kinds.iter().map(|_| SolverWorkspace::new()).collect();
-        let obs = Obs::disabled();
-        let err = race_portfolio(&kinds, &tight, &probs, &mut wss, &obs, 0).unwrap_err();
+        let mut ws = SolverWorkspace::new();
+        let err = race_portfolio(&kinds, &tight, &probs, &mut ws).unwrap_err();
         let dls_err = DlsScheduler::new().solve(&tight, &probs).unwrap_err();
         assert_eq!(err, dls_err, "first entry's error propagates");
     }

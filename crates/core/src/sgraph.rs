@@ -594,8 +594,15 @@ fn collect_edges(ctx: &SchedContext, schedule: &Schedule) -> Vec<SEdge> {
 /// Exact worst-case makespan of a (mapping, order, speeds) solution: for
 /// every scenario, a longest-path dynamic program over the scheduled
 /// graph's constraint edges with stretched execution times, maximised
-/// across scenarios. `O(S·(V+E))` for `S` enumerated scenarios — no path
-/// enumeration, no cap, no fallback estimate.
+/// across scenarios. No path enumeration, no cap, no fallback estimate.
+///
+/// The scenarios run side by side: each edge carries the mask of the
+/// scenarios it constrains (both endpoints active, and the guard's
+/// alternative taken), precombined once per call, and the sweep over the
+/// tasks relaxes only those (edge, scenario) pairs — `O(V·S + Σ|mask|)`
+/// rather than a guard lookup in every scenario's cube per edge. Each
+/// scenario's finish times take the max over the same sums as a
+/// scenario-at-a-time DP would, so the result has the same bits.
 ///
 /// Uses the *un-reduced* edge set: dominated zero-delay edges never change
 /// a longest path (the covering route is at least as long in every shared
@@ -607,10 +614,19 @@ pub(crate) fn worst_case_makespan_dp(
     speeds: &SpeedAssignment,
 ) -> f64 {
     let n = ctx.ctg().num_tasks();
+    let n_scen = ctx.scenarios().len();
     let edges = collect_edges(ctx, schedule);
-    let mut radj: Vec<Vec<(usize, f64, Option<Literal>)>> = vec![Vec::new(); n];
+    let mut radj: Vec<Vec<(usize, f64, ScenarioMask)>> = vec![Vec::new(); n];
     for e in &edges {
-        radj[e.dst.index()].push((e.src.index(), e.delay, e.guard));
+        let mut mask = ctx.task_mask(e.src).and(ctx.task_mask(e.dst));
+        if let Some(lit) = e.guard {
+            match ctx.literal_mask_ref(lit.branch(), lit.alt()) {
+                Some(m) => mask.intersect(m),
+                // An unknown literal selects no scenario.
+                None => mask.clear(),
+            }
+        }
+        radj[e.dst.index()].push((e.src.index(), e.delay, mask));
     }
     let profile = ctx.platform().profile();
     let exec: Vec<f64> = (0..n)
@@ -630,28 +646,36 @@ pub(crate) fn worst_case_makespan_dp(
             .expect("start times are finite")
             .then(a.cmp(&b))
     });
-    let mut fin = vec![0.0_f64; n];
+    debug_assert!({
+        let mut pos = vec![0; n];
+        for (i, &t) in topo.iter().enumerate() {
+            pos[t] = i;
+        }
+        edges
+            .iter()
+            .all(|e| pos[e.src.index()] < pos[e.dst.index()])
+    });
+    // `fin[t * n_scen + s]`: task `t`'s finish in scenario `s`, written
+    // before any read (an edge's mask holds only scenarios where its
+    // source is active, and the source precedes it in `topo`).
+    let mut fin = vec![0.0_f64; n * n_scen];
+    let mut start = vec![0.0_f64; n_scen];
     let mut worst: f64 = 0.0;
-    for s in ctx.scenarios().scenarios() {
-        let active = s.active_tasks();
-        for &t in &topo {
-            if !active[t] {
-                continue;
+    for &t in &topo {
+        let active = ctx.task_mask(TaskId::new(t));
+        for s in active.iter() {
+            start[s] = 0.0;
+        }
+        for (src, delay, mask) in &radj[t] {
+            let src_fin = &fin[src * n_scen..][..n_scen];
+            for s in mask.iter() {
+                start[s] = start[s].max(src_fin[s] + delay);
             }
-            let mut start: f64 = 0.0;
-            for &(src, delay, guard) in &radj[t] {
-                if !active[src] {
-                    continue;
-                }
-                if let Some(lit) = guard {
-                    if s.cube().alt_of(lit.branch()) != Some(lit.alt()) {
-                        continue;
-                    }
-                }
-                start = start.max(fin[src] + delay);
-            }
-            fin[t] = start + exec[t];
-            worst = worst.max(fin[t]);
+        }
+        let row = &mut fin[t * n_scen..][..n_scen];
+        for s in active.iter() {
+            row[s] = start[s] + exec[t];
+            worst = worst.max(row[s]);
         }
     }
     worst

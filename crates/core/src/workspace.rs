@@ -31,6 +31,10 @@
 //!    per-task layout. The stretch itself still reads the commit order,
 //!    the PEs and the starts from the schedule being solved.
 //!
+//!    The layer serves any mapper: the HEFT and lookahead portfolio
+//!    entries stretch through it too, so a race shares one workspace
+//!    (see [`race_portfolio`](crate::race_portfolio)).
+//!
 //! Every solve runs DLS and the stretch sweeps. Replaying a whole plan for
 //! a table solved before is the plan cache's job (an
 //! [`LruCache`](crate::LruCache) keyed on the exact
@@ -51,6 +55,7 @@ use crate::error::SchedError;
 use crate::online::Solution;
 use crate::schedule::Schedule;
 use crate::sgraph::ScheduledGraph;
+use crate::speed::SpeedAssignment;
 use crate::static_level::{static_levels_into, update_static_levels};
 use crate::stretch::{
     critical_path_fallback, stretch_on_graph, validate_config, StretchConfig, StretchScratch,
@@ -62,7 +67,7 @@ use mpsoc_platform::{PeId, Platform};
 /// Counters describing how much work repeated solves actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkspaceStats {
-    /// Total solve calls (including failed solves).
+    /// Total [`SolverWorkspace::solve`] calls (including failed solves).
     pub solves: usize,
     /// Full static-level recomputes (first call and after each rebind).
     pub full_level_rebuilds: usize,
@@ -70,10 +75,12 @@ pub struct WorkspaceStats {
     pub dirty_level_updates: usize,
     /// Individual levels recomputed across all incremental updates.
     pub levels_recomputed: usize,
-    /// Solves that reused a pooled scheduled graph (including reusing the
-    /// knowledge that the path enumeration exceeds the cap).
+    /// Graph-pool lookups that reused a pooled scheduled graph (including
+    /// reusing the knowledge that the path enumeration exceeds the cap),
+    /// by DLS solves and by the other mappers stretching through the pool.
     pub graph_reuses: usize,
-    /// Solves that rebuilt the scheduled graph from scratch.
+    /// Graph-pool lookups that built the scheduled graph from scratch, by
+    /// DLS solves and by the other mappers stretching through the pool.
     pub graph_rebuilds: usize,
     /// Times the workspace was re-bound to a different context.
     pub rebinds: usize,
@@ -120,14 +127,16 @@ struct GraphEntry {
     enum_units: u64,
 }
 
-/// Bounded size of the mapping→graph pool. Under drifting estimates DLS
-/// oscillates among a small set of distinct mappings (revisiting earlier
-/// ones as scenes recur), so keeping the recent graphs — not just the last
-/// one — multiplies reuse; each entry holds one enumerated path set, so the
-/// pool stays tens of MB at worst. Sized above the ~55-schedule working
-/// set of a feature-length MPEG drift run: an LRU scanned by a working set
-/// just over its capacity thrashes to ~0 hits.
-const GRAPH_POOL_CAP: usize = 64;
+/// Bounded size of the mapping→graph pool. Under drifting estimates the
+/// mappers oscillate among a small set of distinct mappings (revisiting
+/// earlier ones as scenes recur), so keeping the recent graphs — not just
+/// the last one — multiplies reuse. Each entry holds one enumerated path
+/// set; an MPEG plan's holds 3.7k–80k path members, so the cap is also
+/// what bounds the resident size. Sized to the measured working set
+/// (DESIGN.md §11 lists the builds per cap on each workload): below it
+/// the fleet's shared cache misses start to rebuild, above it the
+/// portfolio race's pool outgrows the per-entry pools it replaced.
+const GRAPH_POOL_CAP: usize = 24;
 
 /// Pool-scan prefilter: hashes the pool key — the path cap, the assignment
 /// and each PE's order. Neither the start times nor the global commit
@@ -196,6 +205,11 @@ impl SolverWorkspace {
         self.obs_track = track;
     }
 
+    /// The telemetry handle and track solve stages record against.
+    pub(crate) fn obs(&self) -> (Obs, u32) {
+        (self.obs.clone(), self.obs_track)
+    }
+
     /// Sets (or clears) the per-solve work budget.
     ///
     /// A budgeted solve counts DLS candidate evaluations and
@@ -256,22 +270,7 @@ impl SolverWorkspace {
         let solve_span = obs.span(track, Stage::Solve);
         obs.count(Counter::SolverCalls, 1);
         self.stats.solves += 1;
-        let bound_matches = self
-            .bound
-            .as_ref()
-            .is_some_and(|b| b.ctg == *ctx.ctg() && b.platform == *ctx.platform());
-        if !bound_matches {
-            if self.bound.is_some() {
-                self.stats.rebinds += 1;
-            }
-            self.bound = Some(Bound {
-                ctg: ctx.ctg().clone(),
-                platform: ctx.platform().clone(),
-            });
-            self.sl_probs = None;
-            self.last_cost = None;
-            self.graphs.clear();
-        }
+        self.bind(ctx);
 
         let mut meter = WorkMeter::from_limit(self.budget);
 
@@ -304,109 +303,152 @@ impl SolverWorkspace {
         }
         validate_config(cfg)?;
 
-        // Layer 3: reuse a pooled scheduled graph when DLS returned a
-        // mapping (assignment and per-PE order) the pool has seen, whatever
-        // its start times and commit order. Topology, delays, conditions
-        // and guards are probability-independent; only the path
-        // probabilities need re-weighting. A `None` graph is equally
-        // reusable: whether the enumeration exceeds the cap depends on
-        // (mapping, cap) alone. Entries are unique per (mapping, cap); a
-        // hit restamps its entry as the most recently used.
-        let fp = graph_fp(&schedule, cfg.path_cap);
+        let (speeds, via) = match self.stretch_pooled(cfg, ctx, probs, &schedule, &mut meter) {
+            Ok(done) => done,
+            Err(e) => return Err(self.note_budget_abort(&obs, track, e)),
+        };
+        self.last_cost = Some(meter.spent());
+        let dur_ns = solve_span.end(via);
+        obs.observe(Hist::SolveUs, dur_ns as f64 / 1e3);
+        Ok(Solution { schedule, speeds })
+    }
+
+    /// Layer 3 for a schedule from any mapper: stretches `schedule` on its
+    /// pooled scheduled graph, building and pooling the graph on a miss,
+    /// exactly as [`stretch_schedule`](crate::stretch_schedule) would on a
+    /// freshly built one.
+    ///
+    /// Unmetered: a budget constrains only [`SolverWorkspace::solve`]. The
+    /// enumeration cost is still recorded with the entry, so a budgeted
+    /// solve that later hits it re-charges what a cold build would cost.
+    /// Records path-enumeration, pool-hit and stretch events but no solve
+    /// span, and does not count as a solve in [`WorkspaceStats::solves`]:
+    /// those stay the DLS entry's.
+    pub(crate) fn stretch_mapping(
+        &mut self,
+        cfg: &StretchConfig,
+        ctx: &SchedContext,
+        probs: &BranchProbs,
+        schedule: &Schedule,
+    ) -> Result<SpeedAssignment, SchedError> {
+        validate_config(cfg)?;
+        self.bind(ctx);
+        let (speeds, _) = self
+            .stretch_pooled(cfg, ctx, probs, schedule, &mut WorkMeter::unlimited())
+            .expect("an unlimited meter cannot exceed its budget");
+        Ok(speeds)
+    }
+
+    /// Binds the workspace to `ctx`, dropping every warm layer when the
+    /// context's content changed since the last call.
+    fn bind(&mut self, ctx: &SchedContext) {
+        let bound_matches = self
+            .bound
+            .as_ref()
+            .is_some_and(|b| b.ctg == *ctx.ctg() && b.platform == *ctx.platform());
+        if bound_matches {
+            return;
+        }
+        if self.bound.is_some() {
+            self.stats.rebinds += 1;
+        }
+        self.bound = Some(Bound {
+            ctg: ctx.ctg().clone(),
+            platform: ctx.platform().clone(),
+        });
+        self.sl_probs = None;
+        self.last_cost = None;
+        self.graphs.clear();
+    }
+
+    /// Layer 3: reuse a pooled scheduled graph when the schedule's mapping
+    /// (assignment and per-PE order) is in the pool, whatever its start
+    /// times and commit order. Topology, delays, conditions and guards are
+    /// probability-independent; only the path probabilities need
+    /// re-weighting. A `None` graph is equally reusable: whether the
+    /// enumeration exceeds the cap depends on (mapping, cap) alone.
+    /// Entries are unique per (mapping, cap); a hit restamps its entry as
+    /// the most recently used. Returns the speeds and the [`Stage::Solve`]
+    /// arg naming the path taken.
+    fn stretch_pooled(
+        &mut self,
+        cfg: &StretchConfig,
+        ctx: &SchedContext,
+        probs: &BranchProbs,
+        schedule: &Schedule,
+        meter: &mut WorkMeter,
+    ) -> Result<(SpeedAssignment, i64), SchedError> {
+        let obs = self.obs.clone();
+        let track = self.obs_track;
+        let fp = graph_fp(schedule, cfg.path_cap);
         let hit = self.graphs.iter().position(|e| {
             e.fp == fp
                 && e.path_cap == cfg.path_cap
                 && e.assignment == schedule.assignment
                 && e.pe_order == schedule.pe_order
         });
-        let via = if hit.is_some() {
-            SOLVE_VIA_POOL
-        } else {
-            SOLVE_VIA_REBUILD
-        };
-        let speeds = match hit {
-            Some(i) => {
-                // Re-charge the stored enumeration cost *before* touching
-                // the entry: a budget abort must leave the pool intact and
-                // land on the same verdict a cold enumeration would (the
-                // cost is a pure function of (mapping, cap)).
-                if let Err(e) = meter.charge(self.graphs[i].enum_units) {
-                    return Err(self.note_budget_abort(&obs, track, e));
-                }
-                self.stats.graph_reuses += 1;
-                obs.instant(track, Stage::PoolHit, 1);
-                self.graph_clock += 1;
-                let stretch_span = obs.span(track, Stage::Stretch);
-                let entry = &mut self.graphs[i];
-                entry.stamp = self.graph_clock;
-                let speeds = match entry.graph.as_mut() {
-                    Some(g) => {
-                        if entry.probs != *probs {
-                            g.reweight(ctx, probs);
-                            entry.probs = probs.clone();
-                        }
-                        stretch_on_graph(ctx, probs, &schedule, cfg, g, None, &mut self.scratch)
+        if let Some(i) = hit {
+            // Re-charge the stored enumeration cost *before* touching the
+            // entry: a budget abort must leave the pool intact and land on
+            // the same verdict a cold enumeration would (the cost is a pure
+            // function of (mapping, cap)).
+            meter.charge(self.graphs[i].enum_units)?;
+            self.stats.graph_reuses += 1;
+            obs.instant(track, Stage::PoolHit, 1);
+            self.graph_clock += 1;
+            let stretch_span = obs.span(track, Stage::Stretch);
+            let entry = &mut self.graphs[i];
+            entry.stamp = self.graph_clock;
+            let speeds = match entry.graph.as_mut() {
+                Some(g) => {
+                    if entry.probs != *probs {
+                        g.reweight(ctx, probs);
+                        entry.probs = probs.clone();
                     }
-                    None => critical_path_fallback(ctx, probs, &schedule, cfg),
-                };
-                stretch_span.end(1);
-                speeds
-            }
-            None => {
-                self.stats.graph_rebuilds += 1;
-                let enum_span = obs.span(track, Stage::PathEnum);
-                let enum_start = meter.spent();
-                let built = match ScheduledGraph::build_metered(
-                    ctx,
-                    &schedule,
-                    probs,
-                    cfg.path_cap,
-                    &mut meter,
-                ) {
-                    Ok(b) => b,
-                    Err(e) => return Err(self.note_budget_abort(&obs, track, e)),
-                };
-                let enum_units = meter.spent() - enum_start;
-                // arg: 1 when the enumeration fit the cap, 0 when it
-                // overflowed (and the critical-path fallback runs).
-                enum_span.end(i64::from(built.is_some()));
-                let stretch_span = obs.span(track, Stage::Stretch);
-                let speeds = match &built {
-                    Some(g) => {
-                        stretch_on_graph(ctx, probs, &schedule, cfg, g, None, &mut self.scratch)
-                    }
-                    None => critical_path_fallback(ctx, probs, &schedule, cfg),
-                };
-                stretch_span.end(0);
-                if self.graphs.len() == GRAPH_POOL_CAP {
-                    let victim = self
-                        .graphs
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.stamp)
-                        .map(|(i, _)| i)
-                        .expect("a full pool has a least-recently-used entry");
-                    self.graphs.swap_remove(victim);
+                    stretch_on_graph(ctx, probs, schedule, cfg, g, None, &mut self.scratch)
                 }
-                self.graph_clock += 1;
-                self.graphs.push(GraphEntry {
-                    fp,
-                    stamp: self.graph_clock,
-                    assignment: schedule.assignment.clone(),
-                    pe_order: schedule.pe_order.clone(),
-                    path_cap: cfg.path_cap,
-                    graph: built,
-                    probs: probs.clone(),
-                    enum_units,
-                });
-                speeds
-            }
-        };
+                None => critical_path_fallback(ctx, probs, schedule, cfg),
+            };
+            stretch_span.end(1);
+            return Ok((speeds, SOLVE_VIA_POOL));
+        }
 
-        self.last_cost = Some(meter.spent());
-        let dur_ns = solve_span.end(via);
-        obs.observe(Hist::SolveUs, dur_ns as f64 / 1e3);
-        Ok(Solution { schedule, speeds })
+        self.stats.graph_rebuilds += 1;
+        let enum_span = obs.span(track, Stage::PathEnum);
+        let enum_start = meter.spent();
+        let built = ScheduledGraph::build_metered(ctx, schedule, probs, cfg.path_cap, meter)?;
+        let enum_units = meter.spent() - enum_start;
+        // arg: 1 when the enumeration fit the cap, 0 when it overflowed
+        // (and the critical-path fallback runs).
+        enum_span.end(i64::from(built.is_some()));
+        let stretch_span = obs.span(track, Stage::Stretch);
+        let speeds = match &built {
+            Some(g) => stretch_on_graph(ctx, probs, schedule, cfg, g, None, &mut self.scratch),
+            None => critical_path_fallback(ctx, probs, schedule, cfg),
+        };
+        stretch_span.end(0);
+        if self.graphs.len() == GRAPH_POOL_CAP {
+            let victim = self
+                .graphs
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(i, _)| i)
+                .expect("a full pool has a least-recently-used entry");
+            self.graphs.swap_remove(victim);
+        }
+        self.graph_clock += 1;
+        self.graphs.push(GraphEntry {
+            fp,
+            stamp: self.graph_clock,
+            assignment: schedule.assignment.clone(),
+            pe_order: schedule.pe_order.clone(),
+            path_cap: cfg.path_cap,
+            graph: built,
+            probs: probs.clone(),
+            enum_units,
+        });
+        Ok((speeds, SOLVE_VIA_REBUILD))
     }
 }
 
@@ -585,6 +627,110 @@ mod tests {
         assert_eq!(ws.stats().graph_reuses, reuses_before + 1);
         let cold_ok = scheduler.solve(&ctx, &a).unwrap();
         assert_bit_identical(&cold_ok, &ok, &ctx);
+    }
+
+    /// A DLS solve budgeted at `cost - 1` and at `cost`, where `cost` is
+    /// what a cold solve of `probs` spends, after the unmetered entry
+    /// pooled the DLS schedule's graph: each lands on the verdict,
+    /// payload and bits of a cold budgeted solve, the pool answering the
+    /// one that succeeds.
+    fn assert_budgets_agree_on_a_graph_another_entry_pooled(
+        cfg: &StretchConfig,
+        ctx: &SchedContext,
+        probs: &BranchProbs,
+    ) {
+        let mut probe = SolverWorkspace::new();
+        probe.solve(cfg, ctx, probs).unwrap();
+        let cost = probe.last_solve_cost().unwrap();
+        let schedule = crate::dls::dls_schedule(ctx, probs).unwrap();
+        for budget in [cost - 1, cost] {
+            let mut cold_ws = SolverWorkspace::new();
+            cold_ws.set_budget(Some(budget));
+            let cold = cold_ws.solve(cfg, ctx, probs);
+
+            let mut ws = SolverWorkspace::new();
+            ws.stretch_mapping(cfg, ctx, probs, &schedule).unwrap();
+            assert_eq!(ws.stats().graph_rebuilds, 1);
+            ws.set_budget(Some(budget));
+            let pooled = ws.solve(cfg, ctx, probs);
+            assert_eq!(pooled, cold, "budget {budget} (cost {cost})");
+            match &pooled {
+                Ok(sol) => {
+                    assert_eq!(budget, cost);
+                    assert_bit_identical(sol, cold.as_ref().unwrap(), ctx);
+                    assert_eq!(ws.stats().graph_reuses, 1, "a pool hit");
+                    assert_eq!(ws.stats().graph_rebuilds, 1);
+                }
+                Err(e) => {
+                    assert_eq!(budget, cost - 1);
+                    assert_eq!(
+                        *e,
+                        SchedError::SolveBudgetExceeded {
+                            spent: cost,
+                            budget
+                        }
+                    );
+                    assert_eq!(ws.stats().graph_reuses, 0, "an abort takes no hit");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn budget_verdicts_hold_on_a_graph_the_unmetered_entry_pooled() {
+        let (ctx, probs, _) = example1_context();
+        assert_budgets_agree_on_a_graph_another_entry_pooled(
+            &StretchConfig::default(),
+            &ctx,
+            &probs,
+        );
+        let (mpeg_ctx, mpeg_probs) = crate::test_util::mpeg_context();
+        assert_budgets_agree_on_a_graph_another_entry_pooled(
+            &StretchConfig::default(),
+            &mpeg_ctx,
+            &mpeg_probs,
+        );
+    }
+
+    /// The same over the path cap, where the unmetered entry pools a
+    /// `None` graph and its enumeration cost, on the 24-task context of
+    /// `tests/solver_equivalence.rs`'s over-the-cap parity test.
+    #[test]
+    fn budget_verdicts_hold_on_an_over_cap_entry_the_unmetered_entry_pooled() {
+        let tgff = tgff_gen::TgffConfig::new(11, 24, 3, tgff_gen::Category::ForkJoin);
+        let generated = tgff.generate();
+        let platform = tgff.generate_platform(&generated.ctg, 3);
+        let ctx = SchedContext::new(generated.ctg, platform).unwrap();
+        let makespan = crate::dls::dls_schedule(&ctx, &generated.probs)
+            .unwrap()
+            .makespan();
+        let ctx = SchedContext::new(
+            ctx.ctg().with_deadline(2.0 * makespan),
+            ctx.platform().clone(),
+        )
+        .unwrap();
+        // Step 2 of that test's drift sequence.
+        let mut probs = BranchProbs::new();
+        for (bi, &b) in ctx.ctg().branch_nodes().iter().enumerate() {
+            let k = ctx.ctg().node(b).alternatives() as usize;
+            let lead = 0.1 + 0.08 * ((2 * 7 + bi * 3) % 10) as f64;
+            let rest = (1.0 - lead) / (k - 1) as f64;
+            let dist = (0..k)
+                .map(|j| if j == (2 + bi) % k { lead } else { rest })
+                .collect();
+            probs.set(b, dist).unwrap();
+        }
+        let schedule = crate::dls::dls_schedule(&ctx, &probs).unwrap();
+        let paths = ScheduledGraph::build(&ctx, &schedule, &probs, usize::MAX)
+            .unwrap()
+            .paths()
+            .len();
+        let cfg = StretchConfig {
+            path_cap: paths / 2,
+            ..StretchConfig::default()
+        };
+        assert!(ScheduledGraph::build(&ctx, &schedule, &probs, cfg.path_cap).is_none());
+        assert_budgets_agree_on_a_graph_another_entry_pooled(&cfg, &ctx, &probs);
     }
 
     #[test]

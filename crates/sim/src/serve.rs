@@ -1144,20 +1144,12 @@ pub(crate) fn serve_engine<'a>(
         let track = w as u32;
         // Drift solves run on one worker-shared warm-start workspace: its
         // levels and graph pool amortize across every stream the worker
-        // owns, and the warm == cold bit-identity contract (§11) keeps
-        // summaries invariant across worker counts regardless of which
-        // streams share a workspace.
+        // owns (and, when racing, across every portfolio entry), and the
+        // warm == cold bit-identity contract (§11) keeps summaries
+        // invariant across worker counts regardless of which streams
+        // share a workspace.
         let online = OnlineScheduler::new();
         let mut ws = worker_workspace(cfg, obs, track);
-        // Portfolio entries get private workspaces built the same way,
-        // one per entry as `race_portfolio` takes them.
-        let mut race = cfg.portfolio.as_deref().map(|kinds| RaceState {
-            kinds: kinds.to_vec(),
-            wss: kinds
-                .iter()
-                .map(|_| worker_workspace(cfg, obs, track))
-                .collect(),
-        });
         let mut counters = LocalCounters::default();
         let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -1222,7 +1214,6 @@ pub(crate) fn serve_engine<'a>(
                             &mut seq,
                             &online,
                             &mut ws,
-                            &mut race,
                             shared_cache.as_ref(),
                             &mut counters,
                             obs,
@@ -1450,7 +1441,6 @@ fn on_complete(
     seq: &mut u64,
     online: &OnlineScheduler,
     ws: &mut SolverWorkspace,
-    race: &mut Option<RaceState>,
     shared: Option<&SharedScheduleCache>,
     counters: &mut LocalCounters,
     obs: &Obs,
@@ -1469,7 +1459,6 @@ fn on_complete(
         es.queue.len(),
         online,
         ws,
-        race,
         shared,
         counters,
         obs,
@@ -1502,7 +1491,6 @@ fn post_instance(
     queue_depth: usize,
     online: &OnlineScheduler,
     ws: &mut SolverWorkspace,
-    race: &mut Option<RaceState>,
     shared: Option<&SharedScheduleCache>,
     counters: &mut LocalCounters,
     obs: &Obs,
@@ -1547,7 +1535,8 @@ fn post_instance(
     // The stripe lock is not held during the solve: two workers missing on
     // the same table may both solve it and insert in either order —
     // harmless, both solves return the same plan.
-    match serve_solve(ctx, online, ws, race, &estimated, counters, obs, track) {
+    let portfolio = cfg.portfolio.as_deref();
+    match serve_solve(ctx, online, ws, portfolio, &estimated, counters) {
         Ok(solution) => {
             if let (Some(cache), Some(key)) = (shared, key) {
                 cache.insert(key, solution.clone());
@@ -1571,37 +1560,27 @@ fn post_instance(
     }
 }
 
-/// Per-worker portfolio racing state: the configured entries and one
-/// private workspace per entry.
-struct RaceState {
-    kinds: Vec<SchedulerKind>,
-    wss: Vec<SolverWorkspace>,
-}
-
 /// The engine's one solver entry point: the DLS pipeline through the
-/// worker's warm workspace, or — with [`ServeConfig::portfolio`] set — a
-/// portfolio race (see [`race_portfolio`]). The shared cache stores
-/// whatever comes back; the portfolio is fixed for the run, so replaying
-/// a raced winner for the same exact table is as sound as replaying a
-/// DLS plan.
-#[allow(clippy::too_many_arguments)]
+/// worker's warm workspace, or — with a [`ServeConfig::portfolio`] — a
+/// portfolio race through that same workspace (see [`race_portfolio`]).
+/// The shared cache stores whatever comes back; the portfolio is fixed
+/// for the run, so replaying a raced winner for the same exact table is
+/// as sound as replaying a DLS plan.
 fn serve_solve(
     ctx: &SchedContext,
     online: &OnlineScheduler,
     ws: &mut SolverWorkspace,
-    race: &mut Option<RaceState>,
+    portfolio: Option<&[SchedulerKind]>,
     probs: &BranchProbs,
     counters: &mut LocalCounters,
-    obs: &Obs,
-    track: u32,
 ) -> Result<Solution, SchedError> {
-    match race.as_mut() {
+    match portfolio {
         None => online.solve_with_workspace(ctx, probs, ws),
-        Some(r) => {
-            let raced = race_portfolio(&r.kinds, ctx, probs, &mut r.wss, obs, track);
+        Some(kinds) => {
+            let raced = race_portfolio(kinds, ctx, probs, ws);
             counters.portfolio_races += 1;
             let outcome = raced?;
-            counters.portfolio_wins[r.kinds[outcome.winner].index()] += 1;
+            counters.portfolio_wins[kinds[outcome.winner].index()] += 1;
             Ok(outcome.solution)
         }
     }

@@ -14,7 +14,7 @@
 use adaptive_dvfs::ctg::{BranchProbs, Ctg, DecisionVector};
 use adaptive_dvfs::sched::{
     race_portfolio, validate_solution, AdaptiveScheduler, CtgScheduler, DlsScheduler,
-    OnlineScheduler, SchedContext, SchedulerKind, SolverWorkspace, DEFAULT_PORTFOLIO,
+    OnlineScheduler, SchedContext, SchedulerKind, Solution, SolverWorkspace, DEFAULT_PORTFOLIO,
 };
 use adaptive_dvfs::sim::serve::{run_serve, CacheMode, ServeConfig, StreamSpec};
 use adaptive_dvfs::sim::{RunConfig, Runner};
@@ -159,16 +159,12 @@ fn every_scheduler_kind_solves_both_families() {
 /// expected energy, and the winner never loses to the DLS entry.
 #[test]
 fn portfolio_race_adopts_the_winners_own_plan() {
-    let obs = adaptive_dvfs::obs::Obs::disabled();
     for &(seed, a, c, cat, pes) in &CASES[..2] {
         let (ctx, _) = build_context(seed, a, c, cat, pes);
         for step in 0..8 {
             let probs = drift_table(ctx.ctg(), step);
-            let mut wss: Vec<SolverWorkspace> = DEFAULT_PORTFOLIO
-                .iter()
-                .map(|_| SolverWorkspace::new())
-                .collect();
-            let out = race_portfolio(&DEFAULT_PORTFOLIO, &ctx, &probs, &mut wss, &obs, 0).unwrap();
+            let mut ws = SolverWorkspace::new();
+            let out = race_portfolio(&DEFAULT_PORTFOLIO, &ctx, &probs, &mut ws).unwrap();
             let label = format!("race case {seed} step {step}");
             let dls = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
             assert!(
@@ -183,6 +179,82 @@ fn portfolio_race_adopts_the_winners_own_plan() {
                 "{label}: adopted energy is not the winner's"
             );
         }
+    }
+}
+
+/// The race verdict with every entry solving through a fresh workspace:
+/// the lowest expected energy among schedulable plans (ties keep the
+/// earliest entry), else the lowest worst-case makespan.
+fn cold_race(ctx: &SchedContext, probs: &BranchProbs) -> (usize, Solution, f64) {
+    let deadline = ctx.ctg().deadline();
+    let plans: Vec<(usize, Solution)> = DEFAULT_PORTFOLIO
+        .iter()
+        .enumerate()
+        .filter_map(|(i, kind)| kind.solve(ctx, probs).ok().map(|sol| (i, sol)))
+        .collect();
+    let schedulable = plans
+        .iter()
+        .filter(|(_, sol)| sol.worst_case_makespan(ctx) <= deadline + 1e-6)
+        .map(|(i, sol)| (*i, sol, sol.expected_energy(ctx, probs)))
+        .fold(
+            None,
+            |best: Option<(usize, &Solution, f64)>, c| match best {
+                Some(b) if c.2 >= b.2 => Some(b),
+                _ => Some(c),
+            },
+        );
+    let (i, sol, energy) = schedulable.unwrap_or_else(|| {
+        let (i, sol) = plans
+            .iter()
+            .fold(None, |best: Option<&(usize, Solution)>, c| match best {
+                Some(b) if c.1.worst_case_makespan(ctx) >= b.1.worst_case_makespan(ctx) => Some(b),
+                _ => Some(c),
+            })
+            .expect("some entry solves");
+        (*i, sol, sol.expected_energy(ctx, probs))
+    });
+    (i, sol.clone(), energy)
+}
+
+/// Two cases whose race entries produce mappings with one assignment and
+/// different per-PE orders, so a graph pool keyed on the assignment alone
+/// would hand some entry another mapping's graph and change the winner's
+/// plan.
+const SHARED_POOL_CASES: [(u64, usize, usize, Category, usize); 2] = [
+    (66, 22, 2, Category::ForkJoin, 2),
+    (73, 21, 3, Category::Layered, 3),
+];
+
+/// One long-lived workspace shared by every entry of every race returns
+/// what races of cold entries do, over a drift sequence that revisits its
+/// tables, and its graph pool serves mappings across entries and races:
+/// it builds fewer graphs than the entries stretch.
+#[test]
+fn races_through_one_shared_workspace_match_races_of_cold_entries() {
+    for &(seed, a, c, cat, pes) in &SHARED_POOL_CASES {
+        let (ctx, _) = build_context(seed, a, c, cat, pes);
+        let mut ws = SolverWorkspace::new();
+        let steps = 20;
+        for step in 0..steps {
+            let probs = drift_table(ctx.ctg(), step);
+            let label = format!("case {seed} step {step}");
+            let shared = race_portfolio(&DEFAULT_PORTFOLIO, &ctx, &probs, &mut ws).unwrap();
+            let (winner, plan, energy) = cold_race(&ctx, &probs);
+            assert_eq!(shared.winner, winner, "{label}: winners differ");
+            assert_bit_identical(&ctx, &probs, &plan, &shared.solution, &label);
+            assert_eq!(
+                shared.energy.to_bits(),
+                energy.to_bits(),
+                "{label}: energy bits differ"
+            );
+        }
+        let stats = ws.stats();
+        let stretched = stats.graph_reuses + stats.graph_rebuilds;
+        assert_eq!(stretched, DEFAULT_PORTFOLIO.len() * steps, "{stats:?}");
+        assert!(
+            stats.graph_rebuilds < stretched,
+            "case {seed}: the shared pool must serve some entries: {stats:?}"
+        );
     }
 }
 
