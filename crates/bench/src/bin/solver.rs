@@ -10,15 +10,23 @@
 //! of the first. Each rep solves the whole sequence cold (a fresh solve
 //! per table), warm (one plain workspace) and raced. The warm workspace
 //! is **primed with one untimed pass first**: the column reports the
-//! steady state a long-running manager sits in (every warm solve answered
-//! by the graph pool) — the first-visit cost of a table is the cold
-//! column, and the rebuild path's stage split is in the instrumented
-//! breakdown below. Every warm solution is asserted **bit-for-bit
-//! identical** to its cold counterpart before any number is reported.
+//! steady state a long-running manager sits in, with warm levels and a
+//! graph pool that answers every solve whose mapping it still holds. The
+//! smoke run's 14 distinct mappings fit the 24-entry pool, so each of its
+//! timed warm solves is a pool hit; the full run's 40 do not, and the
+//! pool rebuilds on about half of its warm solves. The first-visit cost
+//! of a table is the cold column, and the rebuild path's stage split is
+//! in the instrumented breakdown below. Every warm solution is asserted
+//! **bit-for-bit identical** to its cold counterpart before any number is
+//! reported.
 //!
 //! A final instrumented warm pass records per-stage spans (`dls_map`,
 //! `path_enum`, `stretch`) through the telemetry layer for the stage
-//! breakdown; the timed passes run with telemetry disabled. The `build`
+//! breakdown, and the members the stretches' slack scans read (the
+//! `stretch` spans' arg); the timed passes run with telemetry disabled.
+//! The `stretch_per_dls_map` row divides the pass's `stretch` stage mean
+//! by its `dls_map` stage mean: both are single-thread solver work on the
+//! same tables, so a slower host largely cancels out of it. The `build`
 //! row times one cold [`ScheduledGraph::build`] per distinct (assignment,
 //! per-PE order) mapping among the DLS, HEFT and lookahead plans of the
 //! harvested tables, the best of five passes each: the layer every pool
@@ -30,8 +38,9 @@
 //! Pass `--smoke` for a seconds-scale run (CI) — numbers then land in
 //! `target/BENCH_solver_smoke.json` instead of `BENCH_solver.json`. Pass
 //! `--check-baseline <path>` to compare against a committed artifact: the
-//! run fails if its warm p99 or its portfolio-race p99 regresses more than
-//! 2x over the baseline's.
+//! run fails if its warm p99, its portfolio-race p99 or its
+//! `stretch_per_dls_map` ratio regresses more than 2x over the
+//! baseline's.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -77,10 +86,12 @@ fn summarize(mut samples: Vec<f64>) -> Lat {
     }
 }
 
-/// Mean duration and count of one solver stage across a recorded pass.
+/// Mean duration, count and mean span arg of one solver stage across a
+/// recorded pass.
 struct StageLat {
     mean_us: f64,
     count: usize,
+    mean_arg: f64,
 }
 
 fn assert_bit_identical(
@@ -136,11 +147,16 @@ fn distinct_counts(ctx: &SchedContext, solutions: &[Solution]) -> (usize, usize)
 }
 
 /// Pulls `"p99_us"` out of the `row` object (`"warm"`, `"portfolio"`) of a
-/// bench artifact without a JSON parser (the artifact is hand-rolled; the
-/// layout is ours).
+/// bench artifact.
 fn baseline_p99(json: &str, row: &str) -> Option<f64> {
     let obj = json.split(&format!("\"{row}\"")).nth(1)?;
-    let after = obj.split("\"p99_us\":").nth(1)?;
+    number_after(obj, "p99_us")
+}
+
+/// The number after the first `"key":` in a bench artifact, without a
+/// JSON parser (the artifact is hand-rolled; the layout is ours).
+fn number_after(json: &str, key: &str) -> Option<f64> {
+    let after = json.split(&format!("\"{key}\":")).nth(1)?;
     let num: String = after
         .trim_start()
         .chars()
@@ -297,22 +313,23 @@ fn main() {
     }
     let events = sink.drain_sorted();
     let stage_lat = |stage: Stage| {
-        let durs: Vec<u64> = events
+        let spans: Vec<(u64, i64)> = events
             .iter()
             .filter(|e| e.stage == stage && e.kind == EventKind::Span)
-            .map(|e| e.dur_ns)
+            .map(|e| (e.dur_ns, e.arg))
             .collect();
-        let count = durs.len();
-        let mean_us = if count == 0 {
-            0.0
-        } else {
-            durs.iter().sum::<u64>() as f64 / count as f64 / 1e3
-        };
-        StageLat { mean_us, count }
+        let count = spans.len();
+        let mean = |total: f64| total / count.max(1) as f64;
+        StageLat {
+            mean_us: mean(spans.iter().map(|s| s.0 as f64).sum()) / 1e3,
+            count,
+            mean_arg: mean(spans.iter().map(|s| s.1 as f64).sum()),
+        }
     };
     let stage_dls = stage_lat(Stage::DlsMap);
     let stage_enum = stage_lat(Stage::PathEnum);
     let stage_stretch = stage_lat(Stage::Stretch);
+    let stretch_per_dls_map = stage_stretch.mean_us / stage_dls.mean_us;
 
     // ---- Report. ----
     println!(
@@ -332,13 +349,15 @@ fn main() {
     println!("\nwarm speedup (total cold / total warm): {speedup_total:.2}x");
     println!(
         "stages (instrumented warm pass): dls_map {:.1} us x{}, path_enum {:.1} us x{}, \
-         stretch {:.1} us x{}",
+         stretch {:.1} us x{} ({:.0} members read per stretch); stretch / dls_map {:.2}",
         stage_dls.mean_us,
         stage_dls.count,
         stage_enum.mean_us,
         stage_enum.count,
         stage_stretch.mean_us,
-        stage_stretch.count
+        stage_stretch.count,
+        stage_stretch.mean_arg,
+        stretch_per_dls_map
     );
     println!(
         "warm workspace: {} solves, {} full level builds, {} dirty updates ({} levels \
@@ -421,6 +440,9 @@ fn main() {
         stage_json(&stage_stretch)
     ));
     json.push_str(&format!(
+        "  \"stretch_per_dls_map\": {stretch_per_dls_map:.4},\n"
+    ));
+    json.push_str(&format!(
         "  \"workspace\": {{\"solves\": {}, \"full_level_rebuilds\": {}, \
          \"dirty_level_updates\": {}, \"levels_recomputed\": {}, \"graph_reuses\": {}, \
          \"graph_rebuilds\": {}, \"rebinds\": {}, \"distinct_schedules\": {}, \
@@ -466,6 +488,20 @@ fn main() {
                 );
                 failed = true;
             }
+        }
+        let base_ratio = number_after(&baseline, "stretch_per_dls_map")
+            .unwrap_or_else(|| panic!("baseline {path} has no stretch_per_dls_map"));
+        println!(
+            "baseline gate: stretch / dls_map {stretch_per_dls_map:.2} vs baseline \
+             {base_ratio:.2} (limit {:.2})",
+            2.0 * base_ratio
+        );
+        if stretch_per_dls_map > 2.0 * base_ratio {
+            eprintln!(
+                "FAIL: stretch / dls_map {stretch_per_dls_map:.2} regressed more than 2x over \
+                 baseline {base_ratio:.2}"
+            );
+            failed = true;
         }
         if failed {
             std::process::exit(1);

@@ -79,12 +79,16 @@ pub struct SEdge {
 }
 
 /// One path of the flat store: where its tasks and guards sit in the
-/// graph's shared buffers, its minterm group and its nominal delay.
+/// graph's shared buffers, its minterm group, its guard sequence and its
+/// nominal delay.
 #[derive(Debug, Clone, Copy)]
 struct PathRec {
     tasks: (u32, u32),
     guards: (u32, u32),
     group: u32,
+    /// Id of the path's guard-literal sequence among the graph's distinct
+    /// ones (see [`ScheduledGraph::guard_suffixes`]).
+    seq: u32,
     delay: f64,
 }
 
@@ -184,8 +188,9 @@ impl std::fmt::Debug for SPath<'_> {
 
 /// The scheduled graph plus its enumerated paths, stored flat: every
 /// path's tasks and guards live in two shared buffers addressed by the
-/// per-path records, and paths with content-equal condition masks share
-/// one minterm group holding the mask and its probability.
+/// per-path records, paths with content-equal condition masks share
+/// one minterm group holding the mask and its probability, and paths
+/// with equal guard-literal sequences share one interned sequence.
 #[derive(Debug, Clone)]
 pub struct ScheduledGraph {
     edges: Vec<SEdge>,
@@ -199,15 +204,21 @@ pub struct ScheduledGraph {
     /// path order): its condition mask and that mask's probability.
     group_masks: Vec<ScenarioMask>,
     group_prob: Vec<f64>,
+    /// The distinct guard-literal sequences (ids in first-occurrence order
+    /// over the canonical path order): `seqs[j]` delimits sequence `j` in
+    /// `seq_lits`.
+    seq_lits: Vec<Literal>,
+    seqs: Vec<(u32, u32)>,
     /// The stretcher's per-task layout: for every task, the `(path index,
     /// suffix slot)` members of each minterm group spanning it, stored
     /// contiguously — groups in first-occurrence order over the ascending
     /// spanning paths, members ascending by path index within a group.
     /// `span_off` delimits each task's members, `runs` each (task, group)
     /// pair's members and `run_off` each task's runs. A member's slot
-    /// names the guards decided at or after the task's position on the
-    /// path, `guards[k..]`, as the path's first task-buffer index plus `k`
-    /// (see [`ScheduledGraph::guard_suffixes`]).
+    /// names the literals of the guards decided at or after the task's
+    /// position on the path, `guards[k..]`, as the first slot of the
+    /// path's guard sequence plus `k` (see
+    /// [`ScheduledGraph::guard_suffixes`]).
     members: Vec<(u32, u32)>,
     span_off: Vec<u32>,
     runs: Vec<(u32, u32)>,
@@ -332,6 +343,8 @@ impl ScheduledGraph {
             tasks,
             guards,
             group_masks,
+            seq_lits,
+            seqs,
             ..
         } = store;
 
@@ -408,10 +421,11 @@ impl ScheduledGraph {
             // Every guard names the source of its CTG edge, so fork
             // positions rise strictly along the path and the guards decided
             // at or after a position are a suffix `guards[k..]`, with
-            // `k <= guards.len() < path length`: slot `tasks.0 + k` stays
-            // inside the path's own task range.
+            // `k <= guards.len()`: slot `first + k` stays inside the
+            // `len + 1` slots of the path's guard sequence.
             let guards = &guards[p.guards.0 as usize..p.guards.1 as usize];
             debug_assert!(guards.windows(2).all(|w| w[0].0 < w[1].0));
+            let first = seqs[p.seq as usize].0 + p.seq;
             let mut k = 0;
             for (pos, t) in tasks[p.tasks.0 as usize..p.tasks.1 as usize]
                 .iter()
@@ -421,7 +435,7 @@ impl ScheduledGraph {
                     k += 1;
                 }
                 let c = &mut fill[run_of[t.index()] as usize];
-                members[*c as usize] = (i as u32, p.tasks.0 + k as u32);
+                members[*c as usize] = (i as u32, first + k as u32);
                 *c += 1;
             }
         }
@@ -433,6 +447,8 @@ impl ScheduledGraph {
             guards,
             group_masks,
             group_prob,
+            seq_lits,
+            seqs,
             members,
             span_off,
             runs,
@@ -468,21 +484,21 @@ impl ScheduledGraph {
         &self.members
     }
 
-    /// Number of suffix slots a member may name: one per task-buffer entry.
+    /// Number of suffix slots a member may name: `len + 1` per distinct
+    /// guard-literal sequence.
     pub(crate) fn suffix_slots(&self) -> usize {
-        self.tasks.len()
+        self.seq_lits.len() + self.seqs.len()
     }
 
-    /// Per path, in canonical order: its first suffix slot and its guards.
-    /// Slot `first + k` stands for the suffix `guards[k..]`, for every `k`
-    /// in `0..=guards.len()`.
-    pub(crate) fn guard_suffixes(&self) -> impl Iterator<Item = (usize, &[(u32, Literal)])> {
-        self.paths.iter().map(move |p| {
-            (
-                p.tasks.0 as usize,
-                &self.guards[p.guards.0 as usize..p.guards.1 as usize],
-            )
-        })
+    /// Per distinct guard-literal sequence, in first-occurrence order: its
+    /// first suffix slot and its literals. Slot `first + k` stands for the
+    /// suffix `lits[k..]`, for every `k` in `0..=lits.len()`; the slots of
+    /// one sequence follow those of the previous one.
+    pub(crate) fn guard_suffixes(&self) -> impl Iterator<Item = (usize, &[Literal])> {
+        self.seqs
+            .iter()
+            .enumerate()
+            .map(move |(j, &(s, e))| (s as usize + j, &self.seq_lits[s as usize..e as usize]))
     }
 
     /// `task`'s members: one per path spanning it, grouped as
@@ -768,9 +784,11 @@ struct OutEdge<'a> {
 }
 
 /// Paths as one enumeration emits them, in canonical order: records into
-/// the store's own task and guard buffers, and the minterm groups interned
-/// as the paths arrive — a path's group is the first-occurrence id of its
-/// condition mask, and `group_masks` holds each distinct mask once.
+/// the store's own task and guard buffers, and the minterm groups and
+/// guard sequences interned as the paths arrive — a path's group is the
+/// first-occurrence id of its condition mask, and `group_masks` holds each
+/// distinct mask once; likewise its sequence id and `seq_lits`/`seqs` for
+/// its guards' literals (fork positions dropped).
 #[derive(Default)]
 struct PathStore {
     paths: Vec<PathRec>,
@@ -778,12 +796,18 @@ struct PathStore {
     guards: Vec<(u32, Literal)>,
     group_masks: Vec<ScenarioMask>,
     by_cond: HashMap<Vec<u64>, u32, BuildFnv>,
+    seq_lits: Vec<Literal>,
+    seqs: Vec<(u32, u32)>,
+    by_seq: HashMap<Vec<Literal>, u32, BuildFnv>,
+    /// The emitted path's literals, the key `by_seq` is probed with.
+    lits: Vec<Literal>,
 }
 
 impl PathStore {
-    /// Emits one path, joining the group of its condition mask (or opening
-    /// a new one). Most paths share the previous path's group, which is
-    /// checked before the map.
+    /// Emits one path, joining the group of its condition mask and the
+    /// sequence of its guard literals (or opening new ones). Most paths
+    /// share the previous path's group and sequence, which are checked
+    /// before the maps.
     fn push(
         &mut self,
         tasks: &[TaskId],
@@ -804,6 +828,26 @@ impl PathStore {
                 g
             }
         };
+        self.lits.clear();
+        self.lits.extend(guards.iter().map(|&(_, lit)| lit));
+        let last = self.paths.last().map(|p| p.seq);
+        let seq = match last
+            .filter(|&j| {
+                let (s, e) = self.seqs[j as usize];
+                self.seq_lits[s as usize..e as usize] == self.lits[..]
+            })
+            .or_else(|| self.by_seq.get(&self.lits[..]).copied())
+        {
+            Some(j) => j,
+            None => {
+                let j = self.seqs.len() as u32;
+                self.by_seq.insert(self.lits.clone(), j);
+                let s = self.seq_lits.len() as u32;
+                self.seq_lits.extend_from_slice(&self.lits);
+                self.seqs.push((s, self.seq_lits.len() as u32));
+                j
+            }
+        };
         let (t0, g0) = (self.tasks.len() as u32, self.guards.len() as u32);
         self.tasks.extend_from_slice(tasks);
         self.guards.extend_from_slice(guards);
@@ -811,6 +855,7 @@ impl PathStore {
             tasks: (t0, self.tasks.len() as u32),
             guards: (g0, self.guards.len() as u32),
             group,
+            seq,
             delay,
         });
     }
@@ -1081,6 +1126,8 @@ mod tests {
             assert_eq!(p.prob().to_bits(), q.prob().to_bits(), "{label}: prob");
         }
         assert_eq!(a.group_masks, b.group_masks, "{label}: group masks");
+        assert_eq!(a.seq_lits, b.seq_lits, "{label}: guard sequences");
+        assert_eq!(a.seqs, b.seqs, "{label}: guard sequence ranges");
         assert_eq!(a.members, b.members, "{label}: members");
         assert_eq!(a.span_off, b.span_off, "{label}: member ranges");
         assert_eq!(a.runs, b.runs, "{label}: runs");

@@ -1,22 +1,36 @@
 //! The online task-stretching heuristic (paper §III.A, Figure 2).
 //!
-//! After DLS fixes mapping and order, each task is stretched once, in
-//! scheduling order:
+//! After DLS fixes mapping and order, the tasks are stretched in
+//! scheduling order, over [`StretchConfig::sweeps`] sweeps (two by
+//! default, one in the paper):
 //!
-//! 1. enumerate all paths of the scheduled graph (BFS/DFS) with delay, slack
-//!    and per-path condition;
+//! 1. the scheduled graph's paths are enumerated depth-first with their
+//!    delay and per-path condition (see [`ScheduledGraph`]);
 //! 2. for each task `τ`, `CalculateSlack(τ)` finds, per minterm group of the
 //!    paths spanning `τ`, the critical path with the lowest distributable
 //!    slack ratio `slk(p)/delay(p)`; the slack granted to `τ` is a
 //!    probability-weighted combination, additionally weighted by the
 //!    activation probability `prob(τ)` — *tasks that are more likely to run
 //!    receive more slack*;
-//! 3. the task is stretched by its slack, its speed locked, and the delay and
-//!    slack of every path spanning it updated before the next task is
-//!    processed.
+//! 3. the grant is capped so that every spanning path still meets the
+//!    deadline, which keeps the worst case schedulable; the task is
+//!    stretched by it and the delay and slack of every spanning path
+//!    updated before the next task is processed. A later sweep grants
+//!    each task a share of the slack the earlier ones left, and the sweeps
+//!    stop early once one grants almost nothing.
 //!
-//! The per-task slack is finally capped so that every spanning path still
-//! meets the deadline, which keeps the worst case schedulable.
+//! Two shortcuts keep a call cheap without moving a bit:
+//!
+//! * **The saturation skip.** A path whose remaining slack `D − delay` is
+//!   at most the grant threshold is *saturated*: the deadline cap of every
+//!   task on it is then at most the threshold, so the grant is discarded.
+//!   Delays only grow within a call, so a path stays saturated; the sweeps
+//!   flag its tasks when it first saturates and never scan them again.
+//! * **One price per guard sequence.** `prob(p, τ)` is the product of the
+//!   literals of the guards decided at or after `τ` on `p`, a suffix of
+//!   the path's guard-literal sequence. The graph interns those sequences
+//!   (an MPEG graph has about a thousand paths but a few dozen distinct
+//!   sequences), and every suffix is priced once per call.
 
 use crate::context::SchedContext;
 use crate::error::SchedError;
@@ -76,6 +90,13 @@ impl StretchConfig {
 }
 
 const PROB_ONE_EPS: f64 = 1e-9;
+
+/// The sweeps discard a grant at or below this, and a path whose
+/// remaining slack `D − delay` is at or below it is saturated: the
+/// deadline cap of every task on it is then at most this, so none of them
+/// can be granted anything. One constant for both tests — a looser
+/// saturation threshold would skip real grants.
+const GRANT_EPS: f64 = 1e-12;
 
 /// Runs the stretching heuristic on a committed schedule.
 ///
@@ -157,7 +178,7 @@ fn stretch_with_seed(
     match ScheduledGraph::build(ctx, schedule, probs, cfg.path_cap) {
         Some(graph) => {
             let mut scratch = StretchScratch::default();
-            stretch_on_graph(ctx, probs, schedule, cfg, &graph, seed, &mut scratch)
+            stretch_on_graph(ctx, probs, schedule, cfg, &graph, seed, &mut scratch).0
         }
         None => critical_path_fallback(ctx, probs, schedule, cfg),
     }
@@ -194,11 +215,12 @@ pub(crate) struct StretchScratch {
     /// — the same operands, so the same bits.
     ratios: Vec<f64>,
     task_probs: Vec<f64>,
-    /// `prob(p, τ)` per guard suffix, indexed by the suffix slots that
-    /// [`ScheduledGraph::members`] name. The guards decided at or after
-    /// `τ`'s position form a suffix of the path's guards, and many members
-    /// share one, so each suffix is priced once per call, before the
-    /// sweeps: the same left-to-right product from 1.0 that
+    /// `prob(p, τ)` per suffix slot of the graph's distinct guard-literal
+    /// sequences, indexed by the slots that [`ScheduledGraph::members`]
+    /// name. The guards decided at or after `τ`'s position form a suffix
+    /// of the path's guards, and paths with equal literal sequences share
+    /// their suffixes, so each is priced once per call, before the sweeps:
+    /// the same left-to-right product from 1.0 over the same literals that
     /// [`SPath::prob_after`](crate::SPath::prob_after) takes, so the same
     /// bits.
     prob_after: Vec<f64>,
@@ -210,6 +232,11 @@ pub(crate) struct StretchScratch {
     /// Per-scenario probabilities under the current table, in enumeration
     /// order.
     scenario_probs: Vec<f64>,
+    /// Per task: whether a saturated path spans it, so the sweeps skip it.
+    blocked: Vec<bool>,
+    /// Task visits the last call skipped as blocked.
+    #[cfg(test)]
+    blocked_visits: usize,
 }
 
 /// `probs.prob(lit.branch(), lit.alt())` through the flat scratch lookup —
@@ -233,7 +260,12 @@ fn lit_prob(lit_base: &[usize], lit_flat: &[f64], lit: &Literal) -> f64 {
 /// the same values in the same order, with the delay updates applied to the
 /// scratch buffer instead of the paths. A seed pre-applies a previous
 /// assignment's stretch before the sweeps run (see
-/// [`stretch_schedule_seeded`]).
+/// [`stretch_schedule_seeded`]). Tasks on a saturated path are skipped
+/// without a scan, which the grant they skip could not change (see the
+/// module doc).
+///
+/// Returns the speeds and the number of members the slack scans read (the
+/// [`Stage::Stretch`](ctg_obs::Stage::Stretch) span's arg).
 pub(crate) fn stretch_on_graph(
     ctx: &SchedContext,
     probs: &BranchProbs,
@@ -242,7 +274,7 @@ pub(crate) fn stretch_on_graph(
     graph: &ScheduledGraph,
     seed: Option<&SpeedAssignment>,
     scratch: &mut StretchScratch,
-) -> SpeedAssignment {
+) -> (SpeedAssignment, u64) {
     let deadline = ctx.ctg().deadline();
     let profile = ctx.platform().profile();
     let n = ctx.ctg().num_tasks();
@@ -284,11 +316,11 @@ pub(crate) fn stretch_on_graph(
     scratch.delays.extend(graph.paths().map(|p| p.delay()));
     scratch.prob_after.clear();
     scratch.prob_after.resize(graph.suffix_slots(), 0.0);
-    for (first, guards) in graph.guard_suffixes() {
-        for k in 0..=guards.len() {
-            scratch.prob_after[first + k] = guards[k..]
+    for (first, lits) in graph.guard_suffixes() {
+        for k in 0..=lits.len() {
+            scratch.prob_after[first + k] = lits[k..]
                 .iter()
-                .map(|(_, lit)| lit_prob(&scratch.lit_base, &scratch.lit_flat, lit))
+                .map(|lit| lit_prob(&scratch.lit_base, &scratch.lit_flat, lit))
                 .product();
         }
     }
@@ -318,6 +350,22 @@ pub(crate) fn stretch_on_graph(
     scratch
         .ratios
         .extend(scratch.delays.iter().map(|&d| path_ratio(d)));
+    // Delays only grow within a call and `D − d` is monotone in `d`, so a
+    // saturated path stays saturated. Each path is flagged when it first
+    // saturates — here, or below in the grant that saturates it (its tasks
+    // are never granted again, so its delay never changes again).
+    scratch.blocked.clear();
+    scratch.blocked.resize(n, false);
+    for (i, &d) in scratch.delays.iter().enumerate() {
+        if deadline - d <= GRANT_EPS {
+            block_path(graph, i, &mut scratch.blocked);
+        }
+    }
+    let mut members_read = 0;
+    #[cfg(test)]
+    {
+        scratch.blocked_visits = 0;
+    }
 
     for _sweep in 0..cfg.sweeps.clamp(1, MAX_SWEEPS) {
         let mut granted_total = 0.0;
@@ -332,6 +380,17 @@ pub(crate) fn stretch_on_graph(
                 // either way; leave it at nominal speed.
                 continue;
             }
+            if scratch.blocked[t.index()] {
+                // Its deadline cap is at most `GRANT_EPS`, so the grant
+                // below would be discarded: skipping the scan changes no
+                // state.
+                #[cfg(test)]
+                {
+                    scratch.blocked_visits += 1;
+                }
+                continue;
+            }
+            members_read += graph.span(t).len() as u64;
             let slack = calculate_slack(
                 graph,
                 t,
@@ -345,7 +404,7 @@ pub(crate) fn stretch_on_graph(
             // Respect the speed floor over the *accumulated* extension.
             let max_total = wcet * (1.0 / cfg.min_speed - 1.0);
             let slack = slack.min(max_total - scratch.extra[t.index()]).max(0.0);
-            if slack <= 1e-12 {
+            if slack <= GRANT_EPS {
                 continue;
             }
             scratch.extra[t.index()] += slack;
@@ -356,6 +415,9 @@ pub(crate) fn stretch_on_graph(
                 let i = i as usize;
                 scratch.delays[i] += slack;
                 scratch.ratios[i] = path_ratio(scratch.delays[i]);
+                if deadline - scratch.delays[i] <= GRANT_EPS {
+                    block_path(graph, i, &mut scratch.blocked);
+                }
             }
         }
         if granted_total <= 1e-9 * deadline {
@@ -370,7 +432,14 @@ pub(crate) fn stretch_on_graph(
             speeds.set(t, wcet / (wcet + scratch.extra[t.index()]));
         }
     }
-    speeds
+    (speeds, members_read)
+}
+
+/// Flags every task on path `i` as blocked.
+fn block_path(graph: &ScheduledGraph, i: usize, blocked: &mut [bool]) {
+    for t in graph.path(i).tasks() {
+        blocked[t.index()] = true;
+    }
 }
 
 /// The paper's `CalculateSlack(τ)` routine.
@@ -747,7 +816,9 @@ mod tests {
 
     /// Every member's priced suffix is the `prob(p, τ)` the public path
     /// view computes, bit for bit — the reference stretcher only sees
-    /// these values through the final speeds.
+    /// these values through the final speeds — and each distinct guard
+    /// sequence is priced once: the priced sequences are pairwise
+    /// distinct, and MPEG's table has fewer slots than paths.
     #[test]
     fn priced_suffixes_match_prob_after() {
         let (ex_ctx, _, _) = example1_context();
@@ -781,7 +852,46 @@ mod tests {
                 }
             }
             assert!(pending > 0, "{name}: some member must have pending guards");
+            let seqs: Vec<(usize, &[Literal])> = graph.guard_suffixes().collect();
+            let mut next = 0;
+            for (j, &(first, lits)) in seqs.iter().enumerate() {
+                assert_eq!(first, next, "{name}: slots of sequence {j}");
+                next += lits.len() + 1;
+                assert!(
+                    seqs[..j].iter().all(|&(_, other)| other != lits),
+                    "{name}: sequence {j} is priced twice"
+                );
+            }
+            assert_eq!(next, graph.suffix_slots(), "{name}: slot count");
+            if name == "mpeg" {
+                assert!(
+                    graph.suffix_slots() < graph.paths().len(),
+                    "mpeg: {} slots for {} paths",
+                    graph.suffix_slots(),
+                    graph.paths().len()
+                );
+            }
         }
+    }
+
+    /// The sweeps skip tasks behind a saturated path on MPEG: the skip is
+    /// exercised, so `tests/stretch_reference.rs` pins it rather than the
+    /// scan it replaces.
+    #[test]
+    fn saturated_paths_block_tasks_on_mpeg() {
+        let (ctx, uniform) = crate::test_util::mpeg_context();
+        let mut blocked = 0;
+        for probs in [uniform, skewed_probs(ctx.ctg())] {
+            let sched = dls_schedule(&ctx, &probs).unwrap();
+            let graph = ScheduledGraph::build(&ctx, &sched, &probs, DEFAULT_PATH_CAP).unwrap();
+            let mut scratch = StretchScratch::default();
+            let cfg = StretchConfig::default();
+            let (_, read) =
+                stretch_on_graph(&ctx, &probs, &sched, &cfg, &graph, None, &mut scratch);
+            assert!(read > 0);
+            blocked += scratch.blocked_visits;
+        }
+        assert!(blocked > 0, "no MPEG stretch skipped a blocked task");
     }
 
     #[test]

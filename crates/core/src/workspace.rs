@@ -394,12 +394,12 @@ impl SolverWorkspace {
             // function of (mapping, cap)).
             meter.charge(self.graphs[i].enum_units)?;
             self.stats.graph_reuses += 1;
-            obs.instant(track, Stage::PoolHit, 1);
+            obs.instant(track, Stage::PoolHit, self.graphs.len() as i64);
             self.graph_clock += 1;
             let stretch_span = obs.span(track, Stage::Stretch);
             let entry = &mut self.graphs[i];
             entry.stamp = self.graph_clock;
-            let speeds = match entry.graph.as_mut() {
+            let (speeds, read) = match entry.graph.as_mut() {
                 Some(g) => {
                     if entry.probs != *probs {
                         g.reweight(ctx, probs);
@@ -407,9 +407,9 @@ impl SolverWorkspace {
                     }
                     stretch_on_graph(ctx, probs, schedule, cfg, g, None, &mut self.scratch)
                 }
-                None => critical_path_fallback(ctx, probs, schedule, cfg),
+                None => (critical_path_fallback(ctx, probs, schedule, cfg), 0),
             };
-            stretch_span.end(1);
+            stretch_span.end(read as i64);
             return Ok((speeds, SOLVE_VIA_POOL));
         }
 
@@ -422,11 +422,11 @@ impl SolverWorkspace {
         // (and the critical-path fallback runs).
         enum_span.end(i64::from(built.is_some()));
         let stretch_span = obs.span(track, Stage::Stretch);
-        let speeds = match &built {
+        let (speeds, read) = match &built {
             Some(g) => stretch_on_graph(ctx, probs, schedule, cfg, g, None, &mut self.scratch),
-            None => critical_path_fallback(ctx, probs, schedule, cfg),
+            None => (critical_path_fallback(ctx, probs, schedule, cfg), 0),
         };
-        stretch_span.end(0);
+        stretch_span.end(read as i64);
         if self.graphs.len() == GRAPH_POOL_CAP {
             let victim = self
                 .graphs

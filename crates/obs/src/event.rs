@@ -24,7 +24,8 @@ pub enum Stage {
     /// A solve served a pooled scheduled graph instead of enumerating
     /// (`arg` = pooled entries).
     PoolHit,
-    /// Slack-distribution speed selection inside a solve.
+    /// Slack-distribution speed selection inside a solve (`arg` = path
+    /// members the slack scans read, 0 for the critical-path fallback).
     Stretch,
     /// The manager's windowed estimate crossed its drift threshold
     /// (`arg` = instances observed so far).

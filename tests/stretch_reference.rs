@@ -3,15 +3,19 @@
 //!
 //! The library stretches over the scheduled graph's flat per-task layout:
 //! each task's spanning paths grouped by minterm, `prob(p, τ)` priced once
-//! per guard suffix (members with the same pending guards share it), slack
-//! ratios cached per path, and each group scanned once. The reference below
-//! derives the same quantities the obvious way — spanning paths by
-//! [`SPath::spans`], groups by [`SPath::cond`] equality in first-occurrence
-//! order, [`SPath::prob_after`], [`SchedContext::task_prob`], the slack
-//! ratio `(D − d) / d` and the last of equal minima — and every speed must
-//! match bit for bit: cold and seeded, under the default, single-pass and
-//! exhaustive configurations, on DLS, HEFT and lookahead plans, and
-//! through a warm [`SolverWorkspace`].
+//! per suffix of each distinct guard-literal sequence (paths with the same
+//! pending literals share the price), slack ratios cached per path, each
+//! group scanned once, and every task on a saturated path (one at most
+//! the grant threshold from the deadline) skipped without a scan. The
+//! reference below derives the same quantities the obvious way — spanning
+//! paths by [`SPath::spans`], groups by [`SPath::cond`] equality in
+//! first-occurrence order, [`SPath::prob_after`],
+//! [`SchedContext::task_prob`], the slack ratio `(D − d) / d` and the last
+//! of equal minima — scans every task, and every speed must match bit for
+//! bit: cold and seeded, under the default, single-pass and exhaustive
+//! configurations, on DLS, HEFT and lookahead plans, through a warm
+//! [`SolverWorkspace`], and at the skip's edges (deadlines a hair above
+//! the critical delay, and seeds that start at the deadline).
 
 use adaptive_dvfs::ctg::{BranchProbs, Ctg, CtgBuilder, TaskId};
 use adaptive_dvfs::platform::Platform;
@@ -343,4 +347,128 @@ fn stretching_matches_the_plain_fig2_reference_bit_for_bit() {
         "no plan had a scheduled graph with several roots"
     );
     assert!(checked > 600, "only {checked} assignments checked");
+}
+
+/// Each path's delay once `seed`'s extensions are applied, added in the
+/// order [`reference_speeds`] adds them (ascending task).
+fn seeded_delays(
+    ctx: &SchedContext,
+    schedule: &Schedule,
+    graph: &ScheduledGraph,
+    seed: &SpeedAssignment,
+) -> Vec<f64> {
+    let profile = ctx.platform().profile();
+    let mut delay: Vec<f64> = graph.paths().map(|p| p.delay()).collect();
+    for t in ctx.ctg().tasks() {
+        let s = seed.speed(t);
+        if s < 1.0 {
+            let extra = profile.wcet(t.index(), schedule.pe_of(t)) * (1.0 / s - 1.0);
+            for (i, p) in graph.paths().enumerate() {
+                if p.spans(t) {
+                    delay[i] += extra;
+                }
+            }
+        }
+    }
+    delay
+}
+
+/// The stretcher skips every task on a saturated path, one whose
+/// remaining slack `D − delay` is at most the sweeps' grant threshold of
+/// 1e-12. The skip is checked at its edges on the DLS, HEFT and lookahead
+/// plans of MPEG, cruise and a Table 1 graph:
+///
+/// - against a deadline of the plan's critical delay plus δ. At δ = 0 and
+///   5e-13 the critical path starts saturated; at 5e-10 it does not, and
+///   its first task still takes the last 5e-10 (a looser saturation
+///   threshold such as 1e-9 would skip that grant). Rounding at the
+///   deadline's magnitude can move the realised slack, so it is asserted;
+/// - seeded with the plan's own exhaustive speeds, a fixed point whose
+///   critical paths sit at the deadline before the sweeps start.
+///
+/// Every speed must match the reference bit for bit.
+#[test]
+fn the_saturation_skip_is_exact_at_the_deadline() {
+    const GRANT_EPS: f64 = 1e-12;
+    let configs = [
+        ("default", StretchConfig::default()),
+        ("single-pass", StretchConfig::single_pass()),
+        ("exhaustive", StretchConfig::exhaustive()),
+    ];
+    let mpeg_ctg = mpeg::mpeg_ctg();
+    let mpeg_platform = mpeg::mpeg_platform(&mpeg_ctg);
+    let cruise_ctg = cruise::cruise_ctg();
+    let cruise_platform = cruise::cruise_platform(&cruise_ctg);
+    let table1 = table1_cases()
+        .into_iter()
+        .next()
+        .expect("Table 1 has graphs");
+    let contexts = [
+        calibrated(mpeg_ctg, mpeg_platform),
+        calibrated(cruise_ctg, cruise_platform),
+        tgff_context(table1),
+    ];
+    let mut rng = Rng64::seed_from_u64(0x0B10_C4ED);
+    let (mut checked, mut seeded_saturated) = (0, 0);
+    for ctx in &contexts {
+        let name = ctx.ctg().name();
+        let probs = arb_table(ctx.ctg(), &mut rng);
+        for kind in [
+            SchedulerKind::Dls,
+            SchedulerKind::Heft,
+            SchedulerKind::Lookahead,
+        ] {
+            let plan = kind
+                .solve(ctx, &probs)
+                .expect("calibrated deadlines are met");
+            let schedule = &plan.schedule;
+            let graph = ScheduledGraph::build(ctx, schedule, &probs, usize::MAX)
+                .expect("an uncapped build always enumerates");
+            let critical = graph.critical_delay();
+            for delta in [0.0, 5e-13, 5e-10] {
+                let deadline = critical + delta;
+                let slack = deadline - critical;
+                if delta < GRANT_EPS {
+                    assert!(
+                        slack <= GRANT_EPS,
+                        "{name} {kind}: δ {delta} leaves {slack}"
+                    );
+                } else {
+                    assert!(
+                        slack > GRANT_EPS && slack < 1e-9,
+                        "{name} {kind}: δ {delta} leaves {slack}"
+                    );
+                }
+                let tight =
+                    SchedContext::new(ctx.ctg().with_deadline(deadline), ctx.platform().clone())
+                        .unwrap();
+                for (label, cfg) in &configs {
+                    let at = format!("{name} {kind} δ {delta} {label}");
+                    let want = reference_speeds(&tight, &probs, schedule, cfg, None);
+                    let got = stretch_schedule(&tight, &probs, schedule, cfg).unwrap();
+                    assert_same_bits(&tight, &want, &got, &at);
+                    checked += 1;
+                }
+            }
+            let fixed =
+                stretch_schedule(ctx, &probs, schedule, &StretchConfig::exhaustive()).unwrap();
+            let deadline = ctx.ctg().deadline();
+            seeded_saturated += seeded_delays(ctx, schedule, &graph, &fixed)
+                .iter()
+                .filter(|&&d| deadline - d <= GRANT_EPS)
+                .count();
+            for (label, cfg) in &configs {
+                let at = format!("{name} {kind} seeded with its exhaustive speeds {label}");
+                let want = reference_speeds(ctx, &probs, schedule, cfg, Some(&fixed));
+                let got = stretch_schedule_seeded(ctx, &probs, schedule, cfg, &fixed).unwrap();
+                assert_same_bits(ctx, &want, &got, &at);
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        seeded_saturated > 0,
+        "no exhaustive seed put a path at the deadline"
+    );
+    assert_eq!(checked, 3 * 3 * 4 * configs.len());
 }
