@@ -36,8 +36,9 @@ echo "==> warm-start solver equivalence"
 cargo test -q --offline --test solver_equivalence
 
 echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm and portfolio"
-echo "    race p99 and the stretch / dls_map stage ratio must stay within 2x of the"
-echo "    committed BASELINE_solver.json snapshot)"
+echo "    race p99, the cold build + first stretch p99 and the stretch / dls_map"
+echo "    stage ratio must stay within 2x of the committed BASELINE_solver.json"
+echo "    snapshot)"
 cargo build -q --release --offline -p ctg-bench --bin solver
 ./target/release/solver --smoke --check-baseline BASELINE_solver.json
 test -s target/BENCH_solver_smoke.json

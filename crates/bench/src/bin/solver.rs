@@ -24,21 +24,24 @@
 //! `path_enum`, `stretch`) through the telemetry layer for the stage
 //! breakdown, and the members the stretches' slack scans read (the
 //! `stretch` spans' arg); the timed passes run with telemetry disabled.
-//! The `stretch_per_dls_map` row divides the pass's `stretch` stage mean
-//! by its `dls_map` stage mean: both are single-thread solver work on the
-//! same tables, so a slower host largely cancels out of it. The `build`
-//! row times one cold [`ScheduledGraph::build`] per distinct (assignment,
-//! per-PE order) mapping among the DLS, HEFT and lookahead plans of the
-//! harvested tables, the best of five passes each: the layer every pool
-//! miss pays, whichever race entry meets the mapping first. The portfolio
-//! pass races through one workspace shared by its entries, and the report
-//! prints that workspace's graph builds next to each entry's distinct
-//! mappings (informational, not gated).
+//! The pass also counts the per-task stretcher layouts its stretches laid
+//! out, per graph build and per pool hit. The `stretch_per_dls_map` row
+//! divides the pass's `stretch` stage mean by its `dls_map` stage mean:
+//! both are single-thread solver work on the same tables, so a slower host
+//! largely cancels out of it. The `build` row times, per distinct
+//! (assignment, per-PE order) mapping among the DLS, HEFT and lookahead
+//! plans of the harvested tables, one cold [`ScheduledGraph::build`] plus
+//! one default stretch on the fresh graph (through [`stretch_schedule`]),
+//! the best of five passes each: what every pool miss pays, whichever
+//! race entry meets the mapping first, the per-task layouts included. The
+//! portfolio pass races through one workspace shared by its entries, and
+//! the report prints that workspace's graph builds next to each entry's
+//! distinct mappings (informational, not gated).
 //!
 //! Pass `--smoke` for a seconds-scale run (CI) — numbers then land in
 //! `target/BENCH_solver_smoke.json` instead of `BENCH_solver.json`. Pass
 //! `--check-baseline <path>` to compare against a committed artifact: the
-//! run fails if its warm p99, its portfolio-race p99 or its
+//! run fails if its warm p99, its portfolio-race p99, its build p99 or its
 //! `stretch_per_dls_map` ratio regresses more than 2x over the
 //! baseline's.
 
@@ -50,8 +53,9 @@ use ctg_bench::setup::{prepare_mpeg, profile_trace};
 use ctg_model::BranchProbs;
 use ctg_obs::{BufferedSink, EventKind, Obs, Stage};
 use ctg_sched::{
-    race_portfolio, AdaptiveScheduler, OnlineScheduler, SchedContext, Schedule, ScheduledGraph,
-    SchedulerKind, Solution, SolverWorkspace, DEFAULT_PATH_CAP, DEFAULT_PORTFOLIO,
+    race_portfolio, stretch_schedule, AdaptiveScheduler, OnlineScheduler, SchedContext, Schedule,
+    ScheduledGraph, SchedulerKind, Solution, SolverWorkspace, StretchConfig, DEFAULT_PATH_CAP,
+    DEFAULT_PORTFOLIO,
 };
 use ctg_workloads::traces;
 
@@ -146,8 +150,8 @@ fn distinct_counts(ctx: &SchedContext, solutions: &[Solution]) -> (usize, usize)
     (schedules.len(), mappings.len())
 }
 
-/// Pulls `"p99_us"` out of the `row` object (`"warm"`, `"portfolio"`) of a
-/// bench artifact.
+/// Pulls `"p99_us"` out of the `row` object (`"warm"`, `"portfolio"`,
+/// `"build"`) of a bench artifact.
 fn baseline_p99(json: &str, row: &str) -> Option<f64> {
     let obj = json.split(&format!("\"{row}\"")).nth(1)?;
     number_after(obj, "p99_us")
@@ -265,8 +269,9 @@ fn main() {
         dls_solutions = cold_solutions;
     }
 
-    // ---- Cold graph builds: one per distinct mapping of the DLS, HEFT
-    // and lookahead plans, each with the table it was solved for. ----
+    // ---- Cold graph builds, each with its first stretch: one per
+    // distinct mapping of the DLS, HEFT and lookahead plans, each with the
+    // table it was solved for. ----
     let mut seen = HashSet::new();
     let mut entry_mappings: [HashSet<Mapping>; 3] = Default::default();
     let mut builds: Vec<(Schedule, &BranchProbs)> = Vec::new();
@@ -279,17 +284,22 @@ fn main() {
             let m = mapping(&ctx, &s);
             entry.insert(m.clone());
             if seen.insert(m) {
+                assert!(
+                    ScheduledGraph::build(&ctx, &s, probs, DEFAULT_PATH_CAP).is_some(),
+                    "MPEG graphs fit the default path cap"
+                );
                 builds.push((s, probs));
             }
         }
     }
+    let stretch_cfg = StretchConfig::default();
     let mut build_samples = vec![f64::INFINITY; builds.len()];
     for _ in 0..BUILD_PASSES {
         for ((s, probs), best) in builds.iter().zip(&mut build_samples) {
             let t0 = Instant::now();
-            let graph = ScheduledGraph::build(&ctx, s, probs, DEFAULT_PATH_CAP);
+            let speeds = stretch_schedule(&ctx, probs, s, &stretch_cfg).expect("cold stretch");
             *best = best.min(t0.elapsed().as_secs_f64());
-            assert!(graph.is_some(), "MPEG graphs fit the default path cap");
+            std::hint::black_box(speeds);
         }
     }
     let build = summarize(build_samples);
@@ -330,6 +340,10 @@ fn main() {
     let stage_enum = stage_lat(Stage::PathEnum);
     let stage_stretch = stage_lat(Stage::Stretch);
     let stretch_per_dls_map = stage_stretch.mean_us / stage_dls.mean_us;
+    let layouts = ws.stats();
+    let per = |count: usize, of: usize| count as f64 / of.max(1) as f64;
+    let layouts_per_build = per(layouts.build_layouts, layouts.graph_rebuilds);
+    let layouts_per_hit = per(layouts.hit_layouts, layouts.graph_reuses);
 
     // ---- Report. ----
     println!(
@@ -360,6 +374,11 @@ fn main() {
         stretch_per_dls_map
     );
     println!(
+        "task layouts (instrumented warm pass): {layouts_per_build:.1} per graph build (x{}), \
+         {layouts_per_hit:.2} per pool hit (x{})",
+        layouts.graph_rebuilds, layouts.graph_reuses
+    );
+    println!(
         "warm workspace: {} solves, {} full level builds, {} dirty updates ({} levels \
          recomputed), {} graph reuses / {} rebuilds (the cold solutions hold {} distinct \
          schedules over {} distinct (assignment, per-PE order) pairs)",
@@ -373,8 +392,9 @@ fn main() {
         distinct.1
     );
     println!(
-        "cold graph build ({} distinct mappings of the dls, heft and lookahead plans, best \
-         of {BUILD_PASSES} passes): p50 {:.1} us   p99 {:.1} us   mean {:.1} us",
+        "cold graph build + first stretch ({} distinct mappings of the dls, heft and \
+         lookahead plans, best of {BUILD_PASSES} passes): p50 {:.1} us   p99 {:.1} us   mean \
+         {:.1} us",
         builds.len(),
         build.p50_us,
         build.p99_us,
@@ -443,6 +463,10 @@ fn main() {
         "  \"stretch_per_dls_map\": {stretch_per_dls_map:.4},\n"
     ));
     json.push_str(&format!(
+        "  \"task_layouts\": {{\"per_build\": {layouts_per_build:.3}, \"per_pool_hit\": \
+         {layouts_per_hit:.3}}},\n"
+    ));
+    json.push_str(&format!(
         "  \"workspace\": {{\"solves\": {}, \"full_level_rebuilds\": {}, \
          \"dirty_level_updates\": {}, \"levels_recomputed\": {}, \"graph_reuses\": {}, \
          \"graph_rebuilds\": {}, \"rebinds\": {}, \"distinct_schedules\": {}, \
@@ -472,7 +496,7 @@ fn main() {
         let baseline =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
         let mut failed = false;
-        for (row, lat) in [("warm", &warm), ("portfolio", &race)] {
+        for (row, lat) in [("warm", &warm), ("portfolio", &race), ("build", &build)] {
             let base_p99 = baseline_p99(&baseline, row)
                 .unwrap_or_else(|| panic!("baseline {path} has no {row} p99"));
             println!(

@@ -1,7 +1,7 @@
 //! Shared scheduling context: graph, platform and cached analyses.
 
 use crate::error::SchedError;
-use ctg_model::{Activation, BranchProbs, Ctg, Dnf, ScenarioSet, TaskId};
+use ctg_model::{Activation, BranchProbs, Ctg, Dnf, Literal, ScenarioSet, TaskId};
 use mpsoc_platform::Platform;
 
 /// A set of runtime scenarios, stored as a bitmask over the context's
@@ -314,6 +314,10 @@ pub struct SchedContext {
     mutex: Vec<bool>, // row-major n×n mutual-exclusion matrix
     task_masks: Vec<ScenarioMask>,
     literal_masks: Vec<Vec<ScenarioMask>>, // [branch index][alt]
+    /// Per task: the first slot of its alternatives in the flat literal
+    /// table [`SchedContext::literal_probs_into`] fills, `u32::MAX` for a
+    /// task that is not a branch fork.
+    lit_slot: Vec<u32>,
     compiled: CompiledGraph,
 }
 
@@ -373,6 +377,12 @@ impl SchedContext {
                 }
             }
         }
+        let mut lit_slot = vec![u32::MAX; n];
+        let mut slots = 0u32;
+        for &b in ctg.branch_nodes() {
+            lit_slot[b.index()] = slots;
+            slots += u32::from(ctg.node(b).alternatives());
+        }
         let compiled = CompiledGraph::build(&ctg, &platform, &act);
         Ok(SchedContext {
             ctg,
@@ -382,6 +392,7 @@ impl SchedContext {
             mutex,
             task_masks,
             literal_masks,
+            lit_slot,
             compiled,
         })
     }
@@ -424,12 +435,52 @@ impl SchedContext {
     }
 
     /// Per-scenario probabilities under `probs`, in enumeration order.
+    ///
+    /// Each is its cube's left-to-right product from 1.0 over the stored
+    /// f64s `probs.prob` returns, as `Scenario::probability` takes it, so
+    /// the bits are the same; the literals are read from a flat table filled
+    /// once per call rather than through the table's B-tree once per use.
     pub fn scenario_probs(&self, probs: &BranchProbs) -> Vec<f64> {
-        self.scenarios
-            .scenarios()
-            .iter()
-            .map(|s| s.probability(probs))
-            .collect()
+        let mut lit_probs = Vec::new();
+        self.literal_probs_into(probs, &mut lit_probs);
+        let mut out = Vec::new();
+        self.scenario_probs_into(&lit_probs, &mut out);
+        out
+    }
+
+    /// Fills `out` with the flat literal table of `probs`: for every branch
+    /// fork `b`, slot `lit_slot[b] + alt` holds `probs.prob(b, alt)` for
+    /// each of its alternatives.
+    pub(crate) fn literal_probs_into(&self, probs: &BranchProbs, out: &mut Vec<f64>) {
+        out.clear();
+        for &b in self.ctg.branch_nodes() {
+            let d = probs.distribution(b).unwrap_or(&[]);
+            let alts = self.ctg.node(b).alternatives() as usize;
+            out.extend((0..alts).map(|alt| d.get(alt).copied().unwrap_or(0.0)));
+        }
+    }
+
+    /// `probs.prob(lit.branch(), lit.alt())` from the table
+    /// [`SchedContext::literal_probs_into`] filled. Every literal of a
+    /// scenario cube or of a scheduled-graph guard names an alternative of
+    /// a branch fork (the CTG numbers a fork's alternatives from 0 without
+    /// gaps), so it has a slot.
+    pub(crate) fn literal_prob(&self, lit_probs: &[f64], lit: Literal) -> f64 {
+        debug_assert!(lit.alt() < self.ctg.node(lit.branch()).alternatives());
+        lit_probs[self.lit_slot[lit.branch().index()] as usize + lit.alt() as usize]
+    }
+
+    /// [`SchedContext::scenario_probs`] into a reused buffer, from a
+    /// literal table [`SchedContext::literal_probs_into`] filled.
+    pub(crate) fn scenario_probs_into(&self, lit_probs: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.scenarios.scenarios().iter().map(|s| {
+            s.cube()
+                .literals()
+                .iter()
+                .map(|&lit| self.literal_prob(lit_probs, lit))
+                .product::<f64>()
+        }));
     }
 
     /// Total probability of a scenario mask given per-scenario

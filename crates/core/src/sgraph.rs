@@ -8,9 +8,17 @@
 //! union is transitively reduced and every source→sink path is enumerated
 //! with its delay, activation condition and probability — the data the
 //! paper's `CalculateSlack` routine consumes.
+//!
+//! `CalculateSlack` reads a task's spanning paths grouped by minterm. The
+//! walk emits the paths in canonical pre-order, so each walk node's subtree
+//! is one contiguous run of path indices; the build keeps those runs per
+//! task, and a task's grouped layout is laid out from them the first time
+//! a stretch scans the task ([`ScheduledGraph::lay_out`]), then kept with
+//! the graph. Tasks no stretch scans are never laid out.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::budget::WorkMeter;
 use crate::context::{ScenarioMask, SchedContext};
@@ -79,17 +87,70 @@ pub struct SEdge {
 }
 
 /// One path of the flat store: where its tasks and guards sit in the
-/// graph's shared buffers, its minterm group, its guard sequence and its
-/// nominal delay.
+/// graph's shared buffers, and its nominal delay.
 #[derive(Debug, Clone, Copy)]
 struct PathRec {
     tasks: (u32, u32),
     guards: (u32, u32),
-    group: u32,
-    /// Id of the path's guard-literal sequence among the graph's distinct
-    /// ones (see [`ScheduledGraph::guard_suffixes`]).
-    seq: u32,
     delay: f64,
+}
+
+/// The two things the stretcher's layout reads of a path, kept apart from
+/// its [`PathRec`] so a layout streams 8 bytes per path: its minterm group
+/// and the first suffix slot of its guard-literal sequence among the
+/// graph's distinct ones (see [`ScheduledGraph::guard_suffixes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PathKey {
+    group: u32,
+    slot: u32,
+}
+
+/// A run of one task's spanning paths from the enumeration walk: the
+/// canonical path indices `lo..hi` that a walk node of the task emitted in
+/// its subtree, which are exactly the paths through the node, and `k`, the
+/// guards the node's prefix decides (those on the edges up to and
+/// including the one into the node). Nodes of one task whose runs adjoin
+/// and whose `k` agree share one range.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct NodeRange {
+    lo: u32,
+    hi: u32,
+    k: u32,
+}
+
+impl NodeRange {
+    /// The canonical indices of the range's paths.
+    pub(crate) fn paths(&self) -> Range<usize> {
+        self.lo as usize..self.hi as usize
+    }
+}
+
+/// One task's stretcher layout, in one allocation: `cells[..runs]` are the
+/// `(start, end)` runs of its minterm groups into its members
+/// `cells[runs..]`, groups in first-occurrence order over its ascending
+/// spanning paths. A run's `(path index, suffix slot)` members ascend by
+/// path index. A member's slot names the literals of the guards decided at
+/// or after the task's position on the path, `guards[k..]`, as the first
+/// slot of the path's guard sequence plus `k` (see
+/// [`ScheduledGraph::guard_suffixes`]).
+#[derive(Debug, Clone)]
+struct TaskLayout {
+    runs: u32,
+    cells: Box<[LayoutCell]>,
+}
+
+/// A cell of a [`TaskLayout`]: a `(start, end)` run or a `(path index,
+/// suffix slot)` member.
+type LayoutCell = (u32, u32);
+
+/// Reusable buffers for [`ScheduledGraph::lay_out`]: each minterm group's
+/// run number in the task being laid out (`u32::MAX` between calls), and
+/// each run's group and member count.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LayoutScratch {
+    run_of: Vec<u32>,
+    run_group: Vec<u32>,
+    run_len: Vec<u32>,
 }
 
 /// A source→sink path of the scheduled graph, as used by the stretching
@@ -98,6 +159,7 @@ struct PathRec {
 pub struct SPath<'a> {
     graph: &'a ScheduledGraph,
     rec: &'a PathRec,
+    key: &'a PathKey,
 }
 
 impl<'a> SPath<'a> {
@@ -109,7 +171,7 @@ impl<'a> SPath<'a> {
     /// The set of scenarios in which the path exists — the paper's minterm
     /// of the path, represented over the scenario enumeration.
     pub fn cond(&self) -> &'a ScenarioMask {
-        &self.graph.group_masks[self.rec.group as usize]
+        &self.graph.group_masks[self.key.group as usize]
     }
 
     /// Path delay at nominal speeds: execution times plus fixed edge
@@ -127,7 +189,7 @@ impl<'a> SPath<'a> {
     /// Probability of [`SPath::cond`] under the probability table the
     /// graph was built (or last re-weighted) with.
     pub fn prob(&self) -> f64 {
-        self.graph.group_prob[self.rec.group as usize]
+        self.graph.group_prob[self.key.group as usize]
     }
 
     /// Whether `task` lies on this path.
@@ -196,8 +258,9 @@ pub struct ScheduledGraph {
     edges: Vec<SEdge>,
     /// The paths in canonical order: ascending task sequence, a prefix
     /// before its extensions. Each path's tasks are contiguous in `tasks`,
-    /// in the same order.
+    /// in the same order; `keys[i]` is path `i`'s group and slot.
     paths: Vec<PathRec>,
+    keys: Vec<PathKey>,
     tasks: Vec<TaskId>,
     guards: Vec<(u32, Literal)>,
     /// Per minterm group (ids in first-occurrence order over the canonical
@@ -209,21 +272,24 @@ pub struct ScheduledGraph {
     /// `seq_lits`.
     seq_lits: Vec<Literal>,
     seqs: Vec<(u32, u32)>,
-    /// The stretcher's per-task layout: for every task, the `(path index,
-    /// suffix slot)` members of each minterm group spanning it, stored
-    /// contiguously — groups in first-occurrence order over the ascending
-    /// spanning paths, members ascending by path index within a group.
-    /// `span_off` delimits each task's members, `runs` each (task, group)
-    /// pair's members and `run_off` each task's runs. A member's slot
-    /// names the literals of the guards decided at or after the task's
-    /// position on the path, `guards[k..]`, as the first slot of the
-    /// path's guard sequence plus `k` (see
-    /// [`ScheduledGraph::guard_suffixes`]).
-    members: Vec<(u32, u32)>,
-    span_off: Vec<u32>,
-    runs: Vec<(u32, u32)>,
-    run_off: Vec<u32>,
+    /// The walk's node ranges bucketed by task, each task's in pre-order:
+    /// `node_off[t]..node_off[t + 1]` are task `t`'s. A path spans a task
+    /// at most once and a node's subtree holds exactly the paths through
+    /// the node, so one task's ranges ascend, are disjoint and cover
+    /// exactly the paths spanning it.
+    nodes: Vec<NodeRange>,
+    node_off: Vec<u32>,
+    /// Per task: its stretcher layout, once a stretch has scanned it.
+    layouts: Vec<Option<TaskLayout>>,
 }
+
+/// Serve workers move workspaces, and the graphs they pool, across
+/// threads, and the pool clones them: this fails to compile if the graph
+/// ever stops being plain data.
+const _: () = {
+    const fn is_plain<T: Send + Sync + Clone>() {}
+    is_plain::<ScheduledGraph>()
+};
 
 /// Upper bound on enumerated paths before falling back to the caller's
 /// coarser analysis.
@@ -255,9 +321,11 @@ impl ScheduledGraph {
     /// meter this is exactly `build`.
     ///
     /// The walk emits the paths in canonical order and interns each path's
-    /// condition mask into its minterm group as it goes, so no sort and no
-    /// grouping pass follow it; the stretcher's per-task layout is then
-    /// laid out by a two-pass counting sort.
+    /// condition mask into its minterm group, and its guard literals into
+    /// their sequence, as it goes, so no sort and no grouping pass follow
+    /// it. It records each node's run of path indices, bucketed by task
+    /// after the walk; the stretcher's per-task layout waits for the first
+    /// stretch that scans the task (`ScheduledGraph::lay_out`).
     ///
     /// Apart from the probabilities the graph's groups are weighted with,
     /// the result — the `None` verdict and the charge included — depends
@@ -340,11 +408,13 @@ impl ScheduledGraph {
         };
         let PathStore {
             paths,
+            keys,
             tasks,
             guards,
             group_masks,
             seq_lits,
             seqs,
+            walk,
             ..
         } = store;
 
@@ -359,100 +429,36 @@ impl ScheduledGraph {
             .map(|m| ctx.mask_prob(m, &scenario_probs))
             .collect();
 
-        // The stretcher's per-task layout, by a two-pass counting sort over
-        // the canonical paths. Pass 1 numbers each (task, group) run in
-        // first-occurrence order and counts its members; since a path
-        // spans a task at most once, one task's runs are numbered in the
-        // order its spanning paths first reach each group.
-        // `run_of` is group-major, so one path's lookups share a row.
-        let mut run_of = vec![u32::MAX; group_masks.len() * n];
-        let row = |p: &PathRec| p.group as usize * n..(p.group as usize + 1) * n;
-        let mut run_task: Vec<u32> = Vec::new();
-        let mut run_len: Vec<u32> = Vec::new();
-        let mut run_off = vec![0u32; n + 1];
-        for p in &paths {
-            let run_of = &mut run_of[row(p)];
-            for t in &tasks[p.tasks.0 as usize..p.tasks.1 as usize] {
-                let cell = &mut run_of[t.index()];
-                if *cell == u32::MAX {
-                    *cell = run_len.len() as u32;
-                    run_len.push(0);
-                    run_task.push(t.index() as u32);
-                    run_off[t.index() + 1] += 1;
-                }
-                run_len[*cell as usize] += 1;
-            }
+        // The walk's node ranges bucketed by task, a stable counting sort
+        // that keeps each task's ranges in pre-order.
+        let mut node_off = vec![0u32; n + 1];
+        for &(t, _) in &walk {
+            node_off[t as usize + 1] += 1;
         }
         for i in 0..n {
-            run_off[i + 1] += run_off[i];
+            node_off[i + 1] += node_off[i];
         }
-        // Runs laid out task by task, each task's in numbering order, each
-        // run's members contiguous; `fill[r]` is where run `r`'s next
-        // member goes.
-        let mut next_run: Vec<u32> = run_off[..n].to_vec();
-        let mut runs = vec![(0u32, 0u32); run_len.len()];
-        let mut fill = vec![0u32; run_len.len()];
-        for (r, &t) in run_task.iter().enumerate() {
-            let at = &mut next_run[t as usize];
-            fill[r] = *at;
-            runs[*at as usize].1 = run_len[r];
+        let mut fill = node_off[..n].to_vec();
+        let mut nodes = vec![NodeRange::default(); walk.len()];
+        for &(t, node) in &walk {
+            let at = &mut fill[t as usize];
+            nodes[*at as usize] = node;
             *at += 1;
-        }
-        let mut end = 0u32;
-        for run in &mut runs {
-            run.0 = end;
-            end += run.1;
-            run.1 = end;
-        }
-        for f in &mut fill {
-            *f = runs[*f as usize].0;
-        }
-        // A task's members start at its first run; a task no path spans
-        // starts where the next task's members do.
-        let span_off: Vec<u32> = run_off
-            .iter()
-            .map(|&r| runs.get(r as usize).map_or(end, |run| run.0))
-            .collect();
-        // Pass 2 scatters the `(path, suffix slot)` members, so each run
-        // ascends by path index.
-        let mut members = vec![(0u32, 0u32); tasks.len()];
-        for (i, p) in paths.iter().enumerate() {
-            let run_of = &run_of[row(p)];
-            // Every guard names the source of its CTG edge, so fork
-            // positions rise strictly along the path and the guards decided
-            // at or after a position are a suffix `guards[k..]`, with
-            // `k <= guards.len()`: slot `first + k` stays inside the
-            // `len + 1` slots of the path's guard sequence.
-            let guards = &guards[p.guards.0 as usize..p.guards.1 as usize];
-            debug_assert!(guards.windows(2).all(|w| w[0].0 < w[1].0));
-            let first = seqs[p.seq as usize].0 + p.seq;
-            let mut k = 0;
-            for (pos, t) in tasks[p.tasks.0 as usize..p.tasks.1 as usize]
-                .iter()
-                .enumerate()
-            {
-                while k < guards.len() && (guards[k].0 as usize) < pos {
-                    k += 1;
-                }
-                let c = &mut fill[run_of[t.index()] as usize];
-                members[*c as usize] = (i as u32, first + k as u32);
-                *c += 1;
-            }
         }
 
         Ok(Some(ScheduledGraph {
             edges,
             paths,
+            keys,
             tasks,
             guards,
             group_masks,
             group_prob,
             seq_lits,
             seqs,
-            members,
-            span_off,
-            runs,
-            run_off,
+            nodes,
+            node_off,
+            layouts: vec![None; n],
         }))
     }
 
@@ -463,7 +469,14 @@ impl ScheduledGraph {
 
     /// The enumerated valid paths, in canonical order.
     pub fn paths(&self) -> impl ExactSizeIterator<Item = SPath<'_>> + Clone {
-        self.paths.iter().map(move |rec| SPath { graph: self, rec })
+        self.paths
+            .iter()
+            .zip(&self.keys)
+            .map(move |(rec, key)| SPath {
+                graph: self,
+                rec,
+                key,
+            })
     }
 
     /// The `i`-th path in canonical order.
@@ -475,13 +488,8 @@ impl ScheduledGraph {
         SPath {
             graph: self,
             rec: &self.paths[i],
+            key: &self.keys[i],
         }
-    }
-
-    /// The flat `(path index, suffix slot)` member store of the
-    /// stretcher's per-task layout.
-    pub(crate) fn members(&self) -> &[(u32, u32)] {
-        &self.members
     }
 
     /// Number of suffix slots a member may name: `len + 1` per distinct
@@ -501,18 +509,89 @@ impl ScheduledGraph {
             .map(move |(j, &(s, e))| (s as usize + j, &self.seq_lits[s as usize..e as usize]))
     }
 
-    /// `task`'s members: one per path spanning it, grouped as
-    /// [`ScheduledGraph::group_runs`] describes.
-    pub(crate) fn span(&self, task: TaskId) -> &[(u32, u32)] {
+    /// The node ranges of `task`, in pre-order: they ascend, are disjoint
+    /// and cover exactly the paths spanning `task`.
+    pub(crate) fn span_ranges(&self, task: TaskId) -> &[NodeRange] {
         let t = task.index();
-        &self.members[self.span_off[t] as usize..self.span_off[t + 1] as usize]
+        &self.nodes[self.node_off[t] as usize..self.node_off[t + 1] as usize]
     }
 
-    /// The `(start, end)` runs into [`ScheduledGraph::members`] of
-    /// `task`'s minterm groups, in first-occurrence order.
-    pub(crate) fn group_runs(&self, task: TaskId) -> &[(u32, u32)] {
+    /// Lays out `task`'s stretcher layout from its node ranges, unless an
+    /// earlier call did; returns whether this call did.
+    ///
+    /// A stable counting sort of the ranges' paths by minterm group: pass 1
+    /// numbers the groups in the order the ascending paths first reach
+    /// them and counts their members, pass 2 scatters each path into its
+    /// group's run, so a run ascends by path index. Every path of a range
+    /// passes the task at the end of one of the range's node prefixes, and
+    /// each guard's fork is the source of its edge, one depth above the
+    /// edge's destination, so the guards decided before the task are that
+    /// prefix's, the range's `k`: a member's slot is its path's first
+    /// suffix slot plus `k`.
+    pub(crate) fn lay_out(&mut self, task: TaskId, scratch: &mut LayoutScratch) -> bool {
         let t = task.index();
-        &self.runs[self.run_off[t] as usize..self.run_off[t + 1] as usize]
+        if self.layouts[t].is_some() {
+            return false;
+        }
+        let ranges = &self.nodes[self.node_off[t] as usize..self.node_off[t + 1] as usize];
+        let groups = self.group_masks.len();
+        if scratch.run_of.len() < groups {
+            scratch.run_of.resize(groups, u32::MAX);
+        }
+        scratch.run_group.clear();
+        scratch.run_len.clear();
+        let mut members = 0;
+        for r in ranges {
+            for key in &self.keys[r.paths()] {
+                let run = &mut scratch.run_of[key.group as usize];
+                if *run == u32::MAX {
+                    *run = scratch.run_len.len() as u32;
+                    scratch.run_group.push(key.group);
+                    scratch.run_len.push(0);
+                }
+                scratch.run_len[*run as usize] += 1;
+            }
+            members += r.paths().len();
+        }
+        let runs = scratch.run_len.len();
+        let mut cells: Box<[LayoutCell]> = vec![(0, 0); runs + members].into_boxed_slice();
+        let (run_cells, member_cells) = cells.split_at_mut(runs);
+        // Each run starts empty at its offset; its end is the next free
+        // member cell until pass 2 has filled it.
+        let mut end = 0;
+        for (run, &len) in run_cells.iter_mut().zip(&scratch.run_len) {
+            *run = (end, end);
+            end += len;
+        }
+        for r in ranges {
+            for (i, key) in (r.lo..r.hi).zip(&self.keys[r.paths()]) {
+                let run = &mut run_cells[scratch.run_of[key.group as usize] as usize];
+                member_cells[run.1 as usize] = (i, key.slot + r.k);
+                run.1 += 1;
+            }
+        }
+        for &g in &scratch.run_group {
+            scratch.run_of[g as usize] = u32::MAX;
+        }
+        self.layouts[t] = Some(TaskLayout {
+            runs: runs as u32,
+            cells,
+        });
+        true
+    }
+
+    /// `task`'s stretcher layout: the `(start, end)` runs of its minterm
+    /// groups into its members, and the `(path index, suffix slot)`
+    /// members (see [`ScheduledGraph::lay_out`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `task` has not been laid out.
+    pub(crate) fn layout(&self, task: TaskId) -> (&[LayoutCell], &[LayoutCell]) {
+        let layout = self.layouts[task.index()]
+            .as_ref()
+            .expect("the task is laid out before it is scanned");
+        layout.cells.split_at(layout.runs as usize)
     }
 
     /// The worst-case end-to-end delay: the maximum path delay.
@@ -788,34 +867,88 @@ struct OutEdge<'a> {
 /// guard sequences interned as the paths arrive — a path's group is the
 /// first-occurrence id of its condition mask, and `group_masks` holds each
 /// distinct mask once; likewise its sequence id and `seq_lits`/`seqs` for
-/// its guards' literals (fork positions dropped).
+/// its guards' literals (fork positions dropped). The walk's node ranges
+/// are recorded in pre-order with their tasks.
 #[derive(Default)]
 struct PathStore {
     paths: Vec<PathRec>,
+    keys: Vec<PathKey>,
     tasks: Vec<TaskId>,
     guards: Vec<(u32, Literal)>,
     group_masks: Vec<ScenarioMask>,
     by_cond: HashMap<Vec<u64>, u32, BuildFnv>,
     seq_lits: Vec<Literal>,
     seqs: Vec<(u32, u32)>,
-    by_seq: HashMap<Vec<Literal>, u32, BuildFnv>,
-    /// The emitted path's literals, the key `by_seq` is probed with.
-    lits: Vec<Literal>,
+    /// The trie over the walk's guard trails that interns the sequences:
+    /// node 0 spells the empty sequence, and a node's children extend its
+    /// sequence by one literal each.
+    trie: Vec<TrieNode>,
+    /// `(task, range)` per node range, in pre-order.
+    walk: Vec<(u32, NodeRange)>,
+}
+
+/// A node of [`PathStore::trie`]. Trie nodes spell distinct literal
+/// sequences; a node's sequence id is given when a path ending at it is
+/// first emitted.
+struct TrieNode {
+    /// The literal on the edge from the parent (unread at the root).
+    lit: Literal,
+    /// The first child and the next sibling (`u32::MAX`: none).
+    first_child: u32,
+    next: u32,
+    /// The sequence id (`u32::MAX` until a path spelling it is emitted).
+    seq: u32,
+}
+
+impl TrieNode {
+    /// A childless node without a sequence id, before sibling `next`.
+    fn new(lit: Literal, next: u32) -> Self {
+        TrieNode {
+            lit,
+            first_child: u32::MAX,
+            next,
+            seq: u32::MAX,
+        }
+    }
 }
 
 impl PathStore {
+    /// An empty store whose trie holds the root.
+    fn new() -> Self {
+        PathStore {
+            trie: vec![TrieNode::new(Literal::new(TaskId::new(0), 0), u32::MAX)],
+            ..PathStore::default()
+        }
+    }
+
+    /// The trie node spelling `parent`'s sequence followed by `lit`.
+    fn trie_child(&mut self, parent: u32, lit: Literal) -> u32 {
+        let mut c = self.trie[parent as usize].first_child;
+        while c != u32::MAX {
+            let node = &self.trie[c as usize];
+            if node.lit == lit {
+                return c;
+            }
+            c = node.next;
+        }
+        let c = self.trie.len() as u32;
+        let next = std::mem::replace(&mut self.trie[parent as usize].first_child, c);
+        self.trie.push(TrieNode::new(lit, next));
+        c
+    }
+
     /// Emits one path, joining the group of its condition mask and the
-    /// sequence of its guard literals (or opening new ones). Most paths
-    /// share the previous path's group and sequence, which are checked
-    /// before the maps.
+    /// sequence its trie node spells (or opening new ones). Most paths
+    /// share the previous path's group, which is checked before the map.
     fn push(
         &mut self,
         tasks: &[TaskId],
         guards: &[(u32, Literal)],
+        trie: u32,
         cond: &ScenarioMask,
         delay: f64,
     ) {
-        let last = self.paths.last().map(|p| p.group);
+        let last = self.keys.last().map(|p| p.group);
         let group = match last
             .filter(|&g| self.group_masks[g as usize] == *cond)
             .or_else(|| self.by_cond.get(cond.words()).copied())
@@ -828,36 +961,29 @@ impl PathStore {
                 g
             }
         };
-        self.lits.clear();
-        self.lits.extend(guards.iter().map(|&(_, lit)| lit));
-        let last = self.paths.last().map(|p| p.seq);
-        let seq = match last
-            .filter(|&j| {
-                let (s, e) = self.seqs[j as usize];
-                self.seq_lits[s as usize..e as usize] == self.lits[..]
-            })
-            .or_else(|| self.by_seq.get(&self.lits[..]).copied())
-        {
-            Some(j) => j,
-            None => {
+        let seq = match self.trie[trie as usize].seq {
+            u32::MAX => {
                 let j = self.seqs.len() as u32;
-                self.by_seq.insert(self.lits.clone(), j);
+                self.trie[trie as usize].seq = j;
                 let s = self.seq_lits.len() as u32;
-                self.seq_lits.extend_from_slice(&self.lits);
+                self.seq_lits.extend(guards.iter().map(|&(_, lit)| lit));
                 self.seqs.push((s, self.seq_lits.len() as u32));
                 j
             }
+            j => j,
         };
+        // Sequence `j`'s suffix slots follow the `len + 1` slots of each
+        // earlier sequence.
+        let slot = self.seqs[seq as usize].0 + seq;
         let (t0, g0) = (self.tasks.len() as u32, self.guards.len() as u32);
         self.tasks.extend_from_slice(tasks);
         self.guards.extend_from_slice(guards);
         self.paths.push(PathRec {
             tasks: (t0, self.tasks.len() as u32),
             guards: (g0, self.guards.len() as u32),
-            group,
-            seq,
             delay,
         });
+        self.keys.push(PathKey { group, slot });
     }
 }
 
@@ -877,7 +1003,11 @@ impl PathStore {
 /// The current prefix's tasks and guards live in shared buffers maintained
 /// by truncate-and-push across pops, scenario masks come from a free list
 /// and are combined in place, and emission appends the contiguous buffers
-/// to the flat store.
+/// to the flat store. Every popped frame is a walk node; the nodes still
+/// open are those of the current prefix, and a node closes, its range
+/// ending at the paths emitted so far, when the walk pops a frame at its
+/// depth or above. A node opens a new range of its task, or extends the
+/// task's previous one (see [`NodeRange`]).
 fn enumerate_from(
     ctx: &SchedContext,
     schedule: &Schedule,
@@ -902,8 +1032,12 @@ fn enumerate_from(
         depth: u32,
         guard_len: u32,
         /// Guard of the edge into this node, with the path position of the
-        /// deciding fork (matching the historical `SPath::guards` entries).
+        /// deciding fork: the parent's depth, since every scheduled-graph
+        /// guard names the source of its CTG edge.
         guard: Option<(u32, Literal)>,
+        /// The [`PathStore::trie`] node spelling the literals of the
+        /// prefix's guards, this node's own included.
+        trie: u32,
         delay: f64,
         cond: ScenarioMask,
     }
@@ -915,6 +1049,7 @@ fn enumerate_from(
             depth: 0,
             guard_len: 0,
             guard: None,
+            trie: 0,
             delay: exec(t),
             cond: ctx.task_mask(t).clone(),
         });
@@ -938,7 +1073,11 @@ fn enumerate_from(
     let mut free: Vec<ScenarioMask> = Vec::new();
     let mut covered = ScenarioMask::empty(n_scen);
     let mut cand = ScenarioMask::empty(n_scen);
-    let mut store = PathStore::default();
+    let mut store = PathStore::new();
+    // The open nodes by depth, and each task's latest node, as indices
+    // into `store.walk`.
+    let mut open: Vec<usize> = Vec::new();
+    let mut last_node = vec![usize::MAX; adj_start.len() - 1];
     while let Some(f) = stack.pop() {
         if unlimited {
             units += 1;
@@ -953,6 +1092,32 @@ fn enumerate_from(
             guard_trail.push(guard);
         }
         let child_guard_len = guard_trail.len() as u32;
+        let emitted = store.paths.len() as u32;
+        for j in open.drain(fdepth as usize..) {
+            store.walk[j].1.hi = emitted;
+        }
+        // The task's previous node is closed: a path holds the task once,
+        // so this frame lies outside that node's subtree. When its range
+        // ends where this one starts and decides as many guards, the two
+        // share one range.
+        let last = &mut last_node[f.task.index()];
+        match store.walk.get(*last) {
+            Some(&(_, prev)) if prev.hi == emitted && prev.k == child_guard_len => {
+                open.push(*last);
+            }
+            _ => {
+                *last = store.walk.len();
+                open.push(*last);
+                store.walk.push((
+                    f.task.index() as u32,
+                    NodeRange {
+                        lo: emitted,
+                        hi: emitted,
+                        k: child_guard_len,
+                    },
+                ));
+            }
+        }
         // Extend through every consistent out-edge, tracking which of the
         // frame's scenarios are covered by at least one extension.
         covered.clear();
@@ -971,16 +1136,14 @@ fn enumerate_from(
             if cand.is_empty() {
                 continue;
             }
-            // Position of the deciding fork on the path: its deepest
-            // occurrence on the prefix, or the frame task's own position
-            // when the fork is not on the path.
-            let guard = e.guard.map(|lit| {
-                let fork_pos = prefix
-                    .iter()
-                    .rposition(|&pt| pt == lit.branch())
-                    .map_or(fdepth, |d| d as u32);
-                (fork_pos, lit)
-            });
+            // The deciding fork is the edge's source, the frame's own task,
+            // at the frame's depth.
+            debug_assert!(e.guard.is_none_or(|lit| lit.branch() == f.task));
+            let guard = e.guard.map(|lit| (fdepth, lit));
+            let trie = match e.guard {
+                Some(lit) => store.trie_child(f.trie, lit),
+                None => f.trie,
+            };
             covered.union(&cand);
             // Hand `cand`'s words to the new frame and recycle a free-list
             // buffer as the next `cand` (fully overwritten by the next
@@ -992,6 +1155,7 @@ fn enumerate_from(
                 depth: fdepth + 1,
                 guard_len: child_guard_len,
                 guard,
+                trie,
                 delay: f.delay + e.delay + exec(e.dst),
                 cond: cmask,
             });
@@ -1005,13 +1169,17 @@ fn enumerate_from(
         let mut residual = f.cond;
         residual.subtract_assign(&covered);
         if !residual.is_empty() {
-            store.push(&prefix, &guard_trail, &residual, f.delay);
+            store.push(&prefix, &guard_trail, f.trie, &residual, f.delay);
             if store.paths.len() > cap {
                 meter.charge(units)?;
                 return Ok(None);
             }
         }
         free.push(residual);
+    }
+    let emitted = store.paths.len() as u32;
+    for j in open {
+        store.walk[j].1.hi = emitted;
     }
     meter.charge(units)?;
     Ok(Some(store))
@@ -1125,13 +1293,20 @@ mod tests {
             assert_eq!(p.delay().to_bits(), q.delay().to_bits(), "{label}: delay");
             assert_eq!(p.prob().to_bits(), q.prob().to_bits(), "{label}: prob");
         }
+        assert_eq!(a.keys, b.keys, "{label}: path groups and slots");
         assert_eq!(a.group_masks, b.group_masks, "{label}: group masks");
         assert_eq!(a.seq_lits, b.seq_lits, "{label}: guard sequences");
         assert_eq!(a.seqs, b.seqs, "{label}: guard sequence ranges");
-        assert_eq!(a.members, b.members, "{label}: members");
-        assert_eq!(a.span_off, b.span_off, "{label}: member ranges");
-        assert_eq!(a.runs, b.runs, "{label}: runs");
-        assert_eq!(a.run_off, b.run_off, "{label}: run ranges");
+        assert_eq!(a.nodes, b.nodes, "{label}: node ranges");
+        assert_eq!(a.node_off, b.node_off, "{label}: node buckets");
+        let (mut a, mut b) = (a.clone(), b.clone());
+        let mut scratch = LayoutScratch::default();
+        for t in 0..a.layouts.len() {
+            let t = TaskId::new(t);
+            a.lay_out(t, &mut scratch);
+            b.lay_out(t, &mut scratch);
+            assert_eq!(a.layout(t), b.layout(t), "{label}: layout of {t}");
+        }
     }
 
     /// Whether start times rise along every pre-reduction edge, which is
@@ -1194,31 +1369,33 @@ mod tests {
         }
     }
 
-    /// The walk alone puts the paths in canonical order: task sequences
-    /// strictly ascend, group ids appear in first-occurrence order, one
-    /// group per distinct mask, and every task's members are its spanning
-    /// paths, ascending within runs of one group each, the runs in the
-    /// order the ascending spanning paths first reach their groups.
-    #[test]
-    fn paths_come_out_in_canonical_order() {
+    /// The graphs the layout tests build: Example 1, MPEG under DLS, HEFT
+    /// and lookahead, cruise, WLAN, the Table 1 and Table 4/5 graphs, and
+    /// fork-join, layered and 72-task fork-join TGFF graphs, each with its
+    /// DLS schedule unless named otherwise.
+    fn layout_cases() -> Vec<(String, SchedContext, BranchProbs, Schedule)> {
         use crate::scheduler::SchedulerKind;
-        use tgff_gen::{Category, TgffConfig};
-        let tgff = |seed, tasks, branches, category, pes| {
-            let cfg = TgffConfig::new(seed, tasks, branches, category);
+        use ctg_workloads::{cruise, wlan};
+        use tgff_gen::{table1_cases, table45_cases, Category, TgffConfig};
+        let dls = |name: String, ctx: SchedContext, probs: BranchProbs| {
+            let s = dls_schedule(&ctx, &probs).unwrap();
+            (name, ctx, probs, s)
+        };
+        let tgff = |cfg: &TgffConfig, pes| {
             let generated = cfg.generate();
             let platform = cfg.generate_platform(&generated.ctg, pes);
-            let ctx = SchedContext::new(generated.ctg, platform).unwrap();
-            let schedule = dls_schedule(&ctx, &generated.probs).unwrap();
-            (ctx, generated.probs, schedule)
+            (
+                SchedContext::new(generated.ctg, platform).unwrap(),
+                generated.probs,
+            )
         };
-        let (ex_ctx, ex_probs, _) = example1_context();
+        let workload = |ctg: ctg_model::Ctg, platform| {
+            let probs = BranchProbs::uniform(&ctg);
+            (SchedContext::new(ctg, platform).unwrap(), probs)
+        };
+        let (ctx, probs, _) = example1_context();
+        let mut cases = vec![dls("example1".into(), ctx, probs)];
         let (mpeg_ctx, mpeg_probs) = crate::test_util::mpeg_context();
-        let mut cases = vec![(
-            "example1",
-            ex_ctx.clone(),
-            ex_probs.clone(),
-            dls_schedule(&ex_ctx, &ex_probs).unwrap(),
-        )];
         for kind in [
             SchedulerKind::Dls,
             SchedulerKind::Heft,
@@ -1226,28 +1403,52 @@ mod tests {
         ] {
             let plan = kind.solve(&mpeg_ctx, &mpeg_probs).unwrap();
             cases.push((
-                kind.name(),
+                format!("mpeg {}", kind.name()),
                 mpeg_ctx.clone(),
                 mpeg_probs.clone(),
                 plan.schedule,
             ));
         }
-        let (ctx, probs, s) = tgff(11, 24, 3, Category::ForkJoin, 3);
-        cases.push(("fork-join", ctx, probs, s));
-        let (ctx, probs, s) = tgff(21, 20, 2, Category::Layered, 3);
-        cases.push(("layered", ctx, probs, s));
-        let (ctx, probs, s) = tgff(79, 72, 6, Category::ForkJoin, 4);
+        let ctg = cruise::cruise_ctg();
+        let (ctx, probs) = workload(ctg.clone(), cruise::cruise_platform(&ctg));
+        cases.push(dls("cruise".into(), ctx, probs));
+        let ctg = wlan::wlan_ctg();
+        let (ctx, probs) = workload(ctg.clone(), wlan::wlan_platform(&ctg));
+        cases.push(dls("wlan".into(), ctx, probs));
+        for (i, (cfg, pes)) in table1_cases().iter().enumerate() {
+            let (ctx, probs) = tgff(cfg, *pes);
+            cases.push(dls(format!("table1 graph {i}"), ctx, probs));
+        }
+        for (i, (cfg, pes)) in table45_cases().iter().enumerate() {
+            let (ctx, probs) = tgff(cfg, *pes);
+            cases.push(dls(format!("table4/5 graph {i}"), ctx, probs));
+        }
+        let (ctx, probs) = tgff(&TgffConfig::new(11, 24, 3, Category::ForkJoin), 3);
+        cases.push(dls("fork-join".into(), ctx, probs));
+        let (ctx, probs) = tgff(&TgffConfig::new(21, 20, 2, Category::Layered), 3);
+        cases.push(dls("layered".into(), ctx, probs));
+        let (ctx, probs) = tgff(&TgffConfig::new(79, 72, 6, Category::ForkJoin), 4);
         assert!(ctx.ctg().num_tasks() > 62);
-        cases.push(("72-task fork-join", ctx, probs, s));
+        cases.push(dls("72-task fork-join".into(), ctx, probs));
+        cases
+    }
 
-        for (name, ctx, probs, s) in &cases {
-            let g = ScheduledGraph::build(ctx, s, probs, DEFAULT_PATH_CAP).unwrap();
+    /// The walk alone puts the paths in canonical order: task sequences
+    /// strictly ascend, group ids appear in first-occurrence order, one
+    /// group per distinct mask, and every task's layout holds its spanning
+    /// paths, ascending within runs of one group each, the runs in the
+    /// order the ascending spanning paths first reach their groups.
+    #[test]
+    fn paths_come_out_in_canonical_order() {
+        let mut scratch = LayoutScratch::default();
+        for (name, ctx, probs, s) in &layout_cases() {
+            let mut g = ScheduledGraph::build(ctx, s, probs, DEFAULT_PATH_CAP).unwrap();
             assert!(g.paths().len() > 1, "{name}");
             for (a, b) in g.paths().zip(g.paths().skip(1)) {
                 assert!(a.tasks() < b.tasks(), "{name}: {a:?} before {b:?}");
             }
             let mut opened = 0;
-            for p in &g.paths {
+            for p in &g.keys {
                 assert!(p.group <= opened, "{name}: group {} opened early", p.group);
                 opened = opened.max(p.group + 1);
             }
@@ -1259,27 +1460,151 @@ mod tests {
                 let spanning = (0..g.paths.len() as u32).filter(|&i| g.path(i as usize).spans(t));
                 let mut want: Vec<(u32, Vec<u32>)> = Vec::new();
                 for i in spanning {
-                    let group = g.paths[i as usize].group;
+                    let group = g.keys[i as usize].group;
                     match want.iter_mut().find(|(g, _)| *g == group) {
                         Some((_, run)) => run.push(i),
                         None => want.push((group, vec![i])),
                     }
                 }
                 let want: Vec<Vec<u32>> = want.into_iter().map(|(_, run)| run).collect();
-                let got: Vec<Vec<u32>> = g
-                    .group_runs(t)
+                g.lay_out(t, &mut scratch);
+                let (runs, members) = g.layout(t);
+                let got: Vec<Vec<u32>> = runs
                     .iter()
                     .map(|&(s, e)| {
-                        g.members[s as usize..e as usize]
+                        members[s as usize..e as usize]
                             .iter()
                             .map(|m| m.0)
                             .collect()
                     })
                     .collect();
                 assert_eq!(got, want, "{name}: runs of {t}");
-                let span: Vec<u32> = g.span(t).iter().map(|m| m.0).collect();
-                assert_eq!(span, got.concat(), "{name}: members of {t}");
+                let all: Vec<u32> = members.iter().map(|m| m.0).collect();
+                assert_eq!(all, got.concat(), "{name}: members of {t}");
             }
+        }
+    }
+
+    /// Every task's layout at once, the reference the on-demand layout
+    /// must reproduce: a two-pass counting sort over all the canonical
+    /// paths, the eager layout the build once made.
+    /// Pass 1 numbers each (task, group) run in first-occurrence order and
+    /// counts its members; pass 2 scatters the `(path, suffix slot)`
+    /// members, so each run ascends by path index. Returns the members,
+    /// each task's member range, the runs and each task's run range.
+    fn reference_layout(
+        g: &ScheduledGraph,
+    ) -> (Vec<LayoutCell>, Vec<u32>, Vec<LayoutCell>, Vec<u32>) {
+        let n = g.layouts.len();
+        let mut run_of = vec![u32::MAX; g.group_masks.len() * n];
+        let row = |p: &PathKey| p.group as usize * n..(p.group as usize + 1) * n;
+        let mut run_task: Vec<u32> = Vec::new();
+        let mut run_len: Vec<u32> = Vec::new();
+        let mut run_off = vec![0u32; n + 1];
+        for (p, key) in g.paths.iter().zip(&g.keys) {
+            let run_of = &mut run_of[row(key)];
+            for t in &g.tasks[p.tasks.0 as usize..p.tasks.1 as usize] {
+                let cell = &mut run_of[t.index()];
+                if *cell == u32::MAX {
+                    *cell = run_len.len() as u32;
+                    run_len.push(0);
+                    run_task.push(t.index() as u32);
+                    run_off[t.index() + 1] += 1;
+                }
+                run_len[*cell as usize] += 1;
+            }
+        }
+        for i in 0..n {
+            run_off[i + 1] += run_off[i];
+        }
+        let mut next_run: Vec<u32> = run_off[..n].to_vec();
+        let mut runs = vec![(0u32, 0u32); run_len.len()];
+        let mut fill = vec![0u32; run_len.len()];
+        for (r, &t) in run_task.iter().enumerate() {
+            let at = &mut next_run[t as usize];
+            fill[r] = *at;
+            runs[*at as usize].1 = run_len[r];
+            *at += 1;
+        }
+        let mut end = 0u32;
+        for run in &mut runs {
+            run.0 = end;
+            end += run.1;
+            run.1 = end;
+        }
+        for f in &mut fill {
+            *f = runs[*f as usize].0;
+        }
+        let span_off: Vec<u32> = run_off
+            .iter()
+            .map(|&r| runs.get(r as usize).map_or(end, |run| run.0))
+            .collect();
+        let mut members = vec![(0u32, 0u32); g.tasks.len()];
+        for (i, (p, key)) in g.paths.iter().zip(&g.keys).enumerate() {
+            let run_of = &run_of[row(key)];
+            let guards = &g.guards[p.guards.0 as usize..p.guards.1 as usize];
+            assert!(guards.windows(2).all(|w| w[0].0 < w[1].0));
+            let first = key.slot;
+            let mut k = 0;
+            for (pos, t) in g.tasks[p.tasks.0 as usize..p.tasks.1 as usize]
+                .iter()
+                .enumerate()
+            {
+                while k < guards.len() && (guards[k].0 as usize) < pos {
+                    k += 1;
+                }
+                let c = &mut fill[run_of[t.index()] as usize];
+                members[*c as usize] = (i as u32, first + k as u32);
+                *c += 1;
+            }
+        }
+        (members, span_off, runs, run_off)
+    }
+
+    /// Every task's node ranges ascend, are disjoint and cover exactly its
+    /// spanning paths, and its on-demand layout equals the eager two-pass
+    /// reference run for run and member for member. The tasks are laid
+    /// out in reverse, through one scratch shared by every graph.
+    #[test]
+    fn on_demand_layouts_match_the_two_pass_reference() {
+        let mut scratch = LayoutScratch::default();
+        for (name, ctx, probs, s) in &layout_cases() {
+            let mut g = ScheduledGraph::build(ctx, s, probs, DEFAULT_PATH_CAP).unwrap();
+            let (members, span_off, runs, run_off) = reference_layout(&g);
+            for t in (0..ctx.ctg().num_tasks()).rev().map(TaskId::new) {
+                let mut covered = Vec::new();
+                for r in g.span_ranges(t) {
+                    assert!(r.lo < r.hi, "{name}: empty range of {t}");
+                    assert!(
+                        covered.last().is_none_or(|&last| last < r.lo as usize),
+                        "{name}: ranges of {t} overlap or descend"
+                    );
+                    covered.extend(r.paths());
+                }
+                let spanning: Vec<usize> =
+                    (0..g.paths.len()).filter(|&i| g.path(i).spans(t)).collect();
+                assert_eq!(covered, spanning, "{name}: ranges of {t}");
+
+                assert!(g.lay_out(t, &mut scratch), "{name}: {t} laid out twice");
+                assert!(!g.lay_out(t, &mut scratch), "{name}: {t} laid out twice");
+                let (got_runs, got_members) = g.layout(t);
+                let t = t.index();
+                let base = span_off[t];
+                let want_runs: Vec<(u32, u32)> = runs[run_off[t] as usize..run_off[t + 1] as usize]
+                    .iter()
+                    .map(|&(s, e)| (s - base, e - base))
+                    .collect();
+                assert_eq!(got_runs, &want_runs[..], "{name}: runs of task {t}");
+                assert_eq!(
+                    got_members,
+                    &members[base as usize..span_off[t + 1] as usize],
+                    "{name}: members of task {t}"
+                );
+            }
+            assert!(
+                scratch.run_of.iter().all(|&r| r == u32::MAX),
+                "{name}: the scratch must come back clean"
+            );
         }
     }
 

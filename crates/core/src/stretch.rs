@@ -31,13 +31,18 @@
 //!   the path's guard-literal sequence. The graph interns those sequences
 //!   (an MPEG graph has about a thousand paths but a few dozen distinct
 //!   sequences), and every suffix is priced once per call.
+//!
+//! Only `CalculateSlack` reads a task's paths grouped by minterm. The
+//! graph lays out a task's groups the first time a stretch scans it and
+//! keeps them; seeding and slack propagation walk the task's runs of path
+//! indices directly. A task skipped as blocked is never laid out.
 
 use crate::context::SchedContext;
 use crate::error::SchedError;
 use crate::schedule::Schedule;
-use crate::sgraph::{ScheduledGraph, DEFAULT_PATH_CAP};
+use crate::sgraph::{LayoutScratch, ScheduledGraph, DEFAULT_PATH_CAP};
 use crate::speed::SpeedAssignment;
-use ctg_model::{BranchProbs, Literal, TaskId};
+use ctg_model::{BranchProbs, TaskId};
 
 /// Tuning knobs for the stretching heuristic.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,9 +181,9 @@ fn stretch_with_seed(
     seed: Option<&SpeedAssignment>,
 ) -> SpeedAssignment {
     match ScheduledGraph::build(ctx, schedule, probs, cfg.path_cap) {
-        Some(graph) => {
+        Some(mut graph) => {
             let mut scratch = StretchScratch::default();
-            stretch_on_graph(ctx, probs, schedule, cfg, &graph, seed, &mut scratch).0
+            stretch_on_graph(ctx, probs, schedule, cfg, &mut graph, seed, &mut scratch).0
         }
         None => critical_path_fallback(ctx, probs, schedule, cfg),
     }
@@ -216,46 +221,36 @@ pub(crate) struct StretchScratch {
     ratios: Vec<f64>,
     task_probs: Vec<f64>,
     /// `prob(p, τ)` per suffix slot of the graph's distinct guard-literal
-    /// sequences, indexed by the slots that [`ScheduledGraph::members`]
-    /// name. The guards decided at or after `τ`'s position form a suffix
-    /// of the path's guards, and paths with equal literal sequences share
-    /// their suffixes, so each is priced once per call, before the sweeps:
-    /// the same left-to-right product from 1.0 over the same literals that
+    /// sequences, indexed by the slots the layout's members name. The
+    /// guards decided at or after `τ`'s position form a suffix of the
+    /// path's guards, and paths with equal literal sequences share their
+    /// suffixes, so each is priced once per call, before the sweeps: the
+    /// same left-to-right product from 1.0 over the same literals that
     /// [`SPath::prob_after`](crate::SPath::prob_after) takes, so the same
     /// bits.
     prob_after: Vec<f64>,
-    /// Flat `(branch, alternative) → probability` lookup mirroring the
-    /// current table (`lit_flat[lit_base[branch] + alt]`): the exact f64s
-    /// `BranchProbs::prob` returns, read from an array instead of a B-tree.
-    lit_base: Vec<usize>,
-    lit_flat: Vec<f64>,
+    /// The context's flat literal table under the current table: the
+    /// exact f64s `BranchProbs::prob` returns (see
+    /// [`SchedContext::literal_probs_into`]).
+    lit_probs: Vec<f64>,
     /// Per-scenario probabilities under the current table, in enumeration
     /// order.
     scenario_probs: Vec<f64>,
     /// Per task: whether a saturated path spans it, so the sweeps skip it.
     blocked: Vec<bool>,
+    layout: LayoutScratch,
     /// Task visits the last call skipped as blocked.
     #[cfg(test)]
     blocked_visits: usize,
 }
 
-/// `probs.prob(lit.branch(), lit.alt())` through the flat scratch lookup —
-/// the same stored f64, so identical bits wherever it is multiplied.
-fn lit_prob(lit_base: &[usize], lit_flat: &[f64], lit: &Literal) -> f64 {
-    match lit_base.get(lit.branch().index()) {
-        Some(&base) if base != usize::MAX => lit_flat
-            .get(base + lit.alt() as usize)
-            .copied()
-            .unwrap_or(0.0),
-        _ => 0.0,
-    }
-}
-
 /// The stretching sweeps against an already-built scheduled graph.
 ///
-/// The graph is **not mutated**: current path delays live in
+/// The graph's paths are **not mutated**: current path delays live in
 /// `scratch.delays` (initialized from the graph's nominal delays), so an
-/// incumbent graph stays pristine for reuse. With `seed = None` this is
+/// incumbent graph stays reusable. The only write is the per-task layout
+/// of each task the sweeps scan for the first time on this graph, which
+/// stays with it for later calls. With `seed = None` this is
 /// bit-for-bit the historical `stretch_with_paths` — the same operations on
 /// the same values in the same order, with the delay updates applied to the
 /// scratch buffer instead of the paths. A seed pre-applies a previous
@@ -264,48 +259,32 @@ fn lit_prob(lit_base: &[usize], lit_flat: &[f64], lit: &Literal) -> f64 {
 /// without a scan, which the grant they skip could not change (see the
 /// module doc).
 ///
-/// Returns the speeds and the number of members the slack scans read (the
-/// [`Stage::Stretch`](ctg_obs::Stage::Stretch) span's arg).
+/// Returns the speeds, the number of members the slack scans read (the
+/// [`Stage::Stretch`](ctg_obs::Stage::Stretch) span's arg) and the number
+/// of tasks this call was the first to lay out on the graph.
 pub(crate) fn stretch_on_graph(
     ctx: &SchedContext,
     probs: &BranchProbs,
     schedule: &Schedule,
     cfg: &StretchConfig,
-    graph: &ScheduledGraph,
+    graph: &mut ScheduledGraph,
     seed: Option<&SpeedAssignment>,
     scratch: &mut StretchScratch,
-) -> (SpeedAssignment, u64) {
+) -> (SpeedAssignment, u64, usize) {
     let deadline = ctx.ctg().deadline();
     let profile = ctx.platform().profile();
     let n = ctx.ctg().num_tasks();
 
     scratch.extra.clear();
     scratch.extra.resize(n, 0.0);
-    // Flat probability lookup, then per-scenario and per-task activation
-    // probabilities derived through it: every product and sum below walks
-    // the same values in the same order as the `BranchProbs`/`ScenarioSet`
-    // originals, so the results are bit-identical — only the B-tree lookups
-    // are gone. `prob(τ)` sums the task mask's scenarios in ascending order,
-    // as `ScenarioSet::task_prob` does over the active ones.
-    scratch.lit_base.clear();
-    scratch.lit_base.resize(n, usize::MAX);
-    scratch.lit_flat.clear();
-    for &b in ctx.ctg().branch_nodes() {
-        if let Some(d) = probs.distribution(b) {
-            scratch.lit_base[b.index()] = scratch.lit_flat.len();
-            scratch.lit_flat.extend_from_slice(d);
-        }
-    }
-    scratch.scenario_probs.clear();
-    for s in ctx.scenarios().scenarios() {
-        let p: f64 = s
-            .cube()
-            .literals()
-            .iter()
-            .map(|lit| lit_prob(&scratch.lit_base, &scratch.lit_flat, lit))
-            .product();
-        scratch.scenario_probs.push(p);
-    }
+    // The context's flat literal table, then per-scenario and per-task
+    // activation probabilities derived through it: every product and sum
+    // below walks the same values in the same order as the
+    // `BranchProbs`/`ScenarioSet` originals, so the results are
+    // bit-identical. `prob(τ)` sums the task mask's scenarios in ascending
+    // order, as `ScenarioSet::task_prob` does over the active ones.
+    ctx.literal_probs_into(probs, &mut scratch.lit_probs);
+    ctx.scenario_probs_into(&scratch.lit_probs, &mut scratch.scenario_probs);
     scratch.task_probs.clear();
     scratch.task_probs.extend(
         ctx.ctg()
@@ -320,7 +299,7 @@ pub(crate) fn stretch_on_graph(
         for k in 0..=lits.len() {
             scratch.prob_after[first + k] = lits[k..]
                 .iter()
-                .map(|lit| lit_prob(&scratch.lit_base, &scratch.lit_flat, lit))
+                .map(|&lit| ctx.literal_prob(&scratch.lit_probs, lit))
                 .product();
         }
     }
@@ -332,8 +311,10 @@ pub(crate) fn stretch_on_graph(
                 let wcet = profile.wcet(t.index(), schedule.pe_of(t));
                 let extra = wcet * (1.0 / s - 1.0);
                 scratch.extra[t.index()] = extra;
-                for &(i, _) in graph.span(t) {
-                    scratch.delays[i as usize] += extra;
+                for r in graph.span_ranges(t) {
+                    for d in &mut scratch.delays[r.paths()] {
+                        *d += extra;
+                    }
                 }
             }
         }
@@ -362,6 +343,7 @@ pub(crate) fn stretch_on_graph(
         }
     }
     let mut members_read = 0;
+    let mut layouts = 0;
     #[cfg(test)]
     {
         scratch.blocked_visits = 0;
@@ -371,7 +353,7 @@ pub(crate) fn stretch_on_graph(
         let mut granted_total = 0.0;
         for &t in schedule.task_order() {
             let wcet = profile.wcet(t.index(), schedule.pe_of(t));
-            if wcet <= 0.0 || graph.span(t).is_empty() {
+            if wcet <= 0.0 || graph.span_ranges(t).is_empty() {
                 continue;
             }
             let task_prob = scratch.task_probs[t.index()];
@@ -390,7 +372,9 @@ pub(crate) fn stretch_on_graph(
                 }
                 continue;
             }
-            members_read += graph.span(t).len() as u64;
+            layouts += usize::from(graph.lay_out(t, &mut scratch.layout));
+            let graph: &ScheduledGraph = graph;
+            members_read += graph.layout(t).1.len() as u64;
             let slack = calculate_slack(
                 graph,
                 t,
@@ -410,13 +394,15 @@ pub(crate) fn stretch_on_graph(
             scratch.extra[t.index()] += slack;
             granted_total += slack;
             // Lock and propagate: every spanning path now takes `slack`
-            // longer (ratios follow their delays).
-            for &(i, _) in graph.span(t) {
-                let i = i as usize;
-                scratch.delays[i] += slack;
-                scratch.ratios[i] = path_ratio(scratch.delays[i]);
-                if deadline - scratch.delays[i] <= GRANT_EPS {
-                    block_path(graph, i, &mut scratch.blocked);
+            // longer (ratios follow their delays). Each path's update reads
+            // only its own delay, so the order over the paths is free.
+            for r in graph.span_ranges(t) {
+                for i in r.paths() {
+                    scratch.delays[i] += slack;
+                    scratch.ratios[i] = path_ratio(scratch.delays[i]);
+                    if deadline - scratch.delays[i] <= GRANT_EPS {
+                        block_path(graph, i, &mut scratch.blocked);
+                    }
                 }
             }
         }
@@ -432,7 +418,7 @@ pub(crate) fn stretch_on_graph(
             speeds.set(t, wcet / (wcet + scratch.extra[t.index()]));
         }
     }
-    (speeds, members_read)
+    (speeds, members_read, layouts)
 }
 
 /// Flags every task on path `i` as blocked.
@@ -444,9 +430,9 @@ fn block_path(graph: &ScheduledGraph, i: usize, blocked: &mut [bool]) {
 
 /// The paper's `CalculateSlack(τ)` routine.
 ///
-/// The task's minterm groups come from the graph's per-task layout (groups
-/// in first-occurrence order, members ascending by path index: `slk1` sums
-/// over groups in that order); `delays`/`ratios` hold
+/// The task's minterm groups come from the graph's per-task layout, which
+/// must be laid out (groups in first-occurrence order, members ascending by
+/// path index: `slk1` sums over groups in that order); `delays`/`ratios` hold
 /// the current (stretched-so-far) delay and slack ratio of every path;
 /// `prob_after` holds `prob(p, τ)` per suffix slot, priced once per call.
 ///
@@ -471,7 +457,7 @@ fn calculate_slack(
     ratios: &[f64],
     prob_after: &[f64],
 ) -> f64 {
-    let members = graph.members();
+    let (runs, members) = graph.layout(task);
     let mut slk1 = 0.0;
     let mut any1 = false;
     let mut slk2 = f64::INFINITY;
@@ -482,7 +468,7 @@ fn calculate_slack(
     // is bit-identical to the historical separate pass over
     // the spanning paths.
     let mut deadline_cap = f64::INFINITY;
-    for &(run_start, run_end) in graph.group_runs(task) {
+    for &(run_start, run_end) in runs {
         let run = &members[run_start as usize..run_end as usize];
         // `(slack ratio, prob(p, τ))` of the critical member overall and of
         // the critical member with prob(p, τ) ≠ 1.
@@ -678,6 +664,7 @@ mod tests {
     use crate::dls::dls_schedule;
     use crate::speed::expected_energy;
     use crate::test_util::{chain_context, example1_context, example1_ctg, uniform_platform};
+    use ctg_model::Literal;
 
     #[test]
     fn chain_stretch_fills_deadline() {
@@ -834,13 +821,18 @@ mod tests {
         ] {
             let probs = skewed_probs(ctx.ctg());
             let sched = dls_schedule(ctx, &probs).unwrap();
-            let graph = ScheduledGraph::build(ctx, &sched, &probs, DEFAULT_PATH_CAP).unwrap();
+            let mut graph = ScheduledGraph::build(ctx, &sched, &probs, DEFAULT_PATH_CAP).unwrap();
             let mut scratch = StretchScratch::default();
             let cfg = StretchConfig::default();
-            stretch_on_graph(ctx, &probs, &sched, &cfg, &graph, None, &mut scratch);
+            stretch_on_graph(ctx, &probs, &sched, &cfg, &mut graph, None, &mut scratch);
             let mut pending = 0;
             for t in ctx.ctg().tasks() {
-                for &(i, slot) in graph.span(t) {
+                if graph.span_ranges(t).is_empty() {
+                    continue;
+                }
+                // Tasks the sweeps skipped are laid out here.
+                graph.lay_out(t, &mut scratch.layout);
+                for &(i, slot) in graph.layout(t).1 {
                     let want = graph.path(i as usize).prob_after(t, &probs);
                     let got = scratch.prob_after[slot as usize];
                     assert_eq!(
@@ -883,11 +875,11 @@ mod tests {
         let mut blocked = 0;
         for probs in [uniform, skewed_probs(ctx.ctg())] {
             let sched = dls_schedule(&ctx, &probs).unwrap();
-            let graph = ScheduledGraph::build(&ctx, &sched, &probs, DEFAULT_PATH_CAP).unwrap();
+            let mut graph = ScheduledGraph::build(&ctx, &sched, &probs, DEFAULT_PATH_CAP).unwrap();
             let mut scratch = StretchScratch::default();
             let cfg = StretchConfig::default();
-            let (_, read) =
-                stretch_on_graph(&ctx, &probs, &sched, &cfg, &graph, None, &mut scratch);
+            let (_, read, _) =
+                stretch_on_graph(&ctx, &probs, &sched, &cfg, &mut graph, None, &mut scratch);
             assert!(read > 0);
             blocked += scratch.blocked_visits;
         }
