@@ -81,9 +81,14 @@ CTG_WORKERS=2 ./target/release/campaign --smoke
 test -s target/campaign_cells_smoke.jsonl
 test -s target/BENCH_campaign_smoke.json
 
-echo "==> scheduler portfolio matrix (trait pin bit-for-bit, dormant knob, race"
-echo "    verdict, serve determinism across worker and shard counts)"
+echo "==> scheduler portfolio matrix (kind pin: DLS kind == OnlineScheduler, cold and"
+echo "    warm; frame pin: frame kind through a shared workspace == cold DLS + level"
+echo "    search; dormant knob, race verdict, serve determinism across worker and"
+echo "    shard counts)"
 cargo test -q --offline --test scheduler_portfolio
+
+echo "==> quickstart example (the first runnable example README.md lists)"
+cargo run -q --release --offline --example quickstart > /dev/null
 
 echo "==> portfolio bench smoke (serve bench portfolio row: expected-energy"
 echo "    no-regression gate vs DLS-only + reshard determinism, asserted in-bin;"

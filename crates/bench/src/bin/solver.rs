@@ -53,9 +53,9 @@ use ctg_bench::setup::{prepare_mpeg, profile_trace};
 use ctg_model::BranchProbs;
 use ctg_obs::{BufferedSink, EventKind, Obs, Stage};
 use ctg_sched::{
-    race_portfolio, stretch_schedule, AdaptiveScheduler, OnlineScheduler, SchedContext, Schedule,
-    ScheduledGraph, SchedulerKind, Solution, SolverWorkspace, StretchConfig, DEFAULT_PATH_CAP,
-    DEFAULT_PORTFOLIO,
+    race_portfolio, stretch_schedule, AdaptiveScheduler, OnlineScheduler, PortfolioStats,
+    SchedContext, Schedule, ScheduledGraph, SchedulerKind, Solution, SolverWorkspace,
+    StretchConfig, DEFAULT_PATH_CAP, DEFAULT_PORTFOLIO,
 };
 use ctg_workloads::traces;
 
@@ -207,7 +207,7 @@ fn main() {
     let mut warm_stats = None;
     let mut distinct = (0, 0);
     let mut dls_solutions: Vec<Solution> = Vec::new();
-    let mut race_wins = [0usize; SchedulerKind::COUNT];
+    let mut race_stats = PortfolioStats::default();
     let mut race_energy_ratio_sum = 0.0;
     let mut race_energy_ratio_n = 0usize;
     let mut race_builds = 0;
@@ -246,13 +246,20 @@ fn main() {
         // asserted never worse than the cold (DLS) plan.
         let mut race_ws = SolverWorkspace::new();
         for probs in &tables {
-            race_portfolio(&DEFAULT_PORTFOLIO, &ctx, probs, &mut race_ws)
+            let mut priming = PortfolioStats::default();
+            race_portfolio(&DEFAULT_PORTFOLIO, &ctx, probs, &mut race_ws, &mut priming)
                 .expect("race priming solve");
         }
         for (probs, cold) in tables.iter().zip(&cold_solutions) {
             let t0 = Instant::now();
-            let outcome =
-                race_portfolio(&DEFAULT_PORTFOLIO, &ctx, probs, &mut race_ws).expect("race solve");
+            let outcome = race_portfolio(
+                &DEFAULT_PORTFOLIO,
+                &ctx,
+                probs,
+                &mut race_ws,
+                &mut race_stats,
+            )
+            .expect("race solve");
             race_samples.push(t0.elapsed().as_secs_f64());
             let e_cold = cold.expected_energy(&ctx, probs);
             assert!(
@@ -261,7 +268,6 @@ fn main() {
                 outcome.energy,
                 e_cold
             );
-            race_wins[DEFAULT_PORTFOLIO[outcome.winner].index()] += 1;
             race_energy_ratio_sum += outcome.energy / e_cold;
             race_energy_ratio_n += 1;
         }
@@ -403,7 +409,7 @@ fn main() {
     println!("equivalence: PASS (every warm solution bit-identical to cold)");
     let wins: Vec<String> = SchedulerKind::ALL
         .iter()
-        .map(|k| format!("{k}:{}", race_wins[k.index()]))
+        .map(|k| format!("{k}:{}", race_stats.wins[k.index()]))
         .collect();
     println!(
         "portfolio race (dls+heft+lookahead): wins {}, mean energy vs dls {:.4} (never above 1)",
@@ -447,7 +453,7 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"portfolio_wins\": {{\"dls\": {}, \"heft\": {}, \"lookahead\": {}, \"frame\": {}}},\n",
-        race_wins[0], race_wins[1], race_wins[2], race_wins[3]
+        race_stats.wins[0], race_stats.wins[1], race_stats.wins[2], race_stats.wins[3]
     ));
     json.push_str(&format!(
         "  \"portfolio_energy_vs_dls\": {race_energy_ratio:.6},\n"

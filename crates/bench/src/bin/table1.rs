@@ -3,10 +3,10 @@
 //! (the paper: ref. 1 ≈ +39% energy on average; online ≈ +8% vs. ref. 2;
 //! online ≈ 120 000× faster than ref. 2).
 //!
-//! Grown past the paper: a scheduler column block compares the
-//! [`CtgScheduler`](ctg_sched::CtgScheduler) implementors (HEFT, the lookahead list scheduler and
-//! the frame-based DVFS baseline) and the racing portfolio on the same
-//! cases, normalized the same way. The portfolio is asserted never worse
+//! Grown past the paper: a scheduler column block compares the other
+//! [`SchedulerKind`]s (HEFT, the lookahead list scheduler and the
+//! frame-based DVFS baseline) and the racing portfolio on the same cases,
+//! normalized the same way. The portfolio is asserted never worse
 //! than the online (DLS) pipeline on every row — the race's DLS-first
 //! tie-breaking makes that a structural guarantee, not a lucky sample.
 
@@ -14,7 +14,7 @@ use ctg_bench::report::{f1, Table};
 use ctg_bench::setup::prepare_case;
 use ctg_sched::baseline::{reference1, reference2, NlpConfig};
 use ctg_sched::{
-    race_portfolio, OnlineScheduler, SchedulerKind, SolverWorkspace, StretchConfig,
+    race_portfolio, OnlineScheduler, PortfolioStats, SchedulerKind, SolverWorkspace, StretchConfig,
     DEFAULT_PORTFOLIO,
 };
 use ctg_sim::{map_ordered, RunConfig};
@@ -53,7 +53,7 @@ fn run_case(cfg: &tgff_gen::TgffConfig, pes: usize) -> CaseResult {
     let e_ref1 = ref1.expected_energy(ctx, probs);
     let e_ref2 = ref2.expected_energy(ctx, probs);
 
-    // The trait implementors on the same case, same normalization.
+    // The other scheduler kinds on the same case, same normalization.
     let norm = |kind: SchedulerKind| {
         let sol = kind.solve(ctx, probs).expect("scheduler solves");
         100.0 * sol.expected_energy(ctx, probs) / e_online
@@ -64,8 +64,14 @@ fn run_case(cfg: &tgff_gen::TgffConfig, pes: usize) -> CaseResult {
 
     // The default racing portfolio; DLS races too, so the winner can never
     // be worse than the online pipeline.
-    let outcome = race_portfolio(&DEFAULT_PORTFOLIO, ctx, probs, &mut SolverWorkspace::new())
-        .expect("portfolio race solves");
+    let outcome = race_portfolio(
+        &DEFAULT_PORTFOLIO,
+        ctx,
+        probs,
+        &mut SolverWorkspace::new(),
+        &mut PortfolioStats::default(),
+    )
+    .expect("portfolio race solves");
     let n_portfolio = 100.0 * outcome.energy / e_online;
     assert!(
         n_portfolio <= 100.0 + 1e-9,
@@ -154,7 +160,7 @@ fn main() {
     println!(
         "avg online-vs-ref2 speedup = {avg_speedup:.0}x (paper: ~120000x with a true NLP solver)"
     );
-    sched_table.print("Table 1b: CtgScheduler implementors on the same cases (online = 100)");
+    sched_table.print("Table 1b: scheduler kinds on the same cases (online = 100)");
     println!(
         "\navg portfolio = {:.1} (never above 100.0 by construction)",
         sum_portfolio / n

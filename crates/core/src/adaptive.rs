@@ -542,8 +542,8 @@ impl AdaptiveScheduler {
     /// resilient solves (`deadline_guard < 1.0`) intentionally stay
     /// DLS-only — the degradation ladder's contract predates the portfolio
     /// — and a solve budget only constrains the DLS entry: the entries
-    /// share the manager's unguarded workspace, and the HEFT-family
-    /// entries stretch through its graph pool unmetered. A race costs
+    /// share the manager's unguarded workspace, and the other kinds solve
+    /// through it unmetered. A race costs
     /// about the sum of its entries' solves, and an entry whose mapping
     /// the shared pool already holds skips the graph build (see the
     /// `scheduler` module). The construction solve already happened, so
@@ -695,26 +695,35 @@ impl AdaptiveScheduler {
     }
 
     /// Drift check against the probabilities in force: the estimated table
-    /// when any branch's estimate drifted beyond the threshold.
+    /// when any branch's estimate drifted beyond the threshold. Only a
+    /// crossing builds the table; most observed instances do not cross.
     fn drifted_probs(&self, ctx: &SchedContext) -> Option<BranchProbs> {
-        let ctg = ctx.ctg();
+        let estimates: Vec<(TaskId, Vec<f64>)> = ctx
+            .ctg()
+            .branch_nodes()
+            .iter()
+            .zip(&self.estimators)
+            .filter_map(|(&b, e)| Some((b, e.estimate()?)))
+            .collect();
         let mut drift = 0.0_f64;
-        let mut estimated = self.current_probs.clone();
-        for (i, &b) in ctg.branch_nodes().iter().enumerate() {
-            if let Some(est) = self.estimators[i].estimate() {
-                let current = self
-                    .current_probs
-                    .distribution(b)
-                    .expect("validated table has every branch");
-                for (p, q) in est.iter().zip(current) {
-                    drift = drift.max((p - q).abs());
-                }
+        for (b, est) in &estimates {
+            let current = self
+                .current_probs
+                .distribution(*b)
+                .expect("validated table has every branch");
+            for (p, q) in est.iter().zip(current) {
+                drift = drift.max((p - q).abs());
+            }
+        }
+        (drift > self.threshold).then(|| {
+            let mut estimated = self.current_probs.clone();
+            for (b, est) in estimates {
                 estimated
                     .set(b, est)
                     .expect("estimates form a distribution");
             }
-        }
-        (drift > self.threshold).then_some(estimated)
+            estimated
+        })
     }
 
     /// The estimated probability table, when any branch's windowed estimate
@@ -876,11 +885,7 @@ impl AdaptiveScheduler {
             self.ws_budget,
         );
         let p = self.portfolio.as_mut().expect("portfolio mode enabled");
-        let raced = race_portfolio(&p.kinds, ctx, probs, ws);
-        p.stats.races += 1;
-        let outcome = raced?;
-        p.stats.wins[p.kinds[outcome.winner].index()] += 1;
-        Ok(outcome.solution)
+        Ok(race_portfolio(&p.kinds, ctx, probs, ws, &mut p.stats)?.solution)
     }
 
     /// Work counters of the unguarded warm-start solver workspace

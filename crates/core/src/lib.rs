@@ -87,8 +87,7 @@ pub use error::SchedError;
 pub use online::{OnlineScheduler, Solution};
 pub use schedule::Schedule;
 pub use scheduler::{
-    parse_scheduler_selection, race_portfolio, CtgScheduler, DlsScheduler, FrameDvfsScheduler,
-    HeftScheduler, LookaheadScheduler, PortfolioStats, RaceOutcome, SchedulerKind,
+    parse_scheduler_selection, race_portfolio, PortfolioStats, RaceOutcome, SchedulerKind,
     DEFAULT_PORTFOLIO, FRAME_SPEED_LEVELS,
 };
 pub use sgraph::{SEdge, SEdgeKind, SPath, ScheduledGraph, DEFAULT_PATH_CAP};

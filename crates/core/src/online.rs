@@ -101,11 +101,7 @@ impl OnlineScheduler {
     /// stretching cannot repair an infeasible mapping.
     pub fn solve(&self, ctx: &SchedContext, probs: &BranchProbs) -> Result<Solution, SchedError> {
         let schedule = dls_schedule(ctx, probs)?;
-        let makespan = schedule.makespan();
-        let deadline = ctx.ctg().deadline();
-        if makespan > deadline + 1e-9 {
-            return Err(SchedError::DeadlineUnreachable { makespan, deadline });
-        }
+        check_deadline(ctx, &schedule)?;
         let speeds = stretch_schedule(ctx, probs, &schedule, &self.cfg)?;
         Ok(Solution { schedule, speeds })
     }
@@ -127,6 +123,18 @@ impl OnlineScheduler {
     ) -> Result<Solution, SchedError> {
         workspace.solve(&self.cfg, ctx, probs)
     }
+}
+
+/// The pipeline's check between mapping and stretching: stretching only
+/// slows tasks down, so it cannot repair a schedule whose nominal makespan
+/// already misses the deadline.
+pub(crate) fn check_deadline(ctx: &SchedContext, schedule: &Schedule) -> Result<(), SchedError> {
+    let makespan = schedule.makespan();
+    let deadline = ctx.ctg().deadline();
+    if makespan > deadline + 1e-9 {
+        return Err(SchedError::DeadlineUnreachable { makespan, deadline });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

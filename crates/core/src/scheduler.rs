@@ -1,43 +1,41 @@
-//! The scheduler portfolio: a common solving trait over the online
-//! pipeline, alternative list schedulers, and the drift-event race.
+//! The scheduler kinds and the drift-event race.
 //!
-//! The paper commits to one list scheduler (modified DLS + stretching),
-//! but no single heuristic wins across workloads. This module extracts the
-//! seam as the [`CtgScheduler`] trait — solve a [`SchedContext`] under a
-//! [`BranchProbs`] table through a [`SolverWorkspace`], returning a
-//! [`Solution`] — and provides four implementors:
+//! The paper's online algorithm maps with modified DLS, then picks speeds
+//! with the Fig. 2 stretch. A [`SchedulerKind`] names one such (mapper,
+//! speed policy) pair, and every kind solves through the one warm
+//! [`SolverWorkspace`]:
 //!
-//! * [`DlsScheduler`] — the paper's modified DLS + probability-weighted
-//!   stretching, **bit-for-bit identical** to
-//!   [`OnlineScheduler::solve_with_workspace`] (it delegates to the same
-//!   warm-start [`SolverWorkspace::solve`] core);
-//! * [`HeftScheduler`] — HEFT with probabilities: tasks are prioritised by
-//!   the probability-weighted upward ranks ([`static_levels`] — the
-//!   expected critical path below each task) and each task is placed on
-//!   the PE minimising its earliest finish time;
-//! * [`LookaheadScheduler`] — a one-step lookahead variant of the HEFT
-//!   loop: the PE choice additionally charges the estimated finish of the
-//!   task's most critical successor given that placement;
-//! * [`FrameDvfsScheduler`] — a Berten-&-Goossens-style frame-based DVFS
-//!   baseline: probability-aware mapping, then **one** uniform frame speed
-//!   (the lowest discrete level whose exact worst-case makespan still
-//!   meets the deadline) instead of per-task stretching.
+//! | kind | mapper | speed policy |
+//! |---|---|---|
+//! | [`Dls`](SchedulerKind::Dls) | modified DLS on the workspace's dirty-set levels | Fig. 2 stretch |
+//! | [`Heft`](SchedulerKind::Heft) | HEFT on probability-weighted upward ranks | Fig. 2 stretch |
+//! | [`Lookahead`](SchedulerKind::Lookahead) | HEFT with a one-step lookahead | Fig. 2 stretch |
+//! | [`FrameDvfs`](SchedulerKind::FrameDvfs) | modified DLS on the workspace's dirty-set levels | one uniform frame speed |
 //!
-//! [`race_portfolio`] runs a configured set of schedulers over one table,
-//! in entry order, and crowns the winner as each entry solves: schedulable
+//! HEFT ranks ready tasks by the probability-weighted static levels (the
+//! expected critical path below each task) and places each on the PE
+//! minimising its earliest finish time; the lookahead variant also charges
+//! the estimated finish of the task's most critical successor. The frame
+//! speed policy is a Berten-&-Goossens-style frame-based DVFS baseline:
+//! every task runs at the lowest of [`FRAME_SPEED_LEVELS`] discrete
+//! levels whose exact worst-case makespan still meets the deadline. Every
+//! Fig. 2 stretch goes through the workspace's graph pool, which is keyed
+//! on the mapping alone, so one workspace serves every kind.
+//!
+//! [`race_portfolio`] runs a configured set of kinds over one table, in
+//! entry order, and crowns the winner as each entry solves: schedulable
 //! candidates (worst-case makespan within the deadline, the adaptive
 //! manager's existing judge) are ranked by expected energy with strict
 //! `<` — ties keep the earliest entry — so a portfolio listing DLS first
 //! can never adopt a plan with higher expected energy than DLS alone
 //! would.
 //!
-//! Determinism: every implementor is a pure function of
-//! `(ctx, probs, configuration)`. The DLS entry reuses all of the
-//! workspace's warm-start layers (whose warm == cold contract is pinned
-//! in `tests/solver_equivalence.rs`). HEFT and lookahead run their list
-//! schedulers cold and stretch through the workspace's graph pool, which
-//! is keyed on the mapping alone, so one workspace serves every entry of
-//! a race. The frame baseline ignores the workspace and solves cold.
+//! Determinism: every kind is a pure function of `(ctx, probs)`. The race
+//! replays winners through plan caches keyed on the exact probability
+//! bits, which is only sound because re-solving the same inputs cannot
+//! produce different bits, and each warm layer of the workspace returns
+//! what a cold solve would (pinned in `tests/solver_equivalence.rs` and
+//! `tests/scheduler_portfolio.rs`).
 //!
 //! Cost: a race costs about the sum of its entries' solves. The list
 //! schedulers are cheap; an entry whose mapping the pool holds skips the
@@ -49,11 +47,13 @@
 //! context's scenario masks and costs tens of microseconds. DESIGN.md
 //! §18.3 has the measured breakdown.
 
+use crate::budget::WorkMeter;
 use crate::context::SchedContext;
-use crate::dls::{dls_schedule, earliest_start};
+use crate::dls::earliest_start;
 use crate::error::SchedError;
-use crate::online::{OnlineScheduler, Solution};
+use crate::online::{check_deadline, Solution};
 use crate::schedule::Schedule;
+use crate::sgraph::worst_case_makespan_dp;
 use crate::speed::SpeedAssignment;
 use crate::static_level::static_levels;
 use crate::stretch::StretchConfig;
@@ -62,236 +62,150 @@ use ctg_model::{BranchProbs, TaskId};
 use ctg_obs::{Counter, Stage};
 use mpsoc_platform::PeId;
 
-/// A conditional-task-graph scheduler: maps, orders and speed-assigns a
-/// context's CTG under a branch-probability table.
-///
-/// The trait is the seam the portfolio races over. Implementations must be
-/// **deterministic pure functions** of `(ctx, probs)` and their own
-/// configuration — the race replays winners through plan caches keyed
-/// on the exact probability bits, which is only sound when re-solving
-/// the same inputs cannot produce different bits. The workspace parameter
-/// carries warm-start state for implementors that use it (the DLS
-/// pipeline, and the graph pool the HEFT-family entries stretch through);
-/// implementors without warm layers ignore it.
-pub trait CtgScheduler {
-    /// Short stable identifier ("dls", "heft", …) used in bench columns
-    /// and win counters.
-    fn name(&self) -> &'static str;
+/// A scheduler: one (mapper, speed policy) pair solving through a
+/// [`SolverWorkspace`] at the default stretch configuration. A plain
+/// `Copy` enum keeps every carrier — managers, configs, campaign cells —
+/// `Clone` and comparable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SchedulerKind {
+    /// Modified DLS + probability-weighted stretching: the paper's online
+    /// algorithm, [`SolverWorkspace::solve`], bit-identical to
+    /// [`OnlineScheduler::solve`](crate::OnlineScheduler::solve).
+    Dls,
+    /// HEFT with probability-weighted upward ranks, then the Fig. 2
+    /// stretch.
+    Heft,
+    /// One-step lookahead list scheduler, then the Fig. 2 stretch.
+    Lookahead,
+    /// Frame-based DVFS baseline: the DLS mapping at one uniform frame
+    /// speed.
+    FrameDvfs,
+}
 
-    /// Solves `ctx` under `probs`, carrying warm-start state in
-    /// `workspace` where the implementation has any.
+impl SchedulerKind {
+    /// Every kind, in the canonical (win-counter) order.
+    pub const ALL: [SchedulerKind; 4] = [
+        SchedulerKind::Dls,
+        SchedulerKind::Heft,
+        SchedulerKind::Lookahead,
+        SchedulerKind::FrameDvfs,
+    ];
+
+    /// Number of kinds — the length of per-kind win-counter arrays.
+    pub const COUNT: usize = Self::ALL.len();
+
+    /// The stable identifier used in bench columns, win counters and
+    /// campaign axis labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            SchedulerKind::Dls => "dls",
+            SchedulerKind::Heft => "heft",
+            SchedulerKind::Lookahead => "lookahead",
+            SchedulerKind::FrameDvfs => "frame",
+        }
+    }
+
+    /// Index into [`SchedulerKind::ALL`]-ordered win-counter arrays (the
+    /// variants are declared in that order).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Parses a kind from its [`SchedulerKind::name`] (ASCII
+    /// case-insensitive, surrounding whitespace ignored).
+    pub fn parse(raw: &str) -> Option<SchedulerKind> {
+        let t = raw.trim();
+        Self::ALL
+            .into_iter()
+            .find(|k| t.eq_ignore_ascii_case(k.name()))
+    }
+
+    /// Solves through a fresh workspace — by the warm == cold contract,
+    /// identical to [`SchedulerKind::solve_with_workspace`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`SchedulerKind::solve_with_workspace`].
+    pub fn solve(self, ctx: &SchedContext, probs: &BranchProbs) -> Result<Solution, SchedError> {
+        let mut ws = SolverWorkspace::new();
+        self.solve_with_workspace(ctx, probs, &mut ws)
+    }
+
+    /// Maps `ctx`'s CTG under `probs` with the kind's mapper, then picks
+    /// its speeds with the kind's speed policy, through `workspace`.
+    ///
+    /// Only [`SchedulerKind::Dls`] is a [`SolverWorkspace::solve`]: it is
+    /// metered against the workspace's budget, opens a `solve` span and
+    /// counts in [`WorkspaceStats::solves`](crate::WorkspaceStats::solves).
+    /// The other kinds are unmetered and record only their stages: HEFT
+    /// and lookahead their graph-pool lookups and stretches, the frame
+    /// kind its `dls_map` span and static-level update.
     ///
     /// # Errors
     ///
     /// Mapping infeasibility ([`SchedError::NoFeasiblePe`]), unreachable
-    /// deadlines ([`SchedError::DeadlineUnreachable`]), configuration
-    /// errors, and budget aborts for budgeted workspaces.
-    fn solve_with_workspace(
-        &self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-        workspace: &mut SolverWorkspace,
-    ) -> Result<Solution, SchedError>;
-
-    /// Solves through a fresh workspace — by the warm == cold contract,
-    /// identical to [`CtgScheduler::solve_with_workspace`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CtgScheduler::solve_with_workspace`].
-    fn solve(&self, ctx: &SchedContext, probs: &BranchProbs) -> Result<Solution, SchedError> {
-        let mut ws = SolverWorkspace::new();
-        self.solve_with_workspace(ctx, probs, &mut ws)
-    }
-}
-
-/// The existing pipeline is the first implementor: bit-for-bit the
-/// historic [`OnlineScheduler::solve`] / `solve_with_workspace` behaviour.
-impl CtgScheduler for OnlineScheduler {
-    fn name(&self) -> &'static str {
-        "dls"
-    }
-
-    fn solve_with_workspace(
-        &self,
+    /// deadlines ([`SchedError::DeadlineUnreachable`]), and budget aborts
+    /// of [`SchedulerKind::Dls`] on a budgeted workspace.
+    pub fn solve_with_workspace(
+        self,
         ctx: &SchedContext,
         probs: &BranchProbs,
         workspace: &mut SolverWorkspace,
     ) -> Result<Solution, SchedError> {
-        OnlineScheduler::solve_with_workspace(self, ctx, probs, workspace)
+        let cfg = StretchConfig::default();
+        match self {
+            SchedulerKind::Dls => workspace.solve(&cfg, ctx, probs),
+            SchedulerKind::Heft | SchedulerKind::Lookahead => {
+                let lookahead = self == SchedulerKind::Lookahead;
+                let schedule = eft_list_schedule(ctx, probs, lookahead)?;
+                check_deadline(ctx, &schedule)?;
+                let speeds = workspace.stretch_mapping(&cfg, ctx, probs, &schedule)?;
+                Ok(Solution { schedule, speeds })
+            }
+            SchedulerKind::FrameDvfs => {
+                let schedule = workspace.dls_map(ctx, probs, &mut WorkMeter::unlimited())?;
+                frame_speed(ctx, schedule)
+            }
+        }
     }
 }
 
-/// The paper's modified-DLS + stretching pipeline as a named portfolio
-/// entry. Pinned bit-for-bit to [`OnlineScheduler`]: both delegate to the
-/// same [`SolverWorkspace::solve`] core (`tests/scheduler_portfolio.rs`
-/// asserts the equivalence on both TGFF families).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DlsScheduler {
-    cfg: StretchConfig,
-}
-
-impl DlsScheduler {
-    /// The default-configuration DLS entry.
-    pub fn new() -> Self {
-        DlsScheduler::default()
-    }
-
-    /// A DLS entry with a custom stretching configuration.
-    pub fn with_config(cfg: StretchConfig) -> Self {
-        DlsScheduler { cfg }
+impl std::fmt::Display for SchedulerKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
-impl CtgScheduler for DlsScheduler {
-    fn name(&self) -> &'static str {
-        "dls"
-    }
-
-    fn solve_with_workspace(
-        &self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-        workspace: &mut SolverWorkspace,
-    ) -> Result<Solution, SchedError> {
-        workspace.solve(&self.cfg, ctx, probs)
-    }
-}
-
-/// HEFT with probabilities: upward ranks are the probability-weighted
-/// static levels (the expected critical path below each task, branch
-/// nodes taking the expectation over alternatives), the ready task with
-/// the highest rank is scheduled first, and each task goes to the PE
-/// minimising its earliest finish time. Speeds come from the same
-/// stretching heuristic as the DLS pipeline, so the entries differ only
-/// in mapping/ordering policy.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HeftScheduler {
-    cfg: StretchConfig,
-}
-
-impl HeftScheduler {
-    /// The default-configuration HEFT entry.
-    pub fn new() -> Self {
-        HeftScheduler::default()
-    }
-
-    /// A HEFT entry with a custom stretching configuration.
-    pub fn with_config(cfg: StretchConfig) -> Self {
-        HeftScheduler { cfg }
-    }
-}
-
-impl CtgScheduler for HeftScheduler {
-    fn name(&self) -> &'static str {
-        "heft"
-    }
-
-    fn solve_with_workspace(
-        &self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-        workspace: &mut SolverWorkspace,
-    ) -> Result<Solution, SchedError> {
-        let schedule = eft_list_schedule(ctx, probs, false)?;
-        stretch_solution(ctx, probs, schedule, &self.cfg, workspace)
-    }
-}
-
-/// One-step lookahead list scheduler: like [`HeftScheduler`], but the PE
-/// choice for a task additionally charges the estimated earliest finish of
-/// the task's most critical (highest-rank) successor under that placement —
-/// a placement that looks locally fast but strands the critical child
-/// behind a slow link loses the comparison.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LookaheadScheduler {
-    cfg: StretchConfig,
-}
-
-impl LookaheadScheduler {
-    /// The default-configuration lookahead entry.
-    pub fn new() -> Self {
-        LookaheadScheduler::default()
-    }
-
-    /// A lookahead entry with a custom stretching configuration.
-    pub fn with_config(cfg: StretchConfig) -> Self {
-        LookaheadScheduler { cfg }
-    }
-}
-
-impl CtgScheduler for LookaheadScheduler {
-    fn name(&self) -> &'static str {
-        "lookahead"
-    }
-
-    fn solve_with_workspace(
-        &self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-        workspace: &mut SolverWorkspace,
-    ) -> Result<Solution, SchedError> {
-        let schedule = eft_list_schedule(ctx, probs, true)?;
-        stretch_solution(ctx, probs, schedule, &self.cfg, workspace)
-    }
-}
-
-/// Number of discrete speed levels the frame-based DVFS baseline chooses
-/// from (`k / FRAME_SPEED_LEVELS` for `k = 1..=FRAME_SPEED_LEVELS`) —
+/// Number of discrete speed levels the frame speed policy chooses from
+/// (`k / FRAME_SPEED_LEVELS` for `k = 1..=FRAME_SPEED_LEVELS`) —
 /// frame-based schemes assume a small set of processor frequencies, not a
 /// continuous range.
 pub const FRAME_SPEED_LEVELS: usize = 20;
 
-/// Berten-&-Goossens-style frame-based DVFS baseline: the mapping and
-/// order come from the probability-aware DLS pass, but instead of the
-/// per-task stretching heuristic **every task runs at one uniform frame
-/// speed** — the lowest of [`FRAME_SPEED_LEVELS`] discrete levels whose
-/// exact worst-case makespan (communication is never scaled) still meets
-/// the deadline. The gap between this baseline and the per-task stretch is
-/// what the Table-1 scheduler columns measure.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FrameDvfsScheduler;
-
-impl FrameDvfsScheduler {
-    /// The frame-based DVFS baseline.
-    pub fn new() -> Self {
-        FrameDvfsScheduler
-    }
-}
-
-impl CtgScheduler for FrameDvfsScheduler {
-    fn name(&self) -> &'static str {
-        "frame"
-    }
-
-    fn solve_with_workspace(
-        &self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-        _workspace: &mut SolverWorkspace,
-    ) -> Result<Solution, SchedError> {
-        let schedule = dls_schedule(ctx, probs)?;
-        let n = ctx.ctg().num_tasks();
-        let deadline = ctx.ctg().deadline();
-        // Lowest discrete level first: the worst-case makespan is monotone
-        // non-increasing in the frame speed, so the first feasible level is
-        // the energy-minimal one.
-        for k in 1..=FRAME_SPEED_LEVELS {
-            let s = k as f64 / FRAME_SPEED_LEVELS as f64;
-            let speeds = SpeedAssignment::new(vec![s; n]);
-            let wcm = crate::sgraph::worst_case_makespan_dp(ctx, &schedule, &speeds);
-            if wcm <= deadline + 1e-9 {
-                return Ok(Solution { schedule, speeds });
-            }
+/// The frame speed policy: every task of `schedule` at the lowest of
+/// [`FRAME_SPEED_LEVELS`] levels whose exact worst-case makespan
+/// (communication is never scaled) meets the deadline. The gap between
+/// this policy and the per-task stretch is what the Table-1 scheduler
+/// columns measure.
+fn frame_speed(ctx: &SchedContext, schedule: Schedule) -> Result<Solution, SchedError> {
+    let n = ctx.ctg().num_tasks();
+    let deadline = ctx.ctg().deadline();
+    // Lowest level first: the worst-case makespan is monotone
+    // non-increasing in the frame speed, so the first feasible level is
+    // the energy-minimal one.
+    for k in 1..=FRAME_SPEED_LEVELS {
+        let s = k as f64 / FRAME_SPEED_LEVELS as f64;
+        let speeds = SpeedAssignment::new(vec![s; n]);
+        if worst_case_makespan_dp(ctx, &schedule, &speeds) <= deadline + 1e-9 {
+            return Ok(Solution { schedule, speeds });
         }
-        let nominal = SpeedAssignment::nominal(n);
-        let makespan = crate::sgraph::worst_case_makespan_dp(ctx, &schedule, &nominal);
-        Err(SchedError::DeadlineUnreachable { makespan, deadline })
     }
+    let makespan = worst_case_makespan_dp(ctx, &schedule, &SpeedAssignment::nominal(n));
+    Err(SchedError::DeadlineUnreachable { makespan, deadline })
 }
 
-/// Shared EFT list-scheduling loop of [`HeftScheduler`] and
-/// [`LookaheadScheduler`].
+/// The EFT list-scheduling mapper of [`SchedulerKind::Heft`] and
+/// [`SchedulerKind::Lookahead`].
 ///
 /// Ready tasks are ordered by descending probability-weighted rank (ties
 /// on the lower task id); the selected task goes to the feasible PE with
@@ -453,126 +367,6 @@ fn lookahead_penalty(ctx: &SchedContext, ranks: &[f64], t: TaskId, pe: PeId, eft
     best.map_or(0.0, |b| (b - eft).max(0.0))
 }
 
-/// Shared tail of the HEFT-family entries: the online pipeline's deadline
-/// check (same epsilon and error as [`OnlineScheduler::solve`]) followed by
-/// the probability-weighted stretching pass, through the workspace's graph
-/// pool — the same speeds [`crate::stretch_schedule`] returns.
-fn stretch_solution(
-    ctx: &SchedContext,
-    probs: &BranchProbs,
-    schedule: Schedule,
-    cfg: &StretchConfig,
-    workspace: &mut SolverWorkspace,
-) -> Result<Solution, SchedError> {
-    let makespan = schedule.makespan();
-    let deadline = ctx.ctg().deadline();
-    if makespan > deadline + 1e-9 {
-        return Err(SchedError::DeadlineUnreachable { makespan, deadline });
-    }
-    let speeds = workspace.stretch_mapping(cfg, ctx, probs, &schedule)?;
-    Ok(Solution { schedule, speeds })
-}
-
-/// A portfolio entry selector: which [`CtgScheduler`] implementation to
-/// run, each at its default configuration. A plain `Copy` enum (rather
-/// than boxed trait objects) keeps every carrier — managers, configs,
-/// campaign cells — `Clone` and comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedulerKind {
-    /// Modified DLS + probability-weighted stretching (the paper's online
-    /// algorithm; bit-identical to [`OnlineScheduler`]).
-    Dls,
-    /// HEFT with probability-weighted upward ranks.
-    Heft,
-    /// One-step lookahead list scheduler.
-    Lookahead,
-    /// Frame-based DVFS baseline (uniform frame speed).
-    FrameDvfs,
-}
-
-impl SchedulerKind {
-    /// Every kind, in the canonical (win-counter) order.
-    pub const ALL: [SchedulerKind; 4] = [
-        SchedulerKind::Dls,
-        SchedulerKind::Heft,
-        SchedulerKind::Lookahead,
-        SchedulerKind::FrameDvfs,
-    ];
-
-    /// Number of kinds — the length of per-kind win-counter arrays.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// The stable identifier used in bench columns, env overrides and
-    /// campaign axis labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Dls => "dls",
-            SchedulerKind::Heft => "heft",
-            SchedulerKind::Lookahead => "lookahead",
-            SchedulerKind::FrameDvfs => "frame",
-        }
-    }
-
-    /// Index into [`SchedulerKind::ALL`]-ordered win-counter arrays.
-    pub fn index(self) -> usize {
-        match self {
-            SchedulerKind::Dls => 0,
-            SchedulerKind::Heft => 1,
-            SchedulerKind::Lookahead => 2,
-            SchedulerKind::FrameDvfs => 3,
-        }
-    }
-
-    /// Parses a kind from its [`SchedulerKind::name`] (ASCII
-    /// case-insensitive, surrounding whitespace ignored).
-    pub fn parse(raw: &str) -> Option<SchedulerKind> {
-        let t = raw.trim();
-        Self::ALL
-            .into_iter()
-            .find(|k| t.eq_ignore_ascii_case(k.name()))
-    }
-
-    /// Solves through a fresh workspace (see
-    /// [`SchedulerKind::solve_with_workspace`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as the implementor's [`CtgScheduler::solve_with_workspace`].
-    pub fn solve(self, ctx: &SchedContext, probs: &BranchProbs) -> Result<Solution, SchedError> {
-        let mut ws = SolverWorkspace::new();
-        self.solve_with_workspace(ctx, probs, &mut ws)
-    }
-
-    /// Solves through the kind's implementor at default configuration.
-    ///
-    /// # Errors
-    ///
-    /// Same as the implementor's [`CtgScheduler::solve_with_workspace`].
-    pub fn solve_with_workspace(
-        self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-        workspace: &mut SolverWorkspace,
-    ) -> Result<Solution, SchedError> {
-        match self {
-            SchedulerKind::Dls => DlsScheduler::new().solve_with_workspace(ctx, probs, workspace),
-            SchedulerKind::Heft => HeftScheduler::new().solve_with_workspace(ctx, probs, workspace),
-            SchedulerKind::Lookahead => {
-                LookaheadScheduler::new().solve_with_workspace(ctx, probs, workspace)
-            }
-            SchedulerKind::FrameDvfs => {
-                FrameDvfsScheduler::new().solve_with_workspace(ctx, probs, workspace)
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// The default racing portfolio: the paper's DLS first (so a tie can never
 /// adopt anything but the historic plan), then the HEFT-family variants.
 /// The frame-based baseline is excluded by default — it exists for bench
@@ -635,9 +429,10 @@ pub struct RaceOutcome {
 /// 3. if every entry failed, the first error in entry order propagates.
 ///
 /// Sharing the workspace is sound because every warm layer is keyed on
-/// its inputs alone: the DLS entry's levels on the table, and the graph
-/// pool on the mapping, which every entry stretches through — a graph
-/// pooled from HEFT's mapping is the graph DLS would build for it. So a
+/// its inputs alone: the static levels on the table (the DLS and frame
+/// entries bring them to their own table first), and the graph pool on
+/// the mapping, which every Fig. 2 stretch goes through — a graph pooled
+/// from HEFT's mapping is the graph DLS would build for it. So a
 /// race through a long-lived workspace returns what a race of cold
 /// entries would, and each distinct mapping is built once, whichever
 /// entry meets it first. The workspace's budget constrains the DLS entry
@@ -645,6 +440,7 @@ pub struct RaceOutcome {
 ///
 /// A `portfolio_race` span, recorded on the workspace's telemetry handle
 /// and track, carries the winner index (`-1` when every entry failed).
+/// `stats` counts the race, failed or not, and the winning kind.
 ///
 /// # Errors
 ///
@@ -655,6 +451,7 @@ pub fn race_portfolio(
     ctx: &SchedContext,
     probs: &BranchProbs,
     workspace: &mut SolverWorkspace,
+    stats: &mut PortfolioStats,
 ) -> Result<RaceOutcome, SchedError> {
     if kinds.is_empty() {
         return Err(SchedError::InvalidParameter(
@@ -664,6 +461,7 @@ pub fn race_portfolio(
     let (obs, track) = workspace.obs();
     let span = obs.span(track, Stage::PortfolioRace);
     obs.count(Counter::PortfolioRaces, 1);
+    stats.races += 1;
 
     let deadline = ctx.ctg().deadline();
     // (entry, plan, energy) of the best schedulable plan, and (entry, plan,
@@ -703,6 +501,7 @@ pub fn race_portfolio(
         }
     };
     span.end(winner as i64);
+    stats.wins[kinds[winner].index()] += 1;
     Ok(RaceOutcome {
         winner,
         solution,
@@ -713,24 +512,8 @@ pub fn race_portfolio(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::OnlineScheduler;
     use crate::test_util::example1_context;
-
-    #[test]
-    fn dls_entry_is_bit_identical_to_the_online_scheduler() {
-        let (ctx, probs, ids) = example1_context();
-        let [_, _, t3, ..] = ids;
-        let online = OnlineScheduler::new();
-        let entry = DlsScheduler::new();
-        for dist in [vec![0.5, 0.5], vec![0.9, 0.1], vec![0.2, 0.8]] {
-            let mut p = probs.clone();
-            p.set(t3, dist).unwrap();
-            let a = online.solve(&ctx, &p).unwrap();
-            let b = entry.solve(&ctx, &p).unwrap();
-            assert_eq!(a, b);
-            let c = CtgScheduler::solve(&online, &ctx, &p).unwrap();
-            assert_eq!(a, c);
-        }
-    }
 
     #[test]
     fn all_kinds_produce_valid_schedulable_solutions() {
@@ -752,7 +535,7 @@ mod tests {
     #[test]
     fn frame_speed_is_uniform_and_feasible() {
         let (ctx, probs, _) = example1_context();
-        let sol = FrameDvfsScheduler::new().solve(&ctx, &probs).unwrap();
+        let sol = SchedulerKind::FrameDvfs.solve(&ctx, &probs).unwrap();
         let s0 = sol.speeds.speed(TaskId::new(0));
         for t in ctx.ctg().tasks() {
             assert_eq!(sol.speeds.speed(t).to_bits(), s0.to_bits());
@@ -761,9 +544,24 @@ mod tests {
         if s0 > 1.0 / FRAME_SPEED_LEVELS as f64 + 1e-12 {
             let lower = s0 - 1.0 / FRAME_SPEED_LEVELS as f64;
             let speeds = SpeedAssignment::new(vec![lower; ctx.ctg().num_tasks()]);
-            let wcm = crate::sgraph::worst_case_makespan_dp(&ctx, &sol.schedule, &speeds);
+            let wcm = worst_case_makespan_dp(&ctx, &sol.schedule, &speeds);
             assert!(wcm > ctx.ctg().deadline() + 1e-9);
         }
+    }
+
+    /// Only the DLS kind is a metered workspace solve; the frame kind maps
+    /// through the same dirty-set levels without counting as one.
+    #[test]
+    fn only_the_dls_kind_counts_as_a_workspace_solve() {
+        let (ctx, probs, _) = example1_context();
+        let mut ws = SolverWorkspace::new();
+        for kind in SchedulerKind::ALL {
+            kind.solve_with_workspace(&ctx, &probs, &mut ws).unwrap();
+        }
+        let stats = ws.stats();
+        assert_eq!(stats.solves, 1, "{stats:?}");
+        assert_eq!(stats.full_level_rebuilds, 1, "{stats:?}");
+        assert_eq!(stats.dirty_level_updates, 1, "the frame kind's update");
     }
 
     #[test]
@@ -771,15 +569,19 @@ mod tests {
         let (ctx, probs, _) = example1_context();
         let kinds = DEFAULT_PORTFOLIO;
         let mut ws = SolverWorkspace::new();
-        let out = race_portfolio(&kinds, &ctx, &probs, &mut ws).unwrap();
+        let mut stats = PortfolioStats::default();
+        let out = race_portfolio(&kinds, &ctx, &probs, &mut ws, &mut stats).unwrap();
         // The winner can never be worse than the DLS entry (entry 0).
-        let dls = DlsScheduler::new().solve(&ctx, &probs).unwrap();
+        let dls = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
         assert!(out.energy <= dls.expected_energy(&ctx, &probs) + 1e-9);
         assert_eq!(
             out.solution,
             kinds[out.winner].solve(&ctx, &probs).unwrap(),
             "the adopted plan is exactly the winner's solve"
         );
+        let mut wins = [0; SchedulerKind::COUNT];
+        wins[kinds[out.winner].index()] = 1;
+        assert_eq!(stats, PortfolioStats { races: 1, wins });
     }
 
     #[test]
@@ -788,15 +590,25 @@ mod tests {
         let (ctx, probs, _) = example1_context();
         let kinds = [SchedulerKind::Dls, SchedulerKind::Dls];
         let mut ws = SolverWorkspace::new();
-        let out = race_portfolio(&kinds, &ctx, &probs, &mut ws).unwrap();
+        let out = race_portfolio(
+            &kinds,
+            &ctx,
+            &probs,
+            &mut ws,
+            &mut PortfolioStats::default(),
+        )
+        .unwrap();
         assert_eq!(out.winner, 0);
     }
 
     #[test]
     fn race_rejects_an_empty_portfolio() {
         let (ctx, probs, _) = example1_context();
-        let err = race_portfolio(&[], &ctx, &probs, &mut SolverWorkspace::new()).unwrap_err();
+        let mut stats = PortfolioStats::default();
+        let err =
+            race_portfolio(&[], &ctx, &probs, &mut SolverWorkspace::new(), &mut stats).unwrap_err();
         assert!(matches!(err, SchedError::InvalidParameter(_)));
+        assert_eq!(stats, PortfolioStats::default(), "no race ran");
     }
 
     #[test]
@@ -808,9 +620,15 @@ mod tests {
         let tight = SchedContext::new(ctg, platform).unwrap();
         let kinds = DEFAULT_PORTFOLIO;
         let mut ws = SolverWorkspace::new();
-        let err = race_portfolio(&kinds, &tight, &probs, &mut ws).unwrap_err();
-        let dls_err = DlsScheduler::new().solve(&tight, &probs).unwrap_err();
+        let mut stats = PortfolioStats::default();
+        let err = race_portfolio(&kinds, &tight, &probs, &mut ws, &mut stats).unwrap_err();
+        let dls_err = OnlineScheduler::new().solve(&tight, &probs).unwrap_err();
         assert_eq!(err, dls_err, "first entry's error propagates");
+        let races = PortfolioStats {
+            races: 1,
+            ..PortfolioStats::default()
+        };
+        assert_eq!(stats, races, "a failed race counts, with no winner");
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //!    reads the commit order, the PEs and the starts from the schedule
 //!    being solved.
 //!
-//!    The layer serves any mapper: the HEFT and lookahead portfolio
-//!    entries stretch through it too, so a race shares one workspace
-//!    (see [`race_portfolio`](crate::race_portfolio)).
+//!    The layer serves any mapper: the HEFT and lookahead kinds stretch
+//!    through it too, and the frame kind maps through layer 2, so a race
+//!    shares one workspace (see [`race_portfolio`](crate::race_portfolio)).
 //!
 //! Every solve runs DLS and the stretch sweeps. Replaying a whole plan for
 //! a table solved before is the plan cache's job (an
@@ -54,7 +54,7 @@ use crate::budget::WorkMeter;
 use crate::context::SchedContext;
 use crate::dls::dls_with_levels_metered;
 use crate::error::SchedError;
-use crate::online::Solution;
+use crate::online::{check_deadline, Solution};
 use crate::schedule::Schedule;
 use crate::sgraph::ScheduledGraph;
 use crate::speed::SpeedAssignment;
@@ -278,11 +278,42 @@ impl SolverWorkspace {
         let solve_span = obs.span(track, Stage::Solve);
         obs.count(Counter::SolverCalls, 1);
         self.stats.solves += 1;
-        self.bind(ctx);
 
         let mut meter = WorkMeter::from_limit(self.budget);
 
-        // Layer 2: dirty-set static levels (full recompute when cold).
+        // Same pipeline — and the same error order — as the cold solver:
+        // DLS, deadline check, config validation, stretch.
+        let schedule = self.dls_map(ctx, probs, &mut meter)?;
+        check_deadline(ctx, &schedule)?;
+        validate_config(cfg)?;
+
+        let (speeds, via) = match self.stretch_pooled(cfg, ctx, probs, &schedule, &mut meter) {
+            Ok(done) => done,
+            Err(e) => return Err(self.note_budget_abort(&obs, track, e)),
+        };
+        self.last_cost = Some(meter.spent());
+        let dur_ns = solve_span.end(via);
+        obs.observe(Hist::SolveUs, dur_ns as f64 / 1e3);
+        Ok(Solution { schedule, speeds })
+    }
+
+    /// The DLS mapping step of [`SolverWorkspace::solve`]: binds to `ctx`,
+    /// brings the dirty-set static levels (layer 2) to `probs` and maps
+    /// with modified DLS under `meter`, in a [`Stage::DlsMap`] span. The
+    /// schedule is exactly [`dls_schedule`](crate::dls_schedule)'s.
+    ///
+    /// The step counts no solve and opens no `solve` span; it updates the
+    /// level counters in [`WorkspaceStats`]. `solve` passes its budget
+    /// meter, the frame kind an unlimited one.
+    pub(crate) fn dls_map(
+        &mut self,
+        ctx: &SchedContext,
+        probs: &BranchProbs,
+        meter: &mut WorkMeter,
+    ) -> Result<Schedule, SchedError> {
+        let obs = self.obs.clone();
+        let track = self.obs_track;
+        self.bind(ctx);
         match self.sl_probs.take() {
             None => {
                 static_levels_into(ctx, probs, &mut self.sl);
@@ -296,29 +327,13 @@ impl SolverWorkspace {
         }
         self.sl_probs = Some(probs.clone());
 
-        // Same pipeline — and the same error order — as the cold solver:
-        // DLS, deadline check, config validation, stretch.
         let dls_span = obs.span(track, Stage::DlsMap);
-        let schedule = match dls_with_levels_metered(ctx, &self.sl, true, &mut meter) {
+        let schedule = match dls_with_levels_metered(ctx, &self.sl, true, meter) {
             Ok(s) => s,
             Err(e) => return Err(self.note_budget_abort(&obs, track, e)),
         };
         dls_span.end(ctx.ctg().num_tasks() as i64);
-        let makespan = schedule.makespan();
-        let deadline = ctx.ctg().deadline();
-        if makespan > deadline + 1e-9 {
-            return Err(SchedError::DeadlineUnreachable { makespan, deadline });
-        }
-        validate_config(cfg)?;
-
-        let (speeds, via) = match self.stretch_pooled(cfg, ctx, probs, &schedule, &mut meter) {
-            Ok(done) => done,
-            Err(e) => return Err(self.note_budget_abort(&obs, track, e)),
-        };
-        self.last_cost = Some(meter.spent());
-        let dur_ns = solve_span.end(via);
-        obs.observe(Hist::SolveUs, dur_ns as f64 / 1e3);
-        Ok(Solution { schedule, speeds })
+        Ok(schedule)
     }
 
     /// Layer 3 for a schedule from any mapper: stretches `schedule` on its

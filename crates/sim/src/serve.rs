@@ -79,8 +79,8 @@ use ctg_model::{BranchProbs, DecisionVector};
 use ctg_obs::{Counter, Obs, Stage};
 use ctg_rng::{BurstyGaps, PoissonGaps};
 use ctg_sched::{
-    race_portfolio, AdaptiveScheduler, EstimatorKind, LruCache, OnlineScheduler, SchedContext,
-    SchedError, ScheduleKey, SchedulerKind, Solution, SolverWorkspace,
+    race_portfolio, AdaptiveScheduler, EstimatorKind, LruCache, OnlineScheduler, PortfolioStats,
+    SchedContext, SchedError, ScheduleKey, SchedulerKind, Solution, SolverWorkspace,
 };
 use std::cmp::Reverse;
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -356,9 +356,10 @@ pub struct ServeConfig {
     /// solver-bound drift solve (list [`SchedulerKind::Dls`] first so ties
     /// keep the paper's plan) and adopt the lowest expected-energy
     /// schedulable plan. `None` (the default) solves through the DLS
-    /// pipeline alone — bit-for-bit the pre-portfolio engine. Setup
-    /// solves always stay DLS: they seed the incumbent plan the same way
-    /// construction does in [`AdaptiveScheduler`].
+    /// pipeline alone — bit-for-bit the pre-portfolio engine; an empty
+    /// list is rejected. Setup solves always stay DLS: they seed the
+    /// incumbent plan the same way construction does in
+    /// [`AdaptiveScheduler`].
     pub portfolio: Option<Vec<SchedulerKind>>,
 }
 
@@ -799,8 +800,7 @@ struct LocalCounters {
     shared_hit_requests: usize,
     solver_calls: usize,
     /// Scheduler-portfolio races and per-kind wins (portfolio mode only).
-    portfolio_races: usize,
-    portfolio_wins: [usize; SchedulerKind::COUNT],
+    portfolio: PortfolioStats,
     events: usize,
     /// Largest per-stream queue depth seen (merged by max, not sum).
     max_queue_depth: usize,
@@ -812,8 +812,8 @@ impl LocalCounters {
         self.requests += o.requests;
         self.shared_hit_requests += o.shared_hit_requests;
         self.solver_calls += o.solver_calls;
-        self.portfolio_races += o.portfolio_races;
-        for (w, ow) in self.portfolio_wins.iter_mut().zip(o.portfolio_wins) {
+        self.portfolio.races += o.portfolio.races;
+        for (w, ow) in self.portfolio.wins.iter_mut().zip(o.portfolio.wins) {
             *w += ow;
         }
         self.events += o.events;
@@ -833,11 +833,11 @@ impl LocalCounters {
 ///
 /// Returns [`SchedError::VectorArity`] for traces not matching the graph,
 /// [`SchedError::InvalidParameter`] for invalid windows, thresholds, fault
-/// plans, arrival processes and overload knobs — admission control with
-/// closed-loop arrivals included — and propagates the first solver failure
-/// (streams are driven with [`AdaptiveScheduler::observe`]-style
-/// unconditional adoption, which propagates solve errors rather than
-/// degrading).
+/// plans, arrival processes, overload knobs — admission control with
+/// closed-loop arrivals included — and an empty portfolio, and propagates
+/// the first solver failure (streams are driven with
+/// [`AdaptiveScheduler::observe`]-style unconditional adoption, which
+/// propagates solve errors rather than degrading).
 pub fn run_serve(
     ctx: &SchedContext,
     specs: &[StreamSpec],
@@ -892,6 +892,11 @@ fn validate(ctx: &SchedContext, specs: &[StreamSpec], cfg: &ServeConfig) -> Resu
     }
     if let Some(q) = &cfg.quarantine {
         q.validate()?;
+    }
+    if cfg.portfolio.as_ref().is_some_and(Vec::is_empty) {
+        return Err(SchedError::InvalidParameter(
+            "portfolio needs at least one scheduler",
+        ));
     }
     cfg.arrival.validate(specs)
 }
@@ -1334,8 +1339,8 @@ pub(crate) fn serve_engine<'a>(
         latency_p99: percentile_sorted(&pooled, 99.0),
         latency_max: pooled.last().copied().unwrap_or(0.0),
         slo_misses: latencies.iter().map(|l| l.slo_misses).sum(),
-        portfolio_races: counters.portfolio_races,
-        portfolio_wins: counters.portfolio_wins,
+        portfolio_races: counters.portfolio.races,
+        portfolio_wins: counters.portfolio.wins,
         wall_s: start.elapsed().as_secs_f64(),
     };
     Ok(ServeReport {
@@ -1536,7 +1541,14 @@ fn post_instance(
     // the same table may both solve it and insert in either order —
     // harmless, both solves return the same plan.
     let portfolio = cfg.portfolio.as_deref();
-    match serve_solve(ctx, online, ws, portfolio, &estimated, counters) {
+    match serve_solve(
+        ctx,
+        online,
+        ws,
+        portfolio,
+        &estimated,
+        &mut counters.portfolio,
+    ) {
         Ok(solution) => {
             if let (Some(cache), Some(key)) = (shared, key) {
                 cache.insert(key, solution.clone());
@@ -1572,17 +1584,11 @@ fn serve_solve(
     ws: &mut SolverWorkspace,
     portfolio: Option<&[SchedulerKind]>,
     probs: &BranchProbs,
-    counters: &mut LocalCounters,
+    stats: &mut PortfolioStats,
 ) -> Result<Solution, SchedError> {
     match portfolio {
         None => online.solve_with_workspace(ctx, probs, ws),
-        Some(kinds) => {
-            let raced = race_portfolio(kinds, ctx, probs, ws);
-            counters.portfolio_races += 1;
-            let outcome = raced?;
-            counters.portfolio_wins[kinds[outcome.winner].index()] += 1;
-            Ok(outcome.solution)
-        }
+        Some(kinds) => Ok(race_portfolio(kinds, ctx, probs, ws, stats)?.solution),
     }
 }
 
@@ -1952,6 +1958,21 @@ mod tests {
                 "{q:?} must be rejected"
             );
         }
+        // An empty portfolio is rejected before any stream starts, even on
+        // a stream that never drifts (no drift crosses a threshold of 1)
+        // and so would never race.
+        let steady = StreamSpec {
+            threshold: 1.0,
+            ..spec.clone()
+        };
+        let empty_portfolio = ServeConfig {
+            portfolio: Some(Vec::new()),
+            ..ServeConfig::default()
+        };
+        assert!(matches!(
+            run_serve(&ctx, std::slice::from_ref(&steady), &empty_portfolio),
+            Err(SchedError::InvalidParameter(_))
+        ));
     }
 
     #[test]

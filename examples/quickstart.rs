@@ -43,9 +43,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut probs = BranchProbs::uniform(ctx.ctg());
     probs.set(decide, vec![0.7, 0.3])?;
 
-    // `DlsScheduler` is the paper's pipeline behind the `CtgScheduler`
-    // trait; `HeftScheduler` and friends are drop-in alternatives.
-    let solution = DlsScheduler::new().solve(&ctx, &probs)?;
+    // `SchedulerKind::Dls` is the paper's pipeline: DLS mapping, then
+    // Fig. 2 stretching. The other kinds swap in a different mapper or
+    // speed policy.
+    let solution = SchedulerKind::Dls.solve(&ctx, &probs)?;
     for kind in [SchedulerKind::Heft, SchedulerKind::Lookahead] {
         let alt = kind.solve(&ctx, &probs)?;
         println!(

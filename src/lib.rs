@@ -97,9 +97,8 @@ pub mod prelude {
     pub use crate::obs::{BufferedSink, MetricsSnapshot, Obs};
     pub use crate::platform::{Platform, PlatformBuilder};
     pub use crate::sched::{
-        parse_scheduler_selection, AdaptiveScheduler, CtgScheduler, DlsScheduler, EstimatorKind,
-        FrameDvfsScheduler, HeftScheduler, LookaheadScheduler, OnlineScheduler, PortfolioStats,
-        SchedContext, SchedError, SchedulerKind, Solution, DEFAULT_PORTFOLIO,
+        parse_scheduler_selection, AdaptiveScheduler, EstimatorKind, OnlineScheduler,
+        PortfolioStats, SchedContext, SchedError, SchedulerKind, Solution, DEFAULT_PORTFOLIO,
     };
     pub use crate::sim::{
         run_serve, simulate_instance, AdmissionConfig, ArrivalConfig, ArrivalKind, BurstModel,

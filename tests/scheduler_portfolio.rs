@@ -1,9 +1,12 @@
-//! PR 10 contract tests for the [`CtgScheduler`] trait and portfolio
-//! racing.
+//! Contract tests for the scheduler kinds and portfolio racing.
 //!
-//! * **Trait-equivalence pin** — [`DlsScheduler`] (and
-//!   [`SchedulerKind::Dls`]) must be bit-for-bit identical to the seed
-//!   [`OnlineScheduler`] pipeline on both TGFF families, warm and cold.
+//! * **Kind pin** — [`SchedulerKind::Dls`] must be bit-for-bit identical
+//!   to the seed [`OnlineScheduler`] pipeline on both TGFF families, cold
+//!   and through one warm workspace.
+//! * **Frame pin** — [`SchedulerKind::FrameDvfs`], mapping through a
+//!   workspace that other kinds solving other tables share, must equal a
+//!   cold DLS mapping plus the frame level search, bit for bit, on both
+//!   TGFF families and MPEG, errors included.
 //! * **Race verdict** — a portfolio race adopts exactly its winner's own
 //!   plan and never loses to the DLS entry, and the serve engine's stream
 //!   summaries and win counters survive any (workers × shards) split.
@@ -12,13 +15,16 @@
 //!   reproduces the historic pipeline bit-for-bit.
 
 use adaptive_dvfs::ctg::{BranchProbs, Ctg, DecisionVector};
+use adaptive_dvfs::platform::Platform;
 use adaptive_dvfs::sched::{
-    race_portfolio, validate_solution, AdaptiveScheduler, CtgScheduler, DlsScheduler,
-    OnlineScheduler, SchedContext, SchedulerKind, Solution, SolverWorkspace, DEFAULT_PORTFOLIO,
+    dls_schedule, race_portfolio, validate_solution, AdaptiveScheduler, OnlineScheduler,
+    PortfolioStats, SchedContext, SchedError, SchedulerKind, Solution, SolverWorkspace,
+    SpeedAssignment, DEFAULT_PORTFOLIO, FRAME_SPEED_LEVELS,
 };
 use adaptive_dvfs::sim::serve::{run_serve, CacheMode, ServeConfig, StreamSpec};
 use adaptive_dvfs::sim::{RunConfig, Runner};
 use adaptive_dvfs::tgff::{Category, TgffConfig};
+use adaptive_dvfs::workloads::mpeg;
 use adaptive_dvfs::workloads::traces::{self, DriftProfile};
 
 /// `(seed, num_tasks, num_branches, category, num_pes)` spanning both
@@ -30,6 +36,17 @@ const CASES: [(u64, usize, usize, Category, usize); 4] = [
     (42, 26, 3, Category::Layered, 2),
 ];
 
+/// `ctg` on `platform`, its deadline twice the DLS makespan under `probs`.
+fn calibrated(ctg: Ctg, platform: Platform, probs: &BranchProbs) -> SchedContext {
+    let ctx = SchedContext::new(ctg, platform).unwrap();
+    let makespan = dls_schedule(&ctx, probs).unwrap().makespan();
+    SchedContext::new(
+        ctx.ctg().with_deadline(2.0 * makespan),
+        ctx.platform().clone(),
+    )
+    .unwrap()
+}
+
 fn build_context(
     seed: u64,
     a: usize,
@@ -40,15 +57,7 @@ fn build_context(
     let cfg = TgffConfig::new(seed, a, c, cat);
     let generated = cfg.generate();
     let platform = cfg.generate_platform(&generated.ctg, pes);
-    let ctx = SchedContext::new(generated.ctg, platform).unwrap();
-    let makespan = adaptive_dvfs::sched::dls_schedule(&ctx, &generated.probs)
-        .unwrap()
-        .makespan();
-    let ctx = SchedContext::new(
-        ctx.ctg().with_deadline(2.0 * makespan),
-        ctx.platform().clone(),
-    )
-    .unwrap();
+    let ctx = calibrated(generated.ctg, platform, &generated.probs);
     (ctx, generated.probs)
 }
 
@@ -90,52 +99,125 @@ fn assert_bit_identical(
     );
 }
 
-/// The first implementor pin: the trait route into the solver is the seed
-/// pipeline, bit-for-bit, on both TGFF families — cold and through a warm
-/// workspace.
+/// The kind pin: the DLS kind is the seed pipeline, bit-for-bit, on both
+/// TGFF families — cold and through one warm workspace.
 #[test]
-fn dls_via_trait_is_bit_identical_to_online_scheduler() {
+fn dls_kind_is_bit_identical_to_online_scheduler() {
     for &(seed, a, c, cat, pes) in &CASES {
         let (ctx, gen_probs) = build_context(seed, a, c, cat, pes);
-        for step in 0..6 {
-            let probs = if step == 0 {
-                gen_probs.clone()
-            } else {
-                drift_table(ctx.ctg(), step)
-            };
-            let label = format!("case {seed} step {step}");
-            let online = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
-            let via_struct = DlsScheduler::new().solve(&ctx, &probs).unwrap();
-            assert_bit_identical(&ctx, &probs, &online, &via_struct, &label);
-            let via_kind = SchedulerKind::Dls.solve(&ctx, &probs).unwrap();
-            assert_bit_identical(&ctx, &probs, &online, &via_kind, &label);
-            // `OnlineScheduler` itself implements the trait; dynamic
-            // dispatch must change nothing.
-            let dyn_sched: &dyn CtgScheduler = &OnlineScheduler::new();
-            let via_dyn = dyn_sched.solve(&ctx, &probs).unwrap();
-            assert_bit_identical(&ctx, &probs, &online, &via_dyn, &label);
-        }
-        // Warm route: a reused workspace through the trait equals cold.
+        let tables =
+            std::iter::once(gen_probs).chain((0..6).map(|step| drift_table(ctx.ctg(), step)));
         let mut ws = SolverWorkspace::new();
-        for step in 0..6 {
-            let probs = drift_table(ctx.ctg(), step);
-            let cold = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
-            let warm = DlsScheduler::new()
+        for (i, probs) in tables.enumerate() {
+            let label = format!("case {seed} table {i}");
+            let online = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
+            let cold = SchedulerKind::Dls.solve(&ctx, &probs).unwrap();
+            assert_bit_identical(&ctx, &probs, &online, &cold, &label);
+            let warm = SchedulerKind::Dls
                 .solve_with_workspace(&ctx, &probs, &mut ws)
                 .unwrap();
-            assert_bit_identical(
-                &ctx,
-                &probs,
-                &cold,
-                &warm,
-                &format!("warm case {seed} step {step}"),
-            );
+            assert_bit_identical(&ctx, &probs, &online, &warm, &format!("warm {label}"));
         }
     }
 }
 
-/// Every implementor must return a valid, deadline-feasible plan on every
-/// case of both families.
+/// The frame kind's cold reference: the DLS schedule at the lowest of the
+/// uniform frame levels whose worst-case makespan meets the deadline, else
+/// the nominal-speed worst case as the error.
+fn cold_frame(ctx: &SchedContext, probs: &BranchProbs) -> Result<Solution, SchedError> {
+    let schedule = dls_schedule(ctx, probs)?;
+    let n = ctx.ctg().num_tasks();
+    let deadline = ctx.ctg().deadline();
+    let at = |speeds: SpeedAssignment| Solution {
+        schedule: schedule.clone(),
+        speeds,
+    };
+    for k in 1..=FRAME_SPEED_LEVELS {
+        let plan = at(SpeedAssignment::new(vec![
+            k as f64
+                / FRAME_SPEED_LEVELS as f64;
+            n
+        ]));
+        if plan.worst_case_makespan(ctx) <= deadline + 1e-9 {
+            return Ok(plan);
+        }
+    }
+    let makespan = at(SpeedAssignment::nominal(n)).worst_case_makespan(ctx);
+    Err(SchedError::DeadlineUnreachable { makespan, deadline })
+}
+
+/// Before each frame solve, DLS, HEFT and lookahead solve other drift
+/// tables through `ws`, so the frame kind's mapping starts from levels
+/// another table left behind.
+fn frame_after_other_kinds(
+    ctx: &SchedContext,
+    step: usize,
+    ws: &mut SolverWorkspace,
+) -> Result<Solution, SchedError> {
+    let others = [
+        SchedulerKind::Dls,
+        SchedulerKind::Heft,
+        SchedulerKind::Lookahead,
+    ];
+    for (offset, kind) in (1..).zip(others) {
+        // A too-tight deadline fails these too; the frame result is what
+        // is pinned.
+        let _ = kind.solve_with_workspace(ctx, &drift_table(ctx.ctg(), step + offset), ws);
+    }
+    SchedulerKind::FrameDvfs.solve_with_workspace(ctx, &drift_table(ctx.ctg(), step), ws)
+}
+
+/// The frame pin: the frame kind maps through one long-lived workspace
+/// shared with DLS, HEFT and lookahead solves of other drift tables, and
+/// still equals its cold reference bit for bit on both TGFF families and
+/// MPEG. On a too-tight deadline it returns the reference's
+/// `DeadlineUnreachable` payload.
+#[test]
+fn frame_kind_through_a_shared_workspace_matches_its_cold_reference() {
+    let mut contexts: Vec<(String, SchedContext)> = CASES
+        .iter()
+        .map(|&(seed, a, c, cat, pes)| {
+            (
+                format!("case {seed}"),
+                build_context(seed, a, c, cat, pes).0,
+            )
+        })
+        .collect();
+    let mpeg_ctg = mpeg::mpeg_ctg();
+    let mpeg_platform = mpeg::mpeg_platform(&mpeg_ctg);
+    let uniform = BranchProbs::uniform(&mpeg_ctg);
+    contexts.push((
+        "mpeg".to_string(),
+        calibrated(mpeg_ctg, mpeg_platform, &uniform),
+    ));
+    for (name, ctx) in &contexts {
+        let mut ws = SolverWorkspace::new();
+        for step in 0..8 {
+            let label = format!("{name} step {step}");
+            let probs = drift_table(ctx.ctg(), step);
+            let frame = frame_after_other_kinds(ctx, step, &mut ws)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let reference = cold_frame(ctx, &probs).unwrap();
+            assert_bit_identical(ctx, &probs, &reference, &frame, &label);
+        }
+
+        let tight =
+            SchedContext::new(ctx.ctg().with_deadline(1e-3), ctx.platform().clone()).unwrap();
+        let mut ws = SolverWorkspace::new();
+        for step in 0..2 {
+            let err = frame_after_other_kinds(&tight, step, &mut ws).unwrap_err();
+            let reference = cold_frame(&tight, &drift_table(ctx.ctg(), step)).unwrap_err();
+            assert!(
+                matches!(reference, SchedError::DeadlineUnreachable { .. }),
+                "{name}: {reference}"
+            );
+            assert_eq!(err, reference, "{name} tight step {step}");
+        }
+    }
+}
+
+/// Every kind must return a valid, deadline-feasible plan on every case
+/// of both families.
 #[test]
 fn every_scheduler_kind_solves_both_families() {
     for &(seed, a, c, cat, pes) in &CASES {
@@ -164,7 +246,9 @@ fn portfolio_race_adopts_the_winners_own_plan() {
         for step in 0..8 {
             let probs = drift_table(ctx.ctg(), step);
             let mut ws = SolverWorkspace::new();
-            let out = race_portfolio(&DEFAULT_PORTFOLIO, &ctx, &probs, &mut ws).unwrap();
+            let mut stats = PortfolioStats::default();
+            let out =
+                race_portfolio(&DEFAULT_PORTFOLIO, &ctx, &probs, &mut ws, &mut stats).unwrap();
             let label = format!("race case {seed} step {step}");
             let dls = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
             assert!(
@@ -234,12 +318,16 @@ fn races_through_one_shared_workspace_match_races_of_cold_entries() {
     for &(seed, a, c, cat, pes) in &SHARED_POOL_CASES {
         let (ctx, _) = build_context(seed, a, c, cat, pes);
         let mut ws = SolverWorkspace::new();
+        let mut races = PortfolioStats::default();
+        let mut wins = [0; SchedulerKind::COUNT];
         let steps = 20;
         for step in 0..steps {
             let probs = drift_table(ctx.ctg(), step);
             let label = format!("case {seed} step {step}");
-            let shared = race_portfolio(&DEFAULT_PORTFOLIO, &ctx, &probs, &mut ws).unwrap();
+            let shared =
+                race_portfolio(&DEFAULT_PORTFOLIO, &ctx, &probs, &mut ws, &mut races).unwrap();
             let (winner, plan, energy) = cold_race(&ctx, &probs);
+            wins[DEFAULT_PORTFOLIO[winner].index()] += 1;
             assert_eq!(shared.winner, winner, "{label}: winners differ");
             assert_bit_identical(&ctx, &probs, &plan, &shared.solution, &label);
             assert_eq!(
@@ -248,6 +336,7 @@ fn races_through_one_shared_workspace_match_races_of_cold_entries() {
                 "{label}: energy bits differ"
             );
         }
+        assert_eq!(races, PortfolioStats { races: steps, wins });
         let stats = ws.stats();
         let stretched = stats.graph_reuses + stats.graph_rebuilds;
         assert_eq!(stretched, DEFAULT_PORTFOLIO.len() * steps, "{stats:?}");
