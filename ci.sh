@@ -83,8 +83,10 @@ test -s target/BENCH_campaign_smoke.json
 
 echo "==> scheduler portfolio matrix (kind pin: DLS kind == OnlineScheduler, cold and"
 echo "    warm; frame pin: frame kind through a shared workspace == cold DLS + level"
-echo "    search; dormant knob, race verdict, serve determinism across worker and"
-echo "    shard counts)"
+echo "    search; judged-once pin: races through one shared workspace == races of cold"
+echo "    entries, and only entries whose schedule and speed policy no earlier entry"
+echo "    produced stretch and get judged; dormant knob, race verdict, serve"
+echo "    determinism across worker and shard counts)"
 cargo test -q --offline --test scheduler_portfolio
 
 echo "==> quickstart example (the first runnable example README.md lists)"

@@ -36,7 +36,9 @@
 //! race entry meets the mapping first, the per-task layouts included. The
 //! portfolio pass races through one workspace shared by its entries, and
 //! the report prints that workspace's graph builds next to each entry's
-//! distinct mappings (informational, not gated).
+//! distinct mappings, and, from a verdict pass over the same tables, the
+//! entries a race judges (one per distinct plan) and the verdict's time
+//! per race (informational, not gated).
 //!
 //! Pass `--smoke` for a seconds-scale run (CI) — numbers then land in
 //! `target/BENCH_solver_smoke.json` instead of `BENCH_solver.json`. Pass
@@ -211,6 +213,7 @@ fn main() {
     let mut race_energy_ratio_sum = 0.0;
     let mut race_energy_ratio_n = 0usize;
     let mut race_builds = 0;
+    let mut race_ws = SolverWorkspace::new();
     for _ in 0..reps {
         // Cold: every table solved from scratch.
         let mut cold_solutions = Vec::with_capacity(tables.len());
@@ -244,7 +247,7 @@ fn main() {
         // Portfolio: race DLS/HEFT/lookahead on every table through one
         // shared workspace, primed like the warm pass. The winner is
         // asserted never worse than the cold (DLS) plan.
-        let mut race_ws = SolverWorkspace::new();
+        race_ws = SolverWorkspace::new();
         for probs in &tables {
             let mut priming = PortfolioStats::default();
             race_portfolio(&DEFAULT_PORTFOLIO, &ctx, probs, &mut race_ws, &mut priming)
@@ -274,6 +277,36 @@ fn main() {
         race_builds = race_ws.stats().graph_rebuilds;
         dls_solutions = cold_solutions;
     }
+
+    // ---- Verdict pass: each table's race entries solve untimed through
+    // the primed race workspace, and the verdict is timed as
+    // `race_portfolio` runs it on the race's distinct plans (entries that
+    // map alike produce one plan): one pooled worst-case check per plan,
+    // pricing for the schedulable ones. ----
+    let deadline = ctx.ctg().deadline();
+    let mut judged = 0;
+    let mut verdict_samples = Vec::with_capacity(tables.len());
+    for probs in &tables {
+        let mut plans: Vec<Solution> = Vec::new();
+        for kind in DEFAULT_PORTFOLIO {
+            let sol = kind
+                .solve_with_workspace(&ctx, probs, &mut race_ws)
+                .expect("race entry solve");
+            if plans.iter().all(|p| p.schedule != sol.schedule) {
+                plans.push(sol);
+            }
+        }
+        judged += plans.len();
+        let t0 = Instant::now();
+        for plan in &plans {
+            if race_ws.worst_case_makespan(&ctx, plan) <= deadline + 1e-6 {
+                std::hint::black_box(plan.expected_energy(&ctx, probs));
+            }
+        }
+        verdict_samples.push(t0.elapsed().as_secs_f64());
+    }
+    let judged_per_race = judged as f64 / tables.len() as f64;
+    let verdict = summarize(verdict_samples);
 
     // ---- Cold graph builds, each with its first stretch: one per
     // distinct mapping of the DLS, HEFT and lookahead plans, each with the
@@ -426,6 +459,15 @@ fn main() {
         builds.len()
     );
 
+    println!(
+        "portfolio race verdict (informational): {judged_per_race:.2} of {} entries judged \
+         per race, verdict p50 {:.1} us   mean {:.1} us per race (pooled worst-case checks \
+         and pricing)",
+        DEFAULT_PORTFOLIO.len(),
+        verdict.p50_us,
+        verdict.mean_us
+    );
+
     // ---- Hand-rolled JSON artifact. ----
     let lat_json = |l: &Lat| {
         format!(
@@ -457,6 +499,10 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"portfolio_energy_vs_dls\": {race_energy_ratio:.6},\n"
+    ));
+    json.push_str(&format!(
+        "  \"portfolio_verdict\": {{\"judged_per_race\": {judged_per_race:.4}, \"p50_us\": {:.3}, \"mean_us\": {:.3}}},\n",
+        verdict.p50_us, verdict.mean_us
     ));
     json.push_str(&format!("  \"speedup_total\": {speedup_total:.4},\n"));
     json.push_str(&format!(

@@ -124,10 +124,7 @@ impl ScenarioMask {
     /// the contract: [`SchedContext::mask_prob`] sums probabilities in this
     /// order, and the sum must stay bit-identical.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits
-            .iter()
-            .enumerate()
-            .flat_map(|(w, &word)| WordBits { word, base: w * 64 })
+        word_bits(&self.bits)
     }
 
     /// Removes every scenario from the set, keeping its width.
@@ -175,6 +172,15 @@ impl ScenarioMask {
             *a &= !b;
         }
     }
+}
+
+/// The set bits of mask words laid out as [`ScenarioMask::words`] lays
+/// them out, in ascending order.
+pub(crate) fn word_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words
+        .iter()
+        .enumerate()
+        .flat_map(|(w, &word)| WordBits { word, base: w * 64 })
 }
 
 /// Iterator over the set bits of one mask word (ascending).

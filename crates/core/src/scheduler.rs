@@ -8,7 +8,7 @@
 //! | kind | mapper | speed policy |
 //! |---|---|---|
 //! | [`Dls`](SchedulerKind::Dls) | modified DLS on the workspace's dirty-set levels | Fig. 2 stretch |
-//! | [`Heft`](SchedulerKind::Heft) | HEFT on probability-weighted upward ranks | Fig. 2 stretch |
+//! | [`Heft`](SchedulerKind::Heft) | HEFT ranking on the workspace's dirty-set levels | Fig. 2 stretch |
 //! | [`Lookahead`](SchedulerKind::Lookahead) | HEFT with a one-step lookahead | Fig. 2 stretch |
 //! | [`FrameDvfs`](SchedulerKind::FrameDvfs) | modified DLS on the workspace's dirty-set levels | one uniform frame speed |
 //!
@@ -40,9 +40,11 @@
 //! Cost: a race costs about the sum of its entries' solves. The list
 //! schedulers are cheap; an entry whose mapping the pool holds skips the
 //! graph build and only re-weights and stretches, and each distinct
-//! mapping is built once, whichever entry meets it first. The verdict
-//! adds one worst-case-makespan check per entry (a longest-path dynamic
-//! program over per-edge scenario masks) and prices each schedulable
+//! mapping is built once, whichever entry meets it first. An entry whose
+//! schedule and speed policy an earlier entry produced stops after its
+//! mapping. The verdict adds one worst-case-makespan check per distinct
+//! plan (a longest-path dynamic program over per-edge scenario masks, on
+//! the pooled graph's reduced edges) and prices each schedulable
 //! candidate once with [`crate::expected_energy`], which reads the
 //! context's scenario masks and costs tens of microseconds. DESIGN.md
 //! §18.3 has the measured breakdown.
@@ -53,9 +55,7 @@ use crate::dls::earliest_start;
 use crate::error::SchedError;
 use crate::online::{check_deadline, Solution};
 use crate::schedule::Schedule;
-use crate::sgraph::worst_case_makespan_dp;
 use crate::speed::SpeedAssignment;
-use crate::static_level::static_levels;
 use crate::stretch::StretchConfig;
 use crate::workspace::SolverWorkspace;
 use ctg_model::{BranchProbs, TaskId};
@@ -138,8 +138,9 @@ impl SchedulerKind {
     /// metered against the workspace's budget, opens a `solve` span and
     /// counts in [`WorkspaceStats::solves`](crate::WorkspaceStats::solves).
     /// The other kinds are unmetered and record only their stages: HEFT
-    /// and lookahead their graph-pool lookups and stretches, the frame
-    /// kind its `dls_map` span and static-level update.
+    /// and lookahead their static-level update (their ranks), graph-pool
+    /// lookups and stretches, the frame kind its static-level update and
+    /// `dls_map` span.
     ///
     /// # Errors
     ///
@@ -152,22 +153,65 @@ impl SchedulerKind {
         probs: &BranchProbs,
         workspace: &mut SolverWorkspace,
     ) -> Result<Solution, SchedError> {
-        let cfg = StretchConfig::default();
+        let solution = self.solve_unless(ctx, probs, workspace, |_| false)?;
+        Ok(solution.expect("a solve that skips no schedule picks speeds"))
+    }
+
+    /// The kind's speed policy.
+    pub(crate) fn policy(self) -> SpeedPolicy {
         match self {
-            SchedulerKind::Dls => workspace.solve(&cfg, ctx, probs),
-            SchedulerKind::Heft | SchedulerKind::Lookahead => {
-                let lookahead = self == SchedulerKind::Lookahead;
-                let schedule = eft_list_schedule(ctx, probs, lookahead)?;
-                check_deadline(ctx, &schedule)?;
-                let speeds = workspace.stretch_mapping(&cfg, ctx, probs, &schedule)?;
-                Ok(Solution { schedule, speeds })
+            SchedulerKind::Dls | SchedulerKind::Heft | SchedulerKind::Lookahead => {
+                SpeedPolicy::Stretch
             }
-            SchedulerKind::FrameDvfs => {
-                let schedule = workspace.dls_map(ctx, probs, &mut WorkMeter::unlimited())?;
-                frame_speed(ctx, schedule)
-            }
+            SchedulerKind::FrameDvfs => SpeedPolicy::Frame,
         }
     }
+
+    /// [`SchedulerKind::solve_with_workspace`], except that it returns
+    /// `Ok(None)` after the mapping, before any speed is picked, when
+    /// `skip` accepts the schedule. The DLS kind is the workspace's
+    /// metered solve, which checks the deadline before it asks.
+    pub(crate) fn solve_unless(
+        self,
+        ctx: &SchedContext,
+        probs: &BranchProbs,
+        workspace: &mut SolverWorkspace,
+        skip: impl FnOnce(&Schedule) -> bool,
+    ) -> Result<Option<Solution>, SchedError> {
+        let cfg = StretchConfig::default();
+        let schedule = match self {
+            SchedulerKind::Dls => return workspace.solve_unless(&cfg, ctx, probs, skip),
+            SchedulerKind::Heft | SchedulerKind::Lookahead => {
+                let ranks = workspace.levels(ctx, probs);
+                eft_list_schedule(ctx, ranks, self == SchedulerKind::Lookahead)?
+            }
+            SchedulerKind::FrameDvfs => {
+                workspace.dls_map(ctx, probs, &mut WorkMeter::unlimited())?
+            }
+        };
+        if skip(&schedule) {
+            return Ok(None);
+        }
+        match self.policy() {
+            SpeedPolicy::Stretch => {
+                check_deadline(ctx, &schedule)?;
+                let speeds = workspace.stretch_mapping(&cfg, ctx, probs, &schedule)?;
+                Ok(Some(Solution { schedule, speeds }))
+            }
+            SpeedPolicy::Frame => frame_speed(ctx, schedule, workspace).map(Some),
+        }
+    }
+}
+
+/// How a kind picks the speeds of its mapping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SpeedPolicy {
+    /// The deadline check, then the Fig. 2 stretch through the
+    /// workspace's graph pool.
+    Stretch,
+    /// The lowest uniform frame level that meets the deadline
+    /// ([`FRAME_SPEED_LEVELS`]).
+    Frame,
 }
 
 impl std::fmt::Display for SchedulerKind {
@@ -186,39 +230,46 @@ pub const FRAME_SPEED_LEVELS: usize = 20;
 /// [`FRAME_SPEED_LEVELS`] levels whose exact worst-case makespan
 /// (communication is never scaled) meets the deadline. The gap between
 /// this policy and the per-task stretch is what the Table-1 scheduler
-/// columns measure.
-fn frame_speed(ctx: &SchedContext, schedule: Schedule) -> Result<Solution, SchedError> {
+/// columns measure. The DP is laid out once for the mapping (through
+/// `workspace`'s graph pool when it holds the mapping's graph) and only
+/// its loop runs per level.
+fn frame_speed(
+    ctx: &SchedContext,
+    schedule: Schedule,
+    workspace: &mut SolverWorkspace,
+) -> Result<Solution, SchedError> {
     let n = ctx.ctg().num_tasks();
     let deadline = ctx.ctg().deadline();
+    let dp = workspace.makespan_dp(ctx, &schedule);
     // Lowest level first: the worst-case makespan is monotone
     // non-increasing in the frame speed, so the first feasible level is
     // the energy-minimal one.
     for k in 1..=FRAME_SPEED_LEVELS {
         let s = k as f64 / FRAME_SPEED_LEVELS as f64;
         let speeds = SpeedAssignment::new(vec![s; n]);
-        if worst_case_makespan_dp(ctx, &schedule, &speeds) <= deadline + 1e-9 {
+        if dp.worst_case(ctx, &schedule, &speeds) <= deadline + 1e-9 {
             return Ok(Solution { schedule, speeds });
         }
     }
-    let makespan = worst_case_makespan_dp(ctx, &schedule, &SpeedAssignment::nominal(n));
+    let makespan = dp.worst_case(ctx, &schedule, &SpeedAssignment::nominal(n));
     Err(SchedError::DeadlineUnreachable { makespan, deadline })
 }
 
 /// The EFT list-scheduling mapper of [`SchedulerKind::Heft`] and
 /// [`SchedulerKind::Lookahead`].
 ///
-/// Ready tasks are ordered by descending probability-weighted rank (ties
-/// on the lower task id); the selected task goes to the feasible PE with
-/// the lowest score — earliest finish time, plus (with `lookahead`) the
-/// estimated finish of the task's most critical successor under that
-/// placement. Start times honour the same communication arrivals and
-/// mutex-overlap exemption as the DLS pass ([`earliest_start`]).
+/// Ready tasks are ordered by descending probability-weighted rank,
+/// `ranks` being the static levels (ties on the lower task id); the
+/// selected task goes to the feasible PE with the lowest score — earliest
+/// finish time, plus (with `lookahead`) the estimated finish of the
+/// task's most critical successor under that placement. Start times
+/// honour the same communication arrivals and mutex-overlap exemption as
+/// the DLS pass ([`earliest_start`]).
 fn eft_list_schedule(
     ctx: &SchedContext,
-    probs: &BranchProbs,
+    ranks: &[f64],
     lookahead: bool,
 ) -> Result<Schedule, SchedError> {
-    let ranks = static_levels(ctx, probs);
     let ctg = ctx.ctg();
     let platform = ctx.platform();
     let profile = platform.profile();
@@ -274,7 +325,7 @@ fn eft_list_schedule(
             }
             let eft = at + profile.wcet(t.index(), pe);
             let score = if lookahead {
-                eft + lookahead_penalty(ctx, &ranks, t, pe, eft)
+                eft + lookahead_penalty(ctx, ranks, t, pe, eft)
             } else {
                 eft
             };
@@ -428,15 +479,26 @@ pub struct RaceOutcome {
 ///    the least-bad plan);
 /// 3. if every entry failed, the first error in entry order propagates.
 ///
+/// Each distinct plan is judged once. An entry whose schedule and speed
+/// policy an earlier entry of the race already produced (HEFT and
+/// lookahead often map alike) would produce that entry's plan again, so
+/// it stops after its mapping: its energy and makespan would tie, and
+/// ties keep the earlier entry, so the verdict cannot change. A plan's
+/// worst-case makespan is the exact DP of
+/// [`Solution::worst_case_makespan`], run on the constraint layout of the
+/// graph the workspace pooled for the plan's mapping (laid out once per
+/// graph), or on a cold layout when the pool holds no graph; both give
+/// the same bits.
+///
 /// Sharing the workspace is sound because every warm layer is keyed on
-/// its inputs alone: the static levels on the table (the DLS and frame
-/// entries bring them to their own table first), and the graph pool on
-/// the mapping, which every Fig. 2 stretch goes through — a graph pooled
-/// from HEFT's mapping is the graph DLS would build for it. So a
-/// race through a long-lived workspace returns what a race of cold
-/// entries would, and each distinct mapping is built once, whichever
-/// entry meets it first. The workspace's budget constrains the DLS entry
-/// only; the other entries are unmetered.
+/// its inputs alone: the static levels on the table (every entry brings
+/// them to its own table first), and the graph pool on the mapping, which
+/// every Fig. 2 stretch goes through — a graph pooled from HEFT's mapping
+/// is the graph DLS would build for it. So a race through a long-lived
+/// workspace returns what a race of cold entries would, and each distinct
+/// mapping is built once, whichever entry meets it first. The
+/// workspace's budget constrains the DLS entry only; the other entries
+/// are unmetered.
 ///
 /// A `portfolio_race` span, recorded on the workspace's telemetry handle
 /// and track, carries the winner index (`-1` when every entry failed).
@@ -464,42 +526,51 @@ pub fn race_portfolio(
     stats.races += 1;
 
     let deadline = ctx.ctg().deadline();
-    // (entry, plan, energy) of the best schedulable plan, and (entry, plan,
-    // wcm) of the least-bad one while none is schedulable.
-    let mut best: Option<(usize, Solution, f64)> = None;
-    let mut fallback: Option<(usize, Solution, f64)> = None;
+    // The (entry, plan) pairs produced so far, in entry order; the best
+    // schedulable plan as (index into `plans`, energy), and the least-bad
+    // one as (index, wcm) while none is schedulable.
+    let mut plans: Vec<(usize, Solution)> = Vec::with_capacity(kinds.len());
+    let mut best: Option<(usize, f64)> = None;
+    let mut fallback: Option<(usize, f64)> = None;
     let mut first_err: Option<SchedError> = None;
-    for (i, kind) in kinds.iter().enumerate() {
-        let sol = match kind.solve_with_workspace(ctx, probs, workspace) {
-            Ok(sol) => sol,
+    for (i, &kind) in kinds.iter().enumerate() {
+        let policy = kind.policy();
+        let produced = |schedule: &Schedule| {
+            plans
+                .iter()
+                .any(|(j, p)| kinds[*j].policy() == policy && p.schedule == *schedule)
+        };
+        let sol = match kind.solve_unless(ctx, probs, workspace, produced) {
+            Ok(Some(sol)) => sol,
+            Ok(None) => continue,
             Err(e) => {
                 first_err.get_or_insert(e);
                 continue;
             }
         };
-        let wcm = sol.worst_case_makespan(ctx);
+        let wcm = workspace.worst_case_makespan(ctx, &sol);
+        let at = plans.len();
         if wcm <= deadline + 1e-6 {
             let e = sol.expected_energy(ctx, probs);
-            if best.as_ref().is_none_or(|(_, _, be)| e < *be) {
-                best = Some((i, sol, e));
+            if best.is_none_or(|(_, be)| e < be) {
+                best = Some((at, e));
             }
-        } else if best.is_none() && fallback.as_ref().is_none_or(|(_, _, bw)| wcm < *bw) {
-            fallback = Some((i, sol, wcm));
+        } else if best.is_none() && fallback.is_none_or(|(_, bw)| wcm < bw) {
+            fallback = Some((at, wcm));
         }
+        plans.push((i, sol));
     }
     // A schedulable winner was priced by the fold; only the degraded
     // fallback (ranked by makespan) still needs its energy.
-    let (winner, solution, energy) = match (best, fallback) {
+    let (at, energy) = match (best, fallback) {
         (Some(b), _) => b,
-        (None, Some((i, sol, _))) => {
-            let e = sol.expected_energy(ctx, probs);
-            (i, sol, e)
-        }
+        (None, Some((at, _))) => (at, plans[at].1.expected_energy(ctx, probs)),
         (None, None) => {
             span.end(-1);
             return Err(first_err.expect("no winner means every entry errored"));
         }
     };
+    let (winner, solution) = plans.swap_remove(at);
     span.end(winner as i64);
     stats.wins[kinds[winner].index()] += 1;
     Ok(RaceOutcome {
@@ -513,6 +584,7 @@ pub fn race_portfolio(
 mod tests {
     use super::*;
     use crate::online::OnlineScheduler;
+    use crate::sgraph::worst_case_makespan_dp;
     use crate::test_util::example1_context;
 
     #[test]
@@ -549,8 +621,8 @@ mod tests {
         }
     }
 
-    /// Only the DLS kind is a metered workspace solve; the frame kind maps
-    /// through the same dirty-set levels without counting as one.
+    /// Only the DLS kind is a metered workspace solve; the other kinds
+    /// rank or map on the same dirty-set levels without counting as one.
     #[test]
     fn only_the_dls_kind_counts_as_a_workspace_solve() {
         let (ctx, probs, _) = example1_context();
@@ -561,7 +633,11 @@ mod tests {
         let stats = ws.stats();
         assert_eq!(stats.solves, 1, "{stats:?}");
         assert_eq!(stats.full_level_rebuilds, 1, "{stats:?}");
-        assert_eq!(stats.dirty_level_updates, 1, "the frame kind's update");
+        assert_eq!(
+            stats.dirty_level_updates, 3,
+            "the HEFT, lookahead and frame kinds' updates"
+        );
+        assert_eq!(stats.levels_recomputed, 0, "one table throughout");
     }
 
     #[test]
@@ -586,7 +662,8 @@ mod tests {
 
     #[test]
     fn race_ties_keep_the_earliest_entry() {
-        // Racing DLS against itself: equal energies, entry 0 must win.
+        // Racing DLS against itself: the repeat maps to entry 0's schedule,
+        // so it stops before stretching, and entry 0 wins.
         let (ctx, probs, _) = example1_context();
         let kinds = [SchedulerKind::Dls, SchedulerKind::Dls];
         let mut ws = SolverWorkspace::new();
@@ -599,6 +676,13 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.winner, 0);
+        let stats = ws.stats();
+        assert_eq!(stats.solves, 2, "the repeat still maps: {stats:?}");
+        assert_eq!(
+            stats.graph_reuses + stats.graph_rebuilds,
+            1,
+            "only entry 0 stretches: {stats:?}"
+        );
     }
 
     #[test]

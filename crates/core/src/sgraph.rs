@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::budget::WorkMeter;
-use crate::context::{ScenarioMask, SchedContext};
+use crate::context::{word_bits, ScenarioMask, SchedContext};
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::speed::SpeedAssignment;
@@ -281,6 +281,9 @@ pub struct ScheduledGraph {
     node_off: Vec<u32>,
     /// Per task: its stretcher layout, once a stretch has scanned it.
     layouts: Vec<Option<TaskLayout>>,
+    /// The worst-case-makespan DP's layout of `edges`, once a check has
+    /// run on the graph.
+    makespan: Option<MakespanDp>,
 }
 
 /// Serve workers move workspaces, and the graphs they pool, across
@@ -459,6 +462,7 @@ impl ScheduledGraph {
             nodes,
             node_off,
             layouts: vec![None; n],
+            makespan: None,
         }))
     }
 
@@ -594,6 +598,29 @@ impl ScheduledGraph {
         layout.cells.split_at(layout.runs as usize)
     }
 
+    /// The exact worst-case makespan of `schedule` at `speeds`, where
+    /// `schedule` has the mapping (assignment and per-PE order) the graph
+    /// was built from: the dynamic program of
+    /// [`Solution::worst_case_makespan`](crate::Solution::worst_case_makespan)
+    /// over the graph's reduced edges, with the same bits — every edge the
+    /// reduction drops is dominated, in each scenario where it is active,
+    /// by a route of edges active there. The DP's constraint layout is laid
+    /// out on the first call and kept with the graph.
+    pub fn worst_case_makespan(
+        &mut self,
+        ctx: &SchedContext,
+        schedule: &Schedule,
+        speeds: &SpeedAssignment,
+    ) -> f64 {
+        self.makespan_dp(ctx).worst_case(ctx, schedule, speeds)
+    }
+
+    /// The graph's worst-case-makespan layout, laid out on the first call.
+    pub(crate) fn makespan_dp(&mut self, ctx: &SchedContext) -> &MakespanDp {
+        self.makespan
+            .get_or_insert_with(|| MakespanDp::lay_out(ctx, &self.edges))
+    }
+
     /// The worst-case end-to-end delay: the maximum path delay.
     pub fn critical_delay(&self) -> f64 {
         self.paths.iter().map(|p| p.delay).fold(0.0, f64::max)
@@ -691,104 +718,199 @@ fn collect_edges(ctx: &SchedContext, schedule: &Schedule) -> Vec<SEdge> {
 /// graph's constraint edges with stretched execution times, maximised
 /// across scenarios. No path enumeration, no cap, no fallback estimate.
 ///
-/// The scenarios run side by side: each edge carries the mask of the
-/// scenarios it constrains (both endpoints active, and the guard's
-/// alternative taken), precombined once per call, and the sweep over the
-/// tasks relaxes only those (edge, scenario) pairs — `O(V·S + Σ|mask|)`
-/// rather than a guard lookup in every scenario's cube per edge. Each
-/// scenario's finish times take the max over the same sums as a
-/// scenario-at-a-time DP would, so the result has the same bits.
-///
-/// Uses the *un-reduced* edge set: dominated zero-delay edges never change
-/// a longest path (the covering route is at least as long in every shared
-/// scenario), and skipping the reduction keeps the routine cheap enough to
-/// run per comparison.
+/// Lays out the *un-reduced* edge set ([`MakespanDp::lay_out`]) and runs
+/// the loop once. Skipping the reduction keeps a one-off check cheap; a
+/// pooled graph lays out its reduced edges once instead
+/// ([`ScheduledGraph::worst_case_makespan`]), with the same bits.
 pub(crate) fn worst_case_makespan_dp(
     ctx: &SchedContext,
     schedule: &Schedule,
     speeds: &SpeedAssignment,
 ) -> f64 {
-    let n = ctx.ctg().num_tasks();
-    let n_scen = ctx.scenarios().len();
-    let edges = collect_edges(ctx, schedule);
-    let mut radj: Vec<Vec<(usize, f64, ScenarioMask)>> = vec![Vec::new(); n];
-    for e in &edges {
-        let mut mask = ctx.task_mask(e.src).and(ctx.task_mask(e.dst));
-        if let Some(lit) = e.guard {
-            match ctx.literal_mask_ref(lit.branch(), lit.alt()) {
-                Some(m) => mask.intersect(m),
-                // An unknown literal selects no scenario.
-                None => mask.clear(),
+    MakespanDp::cold(ctx, schedule).worst_case(ctx, schedule, speeds)
+}
+
+/// The exact worst-case-makespan DP's constraint layout for one mapping:
+/// every constraint edge filed under its destination with its source, its
+/// fixed delay and the mask of the scenarios it constrains (both endpoints
+/// active and the guard's alternative taken), precombined once, and a
+/// topological order of the edges. Speeds enter only the loop
+/// ([`MakespanDp::worst_case`]), so one layout serves every speed
+/// assignment on the mapping.
+#[derive(Debug, Clone)]
+pub(crate) struct MakespanDp {
+    /// Mask words per edge.
+    words: usize,
+    /// The tasks in a topological order of the edges.
+    topo: Vec<u32>,
+    /// `ins[in_off[t]..in_off[t + 1]]` are task `t`'s in-edges as
+    /// `(source, delay)`, in edge order.
+    in_off: Vec<u32>,
+    ins: Vec<(u32, f64)>,
+    /// In-edge `i`'s mask: `masks[i * words..(i + 1) * words]`.
+    masks: Vec<u64>,
+}
+
+impl MakespanDp {
+    /// The layout of `schedule`'s un-reduced edge set.
+    pub(crate) fn cold(ctx: &SchedContext, schedule: &Schedule) -> Self {
+        Self::lay_out(ctx, &collect_edges(ctx, schedule))
+    }
+
+    /// Lays out `edges`, which must form a DAG over the context's tasks.
+    pub(crate) fn lay_out(ctx: &SchedContext, edges: &[SEdge]) -> Self {
+        let n = ctx.ctg().num_tasks();
+        let words = ctx.scenarios().len().div_ceil(64);
+        let mut in_off = vec![0u32; n + 1];
+        for e in edges {
+            in_off[e.dst.index() + 1] += 1;
+        }
+        for i in 0..n {
+            in_off[i + 1] += in_off[i];
+        }
+        let mut fill = in_off[..n].to_vec();
+        let mut ins = vec![(0u32, 0.0); edges.len()];
+        let mut masks = vec![0u64; edges.len() * words];
+        for e in edges {
+            let at = &mut fill[e.dst.index()];
+            let i = *at as usize;
+            *at += 1;
+            ins[i] = (e.src.index() as u32, e.delay);
+            let (src, dst) = (ctx.task_mask(e.src).words(), ctx.task_mask(e.dst).words());
+            // An unknown literal selects no scenario: its mask stays empty.
+            let lit = match e.guard {
+                None => None,
+                Some(lit) => match ctx.literal_mask_ref(lit.branch(), lit.alt()) {
+                    Some(m) => Some(m.words()),
+                    None => continue,
+                },
+            };
+            for (w, m) in masks[i * words..(i + 1) * words].iter_mut().enumerate() {
+                *m = src[w] & dst[w] & lit.map_or(u64::MAX, |l| l[w]);
             }
         }
-        radj[e.dst.index()].push((e.src.index(), e.delay, mask));
-    }
-    let profile = ctx.platform().profile();
-    let exec: Vec<f64> = (0..n)
-        .map(|t| {
-            let t = TaskId::new(t);
-            profile.wcet(t.index(), schedule.pe_of(t)) / speeds.speed(t)
-        })
-        .collect();
-    // A topological order of the constraint graph: pseudo edges always go
-    // from earlier to later start times, so schedule-start order works (the
-    // CTG's own topological order ignores pseudo edges).
-    let mut topo: Vec<usize> = (0..n).collect();
-    topo.sort_by(|&a, &b| {
-        schedule
-            .start(TaskId::new(a))
-            .partial_cmp(&schedule.start(TaskId::new(b)))
-            .expect("start times are finite")
-            .then(a.cmp(&b))
-    });
-    debug_assert!({
-        let mut pos = vec![0; n];
-        for (i, &t) in topo.iter().enumerate() {
-            pos[t] = i;
-        }
-        edges
-            .iter()
-            .all(|e| pos[e.src.index()] < pos[e.dst.index()])
-    });
-    // `fin[t * n_scen + s]`: task `t`'s finish in scenario `s`, written
-    // before any read (an edge's mask holds only scenarios where its
-    // source is active, and the source precedes it in `topo`).
-    let mut fin = vec![0.0_f64; n * n_scen];
-    let mut start = vec![0.0_f64; n_scen];
-    let mut worst: f64 = 0.0;
-    for &t in &topo {
-        let active = ctx.task_mask(TaskId::new(t));
-        for s in active.iter() {
-            start[s] = 0.0;
-        }
-        for (src, delay, mask) in &radj[t] {
-            let src_fin = &fin[src * n_scen..][..n_scen];
-            for s in mask.iter() {
-                start[s] = start[s].max(src_fin[s] + delay);
+        // Depth-first post-order over the in-edges: a task is placed once
+        // every source of its in-edges is.
+        let mut topo = Vec::with_capacity(n);
+        let mut placed = vec![false; n];
+        let mut stack: Vec<(u32, u32)> = Vec::new();
+        for root in 0..n as u32 {
+            if placed[root as usize] {
+                continue;
+            }
+            placed[root as usize] = true;
+            stack.push((root, in_off[root as usize]));
+            while let Some((t, next)) = stack.last_mut() {
+                if *next == in_off[*t as usize + 1] {
+                    topo.push(*t);
+                    stack.pop();
+                    continue;
+                }
+                let src = ins[*next as usize].0;
+                *next += 1;
+                if !placed[src as usize] {
+                    placed[src as usize] = true;
+                    stack.push((src, in_off[src as usize]));
+                }
             }
         }
-        let row = &mut fin[t * n_scen..][..n_scen];
-        for s in active.iter() {
-            row[s] = start[s] + exec[t];
-            worst = worst.max(row[s]);
+        debug_assert!({
+            let mut pos = vec![0; n];
+            for (i, &t) in topo.iter().enumerate() {
+                pos[t as usize] = i;
+            }
+            edges
+                .iter()
+                .all(|e| pos[e.src.index()] < pos[e.dst.index()])
+        });
+        MakespanDp {
+            words,
+            topo,
+            in_off,
+            ins,
+            masks,
         }
     }
-    worst
+
+    /// The worst-case makespan of a schedule with the layout's mapping at
+    /// `speeds`: each task's finish in every scenario where it runs, its
+    /// start being the latest of its in-edges' source finish plus delay
+    /// over the scenarios each edge's mask names, maximised over tasks and
+    /// scenarios. `O(V·S + Σ|mask|)`: the scenarios run side by side
+    /// rather than one DP per scenario, yet each scenario's finish takes
+    /// the max over the same sums a scenario-at-a-time DP would, so the
+    /// bits are the same. Any topological order gives them too: a task's
+    /// finish reads only its sources', and `max` is exact.
+    pub(crate) fn worst_case(
+        &self,
+        ctx: &SchedContext,
+        schedule: &Schedule,
+        speeds: &SpeedAssignment,
+    ) -> f64 {
+        let n_scen = ctx.scenarios().len();
+        let profile = ctx.platform().profile();
+        // `fin[t * n_scen + s]`: task `t`'s finish in scenario `s`, written
+        // before any read (an edge's mask holds only scenarios where its
+        // source is active, and the source precedes it in `topo`).
+        let mut fin = vec![0.0_f64; self.topo.len() * n_scen];
+        let mut start = vec![0.0_f64; n_scen];
+        let mut worst: f64 = 0.0;
+        for &t in &self.topo {
+            let (t, task) = (t as usize, TaskId::new(t as usize));
+            let active = ctx.task_mask(task);
+            for s in active.iter() {
+                start[s] = 0.0;
+            }
+            let edges = self.in_off[t] as usize..self.in_off[t + 1] as usize;
+            for (&(src, delay), mask) in self.ins[edges.clone()]
+                .iter()
+                .zip(self.masks[edges.start * self.words..].chunks_exact(self.words))
+            {
+                let src_fin = &fin[src as usize * n_scen..][..n_scen];
+                for s in word_bits(mask) {
+                    start[s] = start[s].max(src_fin[s] + delay);
+                }
+            }
+            let exec = profile.wcet(t, schedule.pe_of(task)) / speeds.speed(task);
+            let row = &mut fin[t * n_scen..][..n_scen];
+            for s in active.iter() {
+                row[s] = start[s] + exec;
+                worst = worst.max(row[s]);
+            }
+        }
+        worst
+    }
 }
 
 /// The scheduled graph's edge set after the scenario-aware transitive
 /// reduction: a zero-delay pseudo/implied edge (u, v) is redundant only
-/// when a longer route u→…→v exists whose every intermediate node executes
-/// in *every scenario where both u and v execute* — then the route's delay
-/// constraint is present whenever the edge's is, and dominates it. CTG
-/// edges are always kept (they carry guards and communication delays).
+/// when a longer route u→…→v exists that constrains v in *every scenario
+/// where both u and v execute* — then the route's delay constraint is
+/// present whenever the edge's is, and dominates it. So every intermediate
+/// node must execute in each of those scenarios, and every guarded edge of
+/// the route must have its alternative taken in each: an or-node that
+/// joins one alternative of each of two forks runs whenever either
+/// alternative is taken, yet its guarded in-edge from the first fork is
+/// off when only the second one's is taken, and a same-PE edge from that
+/// fork to a successor of the join is then binding. CTG edges are always
+/// kept (they carry guards and communication delays).
+///
+/// Each guard's scenario mask is resolved once, with the adjacency, not
+/// per visit.
 fn reduced_edges(ctx: &SchedContext, schedule: &Schedule) -> Vec<SEdge> {
     let n = ctx.ctg().num_tasks();
     let n_scen = ctx.scenarios().len();
     let edges = collect_edges(ctx, schedule);
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Each out-edge's destination, and its guard's scenarios (`None` for
+    // an unguarded edge; an unknown literal selects none).
+    let none = ScenarioMask::empty(n_scen);
+    let mut adj: Vec<Vec<(usize, Option<&ScenarioMask>)>> = vec![Vec::new(); n];
     for e in &edges {
-        adj[e.src.index()].push(e.dst.index());
+        let guard = e.guard.map(|lit| {
+            ctx.literal_mask_ref(lit.branch(), lit.alt())
+                .unwrap_or(&none)
+        });
+        adj[e.src.index()].push((e.dst.index(), guard));
     }
     // Start times are monotone along every edge of a precedence-respecting
     // schedule (dependency, implied-wait and same-PE-order edges all point
@@ -822,17 +944,27 @@ fn reduced_edges(ctx: &SchedContext, schedule: &Schedule) -> Vec<SEdge> {
                 && !(monotone && starts[w] > vstart)
                 && both.subset_of(ctx.task_mask(TaskId::new(w)))
         };
-        // Reach v from u through ≥1 safe intermediate.
+        let holds = |guard: Option<&ScenarioMask>| guard.is_none_or(|m| both.subset_of(m));
+        // Reach v from u through ≥1 safe intermediate, over edges whose
+        // guards hold.
         seen.fill(false);
         stack.clear();
-        stack.extend(adj[u.index()].iter().copied().filter(|&w| safe(w)));
+        stack.extend(
+            adj[u.index()]
+                .iter()
+                .filter(|&&(w, guard)| holds(guard) && safe(w))
+                .map(|&(w, _)| w),
+        );
         let mut covered = false;
         'dfs: while let Some(w) = stack.pop() {
             if seen[w] {
                 continue;
             }
             seen[w] = true;
-            for &x in &adj[w] {
+            for &(x, guard) in &adj[w] {
+                if !holds(guard) {
+                    continue;
+                }
                 if x == v.index() {
                     covered = true;
                     break 'dfs;

@@ -29,9 +29,10 @@
 //!    probabilities are re-weighted, skipping the transitive reduction
 //!    and the worst-case-exponential path enumeration. The graph keeps the
 //!    per-task layouts earlier stretches on it laid out, so a hit lays out
-//!    only the tasks it is the first to scan. The stretch itself still
-//!    reads the commit order, the PEs and the starts from the schedule
-//!    being solved.
+//!    only the tasks it is the first to scan, and the worst-case-makespan
+//!    DP's layout once a race has judged a plan on it. The stretch itself
+//!    still reads the commit order, the PEs and the starts from the
+//!    schedule being solved.
 //!
 //!    The layer serves any mapper: the HEFT and lookahead kinds stretch
 //!    through it too, and the frame kind maps through layer 2, so a race
@@ -50,13 +51,15 @@
 //! point matches the cold result to tolerance (see
 //! `tests/solver_equivalence.rs`).
 
+use std::borrow::Cow;
+
 use crate::budget::WorkMeter;
 use crate::context::SchedContext;
 use crate::dls::dls_with_levels_metered;
 use crate::error::SchedError;
 use crate::online::{check_deadline, Solution};
 use crate::schedule::Schedule;
-use crate::sgraph::ScheduledGraph;
+use crate::sgraph::{MakespanDp, ScheduledGraph, DEFAULT_PATH_CAP};
 use crate::speed::SpeedAssignment;
 use crate::static_level::{static_levels_into, update_static_levels};
 use crate::stretch::{
@@ -271,6 +274,23 @@ impl SolverWorkspace {
         ctx: &SchedContext,
         probs: &BranchProbs,
     ) -> Result<Solution, SchedError> {
+        let solution = self.solve_unless(cfg, ctx, probs, |_| false)?;
+        Ok(solution.expect("a solve that skips no schedule stretches"))
+    }
+
+    /// [`SolverWorkspace::solve`], except that it returns `Ok(None)`
+    /// without stretching when `skip` accepts the DLS schedule (which has
+    /// passed the deadline check): a portfolio race skips an entry whose
+    /// schedule an earlier entry already stretched. A skipped solve still
+    /// counts as a solve and ends its `solve` span with
+    /// [`SOLVE_SKIPPED`].
+    pub(crate) fn solve_unless(
+        &mut self,
+        cfg: &StretchConfig,
+        ctx: &SchedContext,
+        probs: &BranchProbs,
+        skip: impl FnOnce(&Schedule) -> bool,
+    ) -> Result<Option<Solution>, SchedError> {
         // A clone of the handle (an `Option<Arc>`) so spans can stay open
         // across the `&mut self` body below.
         let obs = self.obs.clone();
@@ -286,6 +306,10 @@ impl SolverWorkspace {
         let schedule = self.dls_map(ctx, probs, &mut meter)?;
         check_deadline(ctx, &schedule)?;
         validate_config(cfg)?;
+        if skip(&schedule) {
+            solve_span.end(SOLVE_SKIPPED);
+            return Ok(None);
+        }
 
         let (speeds, via) = match self.stretch_pooled(cfg, ctx, probs, &schedule, &mut meter) {
             Ok(done) => done,
@@ -294,25 +318,15 @@ impl SolverWorkspace {
         self.last_cost = Some(meter.spent());
         let dur_ns = solve_span.end(via);
         obs.observe(Hist::SolveUs, dur_ns as f64 / 1e3);
-        Ok(Solution { schedule, speeds })
+        Ok(Some(Solution { schedule, speeds }))
     }
 
-    /// The DLS mapping step of [`SolverWorkspace::solve`]: binds to `ctx`,
-    /// brings the dirty-set static levels (layer 2) to `probs` and maps
-    /// with modified DLS under `meter`, in a [`Stage::DlsMap`] span. The
-    /// schedule is exactly [`dls_schedule`](crate::dls_schedule)'s.
-    ///
-    /// The step counts no solve and opens no `solve` span; it updates the
-    /// level counters in [`WorkspaceStats`]. `solve` passes its budget
-    /// meter, the frame kind an unlimited one.
-    pub(crate) fn dls_map(
-        &mut self,
-        ctx: &SchedContext,
-        probs: &BranchProbs,
-        meter: &mut WorkMeter,
-    ) -> Result<Schedule, SchedError> {
-        let obs = self.obs.clone();
-        let track = self.obs_track;
+    /// Layer 2 on its own: binds to `ctx` and brings the dirty-set static
+    /// levels to `probs`, updating the level counters in
+    /// [`WorkspaceStats`]. The levels are exactly
+    /// [`static_levels`](crate::static_levels)'s, the DLS priorities and
+    /// the HEFT ranks.
+    pub(crate) fn levels(&mut self, ctx: &SchedContext, probs: &BranchProbs) -> &[f64] {
         self.bind(ctx);
         match self.sl_probs.take() {
             None => {
@@ -326,6 +340,25 @@ impl SolverWorkspace {
             }
         }
         self.sl_probs = Some(probs.clone());
+        &self.sl
+    }
+
+    /// The DLS mapping step of [`SolverWorkspace::solve`]: brings the
+    /// levels to `probs` ([`SolverWorkspace::levels`]) and maps with
+    /// modified DLS under `meter`, in a [`Stage::DlsMap`] span. The
+    /// schedule is exactly [`dls_schedule`](crate::dls_schedule)'s.
+    ///
+    /// The step counts no solve and opens no `solve` span. `solve` passes
+    /// its budget meter, the frame kind an unlimited one.
+    pub(crate) fn dls_map(
+        &mut self,
+        ctx: &SchedContext,
+        probs: &BranchProbs,
+        meter: &mut WorkMeter,
+    ) -> Result<Schedule, SchedError> {
+        let obs = self.obs.clone();
+        let track = self.obs_track;
+        self.levels(ctx, probs);
 
         let dls_span = obs.span(track, Stage::DlsMap);
         let schedule = match dls_with_levels_metered(ctx, &self.sl, true, meter) {
@@ -404,13 +437,7 @@ impl SolverWorkspace {
         let obs = self.obs.clone();
         let track = self.obs_track;
         let fp = graph_fp(schedule, cfg.path_cap);
-        let hit = self.graphs.iter().position(|e| {
-            e.fp == fp
-                && e.path_cap == cfg.path_cap
-                && e.assignment == schedule.assignment
-                && e.pe_order == schedule.pe_order
-        });
-        if let Some(i) = hit {
+        if let Some(i) = self.pooled(fp, schedule, cfg.path_cap) {
             // Re-charge the stored enumeration cost *before* touching the
             // entry: a budget abort must leave the pool intact and land on
             // the same verdict a cold enumeration would (the cost is a pure
@@ -475,12 +502,58 @@ impl SolverWorkspace {
         });
         Ok((speeds, SOLVE_VIA_REBUILD))
     }
+
+    /// The pool entry of `schedule`'s mapping under `path_cap`, whose key
+    /// fingerprint is `fp`.
+    fn pooled(&self, fp: u64, schedule: &Schedule, path_cap: usize) -> Option<usize> {
+        self.graphs.iter().position(|e| {
+            e.fp == fp
+                && e.path_cap == path_cap
+                && e.assignment == schedule.assignment
+                && e.pe_order == schedule.pe_order
+        })
+    }
+
+    /// The exact worst-case makespan of `solution`, bit for bit
+    /// [`Solution::worst_case_makespan`]'s: the DP runs on the layout of
+    /// the graph the pool holds for the solution's mapping
+    /// ([`ScheduledGraph::worst_case_makespan`]), else on a cold layout of
+    /// the un-reduced edges. This is how a portfolio race judges its
+    /// plans; a check leaves the pool's recency and the counters alone.
+    pub fn worst_case_makespan(&mut self, ctx: &SchedContext, solution: &Solution) -> f64 {
+        self.makespan_dp(ctx, &solution.schedule).worst_case(
+            ctx,
+            &solution.schedule,
+            &solution.speeds,
+        )
+    }
+
+    /// The exact worst-case-makespan DP for `schedule`'s mapping: the
+    /// layout of the graph the pool holds for it under the default path
+    /// cap (laid out on its first check and kept with it), or a cold
+    /// layout of the un-reduced edges when the pool holds no graph for
+    /// the mapping. Either gives [`Solution::worst_case_makespan`]'s bits.
+    pub(crate) fn makespan_dp(
+        &mut self,
+        ctx: &SchedContext,
+        schedule: &Schedule,
+    ) -> Cow<'_, MakespanDp> {
+        self.bind(ctx);
+        let fp = graph_fp(schedule, DEFAULT_PATH_CAP);
+        let pooled = self.pooled(fp, schedule, DEFAULT_PATH_CAP);
+        match pooled.and_then(|i| self.graphs[i].graph.as_mut()) {
+            Some(graph) => Cow::Borrowed(graph.makespan_dp(ctx)),
+            None => Cow::Owned(MakespanDp::cold(ctx, schedule)),
+        }
+    }
 }
 
 /// [`Stage::Solve`] span args: whether the solve rebuilt its scheduled
-/// graph or reused a pooled one.
+/// graph or reused a pooled one, or skipped its stretch
+/// ([`SolverWorkspace::solve_unless`]).
 const SOLVE_VIA_REBUILD: i64 = 0;
 const SOLVE_VIA_POOL: i64 = 1;
+const SOLVE_SKIPPED: i64 = -1;
 
 #[cfg(test)]
 mod tests {

@@ -6,19 +6,28 @@
 //! alternative taken), all scenarios side by side. The reference below
 //! runs one scenario at a time and decides each edge by looking its
 //! endpoints up in the scenario's active set and its guard up in the
-//! scenario's cube. [`Solution::worst_case_makespan`] must match it bit
-//! for bit on the DLS, HEFT, lookahead and frame plans of every workload
-//! family, at every level of the frame entry's search, on every mapping
-//! of a small graph whose or-node joins both alternatives of a fork, and
-//! under seeded random speeds, some of which miss the deadline.
+//! scenario's cube. [`Solution::worst_case_makespan`], which lays out
+//! the un-reduced edges, and [`ScheduledGraph::worst_case_makespan`],
+//! which lays out a built graph's reduced edges as the race's pooled
+//! graphs do, must both match it bit for bit on the DLS, HEFT, lookahead
+//! and frame plans of every workload family, at every level of the frame
+//! entry's search, on every mapping of a small graph whose or-node joins
+//! both alternatives of a fork, and under seeded random speeds, some of
+//! which miss the deadline.
+//!
+//! The reduction is pinned on every mapping of a graph whose or-node
+//! joins one alternative of each of two forks: there the longest
+//! enumerated path must be the exact worst case too, and no Fig. 2 plan
+//! that `validate_solution` accepts may miss the deadline.
 
 use adaptive_dvfs::ctg::{BranchProbs, Ctg, CtgBuilder, Literal, NodeKind, TaskId};
-use adaptive_dvfs::platform::{PeId, Platform};
+use adaptive_dvfs::platform::{PeId, Platform, PlatformBuilder};
 use adaptive_dvfs::rng::Rng64;
 use adaptive_dvfs::sched::test_util::uniform_platform;
 use adaptive_dvfs::sched::{
-    dls_schedule, list_schedule_fixed, static_levels, SchedContext, Schedule, SchedulerKind,
-    Solution, SpeedAssignment, FRAME_SPEED_LEVELS,
+    dls_schedule, list_schedule_fixed, static_levels, stretch_schedule, validate_solution,
+    SchedContext, Schedule, ScheduledGraph, SchedulerKind, Solution, SpeedAssignment,
+    StretchConfig, DEFAULT_PATH_CAP, FRAME_SPEED_LEVELS,
 };
 use adaptive_dvfs::tgff::{table1_cases, table45_cases, TgffConfig};
 use adaptive_dvfs::workloads::{cruise, mpeg, wlan};
@@ -225,7 +234,25 @@ fn arb_table(ctg: &Ctg, rng: &mut Rng64) -> BranchProbs {
     probs
 }
 
-fn assert_same_bits(ctx: &SchedContext, plan: &Solution, at: &str) -> f64 {
+/// The scheduled graph of `schedule`'s mapping, as the workspace pools
+/// it; `None` over the path cap.
+fn pooled_graph(ctx: &SchedContext, schedule: &Schedule) -> Option<ScheduledGraph> {
+    ScheduledGraph::build(
+        ctx,
+        schedule,
+        &BranchProbs::uniform(ctx.ctg()),
+        DEFAULT_PATH_CAP,
+    )
+}
+
+/// Checks the cold DP, and the DP on `graph` (the plan's mapping's graph)
+/// when there is one, against the reference; returns the makespan.
+fn assert_same_bits(
+    ctx: &SchedContext,
+    plan: &Solution,
+    graph: Option<&mut ScheduledGraph>,
+    at: &str,
+) -> f64 {
     let want = reference_makespan(ctx, &plan.schedule, &plan.speeds);
     let got = plan.worst_case_makespan(ctx);
     assert_eq!(
@@ -233,6 +260,14 @@ fn assert_same_bits(ctx: &SchedContext, plan: &Solution, at: &str) -> f64 {
         got.to_bits(),
         "{at}: reference {want} vs library {got}"
     );
+    if let Some(graph) = graph {
+        let pooled = graph.worst_case_makespan(ctx, &plan.schedule, &plan.speeds);
+        assert_eq!(
+            want.to_bits(),
+            pooled.to_bits(),
+            "{at}: reference {want} vs the DP on the graph's reduced edges {pooled}"
+        );
+    }
     got
 }
 
@@ -241,7 +276,7 @@ fn worst_case_makespan_matches_the_per_scenario_reference_bit_for_bit() {
     let contexts = contexts();
     assert_eq!(contexts.len(), 18);
     let mut rng = Rng64::seed_from_u64(0x3AC5_DEAD);
-    let (mut checked, mut misses, mut meets) = (0, 0, 0);
+    let (mut checked, mut pooled, mut misses, mut meets) = (0, 0, 0, 0);
     for ctx in &contexts {
         let name = ctx.ctg().name();
         let n = ctx.ctg().num_tasks();
@@ -253,7 +288,9 @@ fn worst_case_makespan_matches_the_per_scenario_reference_bit_for_bit() {
                     continue;
                 };
                 let at = format!("{name} table {table} {kind}");
-                assert_same_bits(ctx, &plan, &at);
+                let mut graph = pooled_graph(ctx, &plan.schedule);
+                pooled += usize::from(graph.is_some());
+                assert_same_bits(ctx, &plan, graph.as_mut(), &at);
                 checked += 1;
                 if kind == SchedulerKind::FrameDvfs {
                     // Every level the frame entry's search may evaluate,
@@ -264,14 +301,14 @@ fn worst_case_makespan_matches_the_per_scenario_reference_bit_for_bit() {
                             schedule: plan.schedule.clone(),
                             speeds: SpeedAssignment::new(vec![s; n]),
                         };
-                        assert_same_bits(ctx, &level, &format!("{at} level {k}"));
+                        assert_same_bits(ctx, &level, graph.as_mut(), &format!("{at} level {k}"));
                         checked += 1;
                     }
                     let nominal = Solution {
                         schedule: plan.schedule.clone(),
                         speeds: SpeedAssignment::nominal(n),
                     };
-                    assert_same_bits(ctx, &nominal, &format!("{at} nominal"));
+                    assert_same_bits(ctx, &nominal, graph.as_mut(), &format!("{at} nominal"));
                     continue;
                 }
                 // Random speeds on the plan's schedule: low ones stretch
@@ -283,7 +320,8 @@ fn worst_case_makespan_matches_the_per_scenario_reference_bit_for_bit() {
                         schedule: plan.schedule.clone(),
                         speeds: SpeedAssignment::new(speeds),
                     };
-                    let wcm = assert_same_bits(ctx, &random, &format!("{at} random {v}"));
+                    let wcm =
+                        assert_same_bits(ctx, &random, graph.as_mut(), &format!("{at} random {v}"));
                     if wcm > deadline + 1e-6 {
                         misses += 1;
                     } else {
@@ -304,6 +342,7 @@ fn worst_case_makespan_matches_the_per_scenario_reference_bit_for_bit() {
                 .map(|t| PeId::new((bits >> t) as usize & 1))
                 .collect();
             let schedule = list_schedule_fixed(&ctx, &assignment, &levels, true).unwrap();
+            let mut graph = pooled_graph(&ctx, &schedule).expect("a small graph");
             for speeds in [
                 SpeedAssignment::nominal(n),
                 SpeedAssignment::new((0..n).map(|_| rng.gen_range(0.5..1.0)).collect()),
@@ -312,14 +351,161 @@ fn worst_case_makespan_matches_the_per_scenario_reference_bit_for_bit() {
                     schedule: schedule.clone(),
                     speeds,
                 };
-                assert_same_bits(&ctx, &plan, &format!("{name} mapping {bits:09b}"));
+                assert_same_bits(
+                    &ctx,
+                    &plan,
+                    Some(&mut graph),
+                    &format!("{name} mapping {bits:09b}"),
+                );
                 checked += 1;
             }
         }
     }
     assert!(checked > 1000, "only {checked} makespans checked");
     assert!(
+        pooled > 100,
+        "only {pooled} plans had a graph under the cap"
+    );
+    assert!(
         misses > 0 && meets > 0,
         "random speeds must both miss ({misses}) and meet ({meets}) the deadline"
     );
+}
+
+/// Two root forks, `f` and `g`, whose first alternatives both lead to
+/// the or-node `join`, and whose second ones run `fx` and `gx`; `tail`
+/// follows the join, and the and-node `z` follows `tail` and `fx`, so it
+/// runs exactly when `f` takes its second alternative and `g` its first.
+/// The join runs whenever either first alternative is taken, but its
+/// in-edge from `f` is then off. Where `f` and `tail` share a PE, the
+/// same-PE edge `f → tail` has a route `f → join → tail` whose
+/// intermediate runs wherever both ends do, yet the route is off in `z`'s
+/// scenario: `f`'s long WCET makes it finish after the join there, so the
+/// edge decides `tail`'s start and `z`'s, the worst case, and the
+/// reduction must keep it.
+fn cross_fork_context() -> SchedContext {
+    let mut b = CtgBuilder::new("cross_fork_join");
+    let f = b.add_task("f");
+    let g = b.add_task("g");
+    let join = b.add_task_with_kind("join", NodeKind::Or);
+    let fx = b.add_task("fx");
+    let gx = b.add_task("gx");
+    let tail = b.add_task("tail");
+    let z = b.add_task("z");
+    b.add_cond_edge(f, join, 0, 1.0).unwrap();
+    b.add_cond_edge(f, fx, 1, 1.0).unwrap();
+    b.add_cond_edge(g, join, 0, 1.0).unwrap();
+    b.add_cond_edge(g, gx, 1, 1.0).unwrap();
+    b.add_edge(join, tail, 1.0).unwrap();
+    b.add_edge(tail, z, 1.0).unwrap();
+    b.add_edge(fx, z, 1.0).unwrap();
+    let ctg = b.deadline(100.0).build().unwrap();
+    let mut pb = PlatformBuilder::new(ctg.num_tasks());
+    pb.add_pe("pe0");
+    pb.add_pe("pe1");
+    for (t, wcet) in [8.0, 1.0, 1.0, 1.0, 1.0, 3.0, 4.0].into_iter().enumerate() {
+        pb.set_wcet_row(t, vec![wcet; 2]).unwrap();
+        pb.set_energy_row(t, vec![wcet; 2]).unwrap();
+    }
+    pb.uniform_links(10.0, 0.05).unwrap();
+    SchedContext::new(ctg, pb.build().unwrap()).unwrap()
+}
+
+/// The longest of `graph`'s enumerated paths at `speeds`, each summed
+/// source first as the DP sums a chain: a task's finish is its
+/// predecessor's finish plus the edge delay, plus its own execution time.
+fn longest_enumerated_path(
+    ctx: &SchedContext,
+    graph: &ScheduledGraph,
+    schedule: &Schedule,
+    speeds: &SpeedAssignment,
+) -> f64 {
+    let profile = ctx.platform().profile();
+    let exec = |t: TaskId| profile.wcet(t.index(), schedule.pe_of(t)) / speeds.speed(t);
+    let delay = |a: TaskId, b: TaskId| {
+        graph
+            .edges()
+            .iter()
+            .find(|e| e.src == a && e.dst == b)
+            .expect("consecutive path tasks share an edge")
+            .delay
+    };
+    graph
+        .paths()
+        .map(|p| {
+            let tasks = p.tasks();
+            tasks.windows(2).fold(exec(tasks[0]), |fin, w| {
+                fin + delay(w[0], w[1]) + exec(w[1])
+            })
+        })
+        .fold(0.0, f64::max)
+}
+
+/// The reduction keeps every binding edge: on every two-PE mapping of the
+/// cross-fork graph, at nominal and seeded random speeds, the cold DP, the
+/// DP on the graph's reduced edges and the longest enumerated path are
+/// all the per-scenario reference, bit for bit. And over deadlines from
+/// the schedule's makespan up and two tables, no Fig. 2 plan that
+/// `validate_solution` accepts has an exact worst case past the deadline.
+#[test]
+fn the_reduction_keeps_edges_a_guarded_route_only_covers_in_some_scenarios() {
+    let ctx = cross_fork_context();
+    let n = ctx.ctg().num_tasks();
+    assert_eq!(n, 7);
+    let uniform = BranchProbs::uniform(ctx.ctg());
+    let levels = static_levels(&ctx, &uniform);
+    let mut rng = Rng64::seed_from_u64(0xC055_F0C5);
+    let tables = [uniform.clone(), arb_table(ctx.ctg(), &mut rng)];
+    let (mut checked, mut accepted) = (0, 0);
+    for bits in 0..1u32 << n {
+        let assignment: Vec<PeId> = (0..n)
+            .map(|t| PeId::new((bits >> t) as usize & 1))
+            .collect();
+        let schedule = list_schedule_fixed(&ctx, &assignment, &levels, true).unwrap();
+        let mut graph = pooled_graph(&ctx, &schedule).expect("a small graph");
+        for (v, speeds) in [
+            SpeedAssignment::nominal(n),
+            SpeedAssignment::new((0..n).map(|_| rng.gen_range(0.3..1.0)).collect()),
+            SpeedAssignment::new((0..n).map(|_| rng.gen_range(0.3..1.0)).collect()),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let at = format!("mapping {bits:07b} speeds {v}");
+            let plan = Solution {
+                schedule: schedule.clone(),
+                speeds,
+            };
+            let wcm = assert_same_bits(&ctx, &plan, Some(&mut graph), &at);
+            let by_paths = longest_enumerated_path(&ctx, &graph, &schedule, &plan.speeds);
+            assert_eq!(
+                by_paths.to_bits(),
+                wcm.to_bits(),
+                "{at}: longest enumerated path {by_paths} vs exact worst case {wcm}"
+            );
+            checked += 1;
+        }
+        for factor in [1.0, 1.02, 1.05, 1.1, 1.2, 1.35, 1.5, 2.0, 3.0, 5.0] {
+            let deadline = factor * schedule.makespan();
+            let tight =
+                SchedContext::new(ctx.ctg().with_deadline(deadline), ctx.platform().clone())
+                    .unwrap();
+            for (t, probs) in tables.iter().enumerate() {
+                let at = format!("mapping {bits:07b} deadline x{factor} table {t}");
+                let speeds =
+                    stretch_schedule(&tight, probs, &schedule, &StretchConfig::default()).unwrap();
+                if validate_solution(&tight, &schedule, &speeds).is_err() {
+                    continue;
+                }
+                accepted += 1;
+                let wcm = reference_makespan(&tight, &schedule, &speeds);
+                assert!(
+                    wcm <= deadline + 1e-6,
+                    "{at}: validate_solution accepted a plan whose worst case {wcm} misses the deadline {deadline}"
+                );
+            }
+        }
+    }
+    assert_eq!(checked, 3 << n);
+    assert!(accepted > 2000, "only {accepted} Fig. 2 plans accepted");
 }

@@ -268,14 +268,29 @@ fn portfolio_race_adopts_the_winners_own_plan() {
 
 /// The race verdict with every entry solving through a fresh workspace:
 /// the lowest expected energy among schedulable plans (ties keep the
-/// earliest entry), else the lowest worst-case makespan.
-fn cold_race(ctx: &SchedContext, probs: &BranchProbs) -> (usize, Solution, f64) {
+/// earliest entry), else the lowest worst-case makespan. Also returns the
+/// entries whose schedule and speed policy no earlier entry produced.
+fn cold_race(
+    kinds: &[SchedulerKind],
+    ctx: &SchedContext,
+    probs: &BranchProbs,
+) -> (usize, Solution, f64, usize) {
     let deadline = ctx.ctg().deadline();
-    let plans: Vec<(usize, Solution)> = DEFAULT_PORTFOLIO
+    let plans: Vec<(usize, Solution)> = kinds
         .iter()
         .enumerate()
         .filter_map(|(i, kind)| kind.solve(ctx, probs).ok().map(|sol| (i, sol)))
         .collect();
+    let frame = |i: usize| kinds[i] == SchedulerKind::FrameDvfs;
+    let fresh = plans
+        .iter()
+        .enumerate()
+        .filter(|&(at, (i, sol))| {
+            !plans[..at]
+                .iter()
+                .any(|(j, p)| frame(*j) == frame(*i) && p.schedule == sol.schedule)
+        })
+        .count();
     let schedulable = plans
         .iter()
         .filter(|(_, sol)| sol.worst_case_makespan(ctx) <= deadline + 1e-6)
@@ -297,7 +312,7 @@ fn cold_race(ctx: &SchedContext, probs: &BranchProbs) -> (usize, Solution, f64) 
             .expect("some entry solves");
         (*i, sol, sol.expected_energy(ctx, probs))
     });
-    (i, sol.clone(), energy)
+    (i, sol.clone(), energy, fresh)
 }
 
 /// Two cases whose race entries produce mappings with one assignment and
@@ -311,40 +326,62 @@ const SHARED_POOL_CASES: [(u64, usize, usize, Category, usize); 2] = [
 
 /// One long-lived workspace shared by every entry of every race returns
 /// what races of cold entries do, over a drift sequence that revisits its
-/// tables, and its graph pool serves mappings across entries and races:
-/// it builds fewer graphs than the entries stretch.
+/// tables, and each distinct plan of a race is stretched and judged once:
+/// the entries that stretch are exactly those whose schedule and speed
+/// policy no earlier entry of the race produced. In the default
+/// portfolio HEFT and lookahead sometimes map alike (on case 66), and its
+/// graph pool serves mappings across entries and races: it builds fewer
+/// graphs than the entries stretch. In `[heft, lookahead, heft]` and `[dls, dls]` the
+/// repeat neither stretches nor wins.
 #[test]
 fn races_through_one_shared_workspace_match_races_of_cold_entries() {
+    use SchedulerKind::{Dls, Heft, Lookahead};
+    let portfolios: [&[SchedulerKind]; 3] =
+        [&DEFAULT_PORTFOLIO, &[Heft, Lookahead, Heft], &[Dls, Dls]];
+    let mut default_skips = 0;
     for &(seed, a, c, cat, pes) in &SHARED_POOL_CASES {
         let (ctx, _) = build_context(seed, a, c, cat, pes);
-        let mut ws = SolverWorkspace::new();
-        let mut races = PortfolioStats::default();
-        let mut wins = [0; SchedulerKind::COUNT];
-        let steps = 20;
-        for step in 0..steps {
-            let probs = drift_table(ctx.ctg(), step);
-            let label = format!("case {seed} step {step}");
-            let shared =
-                race_portfolio(&DEFAULT_PORTFOLIO, &ctx, &probs, &mut ws, &mut races).unwrap();
-            let (winner, plan, energy) = cold_race(&ctx, &probs);
-            wins[DEFAULT_PORTFOLIO[winner].index()] += 1;
-            assert_eq!(shared.winner, winner, "{label}: winners differ");
-            assert_bit_identical(&ctx, &probs, &plan, &shared.solution, &label);
-            assert_eq!(
-                shared.energy.to_bits(),
-                energy.to_bits(),
-                "{label}: energy bits differ"
-            );
+        for kinds in portfolios {
+            let repeat = kinds != DEFAULT_PORTFOLIO;
+            let mut ws = SolverWorkspace::new();
+            let mut races = PortfolioStats::default();
+            let mut wins = [0; SchedulerKind::COUNT];
+            let mut fresh = 0;
+            let steps = 20;
+            for step in 0..steps {
+                let probs = drift_table(ctx.ctg(), step);
+                let label = format!("case {seed} {kinds:?} step {step}");
+                let shared = race_portfolio(kinds, &ctx, &probs, &mut ws, &mut races).unwrap();
+                let (winner, plan, energy, entries) = cold_race(kinds, &ctx, &probs);
+                wins[kinds[winner].index()] += 1;
+                fresh += entries;
+                assert_eq!(shared.winner, winner, "{label}: winners differ");
+                assert_bit_identical(&ctx, &probs, &plan, &shared.solution, &label);
+                assert_eq!(
+                    shared.energy.to_bits(),
+                    energy.to_bits(),
+                    "{label}: energy bits differ"
+                );
+                if repeat {
+                    assert!(entries < kinds.len(), "{label}: the repeat is new");
+                    assert_ne!(winner, kinds.len() - 1, "{label}: the repeat won");
+                }
+            }
+            assert_eq!(races, PortfolioStats { races: steps, wins });
+            let stats = ws.stats();
+            let stretched = stats.graph_reuses + stats.graph_rebuilds;
+            let label = format!("case {seed} {kinds:?}");
+            assert_eq!(stretched, fresh, "{label}: {stats:?}");
+            if !repeat {
+                default_skips += kinds.len() * steps - fresh;
+                assert!(
+                    stats.graph_rebuilds < stretched,
+                    "{label}: the shared pool must serve some entries: {stats:?}"
+                );
+            }
         }
-        assert_eq!(races, PortfolioStats { races: steps, wins });
-        let stats = ws.stats();
-        let stretched = stats.graph_reuses + stats.graph_rebuilds;
-        assert_eq!(stretched, DEFAULT_PORTFOLIO.len() * steps, "{stats:?}");
-        assert!(
-            stats.graph_rebuilds < stretched,
-            "case {seed}: the shared pool must serve some entries: {stats:?}"
-        );
     }
+    assert!(default_skips > 0, "HEFT and lookahead never map alike");
 }
 
 fn drifty_streams(ctx: &SchedContext, n: usize, len: usize) -> Vec<StreamSpec> {
