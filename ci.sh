@@ -35,6 +35,12 @@ CTG_WORKERS=2 ./target/release/throughput --smoke
 echo "==> warm-start solver equivalence"
 cargo test -q --offline --test solver_equivalence
 
+echo "==> Fig. 2 stretch reference (every stretch == a plain Fig. 2 reference bit for"
+echo "    bit, saturated paths included; tie pin: two paths of one minterm group reach"
+echo "    bit-equal slack ratios with different prob(p, t), and the last of equal"
+echo "    minima decides the grant)"
+cargo test -q --offline --test stretch_reference
+
 echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm and portfolio"
 echo "    race p99, the cold build + first stretch p99 and the stretch / dls_map"
 echo "    stage ratio must stay within 2x of the committed BASELINE_solver.json"

@@ -24,8 +24,7 @@
 //! `path_enum`, `stretch`) through the telemetry layer for the stage
 //! breakdown, and the members the stretches' slack scans read (the
 //! `stretch` spans' arg); the timed passes run with telemetry disabled.
-//! The pass also counts the per-task stretcher layouts its stretches laid
-//! out, per graph build and per pool hit. The `stretch_per_dls_map` row
+//! The `stretch_per_dls_map` row
 //! divides the pass's `stretch` stage mean by its `dls_map` stage mean:
 //! both are single-thread solver work on the same tables, so a slower host
 //! largely cancels out of it. The `build` row times, per distinct
@@ -33,7 +32,7 @@
 //! plans of the harvested tables, one cold [`ScheduledGraph::build`] plus
 //! one default stretch on the fresh graph (through [`stretch_schedule`]),
 //! the best of five passes each: what every pool miss pays, whichever
-//! race entry meets the mapping first, the per-task layouts included. The
+//! race entry meets the mapping first. The
 //! portfolio pass races through one workspace shared by its entries, and
 //! the report prints that workspace's graph builds next to each entry's
 //! distinct mappings, and, from a verdict pass over the same tables, the
@@ -379,10 +378,6 @@ fn main() {
     let stage_enum = stage_lat(Stage::PathEnum);
     let stage_stretch = stage_lat(Stage::Stretch);
     let stretch_per_dls_map = stage_stretch.mean_us / stage_dls.mean_us;
-    let layouts = ws.stats();
-    let per = |count: usize, of: usize| count as f64 / of.max(1) as f64;
-    let layouts_per_build = per(layouts.build_layouts, layouts.graph_rebuilds);
-    let layouts_per_hit = per(layouts.hit_layouts, layouts.graph_reuses);
 
     // ---- Report. ----
     println!(
@@ -411,11 +406,6 @@ fn main() {
         stage_stretch.count,
         stage_stretch.mean_arg,
         stretch_per_dls_map
-    );
-    println!(
-        "task layouts (instrumented warm pass): {layouts_per_build:.1} per graph build (x{}), \
-         {layouts_per_hit:.2} per pool hit (x{})",
-        layouts.graph_rebuilds, layouts.graph_reuses
     );
     println!(
         "warm workspace: {} solves, {} full level builds, {} dirty updates ({} levels \
@@ -513,10 +503,6 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"stretch_per_dls_map\": {stretch_per_dls_map:.4},\n"
-    ));
-    json.push_str(&format!(
-        "  \"task_layouts\": {{\"per_build\": {layouts_per_build:.3}, \"per_pool_hit\": \
-         {layouts_per_hit:.3}}},\n"
     ));
     json.push_str(&format!(
         "  \"workspace\": {{\"solves\": {}, \"full_level_rebuilds\": {}, \

@@ -22,9 +22,7 @@ pub fn context_with_scaled_deadline(
 ) -> SchedContext {
     let ctx = SchedContext::new(ctg, platform).expect("graph and platform agree");
     let sched = dls_schedule(&ctx, probs).expect("schedulable workload");
-    let deadline = sched.makespan() * factor;
-    let ctg = ctx.ctg().with_deadline(deadline);
-    SchedContext::new(ctg, ctx.platform().clone()).expect("rebuilt context")
+    ctx.with_deadline(sched.makespan() * factor)
 }
 
 /// A generated random test case ready for experiments.
@@ -113,9 +111,10 @@ pub fn extreme_minterm_alts(ctx: &SchedContext, lowest: bool) -> Vec<u8> {
 }
 
 /// Empirical per-fork probabilities of a trace, counting executed forks only
-/// (re-exported convenience wrapper).
+/// (re-exported convenience wrapper over the context's activation
+/// analysis).
 pub fn profile_trace(ctx: &SchedContext, trace: &[DecisionVector]) -> BranchProbs {
-    ctg_workloads::traces::empirical_probs(ctx.ctg(), trace)
+    ctg_workloads::traces::empirical_probs(ctx.ctg(), ctx.activation(), trace)
 }
 
 #[cfg(test)]

@@ -44,6 +44,16 @@ impl ScenarioMask {
         &self.bits
     }
 
+    /// The mask over a set of size `len` whose words
+    /// ([`ScenarioMask::words`]) are `words`.
+    pub(crate) fn from_words(words: &[u64], len: usize) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        ScenarioMask {
+            bits: words.to_vec(),
+            len,
+        }
+    }
+
     /// Sets scenario `i`.
     ///
     /// # Panics
@@ -403,6 +413,31 @@ impl SchedContext {
         })
     }
 
+    /// The context of the same graph and platform under a different
+    /// deadline, sharing this one's analyses: the activation analysis, the
+    /// scenario enumeration, the mutual-exclusion matrix, the scenario
+    /// masks and the compiled graph read no deadline, so the result equals
+    /// `SchedContext::new(self.ctg().with_deadline(deadline), platform)`
+    /// without re-running them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `deadline` is not strictly positive and finite, as
+    /// [`Ctg::with_deadline`] does.
+    pub fn with_deadline(&self, deadline: f64) -> SchedContext {
+        SchedContext {
+            ctg: self.ctg.with_deadline(deadline),
+            platform: self.platform.clone(),
+            act: self.act.clone(),
+            scenarios: self.scenarios.clone(),
+            mutex: self.mutex.clone(),
+            task_masks: self.task_masks.clone(),
+            literal_masks: self.literal_masks.clone(),
+            lit_slot: self.lit_slot.clone(),
+            compiled: self.compiled.clone(),
+        }
+    }
+
     /// The flat precedence structure and per-task caches (built once).
     pub fn compiled(&self) -> &CompiledGraph {
         &self.compiled
@@ -545,6 +580,7 @@ impl SchedContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::speed::SpeedAssignment;
     use crate::test_util::{example1_context, uniform_platform};
     use ctg_model::CtgBuilder;
 
@@ -619,6 +655,76 @@ mod tests {
                 platform: 3
             })
         ));
+    }
+
+    /// A context re-deadlined through `with_deadline` solves, stretches and
+    /// validates bit for bit like one built from scratch with the new
+    /// deadline, on Example 1, MPEG and a TGFF graph, at deadlines above
+    /// the DLS makespan and below it (where the solve fails).
+    #[test]
+    fn with_deadline_matches_a_fresh_context() {
+        use crate::online::OnlineScheduler;
+        use crate::stretch::{stretch_schedule, StretchConfig};
+        use crate::validate::validate_solution;
+        let (ex_ctx, ex_probs, _) = example1_context();
+        let (mpeg_ctx, mpeg_probs) = crate::test_util::mpeg_context();
+        let tgff = tgff_gen::TgffConfig::new(11, 24, 3, tgff_gen::Category::ForkJoin);
+        let generated = tgff.generate();
+        let platform = tgff.generate_platform(&generated.ctg, 3);
+        let tgff_ctx = SchedContext::new(generated.ctg, platform).unwrap();
+        let scheduler = OnlineScheduler::new();
+        for (name, ctx, probs) in [
+            ("example1", &ex_ctx, &ex_probs),
+            ("mpeg", &mpeg_ctx, &mpeg_probs),
+            ("tgff", &tgff_ctx, &generated.probs),
+        ] {
+            let makespan = crate::dls::dls_schedule(ctx, probs).unwrap().makespan();
+            for factor in [0.5, 1.3, 2.5] {
+                let at = format!("{name} at {factor}x the makespan");
+                let deadline = factor * makespan;
+                let derived = ctx.with_deadline(deadline);
+                let fresh =
+                    SchedContext::new(ctx.ctg().with_deadline(deadline), ctx.platform().clone())
+                        .unwrap();
+                assert_eq!(derived.ctg(), fresh.ctg(), "{at}");
+                let (a, b) = (
+                    scheduler.solve(&derived, probs),
+                    scheduler.solve(&fresh, probs),
+                );
+                assert_eq!(a, b, "{at}: solve");
+                let Ok(sol) = a else {
+                    assert!(factor < 1.0, "{at}: the solve must succeed");
+                    continue;
+                };
+                let b = b.unwrap();
+                let cfg = StretchConfig::default();
+                let stretched = [&derived, &fresh]
+                    .map(|c| stretch_schedule(c, probs, &sol.schedule, &cfg).unwrap());
+                for t in ctx.ctg().tasks() {
+                    assert_eq!(
+                        sol.speeds.speed(t).to_bits(),
+                        b.speeds.speed(t).to_bits(),
+                        "{at}: solved speed of {t}"
+                    );
+                    assert_eq!(
+                        stretched[0].speed(t).to_bits(),
+                        stretched[1].speed(t).to_bits(),
+                        "{at}: stretched speed of {t}"
+                    );
+                }
+                // The plan itself, nominal speeds and a plan too slow to
+                // meet the deadline.
+                let n = ctx.ctg().num_tasks();
+                let slow = SpeedAssignment::new(vec![0.3; n]);
+                for speeds in [&sol.speeds, &SpeedAssignment::nominal(n), &slow] {
+                    assert_eq!(
+                        validate_solution(&derived, &sol.schedule, speeds),
+                        validate_solution(&fresh, &sol.schedule, speeds),
+                        "{at}: validation"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

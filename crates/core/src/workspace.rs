@@ -28,11 +28,10 @@
 //!    depend on the probabilities — is reused and only its minterm-group
 //!    probabilities are re-weighted, skipping the transitive reduction
 //!    and the worst-case-exponential path enumeration. The graph keeps the
-//!    per-task layouts earlier stretches on it laid out, so a hit lays out
-//!    only the tasks it is the first to scan, and the worst-case-makespan
-//!    DP's layout once a race has judged a plan on it. The stretch itself
-//!    still reads the commit order, the PEs and the starts from the
-//!    schedule being solved.
+//!    walk's per-task node ranges, which every stretch on it scans, and the
+//!    worst-case-makespan DP's layout once a plan on it has been judged.
+//!    The stretch itself still reads the commit order, the PEs and the
+//!    starts from the schedule being solved.
 //!
 //!    The layer serves any mapper: the HEFT and lookahead kinds stretch
 //!    through it too, and the frame kind maps through layer 2, so a race
@@ -87,12 +86,6 @@ pub struct WorkspaceStats {
     /// Graph-pool lookups that built the scheduled graph from scratch, by
     /// DLS solves and by the other mappers stretching through the pool.
     pub graph_rebuilds: usize,
-    /// Per-task stretcher layouts laid out by the stretches that followed
-    /// a graph build: one per task the stretch scanned.
-    pub build_layouts: usize,
-    /// Per-task stretcher layouts laid out by the stretches on pooled
-    /// graphs: one per task no earlier stretch on the graph had scanned.
-    pub hit_layouts: usize,
     /// Times the workspace was re-bound to a different context.
     pub rebinds: usize,
     /// Solves aborted because they crossed the configured work budget.
@@ -449,7 +442,7 @@ impl SolverWorkspace {
             let stretch_span = obs.span(track, Stage::Stretch);
             let entry = &mut self.graphs[i];
             entry.stamp = self.graph_clock;
-            let (speeds, read, layouts) = match entry.graph.as_mut() {
+            let (speeds, read) = match entry.graph.as_mut() {
                 Some(g) => {
                     if entry.probs != *probs {
                         g.reweight(ctx, probs);
@@ -457,9 +450,8 @@ impl SolverWorkspace {
                     }
                     stretch_on_graph(ctx, probs, schedule, cfg, g, None, &mut self.scratch)
                 }
-                None => (critical_path_fallback(ctx, probs, schedule, cfg), 0, 0),
+                None => (critical_path_fallback(ctx, probs, schedule, cfg), 0),
             };
-            self.stats.hit_layouts += layouts;
             stretch_span.end(read as i64);
             return Ok((speeds, SOLVE_VIA_POOL));
         }
@@ -467,17 +459,16 @@ impl SolverWorkspace {
         self.stats.graph_rebuilds += 1;
         let enum_span = obs.span(track, Stage::PathEnum);
         let enum_start = meter.spent();
-        let mut built = ScheduledGraph::build_metered(ctx, schedule, probs, cfg.path_cap, meter)?;
+        let built = ScheduledGraph::build_metered(ctx, schedule, probs, cfg.path_cap, meter)?;
         let enum_units = meter.spent() - enum_start;
         // arg: 1 when the enumeration fit the cap, 0 when it overflowed
         // (and the critical-path fallback runs).
         enum_span.end(i64::from(built.is_some()));
         let stretch_span = obs.span(track, Stage::Stretch);
-        let (speeds, read, layouts) = match built.as_mut() {
+        let (speeds, read) = match &built {
             Some(g) => stretch_on_graph(ctx, probs, schedule, cfg, g, None, &mut self.scratch),
-            None => (critical_path_fallback(ctx, probs, schedule, cfg), 0, 0),
+            None => (critical_path_fallback(ctx, probs, schedule, cfg), 0),
         };
-        self.stats.build_layouts += layouts;
         stretch_span.end(read as i64);
         if self.graphs.len() == GRAPH_POOL_CAP {
             let victim = self
@@ -829,52 +820,6 @@ mod tests {
         };
         assert!(ScheduledGraph::build(&ctx, &schedule, &probs, cfg.path_cap).is_none());
         assert_budgets_agree_on_a_graph_another_entry_pooled(&cfg, &ctx, &probs);
-    }
-
-    /// A pool hit whose table moved, so the pooled graph is re-weighted,
-    /// scans a task no earlier stretch on the graph scanned: the hit lays
-    /// it out, and the solve still returns a cold solve's bits.
-    #[test]
-    fn a_pool_hit_lays_out_a_task_no_earlier_solve_scanned() {
-        let (ctx, uniform) = crate::test_util::mpeg_context();
-        let table = |shift: f64| {
-            let mut probs = uniform.clone();
-            for (bi, &b) in ctx.ctg().branch_nodes().iter().enumerate() {
-                let k = ctx.ctg().node(b).alternatives() as usize;
-                let lead = 0.1 + 0.08 * ((49 + bi * 3) % 10) as f64 + shift;
-                let rest = (1.0 - lead) / (k - 1) as f64;
-                let dist = (0..k)
-                    .map(|j| if j == (7 + bi) % k { lead } else { rest })
-                    .collect();
-                probs.set(b, dist).unwrap();
-            }
-            probs
-        };
-        let scheduler = OnlineScheduler::new();
-        let mut ws = SolverWorkspace::new();
-        let first = table(0.0);
-        let warm = scheduler
-            .solve_with_workspace(&ctx, &first, &mut ws)
-            .unwrap();
-        assert_bit_identical(&scheduler.solve(&ctx, &first).unwrap(), &warm, &ctx);
-        let built = ws.stats().build_layouts;
-        assert!(
-            built > 0 && built < ctx.ctg().num_tasks(),
-            "{built} tasks laid out"
-        );
-
-        let second = table(0.012);
-        let warm = scheduler
-            .solve_with_workspace(&ctx, &second, &mut ws)
-            .unwrap();
-        let stats = ws.stats();
-        assert_eq!(
-            (stats.graph_reuses, stats.graph_rebuilds),
-            (1, 1),
-            "a pool hit"
-        );
-        assert!(stats.hit_layouts > 0, "the hit must lay out a new task");
-        assert_bit_identical(&scheduler.solve(&ctx, &second).unwrap(), &warm, &ctx);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! varying windowed probability with local fluctuation, occasional drifts
 //! that the adaptive algorithm must chase.
 
-use ctg_model::{BranchProbs, Ctg, DecisionVector};
+use ctg_model::{Activation, BranchProbs, Ctg, DecisionVector};
 use ctg_rng::Rng64;
 
 /// How per-scene base probabilities are drawn.
@@ -234,11 +234,11 @@ pub fn road_presets() -> Vec<RoadPreset> {
 /// Profiles the *executed-fork* average branch probabilities of a trace —
 /// what the paper's non-adaptive algorithm learns from a training sequence.
 ///
-/// Forks that never execute in the trace fall back to the uniform
-/// distribution. Counts are Laplace-smoothed so no alternative gets an
-/// exact zero.
-pub fn empirical_probs(ctg: &Ctg, trace: &[DecisionVector]) -> BranchProbs {
-    let act = ctg.activation();
+/// `act` is `ctg`'s activation analysis ([`Ctg::activation`]), which
+/// decides which forks a vector executes; pass a cached one. Forks that
+/// never execute in the trace fall back to the uniform distribution.
+/// Counts are Laplace-smoothed so no alternative gets an exact zero.
+pub fn empirical_probs(ctg: &Ctg, act: &Activation, trace: &[DecisionVector]) -> BranchProbs {
     let forks = ctg.branch_nodes();
     let mut counts: Vec<Vec<f64>> = forks
         .iter()
@@ -342,7 +342,7 @@ mod tests {
         let trace: Vec<DecisionVector> = (0..200)
             .map(|_| DecisionVector::new(vec![0; g.num_branches()]))
             .collect();
-        let probs = empirical_probs(&g, &trace);
+        let probs = empirical_probs(&g, &g.activation(), &trace);
         let skipped = g.branch_nodes()[0];
         assert!(probs.prob(skipped, 0) > 0.95);
         assert!(probs.validate(&g).is_ok());
@@ -359,7 +359,7 @@ mod tests {
                 DecisionVector::new(v)
             })
             .collect();
-        let probs = empirical_probs(&g, &trace);
+        let probs = empirical_probs(&g, &g.activation(), &trace);
         let mb_type = g.branch_nodes()[crate::mpeg::BRANCH_TYPE];
         assert!((probs.prob(mb_type, 0) - 0.5).abs() < 1e-9);
     }

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         .iter()
         .map(|r| traces::generate_trace(ctx.ctg(), &r.profile, 1000))
         .collect();
-    let profiled = traces::empirical_probs(ctx.ctg(), &seqs[0]);
+    let profiled = traces::empirical_probs(ctx.ctg(), ctx.activation(), &seqs[0]);
     let online = OnlineScheduler::new().solve(&ctx, &profiled)?;
 
     let runner = Runner::new(RunConfig::new());

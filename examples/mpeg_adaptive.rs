@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let (train, test) = traces::split_train_test(&trace);
 
     // Non-adaptive online algorithm: profile once, schedule once.
-    let profiled = traces::empirical_probs(ctx.ctg(), train);
+    let profiled = traces::empirical_probs(ctx.ctg(), ctx.activation(), train);
     let online = OnlineScheduler::new().solve(&ctx, &profiled)?;
     let s_static = Runner::new(RunConfig::new()).run_static(&ctx, &online, test)?;
 
@@ -65,7 +65,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Portfolio mode: race DLS against HEFT and the lookahead variant on
     // every drift event, adopting the lowest expected-energy schedulable
     // plan. Never worse than DLS alone on any drift event by construction.
-    let manager = AdaptiveScheduler::new(&ctx, traces::empirical_probs(ctx.ctg(), train), 20, 0.1)?;
+    let manager = AdaptiveScheduler::new(
+        &ctx,
+        traces::empirical_probs(ctx.ctg(), ctx.activation(), train),
+        20,
+        0.1,
+    )?;
     let (s_portfolio, manager) = Runner::new(RunConfig::new().portfolio(&DEFAULT_PORTFOLIO))
         .run_adaptive(&ctx, manager, test)?;
     let stats = manager.portfolio_stats();

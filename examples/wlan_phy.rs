@@ -82,7 +82,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     // Adaptive vs static over a drifting link.
     let trace = link_trace(11, 1200);
     let (train, test) = trace.split_at(600);
-    let profiled = adaptive_dvfs::workloads::traces::empirical_probs(ctx.ctg(), train);
+    let profiled =
+        adaptive_dvfs::workloads::traces::empirical_probs(ctx.ctg(), ctx.activation(), train);
     let online = OnlineScheduler::new().solve(&ctx, &profiled)?;
     let runner = Runner::new(RunConfig::new());
     let s_static = runner.run_static(&ctx, &online, test)?;

@@ -60,7 +60,7 @@ fn adaptive_beats_stale_profile_on_mpeg() {
     let movie = &traces::movie_presets()[1];
     let trace = traces::generate_trace(ctx.ctg(), &movie.profile, 1600);
     let (train, test) = traces::split_train_test(&trace);
-    let profiled = traces::empirical_probs(ctx.ctg(), train);
+    let profiled = traces::empirical_probs(ctx.ctg(), ctx.activation(), train);
     let online = OnlineScheduler::new().solve(&ctx, &profiled).unwrap();
     let s_static = Runner::default().run_static(&ctx, &online, test).unwrap();
     let mgr = AdaptiveScheduler::new(&ctx, profiled, 20, 0.1).unwrap();

@@ -47,7 +47,7 @@ fn recurring_trace(ctx: &SchedContext, segment_len: usize, tiles: usize) -> Vec<
 fn cached_adaptive_run_is_bitwise_equivalent_to_uncached() {
     let ctx = mpeg_context();
     let trace = recurring_trace(&ctx, 250, 4);
-    let profiled = traces::empirical_probs(ctx.ctg(), &trace[..250]);
+    let profiled = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..250]);
 
     let mgr_off = AdaptiveScheduler::new(&ctx, profiled.clone(), WINDOW, THRESHOLD).unwrap();
     let (off, final_off) = Runner::default()
@@ -92,7 +92,7 @@ fn cached_adaptive_run_is_bitwise_equivalent_to_uncached() {
 fn zero_capacity_cache_behaves_like_cache_off() {
     let ctx = mpeg_context();
     let trace = recurring_trace(&ctx, 200, 2);
-    let profiled = traces::empirical_probs(ctx.ctg(), &trace[..200]);
+    let profiled = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..200]);
 
     let mgr_off = AdaptiveScheduler::new(&ctx, profiled.clone(), WINDOW, THRESHOLD).unwrap();
     let (off, _) = Runner::default()
@@ -161,7 +161,7 @@ fn cached_racing_managers_resolve_like_uncached_ones() {
     for movie in traces::movie_presets() {
         let trace = traces::generate_trace(ctx.ctg(), &movie.profile, 4 * PROFILE);
         for (w, window) in trace.chunks(PROFILE).enumerate() {
-            let profiled = traces::empirical_probs(ctx.ctg(), window);
+            let profiled = traces::empirical_probs(ctx.ctg(), ctx.activation(), window);
             let base = AdaptiveScheduler::new(&ctx, profiled, WINDOW, THRESHOLD).unwrap();
             let mut uncached = base.clone();
             race(&mut uncached);

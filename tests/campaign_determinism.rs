@@ -59,7 +59,7 @@ fn compile(workload: &str, _platform: &str) -> Result<Artifact, SchedError> {
     let (ctx, _, _) = example1_context();
     let seed = 0x10AD + u64::from(workload.ends_with('b'));
     let trace = traces::generate_trace(ctx.ctg(), &DriftProfile::new(seed), TRACE_LEN);
-    let probs = traces::empirical_probs(ctx.ctg(), &trace[..16]);
+    let probs = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..16]);
     Ok(Artifact { ctx, probs, trace })
 }
 

@@ -126,7 +126,8 @@ fn stream_specs(ctx: &SchedContext, streams: usize, len: usize, faults: bool) ->
     (0..streams)
         .map(|i| {
             let trace = drift_trace(ctx, 0x5EED + (i % 4) as u64, len);
-            let initial = traces::empirical_probs(ctx.ctg(), &trace[..len.min(16)]);
+            let initial =
+                traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..len.min(16)]);
             StreamSpec {
                 trace,
                 initial_probs: initial,
@@ -280,7 +281,7 @@ fn chrome_export_is_valid_and_tracks_are_monotone() {
 fn telemetry_on_serve_matches_telemetry_on_adaptive() {
     let (ctx, _, _) = example1_context();
     let trace = drift_trace(&ctx, 0xCAFE, 64);
-    let initial = traces::empirical_probs(ctx.ctg(), &trace[..16]);
+    let initial = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..16]);
 
     let mgr = AdaptiveScheduler::new(&ctx, initial.clone(), 6, 0.25).unwrap();
     let obs_a = Obs::with_sink(Arc::new(BufferedSink::new(2)));

@@ -58,7 +58,7 @@ fn workloads_of_len(
         ),
     ] {
         let trace = traces::generate_trace(ctx.ctg(), &DriftProfile::new(seed), len);
-        let probs = traces::empirical_probs(ctx.ctg(), &trace);
+        let probs = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace);
         let solution = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
         out.push((name, ctx, solution, trace));
     }

@@ -36,7 +36,8 @@ fn stream_specs(
         .map(|i| {
             let profile = DriftProfile::new(0xA5EED + (i % 8) as u64);
             let trace = traces::generate_trace(ctx.ctg(), &profile, len);
-            let initial = traces::empirical_probs(ctx.ctg(), &trace[..len.min(24)]);
+            let initial =
+                traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..len.min(24)]);
             StreamSpec {
                 trace,
                 initial_probs: initial,
@@ -203,7 +204,7 @@ fn single_stream_serve_matches_run_adaptive() {
     let ctx = mpeg_context();
     let profile = DriftProfile::new(0xC0FFEE);
     let trace: Vec<DecisionVector> = traces::generate_trace(ctx.ctg(), &profile, 120);
-    let initial = traces::empirical_probs(ctx.ctg(), &trace[..30]);
+    let initial = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..30]);
 
     let mgr = AdaptiveScheduler::new(&ctx, initial.clone(), 10, 0.2).unwrap();
     let (baseline, _) = Runner::default().run_adaptive(&ctx, mgr, &trace).unwrap();

@@ -23,7 +23,8 @@ fn stream_specs(ctx: &SchedContext, streams: usize, len: usize) -> Vec<StreamSpe
         .map(|i| {
             let profile = DriftProfile::new(0xE7E07 + (i % 4) as u64);
             let trace = traces::generate_trace(ctx.ctg(), &profile, len);
-            let initial = traces::empirical_probs(ctx.ctg(), &trace[..len.min(16)]);
+            let initial =
+                traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..len.min(16)]);
             StreamSpec {
                 trace,
                 initial_probs: initial,

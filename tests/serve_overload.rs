@@ -35,7 +35,8 @@ fn stream_specs(ctx: &SchedContext, streams: usize, len: usize, faults: bool) ->
         .map(|i| {
             let profile = DriftProfile::new(0x10AD + (i % 2) as u64);
             let trace = traces::generate_trace(ctx.ctg(), &profile, len);
-            let initial = traces::empirical_probs(ctx.ctg(), &trace[..len.min(16)]);
+            let initial =
+                traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..len.min(16)]);
             StreamSpec {
                 trace,
                 initial_probs: initial,
@@ -359,7 +360,7 @@ fn resilient_runner_absorbs_budget_aborts() {
     let (ctx, _, _) = example1_context();
     let profile = DriftProfile::new(0xB1D9E7);
     let trace = traces::generate_trace(ctx.ctg(), &profile, 96);
-    let initial = traces::empirical_probs(ctx.ctg(), &trace[..16]);
+    let initial = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..16]);
     let run = || {
         let mgr = AdaptiveScheduler::new(&ctx, initial.clone(), 6, 0.25).unwrap();
         let (summary, _) = Runner::new(
@@ -460,7 +461,7 @@ fn run_summary_json_round_trips() {
     let (ctx, _, _) = example1_context();
     let profile = DriftProfile::new(0x7E57);
     let trace = traces::generate_trace(ctx.ctg(), &profile, 64);
-    let initial = traces::empirical_probs(ctx.ctg(), &trace[..16]);
+    let initial = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace[..16]);
     let mgr = AdaptiveScheduler::new(&ctx, initial, 6, 0.25).unwrap();
     let (summary, _): (RunSummary, _) = Runner::new(
         RunConfig::new()

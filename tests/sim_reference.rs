@@ -201,7 +201,7 @@ fn calibrated(ctg: Ctg, platform: Platform, factor: f64) -> SchedContext {
 
 fn workload(ctx: SchedContext, profile: &DriftProfile) -> Workload {
     let trace = traces::generate_trace(ctx.ctg(), profile, LEN);
-    let probs = traces::empirical_probs(ctx.ctg(), &trace);
+    let probs = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace);
     let solution = OnlineScheduler::new().solve(&ctx, &probs).unwrap();
     let stale = BranchProbs::uniform(ctx.ctg());
     Workload {

@@ -131,7 +131,7 @@ fn adopted_drift_tables_never_repeat_consecutively_but_unchanged_repeats_hit() {
 
     let ctx = build_context(11, 24, 3, Category::ForkJoin, 3);
     let trace = traces::generate_trace(ctx.ctg(), &DriftProfile::new(0xD81F7), 400);
-    let initial = traces::empirical_probs(ctx.ctg(), &trace);
+    let initial = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace);
     let mut mgr = AdaptiveScheduler::new(&ctx, initial.clone(), 12, 0.15).unwrap();
     let mut adopted: Vec<BranchProbs> = vec![initial];
     for v in &trace {
@@ -231,7 +231,7 @@ fn warm_pool_builds_once_per_distinct_mapping() {
     // 22 distinct mappings, well inside the pool, so nothing is evicted.
     let movie = &traces::movie_presets()[1];
     let trace = traces::generate_trace(ctx.ctg(), &movie.profile, 300);
-    let initial = traces::empirical_probs(ctx.ctg(), &trace);
+    let initial = traces::empirical_probs(ctx.ctg(), ctx.activation(), &trace);
     let mut mgr = AdaptiveScheduler::new(&ctx, initial.clone(), 20, 0.1).unwrap();
     let mut adopted: Vec<BranchProbs> = vec![initial];
     for v in &trace {

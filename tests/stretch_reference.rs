@@ -1,24 +1,25 @@
 //! Pins the stretcher to the paper's Fig. 2 heuristic written plainly
 //! against the public path view.
 //!
-//! The library stretches over the scheduled graph's flat per-task layout:
-//! each task's spanning paths grouped by minterm, `prob(p, τ)` priced once
-//! per suffix of each distinct guard-literal sequence (paths with the same
-//! pending literals share the price), slack ratios cached per path, each
-//! group scanned once, and every task on a saturated path (one at most
-//! the grant threshold from the deadline) skipped without a scan. The
-//! reference below derives the same quantities the obvious way — spanning
-//! paths by [`SPath::spans`], groups by [`SPath::cond`] equality in
-//! first-occurrence order, [`SPath::prob_after`],
-//! [`SchedContext::task_prob`], the slack ratio `(D − d) / d` and the last
-//! of equal minima — scans every task, and every speed must match bit for
-//! bit: cold and seeded, under the default, single-pass and exhaustive
-//! configurations, on DLS, HEFT and lookahead plans, through a warm
-//! [`SolverWorkspace`], and at the skip's edges (deadlines a hair above
-//! the critical delay, and seeds that start at the deadline).
+//! The library stretches over the scheduled graph's flat path store: each
+//! task's spanning paths scanned through the walk's node ranges, folded
+//! per minterm group as the scan meets them, `prob(p, τ)` priced once per
+//! suffix of each distinct guard-literal sequence (paths with the same
+//! pending literals share the price), slack ratios cached per path, and
+//! every task on a saturated path (one at most the grant threshold from
+//! the deadline) skipped without a scan. The reference below derives the
+//! same quantities the obvious way — spanning paths by [`SPath::spans`],
+//! groups by [`SPath::cond`] equality in first-occurrence order,
+//! [`SPath::prob_after`], [`SchedContext::task_prob`], the slack ratio
+//! `(D − d) / d` and the last of equal minima — scans every task, and
+//! every speed must match bit for bit: cold and seeded, under the default,
+//! single-pass and exhaustive configurations, on DLS, HEFT and lookahead
+//! plans, through a warm [`SolverWorkspace`], at the skip's edges
+//! (deadlines a hair above the critical delay, and seeds that start at the
+//! deadline), and on a graph built so that two paths of one group tie.
 
 use adaptive_dvfs::ctg::{BranchProbs, Ctg, CtgBuilder, TaskId};
-use adaptive_dvfs::platform::Platform;
+use adaptive_dvfs::platform::{Platform, PlatformBuilder};
 use adaptive_dvfs::rng::Rng64;
 use adaptive_dvfs::sched::{
     dls_schedule, stretch_schedule, stretch_schedule_seeded, OnlineScheduler, SPath, SchedContext,
@@ -30,6 +31,16 @@ use adaptive_dvfs::workloads::{cruise, mpeg, wlan};
 /// Probabilities this close to 0 or 1 count as impossible or certain.
 const EPS: f64 = 1e-9;
 
+/// Which member of a group a slack scan picks among paths with bit-equal
+/// minimum slack ratios.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tie {
+    /// The last in path order: Fig. 2 as the library implements it.
+    Last,
+    /// The first in path order, the flipped rule.
+    First,
+}
+
 /// Fig. 2: stretch every task in scheduling order by its probability-
 /// weighted share of the slack of its critical spanning paths, capped so
 /// no spanning path misses the deadline, for `cfg.sweeps` sweeps.
@@ -39,6 +50,19 @@ fn reference_speeds(
     schedule: &Schedule,
     cfg: &StretchConfig,
     seed: Option<&SpeedAssignment>,
+) -> SpeedAssignment {
+    reference_speeds_with(ctx, probs, schedule, cfg, seed, Tie::Last)
+}
+
+/// [`reference_speeds`] with the critical member of a group chosen by
+/// `tie` among equal minima.
+fn reference_speeds_with(
+    ctx: &SchedContext,
+    probs: &BranchProbs,
+    schedule: &Schedule,
+    cfg: &StretchConfig,
+    seed: Option<&SpeedAssignment>,
+    tie: Tie,
 ) -> SpeedAssignment {
     let graph = ScheduledGraph::build(ctx, schedule, probs, cfg.path_cap)
         .expect("reference inputs stay under the path cap");
@@ -100,13 +124,13 @@ fn reference_speeds(
             if w <= 0.0 || spanning[t.index()].is_empty() || task_prob <= 0.0 {
                 continue;
             }
-            // The member with the minimum slack ratio (the last of equal
-            // minima) and that ratio.
+            // The member with the minimum slack ratio (among equal minima
+            // the one `tie` names) and that ratio.
             let last_min = |members: &[(usize, f64)]| {
                 let mut best = (members[0], ratio(delay[members[0].0]));
                 for &m in &members[1..] {
                     let r = ratio(delay[m.0]);
-                    if r <= best.1 {
+                    if r < best.1 || (tie == Tie::Last && r == best.1) {
                         best = (m, r);
                     }
                 }
@@ -471,4 +495,113 @@ fn the_saturation_skip_is_exact_at_the_deadline() {
         "no exhaustive seed put a path at the deadline"
     );
     assert_eq!(checked, 3 * 3 * 4 * configs.len());
+}
+
+/// A root `r` ahead of two independent forks `g` and `h`, whose first
+/// alternatives meet at an and-node `j`: `r → g → j` and `r → h → j` are
+/// two paths of one minterm group, `g0 ∧ h0`, with bit-equal delays and so
+/// bit-equal slack ratios, yet different `prob(p, r)`: `P(g0)` on the
+/// first, `P(h0)` on the second. The platform pins `g` and `h` to
+/// different PEs, so no pseudo edge joins them, and every transfer is
+/// empty, so no communication delay breaks the tie. Returns the context,
+/// its table and `(r, g, h, j)`.
+fn tied_group_context() -> (SchedContext, BranchProbs, [TaskId; 4]) {
+    let mut b = CtgBuilder::new("tied_group");
+    let r = b.add_task("r");
+    let g = b.add_task("g");
+    let h = b.add_task("h");
+    let j = b.add_task("j");
+    let a = b.add_task("a");
+    let c = b.add_task("c");
+    b.add_edge(r, g, 0.0).unwrap();
+    b.add_edge(r, h, 0.0).unwrap();
+    b.add_cond_edge(g, j, 0, 0.0).unwrap();
+    b.add_cond_edge(h, j, 0, 0.0).unwrap();
+    b.add_cond_edge(g, a, 1, 0.0).unwrap();
+    b.add_cond_edge(h, c, 1, 0.0).unwrap();
+    let ctg = b.deadline(7.0).build().unwrap();
+    let mut pb = PlatformBuilder::new(ctg.num_tasks());
+    pb.add_pe("p0");
+    pb.add_pe("p1");
+    // `g` runs fast on p0 only and `h` on p1 only, equally fast; `r` is
+    // short, so its probability-weighted grant stays under its deadline
+    // and speed caps.
+    let wcet = [
+        [0.25, 0.25],
+        [1.0, 9.0],
+        [9.0, 1.0],
+        [2.0, 2.0],
+        [1.0, 1.0],
+        [1.0, 1.0],
+    ];
+    for (t, row) in wcet.iter().enumerate() {
+        pb.set_wcet_row(t, row.to_vec()).unwrap();
+        pb.set_energy_row(t, row.to_vec()).unwrap();
+    }
+    pb.uniform_links(10.0, 0.05).unwrap();
+    let ctx = SchedContext::new(ctg, pb.build().unwrap()).unwrap();
+    let mut probs = BranchProbs::uniform(ctx.ctg());
+    probs.set(g, vec![0.3, 0.7]).unwrap();
+    probs.set(h, vec![0.6, 0.4]).unwrap();
+    (ctx, probs, [r, g, h, j])
+}
+
+/// Two spanning paths of one minterm group reach bit-equal slack ratios
+/// with different `prob(p, τ)`, so the "last of equal minima" rule decides
+/// the grant: every speed matches the reference that keeps the rule, bit
+/// for bit, cold, seeded and through a warm workspace, and the reference
+/// that takes the first of equal minima differs. No other reference input
+/// ties, so this case alone pins the rule.
+#[test]
+fn the_last_of_equal_minima_decides_a_tied_group() {
+    let (ctx, probs, [r, g, h, j]) = tied_group_context();
+    let schedule = dls_schedule(&ctx, &probs).unwrap();
+    assert_ne!(schedule.pe_of(g), schedule.pe_of(h), "g and h share a PE");
+    let graph = ScheduledGraph::build(&ctx, &schedule, &probs, usize::MAX).unwrap();
+    let path = |tasks: [TaskId; 3]| {
+        graph
+            .paths()
+            .find(|p| p.tasks() == tasks)
+            .unwrap_or_else(|| panic!("no path {tasks:?}"))
+    };
+    let (via_g, via_h) = (path([r, g, j]), path([r, h, j]));
+    assert_eq!(via_g.cond(), via_h.cond(), "one minterm group");
+    assert_eq!(via_g.delay().to_bits(), via_h.delay().to_bits());
+    let (pa_g, pa_h) = (via_g.prob_after(r, &probs), via_h.prob_after(r, &probs));
+    assert!(pa_g < 1.0 - EPS && pa_h < 1.0 - EPS && pa_g != pa_h);
+
+    let configs = [
+        ("default", StretchConfig::default()),
+        ("single-pass", StretchConfig::single_pass()),
+        ("exhaustive", StretchConfig::exhaustive()),
+    ];
+    let mut flipped_differs = 0;
+    for (label, cfg) in &configs {
+        let got = stretch_schedule(&ctx, &probs, &schedule, cfg).unwrap();
+        let want = reference_speeds(&ctx, &probs, &schedule, cfg, None);
+        assert_same_bits(&ctx, &want, &got, label);
+        let first = reference_speeds_with(&ctx, &probs, &schedule, cfg, None, Tie::First);
+        flipped_differs += usize::from(
+            ctx.ctg()
+                .tasks()
+                .any(|t| first.speed(t).to_bits() != got.speed(t).to_bits()),
+        );
+
+        let nominal = SpeedAssignment::nominal(ctx.ctg().num_tasks());
+        let got = stretch_schedule_seeded(&ctx, &probs, &schedule, cfg, &nominal).unwrap();
+        let want = reference_speeds(&ctx, &probs, &schedule, cfg, Some(&nominal));
+        assert_same_bits(&ctx, &want, &got, &format!("{label} seeded"));
+
+        let mut ws = SolverWorkspace::new();
+        let sol = OnlineScheduler::with_config(cfg.clone())
+            .solve_with_workspace(&ctx, &probs, &mut ws)
+            .unwrap();
+        assert_eq!(sol.schedule, schedule);
+        assert_same_bits(&ctx, &want, &sol.speeds, &format!("{label} warm"));
+    }
+    assert_eq!(
+        flipped_differs,
+        configs.len(),
+        "the first of equal minima must move a speed under every configuration"
+    );
 }

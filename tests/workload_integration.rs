@@ -109,7 +109,7 @@ fn movie_traces_have_equal_long_run_averages_per_alternative() {
     let ctg = mpeg::mpeg_ctg();
     let movie = &traces::movie_presets()[0];
     let trace = traces::generate_trace(&ctg, &movie.profile, 30_000);
-    let probs = traces::empirical_probs(&ctg, &trace);
+    let probs = traces::empirical_probs(&ctg, &ctg.activation(), &trace);
     let skipped = ctg.branch_nodes()[mpeg::BRANCH_SKIPPED];
     let p = probs.prob(skipped, 0);
     assert!((0.3..=0.7).contains(&p), "long-run average drifted: {p}");
