@@ -41,6 +41,11 @@ echo "    bit-equal slack ratios with different prob(p, t), and the last of equa
 echo "    minima decides the grant)"
 cargo test -q --offline --test stretch_reference
 
+echo "==> scheduled-graph golden pin (every graph case's edges, paths, groups, guard"
+echo "    sequences, node ranges, enumeration charges and over-the-cap verdicts hash"
+echo "    to one pinned digest)"
+cargo test -q --offline -p ctg-sched --lib graph_cases_match_the_golden_digest
+
 echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm and portfolio"
 echo "    race p99, the cold build + first stretch p99 and the stretch / dls_map"
 echo "    stage ratio must stay within 2x of the committed BASELINE_solver.json"
