@@ -1,5 +1,7 @@
 //! Shared scheduling context: graph, platform and cached analyses.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::error::SchedError;
 use ctg_model::{Activation, BranchProbs, Ctg, Dnf, Literal, ScenarioSet, TaskId};
 use mpsoc_platform::Platform;
@@ -335,6 +337,19 @@ pub struct SchedContext {
     /// task that is not a branch fork.
     lit_slot: Vec<u32>,
     compiled: CompiledGraph,
+    /// Drawn afresh by [`SchedContext::new`] and
+    /// [`SchedContext::with_deadline`] and copied by `clone`. A context
+    /// never changes after construction, so contexts with equal ids hold
+    /// equal content (see [`SchedContext::id`]).
+    id: u64,
+}
+
+/// The source of [`SchedContext::id`]s.
+static NEXT_CONTEXT_ID: AtomicU64 = AtomicU64::new(0);
+
+/// A construction id no context drew before.
+fn fresh_context_id() -> u64 {
+    NEXT_CONTEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Compile-time proof that a compiled context is plain shareable data:
@@ -410,6 +425,7 @@ impl SchedContext {
             literal_masks,
             lit_slot,
             compiled,
+            id: fresh_context_id(),
         })
     }
 
@@ -435,7 +451,17 @@ impl SchedContext {
             literal_masks: self.literal_masks.clone(),
             lit_slot: self.lit_slot.clone(),
             compiled: self.compiled.clone(),
+            id: fresh_context_id(),
         }
+    }
+
+    /// The context's construction id: fresh from every
+    /// [`SchedContext::new`] and [`SchedContext::with_deadline`], shared by
+    /// clones. Equal ids imply equal content, so a cache keyed on a
+    /// context may skip comparing the graph and platform when the id
+    /// matches; content-equal contexts built apart have different ids.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// The flat precedence structure and per-task caches (built once).

@@ -31,7 +31,9 @@
 //!    walk's per-task node ranges, which every stretch on it scans, and the
 //!    worst-case-makespan DP's layout once a plan on it has been judged.
 //!    The stretch itself still reads the commit order, the PEs and the
-//!    starts from the schedule being solved.
+//!    starts from the schedule being solved. A pool miss builds through
+//!    buffers the workspace keeps between builds, and the pooled graph
+//!    holds exact-size copies of what the build emitted.
 //!
 //!    The layer serves any mapper: the HEFT and lookahead kinds stretch
 //!    through it too, and the frame kind maps through layer 2, so a race
@@ -58,7 +60,7 @@ use crate::dls::dls_with_levels_metered;
 use crate::error::SchedError;
 use crate::online::{check_deadline, Solution};
 use crate::schedule::Schedule;
-use crate::sgraph::{MakespanDp, ScheduledGraph, DEFAULT_PATH_CAP};
+use crate::sgraph::{BuildScratch, MakespanDp, ScheduledGraph, DEFAULT_PATH_CAP};
 use crate::speed::SpeedAssignment;
 use crate::static_level::{static_levels_into, update_static_levels};
 use crate::stretch::{
@@ -92,11 +94,14 @@ pub struct WorkspaceStats {
     pub budget_exceeded: usize,
 }
 
-/// The (context) inputs the cached state is valid for. Compared by content,
-/// so rebuilding an equal context (as the adaptive manager's guard-band
-/// path does) keeps the warm state.
+/// The (context) inputs the cached state is valid for: the bound
+/// context's construction id, and its graph and platform, compared by
+/// content when a context with another id arrives, so rebuilding an equal
+/// context (as the adaptive manager's guard-band path does) keeps the
+/// warm state.
 #[derive(Debug, Clone)]
 struct Bound {
+    id: u64,
     ctg: Ctg,
     platform: Platform,
 }
@@ -178,6 +183,9 @@ pub struct SolverWorkspace {
     /// Monotonic use counter stamping pool entries (unique, so the
     /// minimum-stamp eviction victim is unambiguous).
     graph_clock: u64,
+    /// The buffers every pool miss builds its graph through (a clone
+    /// starts with empty ones).
+    build: BuildScratch,
     scratch: StretchScratch,
     stats: WorkspaceStats,
     /// Telemetry handle (disabled by default — recording is then free).
@@ -389,19 +397,23 @@ impl SolverWorkspace {
     }
 
     /// Binds the workspace to `ctx`, dropping every warm layer when the
-    /// context's content changed since the last call.
+    /// context's content changed since the last call. The bound context,
+    /// or a clone of it, returns at once on its construction id; any other
+    /// context is compared by content, and a content-equal one takes over
+    /// the binding with its id.
     fn bind(&mut self, ctx: &SchedContext) {
-        let bound_matches = self
-            .bound
-            .as_ref()
-            .is_some_and(|b| b.ctg == *ctx.ctg() && b.platform == *ctx.platform());
-        if bound_matches {
-            return;
-        }
-        if self.bound.is_some() {
+        if let Some(b) = &mut self.bound {
+            if b.id == ctx.id() {
+                return;
+            }
+            if b.ctg == *ctx.ctg() && b.platform == *ctx.platform() {
+                b.id = ctx.id();
+                return;
+            }
             self.stats.rebinds += 1;
         }
         self.bound = Some(Bound {
+            id: ctx.id(),
             ctg: ctx.ctg().clone(),
             platform: ctx.platform().clone(),
         });
@@ -459,7 +471,8 @@ impl SolverWorkspace {
         self.stats.graph_rebuilds += 1;
         let enum_span = obs.span(track, Stage::PathEnum);
         let enum_start = meter.spent();
-        let built = ScheduledGraph::build_metered(ctx, schedule, probs, cfg.path_cap, meter)?;
+        let built =
+            ScheduledGraph::build_in(ctx, schedule, probs, cfg.path_cap, meter, &mut self.build)?;
         let enum_units = meter.spent() - enum_start;
         // arg: 1 when the enumeration fit the cap, 0 when it overflowed
         // (and the critical-path fallback runs).
@@ -618,14 +631,33 @@ mod tests {
         assert_bit_identical(&cold, &warm, &ctx2);
         assert_eq!(ws.stats().rebinds, 1);
         assert_eq!(ws.stats().full_level_rebuilds, 2);
-        // A content-equal rebuild of the same context keeps the warm state.
+        // A content-equal rebuild of the same context keeps the warm state,
+        // and so do a clone (same construction id) and a content-equal
+        // `with_deadline` derivation (a fresh id).
         let ctx2_again = SchedContext::new(ctx2.ctg().clone(), ctx2.platform().clone()).unwrap();
-        scheduler
-            .solve_with_workspace(&ctx2_again, &probs, &mut ws)
+        let ctx2_clone = ctx2_again.clone();
+        let ctx2_derived = ctx.with_deadline(ctx2.ctg().deadline());
+        assert_ne!(ctx2_again.id(), ctx2.id());
+        assert_eq!(ctx2_clone.id(), ctx2_again.id());
+        assert_ne!(ctx2_derived.id(), ctx2.id());
+        for (reuses, same) in [(1, &ctx2_again), (2, &ctx2_clone), (3, &ctx2_derived)] {
+            let warm = scheduler
+                .solve_with_workspace(same, &probs, &mut ws)
+                .unwrap();
+            assert_bit_identical(&cold, &warm, same);
+            assert_eq!(ws.stats().rebinds, 1);
+            assert_eq!(ws.stats().full_level_rebuilds, 2);
+            assert_eq!(ws.stats().graph_reuses, reuses);
+        }
+        // A `with_deadline` derivation under another deadline rebinds.
+        let ctx3 = ctx2_derived.with_deadline(ctx.ctg().deadline() * 3.0);
+        let warm = scheduler
+            .solve_with_workspace(&ctx3, &probs, &mut ws)
             .unwrap();
-        assert_eq!(ws.stats().rebinds, 1);
-        assert_eq!(ws.stats().full_level_rebuilds, 2);
-        assert_eq!(ws.stats().graph_reuses, 1);
+        assert_bit_identical(&scheduler.solve(&ctx3, &probs).unwrap(), &warm, &ctx3);
+        assert_eq!(ws.stats().rebinds, 2);
+        assert_eq!(ws.stats().full_level_rebuilds, 3);
+        assert_eq!(ws.stats().graph_reuses, 3);
     }
 
     #[test]
