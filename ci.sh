@@ -46,6 +46,11 @@ echo "    sequences, node ranges, enumeration charges and over-the-cap verdicts 
 echo "    to one pinned digest)"
 cargo test -q --offline -p ctg-sched --lib graph_cases_match_the_golden_digest
 
+echo "==> list-scheduler golden pin (DLS, HEFT, lookahead and the fixed rule on every"
+echo "    graph case under five tables: every schedule field, DLS charge and error"
+echo "    payload hash to one pinned digest)"
+cargo test -q --offline -p ctg-sched --lib list_schedules_match_the_golden_digest
+
 echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm and portfolio"
 echo "    race p99, the cold build + first stretch p99 and the stretch / dls_map"
 echo "    stage ratio must stay within 2x of the committed BASELINE_solver.json"

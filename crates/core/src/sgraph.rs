@@ -34,7 +34,7 @@ use ctg_model::{BranchProbs, Literal, TaskId};
 /// The map is refilled per build from non-adversarial keys (a few hundred
 /// masks), so the cheap multiply-xor beats SipHash's per-key setup.
 #[derive(Default)]
-struct Fnv(u64);
+pub(crate) struct Fnv(u64);
 
 type BuildFnv = std::hash::BuildHasherDefault<Fnv>;
 
