@@ -82,7 +82,7 @@ pub use budget::WorkMeter;
 pub use cache::{LruCache, ScheduleKey};
 pub use context::CompiledGraph;
 pub use context::{ScenarioMask, SchedContext};
-pub use dls::{dls_schedule, dls_with_levels, dls_with_levels_metered, list_schedule_fixed};
+pub use dls::{dls_schedule, dls_with_levels, list_schedule_fixed};
 pub use error::SchedError;
 pub use online::{OnlineScheduler, Solution};
 pub use schedule::Schedule;
