@@ -55,7 +55,8 @@ impl Default for SaConfig {
 /// # Errors
 ///
 /// Returns [`SchedError::InvalidParameter`] for zero iterations and
-/// propagates scheduling failures of the initial mapping.
+/// propagates the errors of the initial mapping's schedule and stretch (an
+/// invalid stretch configuration included).
 pub fn simulated_annealing(
     ctx: &SchedContext,
     probs: &BranchProbs,
@@ -68,18 +69,18 @@ pub fn simulated_annealing(
     let profile = ctx.platform().profile();
     let sl = static_levels(ctx, probs);
 
-    let evaluate = |mapping: &[PeId]| -> Option<(Solution, f64)> {
-        let schedule = list_schedule_fixed(ctx, mapping, &sl, true).ok()?;
-        let speeds = stretch_schedule(ctx, probs, &schedule, &cfg.stretch).ok()?;
+    let evaluate = |mapping: &[PeId]| -> Result<(Solution, f64), SchedError> {
+        let schedule = list_schedule_fixed(ctx, mapping, &sl, true)?;
+        let speeds = stretch_schedule(ctx, probs, &schedule, &cfg.stretch)?;
         let energy = expected_energy(ctx, probs, &schedule, &speeds);
-        Some((Solution { schedule, speeds }, energy))
+        Ok((Solution { schedule, speeds }, energy))
     };
 
-    // Seed the search with the DLS mapping.
+    // Seed the search with the DLS mapping; its evaluation's error is the
+    // search's.
     let initial = crate::dls::dls_schedule(ctx, probs)?;
     let mut mapping: Vec<PeId> = ctx.ctg().tasks().map(|t| initial.pe_of(t)).collect();
-    let (mut best_solution, mut best_energy) =
-        evaluate(&mapping).ok_or(SchedError::NoFeasiblePe(ctg_model::TaskId::new(0)))?;
+    let (mut best_solution, mut best_energy) = evaluate(&mapping)?;
     let mut current_energy = best_energy;
 
     let mut rng = Rng64::seed_from_u64(cfg.seed);
@@ -101,7 +102,7 @@ pub fn simulated_annealing(
         let old_pe = std::mem::replace(&mut mapping[t], new_pe);
 
         match evaluate(&mapping) {
-            Some((solution, energy)) => {
+            Ok((solution, energy)) => {
                 let accept = energy <= current_energy
                     || rng.gen_range(0.0..1.0)
                         < (-(energy - current_energy) / temperature.max(1e-12)).exp();
@@ -115,7 +116,7 @@ pub fn simulated_annealing(
                     mapping[t] = old_pe;
                 }
             }
-            None => {
+            Err(_) => {
                 mapping[t] = old_pe; // infeasible neighbour
             }
         }
@@ -165,5 +166,23 @@ mod tests {
             ..Default::default()
         };
         assert!(simulated_annealing(&ctx, &probs, &bad).is_err());
+    }
+
+    /// The initial evaluation's own error comes back, not a made-up
+    /// `NoFeasiblePe`.
+    #[test]
+    fn initial_evaluation_error_propagates() {
+        let (ctx, probs, _) = example1_context();
+        let bad = SaConfig {
+            stretch: StretchConfig {
+                sweeps: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert_eq!(
+            simulated_annealing(&ctx, &probs, &bad).unwrap_err(),
+            SchedError::InvalidParameter("sweeps must be positive")
+        );
     }
 }
