@@ -48,8 +48,12 @@ cargo test -q --offline -p ctg-sched --lib graph_cases_match_the_golden_digest
 
 echo "==> list-scheduler golden pin (DLS, HEFT, lookahead and the fixed rule on every"
 echo "    graph case under five tables: every schedule field, DLS charge and error"
-echo "    payload hash to one pinned digest)"
+echo "    payload hash to one pinned digest) and DLS's kept starts"
+echo "    (kept_starts_match_fresh_ones_at_every_pick: at every DLS pick on those"
+echo "    cases and tables, each ready task's kept start per PE == a from-scratch"
+echo "    earliest start, bit for bit)"
 cargo test -q --offline -p ctg-sched --lib list_schedules_match_the_golden_digest
+cargo test -q --offline -p ctg-sched --lib kept_starts_match_fresh_ones_at_every_pick
 
 echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm and portfolio"
 echo "    race p99, the cold build + first stretch p99 and the stretch / dls_map"
