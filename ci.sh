@@ -55,6 +55,15 @@ echo "    earliest start, bit for bit)"
 cargo test -q --offline -p ctg-sched --lib list_schedules_match_the_golden_digest
 cargo test -q --offline -p ctg-sched --lib kept_starts_match_fresh_ones_at_every_pick
 
+echo "==> compiled activation masks and drift fold pin (every decision vector's active"
+echo "    set, out-of-range alternatives included, == Activation::is_active per task on"
+echo "    Example 1, MPEG, cruise, WLAN and TGFF graphs, and on graphs of two and three"
+echo "    mask words; Dnf::disjoint == and().is_false() for every task pair; the scenario"
+echo "    enumeration, the context's task and literal masks and mutex matrix == the"
+echo "    DNF-derived ones; the in-place drift and the table built on a crossing == the"
+echo "    estimate()-based fold, bit for bit, for a window and an EWMA)"
+cargo test -q --offline -p ctg-sched --lib compiled_masks_and_the_drift_fold_match_their_references
+
 echo "==> solver bench smoke (asserts warm == cold bit-for-bit; warm and portfolio"
 echo "    race p99, the cold build + first stretch p99 and the stretch / dls_map"
 echo "    stage ratio must stay within 2x of the committed BASELINE_solver.json"

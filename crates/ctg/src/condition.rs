@@ -344,9 +344,38 @@ impl Dnf {
 
     /// Returns `true` when the conjunction with `other` is unsatisfiable,
     /// i.e. the two conditions are mutually exclusive.
+    ///
+    /// Equals `self.and(other).is_false()`, but stops at the first cube pair
+    /// whose conjunction exists instead of building the product.
     pub fn disjoint(&self, other: &Dnf) -> bool {
-        self.and(other).is_false()
+        !self
+            .cubes
+            .iter()
+            .any(|a| other.cubes.iter().any(|b| consistent(a, b)))
     }
+}
+
+/// Whether `a.and(b)` exists: no branch carries a literal in both cubes
+/// with different alternatives. Both literal lists are sorted by branch
+/// with one literal per branch, so one merge pass finds every shared
+/// branch.
+fn consistent(a: &Cube, b: &Cube) -> bool {
+    let (a, b) = (a.literals(), b.literals());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].branch().cmp(&b[j].branch()) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                if a[i].alt() != b[j].alt() {
+                    return false;
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    true
 }
 
 impl fmt::Display for Dnf {

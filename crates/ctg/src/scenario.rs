@@ -72,10 +72,20 @@ impl DecisionVector {
 
     /// Like [`DecisionVector::active_tasks`], but writes into `out` so a hot
     /// loop can reuse one buffer across instances without reallocating.
+    ///
+    /// `act` must be `ctg`'s analysis. Each task's entry equals
+    /// [`Activation::is_active`] under [`DecisionVector::assignment`]; the
+    /// compiled masks answer it. An alternative outside its fork's range
+    /// selects no branch of that fork.
     pub fn active_tasks_into(&self, ctg: &Ctg, act: &Activation, out: &mut Vec<bool>) {
-        let assign = self.assignment(ctg);
-        out.clear();
-        out.extend(ctg.tasks().map(|t| act.is_active(t, assign)));
+        debug_assert_eq!(
+            ctg.num_tasks(),
+            act.num_tasks(),
+            "act analyzes another graph"
+        );
+        let mut lits = act.literal_mask();
+        act.decide(&self.alts, &mut lits);
+        act.holds_into(&lits, out);
     }
 }
 
@@ -143,18 +153,20 @@ impl ScenarioSet {
     pub fn enumerate(ctg: &Ctg, act: &Activation) -> Self {
         let mut scenarios = Vec::new();
         let forks = ctg.branch_nodes();
+        // The literals each partial cube decides, for the compiled masks.
+        let mut lits = act.literal_mask();
         // Depth-first over fork nodes in topological order.
         let mut stack: Vec<(usize, Cube)> = vec![(0, Cube::top())];
         while let Some((i, cube)) = stack.pop() {
+            act.decide_cube(&cube, &mut lits);
             if i == forks.len() {
-                let assign = |b: TaskId| cube.alt_of(b);
-                let active = ctg.tasks().map(|t| act.is_active(t, assign)).collect();
+                let mut active = Vec::with_capacity(ctg.num_tasks());
+                act.holds_into(&lits, &mut active);
                 scenarios.push(Scenario { cube, active });
                 continue;
             }
             let fork = forks[i];
-            let assign = |b: TaskId| cube.alt_of(b);
-            if !act.is_active(fork, assign) {
+            if !act.holds(fork, &lits) {
                 // Fork not reached under current decisions: no decision taken.
                 stack.push((i + 1, cube));
                 continue;

@@ -244,10 +244,11 @@ pub fn empirical_probs(ctg: &Ctg, act: &Activation, trace: &[DecisionVector]) ->
         .iter()
         .map(|&b| vec![1.0; ctg.node(b).alternatives() as usize])
         .collect();
+    let mut active = Vec::new();
     for v in trace {
-        let assign = v.assignment(ctg);
+        v.active_tasks_into(ctg, act, &mut active);
         for (i, &b) in forks.iter().enumerate() {
-            if act.is_active(b, assign) {
+            if active[b.index()] {
                 counts[i][v.alt(i) as usize] += 1.0;
             }
         }
