@@ -1791,6 +1791,29 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_decision_fails_the_run_instead_of_panicking() {
+        // Alternative 2 at Example 1's first fork, which has two: the
+        // simulator runs the instance (no branch of the fork is taken),
+        // and the manager's observation rejects it.
+        let (ctx, probs) = setup();
+        let spec = StreamSpec {
+            trace: vec![
+                DecisionVector::new(vec![0, 0]),
+                DecisionVector::new(vec![2, 0]),
+            ],
+            initial_probs: probs,
+            window: 4,
+            threshold: 0.3,
+            fault_plan: None,
+            criticality: 0,
+        };
+        assert!(matches!(
+            run_serve(&ctx, &[spec], &ServeConfig::default()),
+            Err(SchedError::InvalidParameter(_))
+        ));
+    }
+
+    #[test]
     fn shared_cache_solves_identical_streams_once() {
         let (ctx, probs) = setup();
         // Identical streams drift onto identical exact tables, so the
