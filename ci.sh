@@ -41,6 +41,14 @@ echo "    bit-equal slack ratios with different prob(p, t), and the last of equa
 echo "    minima decides the grant)"
 cargo test -q --offline --test stretch_reference
 
+echo "==> Fig. 2 stretch kernels (calculate_slack_matches_the_two_pass_reference: the"
+echo "    range scan's slack, deadline cap included, and its read count == the"
+echo "    run-by-run fold over the eager two-pass layout, bit for bit;"
+echo "    saturated_paths_block_tasks_on_mpeg: grant propagation flags saturated paths,"
+echo "    so MPEG stretches skip blocked tasks, which the reference suites cannot see)"
+cargo test -q --offline -p ctg-sched --lib calculate_slack_matches_the_two_pass_reference
+cargo test -q --offline -p ctg-sched --lib saturated_paths_block_tasks_on_mpeg
+
 echo "==> scheduled-graph golden pin (every graph case's edges, paths, groups, guard"
 echo "    sequences, node ranges, enumeration charges and over-the-cap verdicts hash"
 echo "    to one pinned digest)"
@@ -58,7 +66,8 @@ cargo test -q --offline -p ctg-sched --lib kept_starts_match_fresh_ones_at_every
 echo "==> compiled activation masks and drift fold pin (every decision vector's active"
 echo "    set, out-of-range alternatives included, == Activation::is_active per task on"
 echo "    Example 1, MPEG, cruise, WLAN and TGFF graphs, and on graphs of two and three"
-echo "    mask words; Dnf::disjoint == and().is_false() for every task pair; the scenario"
+echo "    mask words, and its executed forks == that set's fork entries;"
+echo "    Dnf::disjoint == and().is_false() for every task pair; the scenario"
 echo "    enumeration, the context's task and literal masks and mutex matrix == the"
 echo "    DNF-derived ones; the in-place drift and the table built on a crossing == the"
 echo "    estimate()-based fold, bit for bit, for a window and an EWMA)"

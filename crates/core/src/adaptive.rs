@@ -412,9 +412,9 @@ pub struct AdaptiveScheduler {
     /// recorded against `obs_track`.
     obs: Obs,
     obs_track: u32,
-    /// The last observed instance's active set, which says which forks
-    /// executed (kept to reuse its buffer).
-    active: Vec<bool>,
+    /// Which forks the last observed instance executed, in branch-node
+    /// order (kept to reuse its buffer).
+    executed: Vec<bool>,
 }
 
 /// Racing state for portfolio mode: the configured entries and the win
@@ -575,7 +575,7 @@ impl AdaptiveScheduler {
             portfolio: None,
             obs: Obs::disabled(),
             obs_track: 0,
-            active: Vec::new(),
+            executed: Vec::new(),
         }
     }
 
@@ -775,20 +775,20 @@ impl AdaptiveScheduler {
         // Only executed branch fork tasks record a decision (paper: "each
         // time after a branch fork task is executed, a new branch decision is
         // shifted into the buffer").
-        vector.active_tasks_into(ctg, ctx.activation(), &mut self.active);
+        vector.executed_forks_into(ctg, ctx.activation(), &mut self.executed);
         let forks = ctg.branch_nodes();
         if forks
             .iter()
             .enumerate()
-            .any(|(i, &b)| self.active[b.index()] && vector.alt(i) >= ctg.node(b).alternatives())
+            .any(|(i, &b)| self.executed[i] && vector.alt(i) >= ctg.node(b).alternatives())
         {
             return Err(SchedError::InvalidParameter(
                 "an executed fork's decision is not one of its alternatives",
             ));
         }
         self.stats.instances += 1;
-        for (i, &b) in forks.iter().enumerate() {
-            if self.active[b.index()] {
+        for (i, &ran) in self.executed.iter().enumerate() {
+            if ran {
                 self.estimators[i].push(vector.alt(i));
             }
         }
@@ -1662,13 +1662,14 @@ mod observation_tests {
     /// fold, each against the reference it replaced:
     ///
     /// * every decision vector's active set (`active_tasks_into`) against
-    ///   `Activation::is_active` per task, over the full product of
-    ///   alternatives with out-of-range ones (see [`decision_vectors`]) on
-    ///   Example 1, MPEG, cruise, WLAN and TGFF fork-join (binary and
-    ///   3-ary) and layered graphs at several seeds, and over seeded
-    ///   vectors on two layered graphs with 72 and 140 literal slots (two
-    ///   and three mask words, so a literal mask on the heap, no
-    ///   enumeration);
+    ///   `Activation::is_active` per task, and its executed forks
+    ///   (`executed_forks_into`) against that set's fork entries, over the
+    ///   full product of alternatives with out-of-range ones (see
+    ///   [`decision_vectors`]) on Example 1, MPEG, cruise, WLAN and TGFF
+    ///   fork-join (binary and 3-ary) and layered graphs at several
+    ///   seeds, and over seeded vectors on two layered graphs with 72 and
+    ///   140 literal slots (two and three mask words, so a literal mask on
+    ///   the heap, no enumeration);
     /// * `Dnf::disjoint` against `and(..).is_false()` for every task pair;
     /// * `ScenarioSet::enumerate`, the context's task and literal masks and
     ///   its mutual-exclusion matrix against the DNF enumeration;
@@ -1712,12 +1713,19 @@ mod observation_tests {
         let check_queries = |ctg: &ctg_model::Ctg, full: bool, rng: &mut ctg_rng::Rng64| {
             let act = ctg.activation();
             let name = ctg.name();
-            let mut active = Vec::new();
+            let (mut active, mut executed) = (Vec::new(), Vec::new());
             for v in decision_vectors(ctg, full, rng) {
                 v.active_tasks_into(ctg, &act, &mut active);
                 let assign = v.assignment(ctg);
                 let reference: Vec<bool> = ctg.tasks().map(|t| act.is_active(t, assign)).collect();
                 assert_eq!(active, reference, "{name}: active set under {v}");
+                v.executed_forks_into(ctg, &act, &mut executed);
+                let forks: Vec<bool> = ctg
+                    .branch_nodes()
+                    .iter()
+                    .map(|b| active[b.index()])
+                    .collect();
+                assert_eq!(executed, forks, "{name}: executed forks under {v}");
             }
             for a in ctg.tasks() {
                 for b in ctg.tasks() {

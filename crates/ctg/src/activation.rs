@@ -100,9 +100,10 @@ impl CompiledX {
     }
 
     /// Whether `X(τ)` of task `t` holds under `lits`: one of its cube
-    /// masks is a subset of `lits`.
-    fn holds(&self, t: usize, lits: &[u64]) -> bool {
-        self.holds_in::<0>(self.off[t] as usize, self.off[t + 1] as usize, lits)
+    /// masks is a subset of `lits` (masks `W` words wide, or `words` for
+    /// `W` = 0).
+    fn holds<const W: usize>(&self, t: usize, lits: &[u64]) -> bool {
+        self.holds_in::<W>(self.off[t] as usize, self.off[t + 1] as usize, lits)
     }
 
     /// Every task's `X(τ)` under `lits` into `out`, with the masks' width
@@ -329,7 +330,18 @@ impl Activation {
 
     /// Whether `X(task)` holds when exactly the literals of `lits` hold.
     pub(crate) fn holds(&self, task: TaskId, lits: &LiteralMask) -> bool {
-        self.masks.holds(task.index(), lits.words())
+        self.masks.holds::<0>(task.index(), lits.words())
+    }
+
+    /// Fills `out` with [`Activation::holds`] of each of `tasks`, in order:
+    /// only their cube masks are tested.
+    pub(crate) fn holds_of_into(&self, tasks: &[TaskId], lits: &LiteralMask, out: &mut Vec<bool>) {
+        let lits = lits.words();
+        out.clear();
+        match lits.len() {
+            1 => out.extend(tasks.iter().map(|t| self.masks.holds::<1>(t.index(), lits))),
+            _ => out.extend(tasks.iter().map(|t| self.masks.holds::<0>(t.index(), lits))),
+        }
     }
 
     /// Fills `out` with every task's [`Activation::holds`], indexed by

@@ -87,6 +87,25 @@ impl DecisionVector {
         act.decide(&self.alts, &mut lits);
         act.holds_into(&lits, out);
     }
+
+    /// Which forks this vector executes: `out[i]` is whether the fork at
+    /// [`Ctg::branch_nodes`] position `i` is active, the fork entries of
+    /// [`DecisionVector::active_tasks_into`], but only the forks' own
+    /// compiled masks are tested. Observing an instance's decisions needs
+    /// no more (a trace monitor records a decision per executed fork).
+    ///
+    /// `act` must be `ctg`'s analysis. An alternative outside its fork's
+    /// range selects no branch of that fork.
+    pub fn executed_forks_into(&self, ctg: &Ctg, act: &Activation, out: &mut Vec<bool>) {
+        debug_assert_eq!(
+            ctg.num_tasks(),
+            act.num_tasks(),
+            "act analyzes another graph"
+        );
+        let mut lits = act.literal_mask();
+        act.decide(&self.alts, &mut lits);
+        act.holds_of_into(ctg.branch_nodes(), &lits, out);
+    }
 }
 
 impl fmt::Display for DecisionVector {

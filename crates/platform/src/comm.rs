@@ -61,6 +61,7 @@ impl CommMatrix {
     ///
     /// Intra-PE transfers take zero time; missing links yield infinity so an
     /// impossible mapping is never selected by the scheduler.
+    #[inline]
     pub fn delay(&self, src: PeId, dst: PeId, kbytes: f64) -> f64 {
         if src == dst || kbytes == 0.0 {
             return 0.0;
@@ -74,6 +75,7 @@ impl CommMatrix {
     /// Transfer energy for `kbytes` Kbytes from `src` to `dst`.
     ///
     /// Intra-PE transfers are free; missing links yield infinity.
+    #[inline]
     pub fn energy(&self, src: PeId, dst: PeId, kbytes: f64) -> f64 {
         if src == dst || kbytes == 0.0 {
             return 0.0;

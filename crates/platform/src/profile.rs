@@ -20,6 +20,7 @@ impl ExecProfile {
     /// # Panics
     ///
     /// Panics when indices are out of range.
+    #[inline]
     pub fn wcet(&self, task: usize, pe: PeId) -> f64 {
         self.wcet[task][pe.index()]
     }
@@ -29,6 +30,7 @@ impl ExecProfile {
     /// # Panics
     ///
     /// Panics when indices are out of range.
+    #[inline]
     pub fn energy(&self, task: usize, pe: PeId) -> f64 {
         self.energy[task][pe.index()]
     }
@@ -51,6 +53,7 @@ impl ExecProfile {
     }
 
     /// Whether `task` can execute on `pe`.
+    #[inline]
     pub fn can_run(&self, task: usize, pe: PeId) -> bool {
         self.wcet[task][pe.index()].is_finite()
     }

@@ -903,7 +903,9 @@ fn validate(ctx: &SchedContext, specs: &[StreamSpec], cfg: &ServeConfig) -> Resu
 
 /// Deduplicated initial solves (telemetry on track 0 — the workers have
 /// not spawned yet) and the per-stream live states, with each stream's
-/// manager wired to its owner worker's telemetry track.
+/// manager wired to its owner worker's telemetry track. Without a seed
+/// workspace the solves run through a run-local one, which is returned
+/// for the first worker to continue on.
 fn setup_streams<'a>(
     ctx: &SchedContext,
     specs: &'a [StreamSpec],
@@ -911,18 +913,15 @@ fn setup_streams<'a>(
     obs: &Obs,
     owner: impl Fn(usize) -> usize,
     seed_ws: Option<&mut SolverWorkspace>,
-) -> Result<Vec<StreamState<'a>>, SchedError> {
+) -> Result<(Vec<StreamState<'a>>, Option<SolverWorkspace>), SchedError> {
     let online = OnlineScheduler::new();
     // A caller-owned seed workspace (warm across runs over the same
     // context) or a run-local fresh one — bit-identical either way by the
     // workspace's warm==cold contract.
-    let mut local_ws;
+    let mut local_ws = None;
     let setup_ws = match seed_ws {
         Some(ws) => ws,
-        None => {
-            local_ws = SolverWorkspace::new();
-            &mut local_ws
-        }
+        None => local_ws.insert(SolverWorkspace::new()),
     };
     setup_ws.set_obs(obs.clone(), 0);
     let key = |spec: &StreamSpec| ScheduleKey::new(ctx, &spec.initial_probs, 1.0);
@@ -961,7 +960,7 @@ fn setup_streams<'a>(
             summary: StreamSummary::default(),
         });
     }
-    Ok(states)
+    Ok((states, local_ws))
 }
 
 /// One virtual-time event in the discrete-event engine.
@@ -1085,11 +1084,17 @@ struct EvStream {
 /// samples, and the worker-local counters.
 type WorkerYield<'a> = (Vec<(StreamState<'a>, Vec<f64>)>, LocalCounters);
 
-/// A worker's solver workspace, with this run's telemetry track and
+/// A worker's solver workspace — `warm` (the setup solves' workspace, for
+/// the first worker) or a fresh one — with this run's telemetry track and
 /// budget. Warm solves stay bit-identical to a cold solve, budget verdicts
 /// included, at any worker count.
-fn worker_workspace(cfg: &ServeConfig, obs: &Obs, track: u32) -> SolverWorkspace {
-    let mut ws = SolverWorkspace::new();
+fn worker_workspace(
+    cfg: &ServeConfig,
+    obs: &Obs,
+    track: u32,
+    warm: Option<SolverWorkspace>,
+) -> SolverWorkspace {
+    let mut ws = warm.unwrap_or_default();
     ws.set_obs(obs.clone(), track);
     ws.set_budget(cfg.solve_budget);
     ws
@@ -1124,7 +1129,7 @@ pub(crate) fn serve_engine<'a>(
     let shards = cfg.shards.max(1);
     let workers = cfg.workers.max(1).min(shards).min(specs.len().max(1));
     let owner = |stream_id: usize| (stream_id % shards) % workers;
-    let states = setup_streams(ctx, specs, cfg, obs, owner, seed_ws)?;
+    let (states, setup_ws) = setup_streams(ctx, specs, cfg, obs, owner, seed_ws)?;
     let ticks = specs.iter().map(|s| s.trace.len()).max().unwrap_or(0);
 
     let shared_cache = match cfg.cache {
@@ -1145,7 +1150,10 @@ pub(crate) fn serve_engine<'a>(
         abort.store(true, Ordering::SeqCst);
     };
 
-    let run_worker = |w: usize, mut my_streams: Vec<StreamState<'a>>| -> WorkerYield<'a> {
+    let run_worker = |w: usize,
+                      mut my_streams: Vec<StreamState<'a>>,
+                      warm: Option<SolverWorkspace>|
+     -> WorkerYield<'a> {
         let track = w as u32;
         // Drift solves run on one worker-shared warm-start workspace: its
         // levels and graph pool amortize across every stream the worker
@@ -1154,7 +1162,7 @@ pub(crate) fn serve_engine<'a>(
         // invariant across worker counts regardless of which streams
         // share a workspace.
         let online = OnlineScheduler::new();
-        let mut ws = worker_workspace(cfg, obs, track);
+        let mut ws = worker_workspace(cfg, obs, track, warm);
         let mut counters = LocalCounters::default();
         let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -1262,6 +1270,9 @@ pub(crate) fn serve_engine<'a>(
             .collect();
         (finished, counters)
     };
+    // The first worker continues on the setup workspace, if the run made
+    // one.
+    let mut warm = setup_ws;
     // A single worker runs inline on the calling thread: there is nothing
     // to overlap, and a spawned thread can be scheduled measurably worse
     // than the caller on constrained hosts. Results are bit-identical
@@ -1270,7 +1281,7 @@ pub(crate) fn serve_engine<'a>(
         per_worker
             .into_iter()
             .enumerate()
-            .map(|(w, s)| run_worker(w, s))
+            .map(|(w, s)| run_worker(w, s, warm.take()))
             .collect()
     } else {
         std::thread::scope(|scope| {
@@ -1278,7 +1289,10 @@ pub(crate) fn serve_engine<'a>(
             let handles: Vec<_> = per_worker
                 .into_iter()
                 .enumerate()
-                .map(|(w, s)| scope.spawn(move || run_worker(w, s)))
+                .map(|(w, s)| {
+                    let warm = warm.take();
+                    scope.spawn(move || run_worker(w, s, warm))
+                })
                 .collect();
             handles
                 .into_iter()

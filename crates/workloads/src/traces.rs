@@ -238,18 +238,26 @@ pub fn road_presets() -> Vec<RoadPreset> {
 /// decides which forks a vector executes; pass a cached one. Forks that
 /// never execute in the trace fall back to the uniform distribution.
 /// Counts are Laplace-smoothed so no alternative gets an exact zero.
+///
+/// A decision outside its fork's alternatives, or a position missing from
+/// a short vector, counts nothing: it selects no branch of its fork
+/// ([`DecisionVector::executed_forks_into`]), so the forks only that
+/// branch would activate do not execute either.
 pub fn empirical_probs(ctg: &Ctg, act: &Activation, trace: &[DecisionVector]) -> BranchProbs {
     let forks = ctg.branch_nodes();
     let mut counts: Vec<Vec<f64>> = forks
         .iter()
         .map(|&b| vec![1.0; ctg.node(b).alternatives() as usize])
         .collect();
-    let mut active = Vec::new();
+    let mut executed = Vec::new();
     for v in trace {
-        v.active_tasks_into(ctg, act, &mut active);
-        for (i, &b) in forks.iter().enumerate() {
-            if active[b.index()] {
-                counts[i][v.alt(i) as usize] += 1.0;
+        v.executed_forks_into(ctg, act, &mut executed);
+        for ((&ran, &alt), counts) in executed.iter().zip(v.alts()).zip(&mut counts) {
+            if !ran {
+                continue;
+            }
+            if let Some(c) = counts.get_mut(usize::from(alt)) {
+                *c += 1.0;
             }
         }
     }
@@ -363,6 +371,24 @@ mod tests {
         let probs = empirical_probs(&g, &g.activation(), &trace);
         let mb_type = g.branch_nodes()[crate::mpeg::BRANCH_TYPE];
         assert!((probs.prob(mb_type, 0) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn out_of_range_decisions_count_nothing() {
+        // Alternative 7 at the first fork selects neither of its branches,
+        // so the vector executes no other fork and counts nothing at all.
+        let g = mpeg_ctg();
+        let act = g.activation();
+        let trace = generate_trace(&g, &DriftProfile::new(4), 200);
+        let mut bad = trace.clone();
+        let mut alts = bad[50].alts().to_vec();
+        alts[crate::mpeg::BRANCH_SKIPPED] = 7;
+        bad[50] = DecisionVector::new(alts);
+        let mut left_out = trace.clone();
+        left_out.remove(50);
+        let without = empirical_probs(&g, &act, &left_out);
+        assert_eq!(empirical_probs(&g, &act, &bad), without);
+        assert_ne!(empirical_probs(&g, &act, &trace), without);
     }
 
     #[test]
