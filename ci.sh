@@ -51,8 +51,12 @@ cargo test -q --offline -p ctg-sched --lib saturated_paths_block_tasks_on_mpeg
 
 echo "==> scheduled-graph golden pin (every graph case's edges, paths, groups, guard"
 echo "    sequences, node ranges, enumeration charges and over-the-cap verdicts hash"
-echo "    to one pinned digest)"
+echo "    to one pinned digest) and the frame readers (frame_readers_match_the_flat_view:"
+echo "    every path's frame chain == its flat tasks, and validate_solution's delays"
+echo "    along the chains == SPath::stretched_delay bit for bit, at every walk width"
+echo "    through fresh and kept scratches; workspace solves leave the flat copy unlaid)"
 cargo test -q --offline -p ctg-sched --lib graph_cases_match_the_golden_digest
+cargo test -q --offline -p ctg-sched --lib frame_readers_match_the_flat_view
 
 echo "==> list-scheduler golden pin (DLS, HEFT, lookahead and the fixed rule on every"
 echo "    graph case under five tables: every schedule field, DLS charge and error"

@@ -15,12 +15,18 @@
 //! pass, `CalculateSlack` included, scans a task's paths through them;
 //! nothing else is laid out per task. The walk is a stack of levels, one
 //! per prefix task, each with a cursor over its task's out-edges; it is
-//! compiled per mask width in words. Every buffer a build writes lives in
-//! a `BuildScratch` the solver workspace keeps between builds, and the
-//! graph gets exact-size copies of what the walk emitted.
+//! compiled per mask width in words. It records one frame per node it
+//! takes, the node's task and its parent frame, and a path keeps only the
+//! frame that emitted it: its tasks are that frame's chain of parents,
+//! read upward. The stretcher and `validate_solution` walk the chains;
+//! [`SPath`] reads a flat copy of every path's tasks and guards, laid out
+//! from the frames the first time one is asked for. Every buffer a build
+//! writes lives in a `BuildScratch` the solver workspace keeps between
+//! builds, and the graph gets exact-size copies of what the walk emitted.
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::budget::WorkMeter;
 use crate::context::{word_bits, ScenarioMask, SchedContext};
@@ -86,12 +92,19 @@ pub struct SEdge {
     pub kind: SEdgeKind,
 }
 
-/// One path of the flat store: where its tasks and guards sit in the
-/// graph's shared buffers, and its nominal delay.
+/// A node the path walk took: its task and the frame it was taken from,
+/// the one of its prefix's previous task (`u32::MAX` at a root).
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    task: u32,
+    parent: u32,
+}
+
+/// One path of the store: the walk frame that emitted it, whose chain of
+/// parents spells its tasks backwards, and its nominal delay.
 #[derive(Debug, Clone, Copy)]
 struct PathRec {
-    tasks: (u32, u32),
-    guards: (u32, u32),
+    frame: u32,
     delay: f64,
 }
 
@@ -133,42 +146,44 @@ impl NodeRange {
 }
 
 /// A source→sink path of the scheduled graph, as used by the stretching
-/// heuristic: a borrowed view into the graph's flat path store.
+/// heuristic: a borrowed view of one of the graph's paths. Its tasks and
+/// guards come from the graph's flat copy, laid out on the first read.
 #[derive(Clone, Copy)]
 pub struct SPath<'a> {
     graph: &'a ScheduledGraph,
-    rec: &'a PathRec,
-    key: &'a PathKey,
+    i: usize,
 }
 
 impl<'a> SPath<'a> {
     /// Tasks along the path, in order.
     pub fn tasks(&self) -> &'a [TaskId] {
-        &self.graph.tasks[self.rec.tasks.0 as usize..self.rec.tasks.1 as usize]
+        let flat = self.graph.flat();
+        &flat.tasks[flat.task_off[self.i] as usize..flat.task_off[self.i + 1] as usize]
     }
 
     /// The set of scenarios in which the path exists — the paper's minterm
     /// of the path, represented over the scenario enumeration.
     pub fn cond(&self) -> &'a ScenarioMask {
-        &self.graph.group_masks[self.key.group as usize]
+        &self.graph.group_masks[self.graph.keys[self.i].group as usize]
     }
 
     /// Path delay at nominal speeds: execution times plus fixed edge
     /// delays.
     pub fn delay(&self) -> f64 {
-        self.rec.delay
+        self.graph.paths[self.i].delay
     }
 
     /// Branch guards on the path, with the path position of the deciding
     /// fork node.
     pub fn guards(&self) -> &'a [(u32, Literal)] {
-        &self.graph.guards[self.rec.guards.0 as usize..self.rec.guards.1 as usize]
+        let flat = self.graph.flat();
+        &flat.guards[flat.guard_off[self.i] as usize..flat.guard_off[self.i + 1] as usize]
     }
 
     /// Probability of [`SPath::cond`] under the probability table the
     /// graph was built (or last re-weighted) with.
     pub fn prob(&self) -> f64 {
-        self.graph.group_prob[self.key.group as usize]
+        self.graph.group_prob[self.graph.keys[self.i].group as usize]
     }
 
     /// Whether `task` lies on this path.
@@ -184,15 +199,7 @@ impl<'a> SPath<'a> {
         schedule: &Schedule,
         speeds: &SpeedAssignment,
     ) -> f64 {
-        let profile = ctx.platform().profile();
-        let wcet = |t: TaskId| profile.wcet(t.index(), schedule.pe_of(t));
-        let comm_part: f64 = self.delay() - self.tasks().iter().map(|&t| wcet(t)).sum::<f64>();
-        comm_part
-            + self
-                .tasks()
-                .iter()
-                .map(|&t| wcet(t) / speeds.speed(t))
-                .sum::<f64>()
+        stretched_delay(ctx, schedule, speeds, self.delay(), self.tasks())
     }
 
     /// The paper's `prob(p, τ)`: joint probability of the branch guards
@@ -227,21 +234,87 @@ impl std::fmt::Debug for SPath<'_> {
     }
 }
 
-/// The scheduled graph plus its enumerated paths, stored flat: every
-/// path's tasks and guards live in two shared buffers addressed by the
-/// per-path records, paths with content-equal condition masks share
-/// one minterm group holding the mask and its probability, and paths
-/// with equal guard-literal sequences share one interned sequence.
+/// A path's end-to-end delay when `tasks`, its tasks in path order, run at
+/// `speeds`: its nominal `delay` less their nominal execution times (the
+/// fixed communication part), plus their stretched ones.
+fn stretched_delay(
+    ctx: &SchedContext,
+    schedule: &Schedule,
+    speeds: &SpeedAssignment,
+    delay: f64,
+    tasks: &[TaskId],
+) -> f64 {
+    let profile = ctx.platform().profile();
+    let wcet = |t: TaskId| profile.wcet(t.index(), schedule.pe_of(t));
+    let comm_part: f64 = delay - tasks.iter().map(|&t| wcet(t)).sum::<f64>();
+    comm_part
+        + tasks
+            .iter()
+            .map(|&t| wcet(t) / speeds.speed(t))
+            .sum::<f64>()
+}
+
+/// Every path's tasks and guards laid out flat, in canonical order: path
+/// `i`'s are `tasks[task_off[i]..task_off[i + 1]]` and
+/// `guards[guard_off[i]..guard_off[i + 1]]`.
+#[derive(Debug, Clone)]
+struct FlatPaths {
+    task_off: Vec<u32>,
+    tasks: Vec<TaskId>,
+    guard_off: Vec<u32>,
+    guards: Vec<(u32, Literal)>,
+}
+
+impl FlatPaths {
+    /// Lays out `g`'s paths: each path's tasks are its frame chain
+    /// reversed, and its guards the literals of its interned sequence,
+    /// each at the path position of its fork — the source of the guarded
+    /// edge, so the task the literal branches on.
+    fn lay_out(g: &ScheduledGraph) -> Self {
+        let seqs: Vec<(usize, &[Literal])> = g.guard_suffixes().collect();
+        let mut flat = FlatPaths {
+            task_off: vec![0],
+            tasks: Vec::new(),
+            guard_off: vec![0],
+            guards: Vec::new(),
+        };
+        for (i, key) in g.keys.iter().enumerate() {
+            let start = flat.tasks.len();
+            flat.tasks.extend(g.chain(i));
+            flat.tasks[start..].reverse();
+            let tasks = &flat.tasks[start..];
+            let j = seqs
+                .binary_search_by_key(&(key.slot as usize), |&(first, _)| first)
+                .expect("a path's slot is its sequence's first");
+            let mut pos = 0;
+            for &lit in seqs[j].1 {
+                while tasks[pos] != lit.branch() {
+                    pos += 1;
+                }
+                flat.guards.push((pos as u32, lit));
+            }
+            flat.task_off.push(flat.tasks.len() as u32);
+            flat.guard_off.push(flat.guards.len() as u32);
+        }
+        flat
+    }
+}
+
+/// The scheduled graph plus its enumerated paths: each path is the walk
+/// frame that emitted it, whose parent chain spells its tasks, paths with
+/// content-equal condition masks share one minterm group holding the mask
+/// and its probability, and paths with equal guard-literal sequences share
+/// one interned sequence.
 #[derive(Debug, Clone)]
 pub struct ScheduledGraph {
     edges: Vec<SEdge>,
+    /// Every frame the walk took, in the order it took them.
+    frames: Vec<Frame>,
     /// The paths in canonical order: ascending task sequence, a prefix
-    /// before its extensions. Each path's tasks are contiguous in `tasks`,
-    /// in the same order; `keys[i]` is path `i`'s group and slot.
+    /// before its extensions. `paths[i]` is path `i`'s emitting frame and
+    /// delay, `keys[i]` its group and slot.
     paths: Vec<PathRec>,
     keys: Vec<PathKey>,
-    tasks: Vec<TaskId>,
-    guards: Vec<(u32, Literal)>,
     /// Per minterm group (ids in first-occurrence order over the canonical
     /// path order): its condition mask and that mask's probability.
     group_masks: Vec<ScenarioMask>,
@@ -261,6 +334,9 @@ pub struct ScheduledGraph {
     /// The worst-case-makespan DP's layout of `edges`, once a check has
     /// run on the graph.
     makespan: Option<MakespanDp>,
+    /// Every path's tasks and guards laid out flat, once an [`SPath`] has
+    /// read them.
+    flat: OnceLock<FlatPaths>,
 }
 
 /// Serve workers move workspaces, and the graphs they pool, across
@@ -440,10 +516,9 @@ impl ScheduledGraph {
         }
         Ok(Some(ScheduledGraph {
             edges: emitted(&mut reduce.kept, kept),
+            frames: emitted(&mut store.frames, kept),
             paths: emitted(&mut store.paths, kept),
             keys: emitted(&mut store.keys, kept),
-            tasks: emitted(&mut store.tasks, kept),
-            guards: emitted(&mut store.guards, kept),
             group_masks,
             group_prob,
             seq_lits: emitted(&mut store.seq_lits, kept),
@@ -451,6 +526,7 @@ impl ScheduledGraph {
             nodes,
             node_off,
             makespan: None,
+            flat: OnceLock::new(),
         }))
     }
 
@@ -461,14 +537,7 @@ impl ScheduledGraph {
 
     /// The enumerated valid paths, in canonical order.
     pub fn paths(&self) -> impl ExactSizeIterator<Item = SPath<'_>> + Clone {
-        self.paths
-            .iter()
-            .zip(&self.keys)
-            .map(move |(rec, key)| SPath {
-                graph: self,
-                rec,
-                key,
-            })
+        (0..self.paths.len()).map(move |i| SPath { graph: self, i })
     }
 
     /// The `i`-th path in canonical order.
@@ -477,11 +546,43 @@ impl ScheduledGraph {
     ///
     /// Panics if `i` is out of range.
     pub fn path(&self, i: usize) -> SPath<'_> {
-        SPath {
-            graph: self,
-            rec: &self.paths[i],
-            key: &self.keys[i],
-        }
+        assert!(i < self.paths.len(), "path {i} out of range");
+        SPath { graph: self, i }
+    }
+
+    /// Path `i`'s tasks from its last to its first: the chain of walk
+    /// frames up from the one that emitted it.
+    pub(crate) fn chain(&self, i: usize) -> impl Iterator<Item = TaskId> + '_ {
+        let mut f = self.paths[i].frame;
+        std::iter::from_fn(move || {
+            let frame = self.frames.get(f as usize)?;
+            f = frame.parent;
+            Some(TaskId::new(frame.task as usize))
+        })
+    }
+
+    /// Every path's [`SPath::stretched_delay`], in canonical order and
+    /// with the same bits: each path's tasks are read along its frame
+    /// chain into one reused buffer, so the flat copy is never laid out.
+    pub(crate) fn stretched_delays<'a>(
+        &'a self,
+        ctx: &'a SchedContext,
+        schedule: &'a Schedule,
+        speeds: &'a SpeedAssignment,
+    ) -> impl Iterator<Item = f64> + 'a {
+        let mut tasks = Vec::new();
+        self.paths.iter().enumerate().map(move |(i, rec)| {
+            tasks.clear();
+            tasks.extend(self.chain(i));
+            tasks.reverse();
+            stretched_delay(ctx, schedule, speeds, rec.delay, &tasks)
+        })
+    }
+
+    /// The flat copy of every path's tasks and guards, laid out on the
+    /// first call.
+    fn flat(&self) -> &FlatPaths {
+        self.flat.get_or_init(|| FlatPaths::lay_out(self))
     }
 
     /// Number of suffix slots a member may name: `len + 1` per distinct
@@ -560,9 +661,15 @@ impl ScheduledGraph {
     /// [`ScheduledGraph::build`] under the same table: the same `mask_prob`
     /// on the same stored scenario masks.
     pub fn reweight(&mut self, ctx: &SchedContext, probs: &BranchProbs) {
-        let scenario_probs = ctx.scenario_probs(probs);
+        self.reweight_priced(ctx, &ctx.scenario_probs(probs));
+    }
+
+    /// [`ScheduledGraph::reweight`] from the table's per-scenario
+    /// probabilities, already priced as [`SchedContext::scenario_probs`]
+    /// prices them.
+    pub(crate) fn reweight_priced(&mut self, ctx: &SchedContext, scenario_probs: &[f64]) {
         for (p, mask) in self.group_prob.iter_mut().zip(&self.group_masks) {
-            *p = ctx.mask_prob(mask, &scenario_probs);
+            *p = ctx.mask_prob(mask, scenario_probs);
         }
     }
 }
@@ -820,8 +927,11 @@ impl MakespanDp {
 }
 
 /// Every buffer one graph build writes besides the graph's own: the
-/// reduction's, the walk's adjacency, the path store, the walk's levels
-/// and the group pricing's tables. The solver workspace keeps one and
+/// reduction's, the walk's adjacency, the path store (the walk's frames,
+/// one record and key per path, the groups, the guard sequences and their
+/// trie, the node ranges), the walk's levels and guard trail, and the
+/// group pricing's tables. No path's tasks or guards are copied anywhere:
+/// a path is the frame that emitted it. The solver workspace keeps one and
 /// builds every pool miss through it, so a warm build allocates only the
 /// exact-size buffers the graph keeps. Each build resets every part it
 /// reads before reading it, so nothing of an earlier build, finished,
@@ -1081,8 +1191,8 @@ impl OutEdges {
     }
 }
 
-/// Paths as one enumeration emits them, in canonical order: records into
-/// the store's own task and guard buffers, and the minterm groups and
+/// Paths as one enumeration emits them, in canonical order: each path's
+/// emitting frame among the walk's frames, and the minterm groups and
 /// guard sequences interned as the paths arrive — a path's group is the
 /// first-occurrence id of its condition mask, and `group_words` holds each
 /// distinct mask once; likewise its sequence id and `seq_lits`/`seqs` for
@@ -1093,10 +1203,10 @@ struct PathStore {
     /// The context's scenario count, and its mask words.
     n_scen: usize,
     words: usize,
+    /// Every frame the walk took, in the order it took them.
+    frames: Vec<Frame>,
     paths: Vec<PathRec>,
     keys: Vec<PathKey>,
-    tasks: Vec<TaskId>,
-    guards: Vec<(u32, Literal)>,
     /// Group `g`'s condition mask: `group_words[g * words..(g + 1) * words]`.
     group_words: Vec<u64>,
     /// The FNV-1a of a group's words to the latest group with that hash,
@@ -1145,10 +1255,9 @@ impl PathStore {
     fn reset(&mut self, n_scen: usize) {
         self.n_scen = n_scen;
         self.words = n_scen.div_ceil(64);
+        self.frames.clear();
         self.paths.clear();
         self.keys.clear();
-        self.tasks.clear();
-        self.guards.clear();
         self.group_words.clear();
         self.by_hash.clear();
         self.same_hash.clear();
@@ -1202,18 +1311,12 @@ impl PathStore {
         g
     }
 
-    /// Emits one path, joining the group of its condition mask `cond` (the
-    /// context's words) and the sequence its trie node spells, or opening
-    /// new ones. Most paths share the previous path's group, which is
-    /// checked before the map.
-    fn push(
-        &mut self,
-        tasks: &[TaskId],
-        guards: &[(u32, Literal)],
-        trie: u32,
-        cond: &[u64],
-        delay: f64,
-    ) {
+    /// Emits the path of `frame`, joining the group of its condition mask
+    /// `cond` (the context's words) and the sequence its trie node spells,
+    /// or opening new ones; `lits` are its guards' literals, in path order.
+    /// Most paths share the previous path's group, which is checked before
+    /// the map.
+    fn push(&mut self, frame: u32, lits: &[Literal], trie: u32, cond: &[u64], delay: f64) {
         let group = match self.keys.last() {
             Some(k) if self.group(k.group) == cond => k.group,
             _ => self.intern(cond),
@@ -1223,7 +1326,7 @@ impl PathStore {
                 let j = self.seqs.len() as u32;
                 self.trie[trie as usize].seq = j;
                 let s = self.seq_lits.len() as u32;
-                self.seq_lits.extend(guards.iter().map(|&(_, lit)| lit));
+                self.seq_lits.extend_from_slice(lits);
                 self.seqs.push((s, self.seq_lits.len() as u32));
                 j
             }
@@ -1232,29 +1335,22 @@ impl PathStore {
         // Sequence `j`'s suffix slots follow the `len + 1` slots of each
         // earlier sequence.
         let slot = self.seqs[seq as usize].0 + seq;
-        let (t0, g0) = (self.tasks.len() as u32, self.guards.len() as u32);
-        self.tasks.extend_from_slice(tasks);
-        self.guards.extend_from_slice(guards);
-        self.paths.push(PathRec {
-            tasks: (t0, self.tasks.len() as u32),
-            guards: (g0, self.guards.len() as u32),
-            delay,
-        });
+        self.paths.push(PathRec { frame, delay });
         self.keys.push(PathKey { group, slot });
     }
 }
 
 /// The walk's state: a level per task of the current prefix, the levels'
-/// condition masks by depth, the prefix's tasks and guards, each task's
-/// latest walk node, and the taken frame's covered scenarios.
+/// condition masks by depth, the literals of the prefix's guards, each
+/// task's latest walk node, and the taken frame's covered scenarios.
 #[derive(Default)]
 struct Walk {
     levels: Vec<Level>,
     /// Depth `d`'s condition mask: `masks[d * w..(d + 1) * w]` at the
     /// walk's width `w`, zero-padded above the context's words.
     masks: Vec<u64>,
-    prefix: Vec<TaskId>,
-    trail: Vec<(u32, Literal)>,
+    /// The guard trail, which interns the prefix's guard sequence.
+    trail: Vec<Literal>,
     /// Each task's latest walk node (`u32::MAX`: none yet).
     last_node: Vec<u32>,
     covered: Vec<u64>,
@@ -1265,6 +1361,9 @@ struct Walk {
 /// at that depth in [`Walk::masks`].
 #[derive(Clone, Copy)]
 struct Level {
+    /// The level's frame, an index into [`PathStore::frames`]: a frame
+    /// taken below this level names it as its parent.
+    frame: u32,
     /// Out-edges `first..cursor` (`first` is `start[task]`) are still to
     /// descend through, the last one first: by ascending destination.
     first: u32,
@@ -1302,10 +1401,12 @@ struct Level {
 /// whole tree. Over the cap the walk stops at the first overflowing path,
 /// and the charge is what it spent until then.
 ///
-/// The current prefix's tasks and guards live in buffers pushed on a
-/// descent and popped with the level, so emission appends two contiguous
-/// slices to the store. Every frame the walk takes is a walk node, and a
-/// node closes, its range ending at the paths emitted so far, when its
+/// Every frame the walk takes is recorded with its task and its parent,
+/// the frame of the deepest level when it is taken, so a path is just the
+/// frame that emitted it. The literals of the current prefix's guards live
+/// in a trail pushed on a descent and popped with the level, from which
+/// the store interns a new guard sequence. Every frame is a walk node, and
+/// a node closes, its range ending at the paths emitted so far, when its
 /// level pops. A node opens a new range of its task, or extends the
 /// task's previous one (see [`NodeRange`]): that node has closed, since
 /// a path holds the task once.
@@ -1347,13 +1448,11 @@ fn enumerate_from<const W: usize>(
     let Walk {
         levels,
         masks,
-        prefix,
         trail,
         last_node,
         covered,
     } = walk;
     levels.clear();
-    prefix.clear();
     trail.clear();
     // A path holds each task once, so no prefix is deeper than `n`.
     masks.clear();
@@ -1374,11 +1473,9 @@ fn enumerate_from<const W: usize>(
 
     for root in (0..n).filter(|&t| adj.indeg[t] == 0) {
         masks[..words].copy_from_slice(ctx.task_mask(TaskId::new(root)).words());
-        // The frame to take next: its task, the guard of the edge into it
-        // with the deciding fork's path position (the parent's depth,
-        // since every scheduled-graph guard names the source of its CTG
-        // edge), its trie node and its delay; its mask is at the depth
-        // below the deepest level.
+        // The frame to take next: its task, the guard of the edge into it,
+        // its trie node and its delay; its mask is at the depth below the
+        // deepest level, whose frame is its parent.
         let mut frame = Some((TaskId::new(root), None, 0, adj.exec[root]));
         loop {
             if let Some((task, guard, trie, delay)) = frame.take() {
@@ -1388,7 +1485,11 @@ fn enumerate_from<const W: usize>(
                     meter.charge(1)?;
                 }
                 let d = levels.len();
-                prefix.push(task);
+                let taken = store.frames.len() as u32;
+                store.frames.push(Frame {
+                    task: task.index() as u32,
+                    parent: levels.last().map_or(u32::MAX, |l| l.frame),
+                });
                 let before = trail.len() as u32;
                 if let Some(guard) = guard {
                     trail.push(guard);
@@ -1442,13 +1543,14 @@ fn enumerate_from<const W: usize>(
                     any |= *c;
                 }
                 if any != 0 {
-                    store.push(prefix, trail, trie, &covered[..words], delay);
+                    store.push(taken, trail, trie, &covered[..words], delay);
                     if store.paths.len() > cap {
                         meter.charge(units)?;
                         return Ok(false);
                     }
                 }
                 levels.push(Level {
+                    frame: taken,
                     first: edges.start,
                     cursor: edges.end,
                     delay,
@@ -1476,21 +1578,24 @@ fn enumerate_from<const W: usize>(
                     continue;
                 }
                 let guard = adj.guard[e];
-                debug_assert!(guard.is_none_or(|lit| lit.branch() == prefix[d]));
+                // Every scheduled-graph guard names the source of its CTG
+                // edge: the level's task.
+                debug_assert!(guard.is_none_or(|lit| {
+                    lit.branch().index() == store.frames[top.frame as usize].task as usize
+                }));
                 let trie = match guard {
                     Some(lit) => store.trie_child(top.trie, lit),
                     None => top.trie,
                 };
                 let dst = adj.dst[e];
                 let delay = top.delay + adj.delay[e] + adj.exec[dst.index()];
-                frame = Some((dst, guard.map(|lit| (d as u32, lit)), trie, delay));
+                frame = Some((dst, guard, trie, delay));
                 break;
             }
             if frame.is_none() {
                 // The level's subtree is done: its node's range ends here.
                 store.walk[top.node as usize].1.hi = store.paths.len() as u32;
                 trail.truncate(top.trail as usize);
-                prefix.pop();
                 levels.pop();
             }
         }
@@ -1830,9 +1935,9 @@ pub(crate) mod tests {
         let mut run_task: Vec<u32> = Vec::new();
         let mut run_len: Vec<u32> = Vec::new();
         let mut run_off = vec![0u32; n + 1];
-        for (p, key) in g.paths.iter().zip(&g.keys) {
+        for (p, key) in g.paths().zip(&g.keys) {
             let run_of = &mut run_of[row(key)];
-            for t in &g.tasks[p.tasks.0 as usize..p.tasks.1 as usize] {
+            for t in p.tasks() {
                 let cell = &mut run_of[t.index()];
                 if *cell == u32::MAX {
                     *cell = run_len.len() as u32;
@@ -1864,17 +1969,14 @@ pub(crate) mod tests {
         for f in &mut fill {
             *f = runs[*f as usize].0;
         }
-        let mut members = vec![(0u32, 0u32); g.tasks.len()];
-        for (i, (p, key)) in g.paths.iter().zip(&g.keys).enumerate() {
+        let mut members = vec![(0u32, 0u32); g.paths().map(|p| p.tasks().len()).sum()];
+        for (i, (p, key)) in g.paths().zip(&g.keys).enumerate() {
             let run_of = &run_of[row(key)];
-            let guards = &g.guards[p.guards.0 as usize..p.guards.1 as usize];
+            let guards = p.guards();
             assert!(guards.windows(2).all(|w| w[0].0 < w[1].0));
             let first = key.slot;
             let mut k = 0;
-            for (pos, t) in g.tasks[p.tasks.0 as usize..p.tasks.1 as usize]
-                .iter()
-                .enumerate()
-            {
+            for (pos, t) in p.tasks().iter().enumerate() {
                 while k < guards.len() && (guards[k].0 as usize) < pos {
                     k += 1;
                 }
@@ -2118,6 +2220,87 @@ pub(crate) mod tests {
     #[test]
     fn graph_cases_match_the_golden_digest() {
         assert_eq!(graph_cases_digest(), 0xb542_2d01_6806_b5bc);
+    }
+
+    /// The readers that walk the frames agree with the flat copy, and
+    /// nothing on the solver's path lays that copy out. On every graph
+    /// case and the nine-fork graph, at every walk width, through a fresh
+    /// and a kept scratch: each path's frame chain, reversed, is its
+    /// [`SPath::tasks`], and the delays `validate_solution` reads along
+    /// the chains are [`SPath::stretched_delay`]'s bits at nominal and at
+    /// stretched speeds, read before the copy exists. Per case, a
+    /// workspace's DLS solve (a build), a stretch of its plan under a
+    /// skewed table and a repeat of the solve (pool hits that re-weight),
+    /// a solve under the skewed table, a stretch of the case's own
+    /// schedule and a worst-case check leave every pooled graph's copy
+    /// unlaid.
+    #[test]
+    fn frame_readers_match_the_flat_view() {
+        use crate::stretch::{stretch_schedule, tests::skewed_probs, StretchConfig};
+        use crate::workspace::SolverWorkspace;
+        let mut cases = graph_cases();
+        cases.push(wide_case());
+        let mut scratch = BuildScratch::default();
+        let (mut builds, mut hits) = (0, 0);
+        for (name, ctx, probs, s) in &cases {
+            let nominal = SpeedAssignment::nominal(ctx.ctg().num_tasks());
+            let cfg = StretchConfig::default();
+            let stretched = stretch_schedule(ctx, probs, s, &cfg).unwrap();
+            assert_ne!(stretched, nominal, "{name}: nothing stretched");
+            for width in walk_widths(ctx) {
+                for kept in [false, true] {
+                    let label = format!("{name} width {width}, kept scratch {kept}");
+                    let case = (ctx, probs, s);
+                    let unlimited = WorkMeter::unlimited();
+                    let g = build_through(
+                        kept.then_some(&mut scratch),
+                        case,
+                        DEFAULT_PATH_CAP,
+                        width,
+                        unlimited,
+                    );
+                    let g = g.0.unwrap().expect("under the cap");
+                    let speeds = [&nominal, &stretched];
+                    let along = speeds.map(|speeds| {
+                        let delays = g.stretched_delays(ctx, s, speeds);
+                        delays.map(f64::to_bits).collect::<Vec<_>>()
+                    });
+                    assert!(
+                        g.flat.get().is_none(),
+                        "{label}: the chains laid out the copy"
+                    );
+                    for (speeds, along) in speeds.into_iter().zip(along) {
+                        let flat: Vec<u64> = g
+                            .paths()
+                            .map(|p| p.stretched_delay(ctx, s, speeds).to_bits())
+                            .collect();
+                        assert_eq!(along, flat, "{label}: stretched delays");
+                    }
+                    for (i, p) in g.paths().enumerate() {
+                        let mut chain: Vec<TaskId> = g.chain(i).collect();
+                        chain.reverse();
+                        assert_eq!(chain, p.tasks(), "{label}: chain of path {i}");
+                    }
+                }
+            }
+
+            let skewed = skewed_probs(ctx.ctg());
+            let mut ws = SolverWorkspace::new();
+            let first = ws.solve(&cfg, ctx, probs).unwrap();
+            ws.stretch_mapping(&cfg, ctx, &skewed, &first.schedule)
+                .unwrap();
+            assert_eq!(ws.solve(&cfg, ctx, probs).unwrap(), first, "{name}");
+            ws.solve(&cfg, ctx, &skewed).unwrap();
+            ws.stretch_mapping(&cfg, ctx, probs, s).unwrap();
+            ws.worst_case_makespan(ctx, &first);
+            let stats = ws.stats();
+            (builds, hits) = (builds + stats.graph_rebuilds, hits + stats.graph_reuses);
+            assert!(stats.graph_reuses >= 2, "{name}: {stats:?}");
+            for g in ws.pooled_graphs() {
+                assert!(g.flat.get().is_none(), "{name}: a solve laid out the copy");
+            }
+        }
+        assert!(builds >= cases.len() && hits >= 2 * cases.len());
     }
 
     #[test]

@@ -264,6 +264,21 @@ struct GroupScans {
     epoch: u32,
 }
 
+impl StretchScratch {
+    /// Prices `probs` into the scratch's literal and per-scenario tables,
+    /// which [`stretch_priced`] reads: the per-scenario table holds the
+    /// bits [`SchedContext::scenario_probs`] returns.
+    pub(crate) fn price(&mut self, ctx: &SchedContext, probs: &BranchProbs) {
+        ctx.literal_probs_into(probs, &mut self.lit_probs);
+        ctx.scenario_probs_into(&self.lit_probs, &mut self.scenario_probs);
+    }
+
+    /// The per-scenario table the last [`StretchScratch::price`] filled.
+    pub(crate) fn scenario_probs(&self) -> &[f64] {
+        &self.scenario_probs
+    }
+}
+
 impl GroupScans {
     /// Room for a graph of `groups` minterm groups.
     fn fit(&mut self, groups: usize) {
@@ -309,20 +324,34 @@ pub(crate) fn stretch_on_graph(
     seed: Option<&SpeedAssignment>,
     scratch: &mut StretchScratch,
 ) -> (SpeedAssignment, u64) {
+    scratch.price(ctx, probs);
+    stretch_priced(ctx, schedule, cfg, graph, seed, scratch)
+}
+
+/// [`stretch_on_graph`] under the table `scratch` was last priced with
+/// ([`StretchScratch::price`]): a pool hit prices once, re-weights its
+/// graph from the scratch's per-scenario table and stretches.
+pub(crate) fn stretch_priced(
+    ctx: &SchedContext,
+    schedule: &Schedule,
+    cfg: &StretchConfig,
+    graph: &ScheduledGraph,
+    seed: Option<&SpeedAssignment>,
+    scratch: &mut StretchScratch,
+) -> (SpeedAssignment, u64) {
     let deadline = ctx.ctg().deadline();
     let profile = ctx.platform().profile();
     let n = ctx.ctg().num_tasks();
 
     scratch.extra.clear();
     scratch.extra.resize(n, 0.0);
-    // The context's flat literal table, then per-scenario and per-task
-    // activation probabilities derived through it: every product and sum
-    // below walks the same values in the same order as the
-    // `BranchProbs`/`ScenarioSet` originals, so the results are
-    // bit-identical. `prob(τ)` sums the task mask's scenarios in ascending
-    // order, as `ScenarioSet::task_prob` does over the active ones.
-    ctx.literal_probs_into(probs, &mut scratch.lit_probs);
-    ctx.scenario_probs_into(&scratch.lit_probs, &mut scratch.scenario_probs);
+    // Per-task activation probabilities from the priced tables (the
+    // context's flat literal table and the per-scenario one derived
+    // through it): every product and sum below walks the same values in
+    // the same order as the `BranchProbs`/`ScenarioSet` originals, so the
+    // results are bit-identical. `prob(τ)` sums the task mask's scenarios
+    // in ascending order, as `ScenarioSet::task_prob` does over the active
+    // ones.
     scratch.task_probs.clear();
     scratch.task_probs.extend(
         ctx.ctg()
@@ -456,7 +485,8 @@ pub(crate) fn stretch_on_graph(
     (speeds, members_read)
 }
 
-/// Flags every task on each saturated path among `paths` as blocked.
+/// Flags every task on each saturated path among `paths` as blocked,
+/// walking the path's frame chain up from its last task.
 fn block_saturated(
     graph: &ScheduledGraph,
     paths: Range<usize>,
@@ -466,7 +496,7 @@ fn block_saturated(
 ) {
     for i in paths {
         if deadline - delays[i] <= GRANT_EPS {
-            for t in graph.path(i).tasks() {
+            for t in graph.chain(i) {
                 blocked[t.index()] = true;
             }
         }
@@ -743,7 +773,7 @@ pub(crate) fn proportional_stretch(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dls::dls_schedule;
     use crate::speed::expected_energy;
@@ -872,7 +902,7 @@ mod tests {
 
     /// A table favouring a different alternative at each branch, so the
     /// guard products are not all powers of one half.
-    fn skewed_probs(ctg: &ctg_model::Ctg) -> BranchProbs {
+    pub(crate) fn skewed_probs(ctg: &ctg_model::Ctg) -> BranchProbs {
         let mut probs = BranchProbs::new();
         for (bi, &b) in ctg.branch_nodes().iter().enumerate() {
             let k = ctg.node(b).alternatives() as usize;
@@ -1072,10 +1102,14 @@ mod tests {
 
     /// The sweeps skip tasks behind a saturated path on MPEG: the skip is
     /// exercised, so `tests/stretch_reference.rs` pins it rather than the
-    /// scan it replaces.
+    /// scan it replaces. After each stretch the blocked set is exactly the
+    /// tasks of the paths whose final delay lies within `GRANT_EPS` of the
+    /// deadline: delays only grow, so a path saturated on the way is
+    /// saturated at the end, and every path is flagged when it saturates.
     #[test]
     fn saturated_paths_block_tasks_on_mpeg() {
         let (ctx, uniform) = crate::test_util::mpeg_context();
+        let deadline = ctx.ctg().deadline();
         let mut blocked = 0;
         for probs in [uniform, skewed_probs(ctx.ctg())] {
             let sched = dls_schedule(&ctx, &probs).unwrap();
@@ -1086,6 +1120,16 @@ mod tests {
                 stretch_on_graph(&ctx, &probs, &sched, &cfg, &graph, None, &mut scratch);
             assert!(read > 0);
             blocked += scratch.blocked_visits;
+            let mut want = vec![false; ctx.ctg().num_tasks()];
+            for (i, &d) in scratch.delays.iter().enumerate() {
+                if deadline - d <= GRANT_EPS {
+                    for t in graph.path(i).tasks() {
+                        want[t.index()] = true;
+                    }
+                }
+            }
+            assert!(want.contains(&true), "no MPEG path saturated");
+            assert_eq!(scratch.blocked, want, "blocked tasks");
         }
         assert!(blocked > 0, "no MPEG stretch skipped a blocked task");
     }

@@ -188,10 +188,7 @@ pub fn validate_solution(
     let deadline = ctx.ctg().deadline();
     let exceeded = |delay: &f64| *delay > deadline + 1e-6;
     let violation = match ScheduledGraph::build(ctx, schedule, &probs, crate::DEFAULT_PATH_CAP) {
-        Some(graph) => graph
-            .paths()
-            .map(|p| p.stretched_delay(ctx, schedule, speeds))
-            .find(exceeded),
+        Some(graph) => graph.stretched_delays(ctx, schedule, speeds).find(exceeded),
         None => Some(worst_case_makespan_dp(ctx, schedule, speeds)).filter(exceeded),
     };
     match violation {

@@ -64,7 +64,8 @@ use crate::sgraph::{BuildScratch, MakespanDp, ScheduledGraph, DEFAULT_PATH_CAP};
 use crate::speed::SpeedAssignment;
 use crate::static_level::{static_levels_into, update_static_levels};
 use crate::stretch::{
-    critical_path_fallback, stretch_on_graph, validate_config, StretchConfig, StretchScratch,
+    critical_path_fallback, stretch_on_graph, stretch_priced, validate_config, StretchConfig,
+    StretchScratch,
 };
 use ctg_model::{BranchProbs, Ctg, TaskId};
 use ctg_obs::{Counter, Hist, Obs, Stage};
@@ -140,11 +141,12 @@ struct GraphEntry {
 /// mappers oscillate among a small set of distinct mappings (revisiting
 /// earlier ones as scenes recur), so keeping the recent graphs — not just
 /// the last one — multiplies reuse. Each entry holds one enumerated path
-/// set; an MPEG plan's holds 3.7k–80k path members, so the cap is also
-/// what bounds the resident size. Sized to the measured working set
-/// (DESIGN.md §11 lists the builds per cap on each workload): below it
-/// the fleet's shared cache misses start to rebuild, above it the
-/// portfolio race's pool outgrows the per-entry pools it replaced.
+/// set (its walk frames, one record and key per path, its node ranges),
+/// so the cap is also what bounds the resident size. Sized to the
+/// measured working set (DESIGN.md §11 lists the builds per cap on each
+/// workload): below it the fleet's shared cache misses start to rebuild,
+/// above it the portfolio race's pool outgrows the per-entry pools it
+/// replaced.
 const GRAPH_POOL_CAP: usize = 24;
 
 /// Pool-scan prefilter: hashes the pool key — the path cap, the assignment
@@ -456,11 +458,14 @@ impl SolverWorkspace {
             entry.stamp = self.graph_clock;
             let (speeds, read) = match entry.graph.as_mut() {
                 Some(g) => {
+                    // One pricing of the table serves the re-weighting
+                    // and the stretch.
+                    self.scratch.price(ctx, probs);
                     if entry.probs != *probs {
-                        g.reweight(ctx, probs);
+                        g.reweight_priced(ctx, self.scratch.scenario_probs());
                         entry.probs = probs.clone();
                     }
-                    stretch_on_graph(ctx, probs, schedule, cfg, g, None, &mut self.scratch)
+                    stretch_priced(ctx, schedule, cfg, g, None, &mut self.scratch)
                 }
                 None => (critical_path_fallback(ctx, probs, schedule, cfg), 0),
             };
@@ -505,6 +510,12 @@ impl SolverWorkspace {
             enum_units,
         });
         Ok((speeds, SOLVE_VIA_REBUILD))
+    }
+
+    /// The scheduled graphs the pool holds.
+    #[cfg(test)]
+    pub(crate) fn pooled_graphs(&self) -> impl Iterator<Item = &ScheduledGraph> {
+        self.graphs.iter().filter_map(|e| e.graph.as_ref())
     }
 
     /// The pool entry of `schedule`'s mapping under `path_cap`, whose key
