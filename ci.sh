@@ -55,8 +55,13 @@ echo "    to one pinned digest) and the frame readers (frame_readers_match_the_f
 echo "    every path's frame chain == its flat tasks, and validate_solution's delays"
 echo "    along the chains == SPath::stretched_delay bit for bit, at every walk width"
 echo "    through fresh and kept scratches; workspace solves leave the flat copy unlaid)"
+echo "    and budgeted aborts (budgeted_builds_abort_on_the_crossing_step: on every graph"
+echo "    case at every walk width, a budget b below the build's charge fails with b + 1"
+echo "    spent, on the frame and edge steps of links too, and the full charge builds"
+echo "    the unlimited graph)"
 cargo test -q --offline -p ctg-sched --lib graph_cases_match_the_golden_digest
 cargo test -q --offline -p ctg-sched --lib frame_readers_match_the_flat_view
+cargo test -q --offline -p ctg-sched --lib budgeted_builds_abort_on_the_crossing_step
 
 echo "==> list-scheduler golden pin (DLS, HEFT, lookahead and the fixed rule on every"
 echo "    graph case under five tables: every schedule field, DLS charge and error"

@@ -186,6 +186,13 @@ impl ScenarioMask {
     }
 }
 
+/// [`SchedContext::mask_prob`] of the mask whose words
+/// ([`ScenarioMask::words`]) are `words`: the same ascending-scenario sum,
+/// so the same bits.
+pub(crate) fn words_prob(words: &[u64], scenario_probs: &[f64]) -> f64 {
+    word_bits(words).map(|i| scenario_probs[i]).sum()
+}
+
 /// The set bits of mask words laid out as [`ScenarioMask::words`] lays
 /// them out, in ascending order.
 pub(crate) fn word_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
@@ -553,7 +560,7 @@ impl SchedContext {
     /// Total probability of a scenario mask given per-scenario
     /// probabilities from [`SchedContext::scenario_probs`].
     pub fn mask_prob(&self, mask: &ScenarioMask, scenario_probs: &[f64]) -> f64 {
-        mask.iter().map(|i| scenario_probs[i]).sum()
+        words_prob(mask.words(), scenario_probs)
     }
 
     /// The conditional task graph.

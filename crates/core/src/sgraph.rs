@@ -14,22 +14,26 @@
 //! runs per task ([`ScheduledGraph::span_ranges`]), and every stretcher
 //! pass, `CalculateSlack` included, scans a task's paths through them;
 //! nothing else is laid out per task. The walk is a stack of levels, one
-//! per prefix task, each with a cursor over its task's out-edges; it is
-//! compiled per mask width in words. It records one frame per node it
-//! takes, the node's task and its parent frame, and a path keeps only the
-//! frame that emitted it: its tasks are that frame's chain of parents,
-//! read upward. The stretcher and `validate_solution` walk the chains;
-//! [`SPath`] reads a flat copy of every path's tasks and guards, laid out
-//! from the frames the first time one is asked for. Every buffer a build
-//! writes lives in a `BuildScratch` the solver workspace keeps between
-//! builds, and the graph gets exact-size copies of what the walk emitted.
+//! per branching task of the prefix, each with a cursor over its task's
+//! out-edges; it is compiled per mask width in words. A *link*, a task
+//! whose one out-edge keeps its whole condition, and a sink take no
+//! level: the walk steps through a link at once and closes a sink at
+//! once. It records one frame per node it takes, the node's task and its
+//! parent frame, and a path keeps only the frame that emitted it: its
+//! tasks are that frame's chain of parents, read upward. The stretcher
+//! and `validate_solution` walk the chains; [`SPath`] reads a flat copy
+//! of every path's tasks and guards and every group's mask, laid out
+//! from the graph the first time one is asked for. The graph keeps its
+//! group masks as one flat word buffer. Every buffer a build writes
+//! lives in a `BuildScratch` the solver workspace keeps between builds,
+//! and the graph gets exact-size copies of what the walk emitted.
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::budget::WorkMeter;
-use crate::context::{word_bits, ScenarioMask, SchedContext};
+use crate::context::{word_bits, words_prob, ScenarioMask, SchedContext};
 use crate::error::SchedError;
 use crate::schedule::Schedule;
 use crate::speed::SpeedAssignment;
@@ -146,8 +150,9 @@ impl NodeRange {
 }
 
 /// A source→sink path of the scheduled graph, as used by the stretching
-/// heuristic: a borrowed view of one of the graph's paths. Its tasks and
-/// guards come from the graph's flat copy, laid out on the first read.
+/// heuristic: a borrowed view of one of the graph's paths. Its tasks,
+/// guards and condition come from the graph's flat copy, laid out on the
+/// first read.
 #[derive(Clone, Copy)]
 pub struct SPath<'a> {
     graph: &'a ScheduledGraph,
@@ -162,9 +167,10 @@ impl<'a> SPath<'a> {
     }
 
     /// The set of scenarios in which the path exists — the paper's minterm
-    /// of the path, represented over the scenario enumeration.
+    /// of the path, represented over the scenario enumeration. Read from
+    /// the flat view, which holds each minterm group's mask.
     pub fn cond(&self) -> &'a ScenarioMask {
-        &self.graph.group_masks[self.graph.keys[self.i].group as usize]
+        &self.graph.flat().group_masks[self.graph.keys[self.i].group as usize]
     }
 
     /// Path delay at nominal speeds: execution times plus fixed edge
@@ -256,20 +262,23 @@ fn stretched_delay(
 
 /// Every path's tasks and guards laid out flat, in canonical order: path
 /// `i`'s are `tasks[task_off[i]..task_off[i + 1]]` and
-/// `guards[guard_off[i]..guard_off[i + 1]]`.
+/// `guards[guard_off[i]..guard_off[i + 1]]`. Also every minterm group's
+/// condition mask as a [`ScenarioMask`].
 #[derive(Debug, Clone)]
 struct FlatPaths {
     task_off: Vec<u32>,
     tasks: Vec<TaskId>,
     guard_off: Vec<u32>,
     guards: Vec<(u32, Literal)>,
+    group_masks: Vec<ScenarioMask>,
 }
 
 impl FlatPaths {
     /// Lays out `g`'s paths: each path's tasks are its frame chain
     /// reversed, and its guards the literals of its interned sequence,
     /// each at the path position of its fork — the source of the guarded
-    /// edge, so the task the literal branches on.
+    /// edge, so the task the literal branches on. Each group's mask is
+    /// read from the graph's flat group words.
     fn lay_out(g: &ScheduledGraph) -> Self {
         let seqs: Vec<(usize, &[Literal])> = g.guard_suffixes().collect();
         let mut flat = FlatPaths {
@@ -277,6 +286,10 @@ impl FlatPaths {
             tasks: Vec::new(),
             guard_off: vec![0],
             guards: Vec::new(),
+            group_masks: g
+                .group_words()
+                .map(|w| ScenarioMask::from_words(w, g.scenarios))
+                .collect(),
         };
         for (i, key) in g.keys.iter().enumerate() {
             let start = flat.tasks.len();
@@ -304,10 +317,13 @@ impl FlatPaths {
 /// frame that emitted it, whose parent chain spells its tasks, paths with
 /// content-equal condition masks share one minterm group holding the mask
 /// and its probability, and paths with equal guard-literal sequences share
-/// one interned sequence.
+/// one interned sequence. The group masks sit in one flat word buffer; a
+/// [`ScenarioMask`] per group exists only in the flat view.
 #[derive(Debug, Clone)]
 pub struct ScheduledGraph {
     edges: Vec<SEdge>,
+    /// The context's scenario count.
+    scenarios: usize,
     /// Every frame the walk took, in the order it took them.
     frames: Vec<Frame>,
     /// The paths in canonical order: ascending task sequence, a prefix
@@ -316,8 +332,9 @@ pub struct ScheduledGraph {
     paths: Vec<PathRec>,
     keys: Vec<PathKey>,
     /// Per minterm group (ids in first-occurrence order over the canonical
-    /// path order): its condition mask and that mask's probability.
-    group_masks: Vec<ScenarioMask>,
+    /// path order): its condition mask's words, group `g`'s in the `g`-th
+    /// chunk of the context's mask words, and that mask's probability.
+    group_words: Vec<u64>,
     group_prob: Vec<f64>,
     /// The distinct guard-literal sequences (ids in first-occurrence order
     /// over the canonical path order): `seqs[j]` delimits sequence `j` in
@@ -334,8 +351,8 @@ pub struct ScheduledGraph {
     /// The worst-case-makespan DP's layout of `edges`, once a check has
     /// run on the graph.
     makespan: Option<MakespanDp>,
-    /// Every path's tasks and guards laid out flat, once an [`SPath`] has
-    /// read them.
+    /// Every path's tasks and guards and every group's mask laid out
+    /// flat, once an [`SPath`] has read them.
     flat: OnceLock<FlatPaths>,
 }
 
@@ -408,24 +425,36 @@ impl ScheduledGraph {
         meter: &mut WorkMeter,
     ) -> Result<Option<Self>, SchedError> {
         let words = ctx.scenarios().len().div_ceil(64);
-        Self::build_with(ctx, schedule, probs, cap, meter, words, None)
+        let scenario_probs = ctx.scenario_probs(probs);
+        Self::build_with(ctx, schedule, &scenario_probs, cap, meter, words, None)
     }
 
     /// [`ScheduledGraph::build_metered`] through `scratch`'s buffers, which
-    /// keep their capacity for the next build: the solver workspace builds
-    /// every pool miss through its own scratch, and the graph gets
-    /// exact-size copies. Nothing of an earlier build, finished, over the
-    /// cap or aborted, reaches the result.
+    /// keep their capacity for the next build, with the groups priced from
+    /// `scenario_probs`, the table's per-scenario probabilities as
+    /// [`SchedContext::scenario_probs`] prices them: the solver workspace
+    /// prices each pool miss's table once for the build and the stretch,
+    /// builds through its own scratch, and the graph gets exact-size
+    /// copies. Nothing of an earlier build, finished, over the cap or
+    /// aborted, reaches the result.
     pub(crate) fn build_in(
         ctx: &SchedContext,
         schedule: &Schedule,
-        probs: &BranchProbs,
+        scenario_probs: &[f64],
         cap: usize,
         meter: &mut WorkMeter,
         scratch: &mut BuildScratch,
     ) -> Result<Option<Self>, SchedError> {
         let words = ctx.scenarios().len().div_ceil(64);
-        Self::build_with(ctx, schedule, probs, cap, meter, words, Some(scratch))
+        Self::build_with(
+            ctx,
+            schedule,
+            scenario_probs,
+            cap,
+            meter,
+            words,
+            Some(scratch),
+        )
     }
 
     /// The build with the walk's masks `width` words wide: a compile-time
@@ -437,7 +466,7 @@ impl ScheduledGraph {
     fn build_with(
         ctx: &SchedContext,
         schedule: &Schedule,
-        probs: &BranchProbs,
+        scenario_probs: &[f64],
         cap: usize,
         meter: &mut WorkMeter,
         width: usize,
@@ -451,8 +480,6 @@ impl ScheduledGraph {
             adj,
             store,
             walk,
-            lit_probs,
-            scenario_probs,
             fill,
         } = scratch.unwrap_or(&mut fresh);
         reduce.reduce(ctx, schedule);
@@ -470,20 +497,14 @@ impl ScheduledGraph {
         }
 
         // Each minterm group's probability, evaluated once per *distinct*
-        // condition mask: `mask_prob` is a pure function of (mask content,
-        // table) — the same ascending-bit sum for equal masks — so the
-        // group's value is bit-identical to what every member would
-        // compute.
-        ctx.literal_probs_into(probs, lit_probs);
-        ctx.scenario_probs_into(lit_probs, scenario_probs);
-        let group_masks: Vec<ScenarioMask> = store
+        // condition mask, word by word: `mask_prob` is a pure function of
+        // (mask content, table) — the same ascending-bit sum for equal
+        // masks — so the group's value is bit-identical to what every
+        // member would compute.
+        let group_prob: Vec<f64> = store
             .group_words
             .chunks_exact(store.words)
-            .map(|w| ScenarioMask::from_words(w, store.n_scen))
-            .collect();
-        let group_prob: Vec<f64> = group_masks
-            .iter()
-            .map(|m| ctx.mask_prob(m, scenario_probs))
+            .map(|w| words_prob(w, scenario_probs))
             .collect();
 
         // The walk's node ranges bucketed by task, a stable counting sort
@@ -516,10 +537,11 @@ impl ScheduledGraph {
         }
         Ok(Some(ScheduledGraph {
             edges: emitted(&mut reduce.kept, kept),
+            scenarios: store.n_scen,
             frames: emitted(&mut store.frames, kept),
             paths: emitted(&mut store.paths, kept),
             keys: emitted(&mut store.keys, kept),
-            group_masks,
+            group_words: emitted(&mut store.group_words, kept),
             group_prob,
             seq_lits: emitted(&mut store.seq_lits, kept),
             seqs: emitted(&mut store.seqs, kept),
@@ -579,8 +601,8 @@ impl ScheduledGraph {
         })
     }
 
-    /// The flat copy of every path's tasks and guards, laid out on the
-    /// first call.
+    /// The flat copy of every path's tasks and guards and every group's
+    /// mask, laid out on the first call.
     fn flat(&self) -> &FlatPaths {
         self.flat.get_or_init(|| FlatPaths::lay_out(self))
     }
@@ -616,7 +638,12 @@ impl ScheduledGraph {
 
     /// Number of minterm groups.
     pub(crate) fn groups(&self) -> usize {
-        self.group_masks.len()
+        self.group_prob.len()
+    }
+
+    /// Every minterm group's condition mask words, by group id.
+    fn group_words(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.group_words.chunks_exact(self.scenarios.div_ceil(64))
     }
 
     /// The probability of minterm group `group` under the graph's table.
@@ -658,18 +685,23 @@ impl ScheduledGraph {
     /// mapping, order and communication delays do not depend on `probs`).
     ///
     /// Evaluated once per minterm group, and bit-identical to a fresh
-    /// [`ScheduledGraph::build`] under the same table: the same `mask_prob`
-    /// on the same stored scenario masks.
+    /// [`ScheduledGraph::build`] under the same table: the same word-by-word
+    /// sum as `mask_prob` on the same stored scenario masks.
     pub fn reweight(&mut self, ctx: &SchedContext, probs: &BranchProbs) {
-        self.reweight_priced(ctx, &ctx.scenario_probs(probs));
+        self.reweight_priced(&ctx.scenario_probs(probs));
     }
 
     /// [`ScheduledGraph::reweight`] from the table's per-scenario
     /// probabilities, already priced as [`SchedContext::scenario_probs`]
     /// prices them.
-    pub(crate) fn reweight_priced(&mut self, ctx: &SchedContext, scenario_probs: &[f64]) {
-        for (p, mask) in self.group_prob.iter_mut().zip(&self.group_masks) {
-            *p = ctx.mask_prob(mask, scenario_probs);
+    pub(crate) fn reweight_priced(&mut self, scenario_probs: &[f64]) {
+        let words = self.scenarios.div_ceil(64);
+        for (p, w) in self
+            .group_prob
+            .iter_mut()
+            .zip(self.group_words.chunks_exact(words))
+        {
+            *p = words_prob(w, scenario_probs);
         }
     }
 }
@@ -927,11 +959,13 @@ impl MakespanDp {
 }
 
 /// Every buffer one graph build writes besides the graph's own: the
-/// reduction's, the walk's adjacency, the path store (the walk's frames,
-/// one record and key per path, the groups, the guard sequences and their
-/// trie, the node ranges), the walk's levels and guard trail, and the
-/// group pricing's tables. No path's tasks or guards are copied anywhere:
-/// a path is the frame that emitted it. The solver workspace keeps one and
+/// reduction's, the walk's adjacency and links, the path store (the walk's
+/// frames, one record and key per path, the groups' flat words and their
+/// hash map, the guard sequences and their trie, the node ranges), and
+/// the walk's levels, link stack and guard trail. No path's tasks or
+/// guards are copied anywhere: a path is the frame that emitted it. The
+/// build prices nothing itself: it weights its groups from the
+/// per-scenario table it is given. The solver workspace keeps one and
 /// builds every pool miss through it, so a warm build allocates only the
 /// exact-size buffers the graph keeps. Each build resets every part it
 /// reads before reading it, so nothing of an earlier build, finished,
@@ -943,8 +977,6 @@ pub(crate) struct BuildScratch {
     adj: OutEdges,
     store: PathStore,
     walk: Walk,
-    lit_probs: Vec<f64>,
-    scenario_probs: Vec<f64>,
     /// The node-range bucketing's per-task write cursors.
     fill: Vec<u32>,
 }
@@ -964,6 +996,13 @@ impl std::fmt::Debug for BuildScratch {
 /// Whether every scenario of `a` is in `b`, over equal-length words.
 fn subset(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(&x, &y)| x & !y == 0)
+}
+
+/// Whether `a` and `b`, of equal length, hold the same words: compared in
+/// line with no early exit, where a slice `==` calls the C library's
+/// `bcmp` on every emission.
+fn same_words(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).fold(0, |acc, (&x, &y)| acc | (x ^ y)) == 0
 }
 
 /// The transitive reduction's buffers: the collected edges and their
@@ -1134,7 +1173,8 @@ impl Reduction {
 /// The scheduled graph's out-edges as the walk reads them: `t`'s are
 /// `start[t]..start[t + 1]`, by descending destination, with each field
 /// in an array of its own, and the walk's precombined masks in `mask` at
-/// its width. Also every task's execution time and in-degree.
+/// its width. Also every task's execution time and in-degree, and which
+/// tasks are links.
 #[derive(Default)]
 struct OutEdges {
     by_src: Vec<u32>,
@@ -1145,6 +1185,12 @@ struct OutEdges {
     mask: Vec<u64>,
     exec: Vec<f64>,
     indeg: Vec<u32>,
+    /// Whether task `t` is a link: its only out-edge is unguarded and the
+    /// edge's mask holds `t`'s whole activation mask. Every frame's
+    /// condition lies in its task's mask, so a link's frame keeps its
+    /// whole condition across the edge: it emits no path, and its one
+    /// child has its condition.
+    link: Vec<bool>,
 }
 
 impl OutEdges {
@@ -1196,8 +1242,10 @@ impl OutEdges {
 /// guard sequences interned as the paths arrive — a path's group is the
 /// first-occurrence id of its condition mask, and `group_words` holds each
 /// distinct mask once; likewise its sequence id and `seq_lits`/`seqs` for
-/// its guards' literals (fork positions dropped). The walk's node ranges
-/// are recorded in pre-order with their tasks.
+/// its guards' literals (fork positions dropped). Masks are compared
+/// word by word in line ([`same_words`]), with no C library call per
+/// emission. The walk's node ranges are recorded in pre-order with their
+/// tasks.
 #[derive(Default)]
 struct PathStore {
     /// The context's scenario count, and its mask words.
@@ -1299,7 +1347,7 @@ impl PathStore {
         let latest = self.by_hash.get(&hash).copied().unwrap_or(u32::MAX);
         let mut g = latest;
         while g != u32::MAX {
-            if self.group(g) == cond {
+            if same_words(self.group(g), cond) {
                 return g;
             }
             g = self.same_hash[g as usize];
@@ -1318,7 +1366,7 @@ impl PathStore {
     /// the map.
     fn push(&mut self, frame: u32, lits: &[Literal], trie: u32, cond: &[u64], delay: f64) {
         let group = match self.keys.last() {
-            Some(k) if self.group(k.group) == cond => k.group,
+            Some(k) if same_words(self.group(k.group), cond) => k.group,
             _ => self.intern(cond),
         };
         let seq = match self.trie[trie as usize].seq {
@@ -1340,15 +1388,20 @@ impl PathStore {
     }
 }
 
-/// The walk's state: a level per task of the current prefix, the levels'
-/// condition masks by depth, the literals of the prefix's guards, each
-/// task's latest walk node, and the taken frame's covered scenarios.
+/// The walk's state: a level per branching task of the current prefix,
+/// the levels' condition masks by depth, the walk nodes of the prefix's
+/// links, the literals of the prefix's guards, each task's latest walk
+/// node, and the taken frame's covered scenarios.
 #[derive(Default)]
 struct Walk {
     levels: Vec<Level>,
     /// Depth `d`'s condition mask: `masks[d * w..(d + 1) * w]` at the
-    /// walk's width `w`, zero-padded above the context's words.
+    /// walk's width `w`, zero-padded above the context's words. A chain
+    /// of links and the frame that ends it share one depth.
     masks: Vec<u64>,
+    /// The walk nodes of the prefix's links, in prefix order: a level's
+    /// links are those above its mark, and close with its node.
+    links: Vec<u32>,
     /// The guard trail, which interns the prefix's guard sequence.
     trail: Vec<Literal>,
     /// Each task's latest walk node (`u32::MAX`: none yet).
@@ -1356,9 +1409,12 @@ struct Walk {
     covered: Vec<u64>,
 }
 
-/// One task of the walk's current prefix, at the depth of its index in
-/// [`Walk::levels`]: the prefix's task at that depth, its condition mask
-/// at that depth in [`Walk::masks`].
+/// One branching task of the walk's current prefix (a frame with
+/// out-edges that the walk does not step through as a link), at the
+/// depth of its index in [`Walk::levels`]: its condition mask is at that
+/// depth in [`Walk::masks`]. The links that lead to it from the level
+/// above, the level's *chain*, share its condition and get no level of
+/// their own.
 #[derive(Clone, Copy)]
 struct Level {
     /// The level's frame, an index into [`PathStore::frames`]: a frame
@@ -1375,41 +1431,87 @@ struct Level {
     trie: u32,
     /// The level's walk node, an index into [`PathStore::walk`].
     node: u32,
-    /// The guard trail's length before this node's own guard.
+    /// The guard trail's length before its chain's guard: only the
+    /// chain's first frame can have one, since a link's edge has none.
     trail: u32,
+    /// [`Walk::links`]'s length before its chain's links.
+    links: u32,
+}
+
+/// The next chain of frames the walk takes: its first frame's task, the
+/// guard of the edge into it, its trie node and its delay, and whether its
+/// condition holds a scenario. Only a root's condition can be empty: a
+/// descent skips a child whose condition is.
+struct Chain {
+    task: usize,
+    guard: Option<Literal>,
+    trie: u32,
+    delay: f64,
+    live: bool,
+}
+
+/// Charges one walk step: counted in `units` on an unlimited meter, which
+/// the walk charges once at its end, and charged at once on a budgeted
+/// one, so an abort lands on the exact crossing step.
+fn step(meter: &mut WorkMeter, unlimited: bool, units: &mut u64) -> Result<(), SchedError> {
+    if unlimited {
+        *units += 1;
+        Ok(())
+    } else {
+        meter.charge(1)
+    }
+}
+
+/// Closes walk node `node` and the link nodes `links` at the paths
+/// emitted so far, `hi`: their subtrees are done.
+fn close_nodes(walk: &mut [(u32, NodeRange)], node: u32, links: &[u32], hi: u32) {
+    walk[node as usize].1.hi = hi;
+    for &l in links {
+        walk[l as usize].1.hi = hi;
+    }
 }
 
 /// Depth-first path enumeration from every root, ascending, over a stack
-/// of levels. Taking a frame charges one unit, then one per out-edge in
-/// CSR order while it ORs the scenarios the extensions keep, and emits
-/// the prefix for the scenarios none keeps; the frame then becomes the
-/// deepest level. Each step after that descends through the deepest
-/// level's next live out-edge, recomputing that child's mask with one
-/// AND, or pops the level once its cursor is spent. Each task's
-/// out-edges are sorted by descending destination and the cursor counts
-/// down, so children are taken by ascending destination and a prefix is
-/// emitted before its extensions: the paths come out in canonical order
-/// — ascending task sequence — with no sort. Returns `Ok(false)` once
-/// more than `cap` paths have been emitted, leaving the emitted paths in
-/// `store`. Of the build, this walk alone is compiled per mask width:
-/// `W` words, or the context's words read at run time for `W` = 0. It
-/// first lays out each edge's mask at that width.
+/// of levels. Taking a frame charges one unit. A link's frame (see
+/// [`OutEdges::link`]) then charges its edge and takes its child at once,
+/// with the same condition: it emits nothing, runs no covered pass and
+/// gets no level. Any other frame ends the chain of links it was reached
+/// through. A sink (no out-edge) emits the prefix for its whole condition
+/// and closes at once. A branching frame charges one unit per out-edge in
+/// CSR order while it ORs the scenarios the extensions keep, emits the
+/// prefix for the scenarios none keeps, and becomes the deepest level.
+/// Each step after that descends through the deepest level's next live
+/// out-edge, recomputing that child's mask with one AND, or pops the
+/// level once its cursor is spent. Each task's out-edges are sorted by
+/// descending destination and the cursor counts down, so children are
+/// taken by ascending destination and a prefix is emitted before its
+/// extensions: the paths come out in canonical order — ascending task
+/// sequence — with no sort. Returns `Ok(false)` once more than `cap`
+/// paths have been emitted, leaving the emitted paths in `store`. Of the
+/// build, this walk alone is compiled per mask width: `W` words, or the
+/// context's words read at run time for `W` = 0. It first lays out each
+/// edge's mask at that width, and finds the links.
 ///
 /// A path's tasks, guards, delay and condition mask depend only on its
 /// own prefix, and under the cap every frame and edge is charged once
 /// whatever the sibling order, so the meter charge is the sum over the
-/// whole tree. Over the cap the walk stops at the first overflowing path,
-/// and the charge is what it spent until then.
+/// whole tree. A link charges its frame and then its edge, as a level of
+/// one out-edge would, so a budgeted meter aborts on the same step. Over
+/// the cap the walk stops at the first overflowing path, and the charge
+/// is what it spent until then.
 ///
-/// Every frame the walk takes is recorded with its task and its parent,
-/// the frame of the deepest level when it is taken, so a path is just the
-/// frame that emitted it. The literals of the current prefix's guards live
-/// in a trail pushed on a descent and popped with the level, from which
-/// the store interns a new guard sequence. Every frame is a walk node, and
-/// a node closes, its range ending at the paths emitted so far, when its
-/// level pops. A node opens a new range of its task, or extends the
-/// task's previous one (see [`NodeRange`]): that node has closed, since
-/// a path holds the task once.
+/// Every frame the walk takes is recorded with its task and its parent:
+/// the previous link's frame inside a chain, else the frame of the
+/// deepest level when it is taken, so a path is just the frame that
+/// emitted it. The literals of the current prefix's guards live in a
+/// trail pushed when a chain is taken and popped when it closes, from
+/// which the store interns a new guard sequence. Every frame is a walk
+/// node, and a node closes, its range ending at the paths emitted so far,
+/// when its subtree is done: a sink's at once, a branching frame's when
+/// its level pops, and a link's with the frame that ends its chain. A
+/// node opens a new range of its task, or extends the task's previous one
+/// (see [`NodeRange`]): that node has closed, since a path holds the task
+/// once.
 fn enumerate_from<const W: usize>(
     ctx: &SchedContext,
     adj: &mut OutEdges,
@@ -1443,16 +1545,28 @@ fn enumerate_from<const W: usize>(
             }
         }
     }
+    adj.link.clear();
+    adj.link.extend((0..n).map(|t| {
+        let e = adj.start[t] as usize;
+        adj.start[t + 1] as usize == e + 1
+            && adj.guard[e].is_none()
+            && subset(
+                ctx.task_mask(TaskId::new(t)).words(),
+                &adj.mask[e * w..][..w],
+            )
+    }));
     let adj = &*adj;
 
     let Walk {
         levels,
         masks,
+        links,
         trail,
         last_node,
         covered,
     } = walk;
     levels.clear();
+    links.clear();
     trail.clear();
     // A path holds each task once, so no prefix is deeper than `n`.
     masks.clear();
@@ -1473,91 +1587,128 @@ fn enumerate_from<const W: usize>(
 
     for root in (0..n).filter(|&t| adj.indeg[t] == 0) {
         masks[..words].copy_from_slice(ctx.task_mask(TaskId::new(root)).words());
-        // The frame to take next: its task, the guard of the edge into it,
-        // its trie node and its delay; its mask is at the depth below the
-        // deepest level, whose frame is its parent.
-        let mut frame = Some((TaskId::new(root), None, 0, adj.exec[root]));
+        // A root whose mask is empty follows no link: it takes a level
+        // whose covered pass and descent find nothing.
+        let live = masks[..words].iter().any(|&x| x != 0);
+        let mut next = Some(Chain {
+            task: root,
+            guard: None,
+            trie: 0,
+            delay: adj.exec[root],
+            live,
+        });
         loop {
-            if let Some((task, guard, trie, delay)) = frame.take() {
-                if unlimited {
-                    units += 1;
-                } else {
-                    meter.charge(1)?;
-                }
+            if let Some(Chain {
+                mut task,
+                guard,
+                trie,
+                mut delay,
+                live,
+            }) = next.take()
+            {
+                // The chain's frames share the depth below the deepest
+                // level, whose frame is the first one's parent, and its
+                // condition mask there.
                 let d = levels.len();
-                let taken = store.frames.len() as u32;
-                store.frames.push(Frame {
-                    task: task.index() as u32,
-                    parent: levels.last().map_or(u32::MAX, |l| l.frame),
-                });
-                let before = trail.len() as u32;
+                let mut parent = levels.last().map_or(u32::MAX, |l| l.frame);
+                let (chain_trail, chain_links) = (trail.len() as u32, links.len() as u32);
                 if let Some(guard) = guard {
                     trail.push(guard);
                 }
                 let k = trail.len() as u32;
                 let emitted = store.paths.len() as u32;
-                // When the task's previous node's range ends where this one
-                // starts and decides as many guards, the two share one
-                // range.
-                let last = &mut last_node[task.index()];
-                match store.walk.get(*last as usize) {
-                    Some(&(_, prev)) if prev.hi == emitted && prev.k == k => {}
-                    _ => {
-                        *last = store.walk.len() as u32;
-                        let range = NodeRange {
-                            lo: emitted,
-                            hi: emitted,
-                            k,
-                        };
-                        store.walk.push((task.index() as u32, range));
+                let (taken, node) = loop {
+                    step(meter, unlimited, &mut units)?;
+                    let taken = store.frames.len() as u32;
+                    store.frames.push(Frame {
+                        task: task as u32,
+                        parent,
+                    });
+                    // When the task's previous node's range ends where this
+                    // one starts and decides as many guards, the two share
+                    // one range.
+                    let last = &mut last_node[task];
+                    match store.walk.get(*last as usize) {
+                        Some(&(_, prev)) if prev.hi == emitted && prev.k == k => {}
+                        _ => {
+                            *last = store.walk.len() as u32;
+                            let range = NodeRange {
+                                lo: emitted,
+                                hi: emitted,
+                                k,
+                            };
+                            store.walk.push((task as u32, range));
+                        }
                     }
-                }
-                let node = *last;
-                // Charge every out-edge, tracking which of the frame's
-                // scenarios at least one extension keeps.
+                    if !(live && adj.link[task]) {
+                        break (taken, *last);
+                    }
+                    step(meter, unlimited, &mut units)?;
+                    links.push(*last);
+                    let e = adj.start[task] as usize;
+                    let dst = adj.dst[e].index();
+                    delay = delay + adj.delay[e] + adj.exec[dst];
+                    (parent, task) = (taken, dst);
+                };
                 let cond = &masks[d * w..(d + 1) * w];
-                covered.fill(0);
-                let edges = adj.start[task.index()]..adj.start[task.index() + 1];
-                for e in edges.clone() {
-                    if unlimited {
-                        units += 1;
-                    } else {
-                        meter.charge(1)?;
+                let edges = adj.start[task]..adj.start[task + 1];
+                if edges.is_empty() {
+                    // A sink: the path ends here in every scenario of its
+                    // condition, and the frame's subtree is done, and its
+                    // chain's: their nodes' ranges end here.
+                    if live {
+                        store.push(taken, trail, trie, &cond[..words], delay);
+                        if store.paths.len() > cap {
+                            meter.charge(units)?;
+                            return Ok(false);
+                        }
                     }
-                    let edge = &adj.mask[e as usize * w..][..w];
-                    for ((c, &x), &y) in covered.iter_mut().zip(cond).zip(edge) {
-                        *c |= x & y;
+                    let hi = store.paths.len() as u32;
+                    close_nodes(&mut store.walk, node, &links[chain_links as usize..], hi);
+                    links.truncate(chain_links as usize);
+                    trail.truncate(chain_trail as usize);
+                } else {
+                    // Charge every out-edge, tracking which of the frame's
+                    // scenarios at least one extension keeps.
+                    covered.fill(0);
+                    for e in edges.clone() {
+                        step(meter, unlimited, &mut units)?;
+                        let edge = &adj.mask[e as usize * w..][..w];
+                        for ((c, &x), &y) in covered.iter_mut().zip(cond).zip(edge) {
+                            *c |= x & y;
+                        }
                     }
-                }
-                // Scenarios in which the path effectively *ends here* —
-                // either the task is a graph sink, or every successor is
-                // deactivated. The task's finish time is a makespan
-                // candidate in those scenarios, so the prefix is a real
-                // worst-case path and must be emitted (without this, a
-                // chain ending at a non-sink task whose continuations are
-                // all scenario-inconsistent would escape the deadline
-                // analysis).
-                let mut any = 0;
-                for (c, &x) in covered.iter_mut().zip(cond) {
-                    *c = x & !*c;
-                    any |= *c;
-                }
-                if any != 0 {
-                    store.push(taken, trail, trie, &covered[..words], delay);
-                    if store.paths.len() > cap {
-                        meter.charge(units)?;
-                        return Ok(false);
+                    // Scenarios in which the path effectively *ends here*:
+                    // every successor is deactivated. The task's finish
+                    // time is a makespan candidate in those scenarios, so
+                    // the prefix is a real worst-case path and must be
+                    // emitted (without this, a chain ending at a non-sink
+                    // task whose continuations are all
+                    // scenario-inconsistent would escape the deadline
+                    // analysis).
+                    let mut any = 0;
+                    for (c, &x) in covered.iter_mut().zip(cond) {
+                        *c = x & !*c;
+                        any |= *c;
                     }
+                    if any != 0 {
+                        store.push(taken, trail, trie, &covered[..words], delay);
+                        if store.paths.len() > cap {
+                            meter.charge(units)?;
+                            return Ok(false);
+                        }
+                    }
+                    levels.push(Level {
+                        frame: taken,
+                        first: edges.start,
+                        cursor: edges.end,
+                        delay,
+                        trie,
+                        node,
+                        trail: chain_trail,
+                        links: chain_links,
+                    });
                 }
-                levels.push(Level {
-                    frame: taken,
-                    first: edges.start,
-                    cursor: edges.end,
-                    delay,
-                    trie,
-                    node,
-                    trail: before,
-                });
             }
             let Some(d) = levels.len().checked_sub(1) else {
                 break;
@@ -1587,14 +1738,22 @@ fn enumerate_from<const W: usize>(
                     Some(lit) => store.trie_child(top.trie, lit),
                     None => top.trie,
                 };
-                let dst = adj.dst[e];
-                let delay = top.delay + adj.delay[e] + adj.exec[dst.index()];
-                frame = Some((dst, guard, trie, delay));
+                let dst = adj.dst[e].index();
+                next = Some(Chain {
+                    task: dst,
+                    guard,
+                    trie,
+                    delay: top.delay + adj.delay[e] + adj.exec[dst],
+                    live: true,
+                });
                 break;
             }
-            if frame.is_none() {
-                // The level's subtree is done: its node's range ends here.
-                store.walk[top.node as usize].1.hi = store.paths.len() as u32;
+            if next.is_none() {
+                // The level's subtree is done, and its chain's: their
+                // nodes' ranges end here.
+                let hi = store.paths.len() as u32;
+                close_nodes(&mut store.walk, top.node, &links[top.links as usize..], hi);
+                links.truncate(top.links as usize);
                 trail.truncate(top.trail as usize);
                 levels.pop();
             }
@@ -1713,7 +1872,8 @@ pub(crate) mod tests {
             assert_eq!(p.prob().to_bits(), q.prob().to_bits(), "{label}: prob");
         }
         assert_eq!(a.keys, b.keys, "{label}: path groups and slots");
-        assert_eq!(a.group_masks, b.group_masks, "{label}: group masks");
+        assert_eq!(a.scenarios, b.scenarios, "{label}: scenario count");
+        assert_eq!(a.group_words, b.group_words, "{label}: group masks");
         assert_eq!(a.seq_lits, b.seq_lits, "{label}: guard sequences");
         assert_eq!(a.seqs, b.seqs, "{label}: guard sequence ranges");
         assert_eq!(a.nodes, b.nodes, "{label}: node ranges");
@@ -1885,9 +2045,10 @@ pub(crate) mod tests {
                 assert!(p.group <= opened, "{name}: group {} opened early", p.group);
                 opened = opened.max(p.group + 1);
             }
-            assert_eq!(opened as usize, g.group_masks.len(), "{name}");
-            for (i, m) in g.group_masks.iter().enumerate() {
-                assert!(!g.group_masks[..i].contains(m), "{name}: mask {i} repeats");
+            assert_eq!(opened as usize, g.groups(), "{name}");
+            let masks: Vec<&[u64]> = g.group_words().collect();
+            for (i, m) in masks.iter().enumerate() {
+                assert!(!masks[..i].contains(m), "{name}: mask {i} repeats");
             }
             for t in ctx.ctg().tasks() {
                 let spanning: Vec<usize> =
@@ -1930,7 +2091,7 @@ pub(crate) mod tests {
     /// run ascends by path index. Returns each task's runs, in order.
     pub(crate) fn reference_layout(g: &ScheduledGraph) -> Vec<Vec<Run>> {
         let n = g.node_off.len() - 1;
-        let mut run_of = vec![u32::MAX; g.group_masks.len() * n];
+        let mut run_of = vec![u32::MAX; g.groups() * n];
         let row = |p: &PathKey| p.group as usize * n..(p.group as usize + 1) * n;
         let mut run_task: Vec<u32> = Vec::new();
         let mut run_len: Vec<u32> = Vec::new();
@@ -2027,7 +2188,9 @@ pub(crate) mod tests {
         width: usize,
         mut meter: WorkMeter,
     ) -> (Result<Option<ScheduledGraph>, SchedError>, u64) {
-        let g = ScheduledGraph::build_with(ctx, s, probs, cap, &mut meter, width, scratch);
+        let scenario_probs = ctx.scenario_probs(probs);
+        let g =
+            ScheduledGraph::build_with(ctx, s, &scenario_probs, cap, &mut meter, width, scratch);
         (g, meter.spent())
     }
 
@@ -2142,6 +2305,93 @@ pub(crate) mod tests {
         }
     }
 
+    /// A budgeted build aborts on the step that crosses its budget, inside
+    /// a run of links too, where the walk takes a link's frame and edge
+    /// without a level: on every graph case and the nine-fork graph, at
+    /// every walk width, every budget `b` below the unlimited charge `c`
+    /// (every `STRIDE`-th on cases above `SMALL` units, a stride that
+    /// must land on the frame step and on the edge step of some link)
+    /// fails with `b + 1` spent, and budget `c` builds the unlimited
+    /// graph. Each frame the walk takes charges one unit and one per
+    /// out-edge of its task, in the order the frames are recorded, so the
+    /// frames give every link's two steps.
+    #[test]
+    fn budgeted_builds_abort_on_the_crossing_step() {
+        const SMALL: u64 = 1000;
+        const STRIDE: usize = 97;
+        let mut cases = graph_cases();
+        cases.push(wide_case());
+        let mut strided = 0;
+        for (name, ctx, probs, s) in &cases {
+            let (base, units, _) = fresh_build(ctx, probs, s);
+            let n = ctx.ctg().num_tasks();
+            let mut out: Vec<Vec<&SEdge>> = vec![Vec::new(); n];
+            for e in base.edges() {
+                out[e.src.index()].push(e);
+            }
+            let is_link = |t: usize| match out[t][..] {
+                [e] => {
+                    e.guard.is_none()
+                        && ctx
+                            .task_mask(TaskId::new(t))
+                            .subset_of(ctx.task_mask(e.dst))
+                }
+                _ => false,
+            };
+            // The charge before each link frame: a budget of that many
+            // units aborts on the link's frame step, one more on its edge
+            // step.
+            let mut before = 0;
+            let mut link_charges = Vec::new();
+            for f in &base.frames {
+                let t = f.task as usize;
+                if is_link(t) {
+                    link_charges.push(before);
+                }
+                before += 1 + out[t].len() as u64;
+            }
+            assert_eq!(before, units, "{name}: one unit per frame and per out-edge");
+            let stride = if units <= SMALL { 1 } else { STRIDE };
+            let budgets: Vec<u64> = (0..units).step_by(stride).collect();
+            if stride > 1 {
+                strided += 1;
+                for step in [0, 1] {
+                    assert!(
+                        link_charges
+                            .iter()
+                            .any(|c| budgets.binary_search(&(c + step)).is_ok()),
+                        "{name}: no budget aborts on a link's {} step",
+                        ["frame", "edge"][step as usize]
+                    );
+                }
+            }
+            for width in walk_widths(ctx) {
+                let label = format!("{name} width {width}");
+                let case = (ctx, probs, s);
+                for &b in &budgets {
+                    let budget = WorkMeter::with_budget(b);
+                    let (g, spent) = build_through(None, case, DEFAULT_PATH_CAP, width, budget);
+                    assert_eq!(
+                        g.unwrap_err(),
+                        SchedError::SolveBudgetExceeded {
+                            spent: b + 1,
+                            budget: b
+                        },
+                        "{label}: budget {b}"
+                    );
+                    assert_eq!(spent, b + 1, "{label}: budget {b}");
+                }
+                let budget = WorkMeter::with_budget(units);
+                let (g, spent) = build_through(None, case, DEFAULT_PATH_CAP, width, budget);
+                let g = g.unwrap().expect("under the cap");
+                assert_same_graph(&base, &g, &format!("{label}, budget {units}"));
+                assert_eq!(spent, units, "{label}: budget {units}");
+            }
+        }
+        // The three MPEG plans and the 72-task graph take the stride.
+        assert_eq!(strided, 4);
+    }
+
     /// FNV-1a over every graph case and the nine-fork graph: each field
     /// [`assert_same_graph`] compares, the enumeration charge, and the
     /// over-the-cap verdict and charge at half the path count.
@@ -2184,9 +2434,9 @@ pub(crate) mod tests {
             for k in &g.keys {
                 h.write_u64(u64::from(k.group) << 32 | u64::from(k.slot));
             }
-            h.write_usize(g.group_masks.len());
-            for m in &g.group_masks {
-                for &w in m.words() {
+            h.write_usize(g.groups());
+            for m in g.group_words() {
+                for &w in m {
                     h.write_u64(w);
                 }
             }

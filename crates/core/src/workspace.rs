@@ -64,8 +64,7 @@ use crate::sgraph::{BuildScratch, MakespanDp, ScheduledGraph, DEFAULT_PATH_CAP};
 use crate::speed::SpeedAssignment;
 use crate::static_level::{static_levels_into, update_static_levels};
 use crate::stretch::{
-    critical_path_fallback, stretch_on_graph, stretch_priced, validate_config, StretchConfig,
-    StretchScratch,
+    critical_path_fallback, stretch_priced, validate_config, StretchConfig, StretchScratch,
 };
 use ctg_model::{BranchProbs, Ctg, TaskId};
 use ctg_obs::{Counter, Hist, Obs, Stage};
@@ -453,20 +452,21 @@ impl SolverWorkspace {
             self.stats.graph_reuses += 1;
             obs.instant(track, Stage::PoolHit, self.graphs.len() as i64);
             self.graph_clock += 1;
-            let stretch_span = obs.span(track, Stage::Stretch);
             let entry = &mut self.graphs[i];
             entry.stamp = self.graph_clock;
-            let (speeds, read) = match entry.graph.as_mut() {
-                Some(g) => {
-                    // One pricing of the table serves the re-weighting
-                    // and the stretch.
-                    self.scratch.price(ctx, probs);
-                    if entry.probs != *probs {
-                        g.reweight_priced(ctx, self.scratch.scenario_probs());
-                        entry.probs = probs.clone();
-                    }
-                    stretch_priced(ctx, schedule, cfg, g, None, &mut self.scratch)
+            // One pricing of the table serves the re-weighting and the
+            // stretch. Both run in the solve's own time: the stretch span
+            // opens after them.
+            if let Some(g) = entry.graph.as_mut() {
+                self.scratch.price(ctx, probs);
+                if entry.probs != *probs {
+                    g.reweight_priced(self.scratch.scenario_probs());
+                    entry.probs = probs.clone();
                 }
+            }
+            let stretch_span = obs.span(track, Stage::Stretch);
+            let (speeds, read) = match &entry.graph {
+                Some(g) => stretch_priced(ctx, schedule, cfg, g, None, &mut self.scratch),
                 None => (critical_path_fallback(ctx, probs, schedule, cfg), 0),
             };
             stretch_span.end(read as i64);
@@ -474,17 +474,26 @@ impl SolverWorkspace {
         }
 
         self.stats.graph_rebuilds += 1;
+        // One pricing of the table serves the build's group weights and
+        // the stretch.
+        self.scratch.price(ctx, probs);
         let enum_span = obs.span(track, Stage::PathEnum);
         let enum_start = meter.spent();
-        let built =
-            ScheduledGraph::build_in(ctx, schedule, probs, cfg.path_cap, meter, &mut self.build)?;
+        let built = ScheduledGraph::build_in(
+            ctx,
+            schedule,
+            self.scratch.scenario_probs(),
+            cfg.path_cap,
+            meter,
+            &mut self.build,
+        )?;
         let enum_units = meter.spent() - enum_start;
         // arg: 1 when the enumeration fit the cap, 0 when it overflowed
         // (and the critical-path fallback runs).
         enum_span.end(i64::from(built.is_some()));
         let stretch_span = obs.span(track, Stage::Stretch);
         let (speeds, read) = match &built {
-            Some(g) => stretch_on_graph(ctx, probs, schedule, cfg, g, None, &mut self.scratch),
+            Some(g) => stretch_priced(ctx, schedule, cfg, g, None, &mut self.scratch),
             None => (critical_path_fallback(ctx, probs, schedule, cfg), 0),
         };
         stretch_span.end(read as i64);
